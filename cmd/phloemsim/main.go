@@ -23,11 +23,11 @@
 // occupancy against the occupancy the simulator actually observed.
 //
 // With -backend native both legs execute on the native backend
-// (internal/native): one goroutine per stage and RA, one bounded channel
-// per queue. There is no cycle model, so the summary reports wall time,
+// (internal/native): one goroutine per simulated core, its stages and RAs
+// as resumable tasks, one bounded ring per queue. There is no cycle model, so the summary reports wall time,
 // and the simulator-only flags (-telemetry, -profile, -chrome-trace,
 // -faults, -cycle-budget) are rejected. -commopt still applies (its
-// capacities size the native channels), but the occupancy table needs the
+// capacities size the native queues), but the occupancy table needs the
 // simulator's probe and is skipped.
 //
 // Exit codes: 0 success, 1 compile failure/deadlock/any other error,
@@ -264,8 +264,8 @@ func run() int {
 	}
 	if backend == core.BackendNative {
 		// No cycle model natively: report wall time, and say what it is
-		// not — on a single-core host this is serial-interpreter vs
-		// goroutine-pipeline wall clock, not simulated speedup.
+		// not — this is serial-interpreter vs pipeline-interpreter wall
+		// clock, not simulated speedup.
 		fmt.Printf("\nwall on %s: serial %v, phloem %v (%s backend; wall-clock on this host, not simulated cycles)\n",
 			in.Name, sc.Wall.Round(time.Microsecond), pc.Wall.Round(time.Microsecond), backend)
 		return 0

@@ -1,18 +1,18 @@
 package bench
 
 // The native-backend benchmark behind `phloembench -exp native`: every suite
-// benchmark is compiled once (commopt on, so native channels carry the
+// benchmark is compiled once (commopt on, so native queues carry the
 // pass-inferred capacities) and its largest test input runs through the full
-// timing simulator and the native Go-concurrency backend, comparing wall
+// timing simulator and the native backend, comparing wall
 // time at seed scale; then a BFS scale sweep grows grid graphs past the
 // point the timing simulator can finish within a fixed cycle budget while
 // the native backend keeps producing verified functional results. Both legs
 // of every row are verified and must execute identical instruction counts —
 // the report doubles as an end-to-end run of the differential contract.
 //
-// Honesty note, baked into the report's "note" field: on a single-core host
-// the native backend's goroutines time-slice on one CPU, so the speedup
-// column measures the cost of cycle-accurate *simulation* (trace recording
+// Honesty note, baked into the report's "note" field: every suite pipeline
+// is single-core, which the native backend runs on one goroutine, so the
+// speedup column measures the cost of cycle-accurate *simulation* (trace recording
 // plus timing replay) against direct execution — wall-clock speedup and
 // scale reach, not parallel speedup. Wall columns are never compared by the
 // regression differ.
@@ -107,9 +107,9 @@ type NativeReport struct {
 
 // nativeNote is the report's standing honesty disclaimer.
 const nativeNote = "wall-clock speedup of direct execution over cycle-accurate simulation " +
-	"(functional pass + trace recording + timing replay) on this host; on a single-core " +
-	"machine this is NOT parallel speedup — the native backend's goroutines time-slice " +
-	"on one CPU. The sweep shows scale reach: sizes the simulator cannot finish within " +
+	"(functional pass + trace recording + timing replay) on this host; this is NOT " +
+	"parallel speedup — every pipeline here is single-core, which the native backend " +
+	"runs on one goroutine. The sweep shows scale reach: sizes the simulator cannot finish within " +
 	"the fixed cycle budget still produce verified functional results natively."
 
 // nativeInstance compiles-and-instantiates with the bench suite's trace

@@ -16,9 +16,9 @@ const (
 	// BackendSim is the cycle-accurate simulator: functional phase for
 	// semantics, timing phase for the performance model. The default.
 	BackendSim Backend = iota
-	// BackendNative lowers the same stage programs onto real Go
-	// concurrency — one goroutine per stage and RA, one bounded channel
-	// per queue. No cycle model: it reports wall time and instruction
+	// BackendNative runs the same stage programs on the host — one
+	// goroutine per simulated core, its stages and RAs as resumable tasks,
+	// one bounded ring per queue. No cycle model: it reports wall time and instruction
 	// counts, and exists for functional results at scales the timing
 	// simulator cannot reach in budget (see internal/native).
 	BackendNative

@@ -26,7 +26,12 @@ import (
 // workload-specific verification.
 func runDiff(t *testing.T, name string, pl *pipeline.Pipeline, bind pipeline.Bindings) *pipeline.Instance {
 	t.Helper()
-	cfg := arch.DefaultConfig(1)
+	return runDiffOn(t, name, pl, arch.DefaultConfig(1), bind)
+}
+
+// runDiffOn is runDiff on a machine of the given configuration.
+func runDiffOn(t *testing.T, name string, pl *pipeline.Pipeline, cfg arch.Config, bind pipeline.Bindings) *pipeline.Instance {
+	t.Helper()
 
 	simInst, err := pipeline.Instantiate(pl, cfg, bind)
 	if err != nil {
@@ -132,8 +137,11 @@ func compileFamily(t *testing.T, b *workloads.Benchmark, opt core.Options) *pipe
 // TestDiffBenchmarkFamilies runs every benchmark family's compiled
 // pipeline on every test input through both backends, with commopt off
 // (author/default queue depths) and on (pass-inferred capacities and
-// multicast fan-outs feeding native channel sizing).
+// multicast fan-outs feeding native queue sizing). The commopt leg must
+// include a pipeline with fan-out edges (SpMM's), so the all-or-nothing
+// multicast is exercised by compiled code, not only by hand-built machines.
 func TestDiffBenchmarkFamilies(t *testing.T) {
+	fanOuts := 0
 	for _, commOpt := range []bool{false, true} {
 		opt := core.DefaultOptions()
 		opt.CommOpt = commOpt
@@ -143,6 +151,7 @@ func TestDiffBenchmarkFamilies(t *testing.T) {
 		}
 		for _, b := range workloads.Benchmarks(workloads.ScaleTest) {
 			pl := compileFamily(t, b, opt)
+			fanOuts += len(pl.FanOuts)
 			for _, in := range b.Test {
 				name := b.Name + "/" + variant + "/" + in.Name
 				inst := runDiff(t, name, pl, in.Bind())
@@ -151,6 +160,9 @@ func TestDiffBenchmarkFamilies(t *testing.T) {
 				}
 			}
 		}
+	}
+	if fanOuts == 0 {
+		t.Error("no compiled pipeline carried a fan-out; the multicast lowering was not exercised")
 	}
 }
 

@@ -7,7 +7,7 @@ package native_test
 // instruction counts must be equal; when the functional run fails, the
 // native run must fail in the same sentinel class (trap/deadlock/limit) —
 // except that a functional trace-limit may surface natively as a deadlock,
-// because a livelocked producer can block on a bounded channel before it
+// because a livelocked producer can block on a bounded queue before it
 // reaches the instruction cap (the documented capacity divergence).
 // Trap messages are compared only when a single stage exists; with
 // concurrent stages the first trap to fire is scheduling-dependent.
@@ -19,7 +19,6 @@ package native_test
 import (
 	"errors"
 	"testing"
-	"time"
 
 	"phloem/internal/arch"
 	"phloem/internal/core"
@@ -138,8 +137,7 @@ void div(int* restrict a, int* restrict b, int n) {
 				t.Fatalf("instantiate(native): %v\nsource:\n%s", err, src)
 			}
 			natInst.Machine.MaxTraceEntries = 1 << 20
-			st, natErr := native.Run(natInst.Machine,
-				native.Options{WatchdogInterval: 25 * time.Millisecond})
+			st, natErr := native.Run(natInst.Machine, native.Options{})
 
 			switch {
 			case simErr == nil:

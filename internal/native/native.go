@@ -1,10 +1,13 @@
-// Package native executes a compiled pipeline as real Go concurrency
-// instead of simulating it: one goroutine per stage, one goroutine per
-// reference accelerator (a batched prefetching reader), and one bounded
-// channel per architectural queue. It consumes the same post-pass
+// Package native executes a compiled pipeline on the host instead of
+// simulating it. A host goroutine stands for a simulated core: every stage
+// (an SMT thread of that core) and every reference accelerator on it is a
+// resumable task that the core's scheduler round-robins, and every
+// architectural queue is a bounded ring. It consumes the same post-pass
 // sim.Machine the simulator runs — same flattened stage programs, same
 // queue specs, RA specs, fan-out edges, slot table, and memory space — so
-// any pipeline the compiler produces runs on either backend unchanged.
+// any pipeline the compiler produces runs on either backend unchanged. A
+// single-core machine runs entirely on the caller's goroutine; only
+// replicated pipelines (one replica per core) start goroutines.
 //
 // Semantics follow the functional simulator exactly where both are
 // defined: identical opcode behavior (including Mov clearing the control
@@ -15,7 +18,7 @@
 // counts against sim.RunFunctional on every workload.
 //
 // The one deliberate divergence is queue capacity: the functional phase
-// uses unbounded queues, while this backend uses bounded channels sized by
+// uses unbounded queues, while this backend bounds every queue at
 // arch.QueueSpec.Capacity — the same bound the timing model enforces. A
 // pipeline that overfills a queue nobody drains therefore backpressures
 // and deadlocks here (and in the timing phase) where the functional phase
@@ -29,6 +32,7 @@
 package native
 
 import (
+	"context"
 	"fmt"
 	"strings"
 	"sync"
@@ -39,35 +43,14 @@ import (
 	"phloem/internal/sim"
 )
 
-const (
-	// defaultRABatch is the RA reader's drain-batch size: tokens greedily
-	// collected per channel rendezvous. Batching amortizes channel
-	// synchronization and presents the memory system with a window of
-	// independent loads — the software analogue of the RA's
-	// outstanding-request window.
-	defaultRABatch = 256
-	// defaultWatchdog is the no-progress interval after which the engine
-	// starts suspecting a deadlock; two consecutive stalled intervals
-	// declare one. Cheap enough to leave at 100ms; deadlock tests lower it.
-	defaultWatchdog = 100 * time.Millisecond
-	// flushEvery is how many locally-counted instructions a stage executes
-	// between flushes to the shared progress/instruction counters (and
-	// stop-flag polls) — the native analogue of sim's amortized
-	// interrupt-check period.
-	flushEvery = 1024
-	// scanChunk bounds how many elements a SCAN RA streams between
-	// progress bumps, so huge ranges can't starve the watchdog.
-	scanChunk = 4096
-)
+// flushEvery is how many instructions a stage executes between flushes to
+// the shared instruction counter (and stop-flag polls) — the native
+// analogue of sim's amortized interrupt-check period.
+const flushEvery = 1024
 
-// Options tunes the native executor. The zero value is ready to use.
-type Options struct {
-	// RABatch overrides the RA drain-batch size (0: default 256).
-	RABatch int
-	// WatchdogInterval overrides the deadlock watchdog period (0: 100ms).
-	// Deadlock is declared after two consecutive stalled intervals.
-	WatchdogInterval time.Duration
-}
+// Options tunes the native executor. There is nothing to tune: the zero
+// value is the only value.
+type Options struct{}
 
 // Stats reports a native run. Instructions counts every executed stage
 // instruction (including Halt and Barrier, excluding RA micro-events) and
@@ -77,8 +60,7 @@ type Stats struct {
 	Instructions uint64
 	Wall         time.Duration
 	// Leftover is the per-queue count of tokens never consumed, matching
-	// sim.TraceSet.Leftover (a peeked-but-never-dequeued token still counts
-	// as in its queue).
+	// sim.TraceSet.Leftover.
 	Leftover []int
 	Stages   int
 	RAs      int
@@ -101,10 +83,9 @@ func (s *Stats) String() string {
 
 // engine holds the shared state of one native run.
 type engine struct {
-	m   *sim.Machine
-	opt Options
+	m *sim.Machine
 
-	chans []chan sim.Value
+	queues []queue
 	// slots is the machine-wide array-slot table; OpSwapSlots exchanges
 	// two entries atomically, loads are single atomic pointer reads.
 	slots []atomic.Pointer[mem.Array]
@@ -112,67 +93,70 @@ type engine struct {
 	// into it is duplicated to (nil for ordinary queues).
 	fan [][]int
 	// raIdx maps a queue id to the RA consuming it (-1 if none); producers
-	// bump that RA's sent counter before sending so OpSwapSlots can
-	// quiesce in-flight accelerator work.
+	// bump that RA's sent counter on delivery so OpSwapSlots can quiesce
+	// in-flight accelerator work.
 	raIdx []int
-	// prod counts live producers per queue (stages, fan-out duplication,
-	// RA outputs). The producer that decrements a count to zero closes the
-	// channel; queues with no producers are closed at startup.
-	prod []atomic.Int32
 
 	stages []*stageExec
-	ras    []*raExec
-
-	bar *barrier
 
 	// hasSwaps gates the RA quiesce counters: pipelines without
-	// OpSwapSlots never pay for them.
+	// OpSwapSlots never pay for them. swapWait counts stages blocked in
+	// OpSwapSlots, so an RA on another core knows to announce its progress.
 	hasSwaps bool
 	raSent   []atomic.Uint64
 	raDone   []atomic.Uint64
+	swapWait atomic.Int32
 
-	// instrs accumulates flushed stage instruction counts; progress
-	// additionally counts RA token completions. The watchdog declares
-	// deadlock when progress stalls; instrs over cap is the livelock guard.
-	instrs   atomic.Uint64
-	progress atomic.Uint64
-	cap      uint64
+	// instrs accumulates flushed stage instruction counts; over cap is the
+	// livelock guard. stopped is the cheap abort flag for amortized polls.
+	instrs  atomic.Uint64
+	cap     uint64
+	stopped atomic.Bool
 
-	// stop is closed (once) with failure recorded when any goroutine
-	// aborts the run; stopped is the cheap flag for amortized polls.
-	stop     chan struct{}
-	stopOnce sync.Once
-	stopped  atomic.Bool
-	failure  error
-
-	wg      sync.WaitGroup
-	allDone chan struct{}
+	// mu guards everything cores share: cross-core queues, the barrier,
+	// the producer census, the first failure, and the idle census. epoch
+	// counts changes to that state; it is written under mu and read
+	// without, so a core can tell that nothing changed during a round.
+	mu      sync.Mutex
+	cv      sync.Cond
+	epoch   atomic.Uint64
+	cores   int // schedulers still running
+	idle    int // of those, parked in waitEvent at the current epoch
+	live    int // stages not yet halted: the barrier group
+	waiting int // of those, arrived at the current barrier
+	barGen  uint64
+	failure error
 }
 
 // Run executes the machine's stage programs natively to completion.
 // Memory side effects remain in m.Space (and m.Slots reflects any slot
 // swaps), exactly as after sim.RunFunctional. m.Ctx, m.WallDeadline, and
 // m.MaxTraceEntries are honored with the same sentinel errors as the
-// simulator.
-func Run(m *sim.Machine, opt Options) (*Stats, error) {
+// simulator. No goroutine started here outlives the call.
+func Run(m *sim.Machine, _ Options) (*Stats, error) {
 	if err := m.Validate(); err != nil {
 		return nil, err
 	}
-	e := newEngine(m, opt)
+	e, cores := newEngine(m)
 	start := time.Now()
 
-	for _, ra := range e.ras {
-		e.wg.Add(1)
-		go ra.run()
+	disarm := e.arm()
+
+	// The first core runs on the caller's goroutine, so a single-core
+	// machine starts none.
+	var wg sync.WaitGroup
+	for i := 1; i < len(cores); i++ {
+		wg.Add(1)
+		go func() {
+			defer wg.Done()
+			e.runCore(cores[i])
+		}()
 	}
-	for _, st := range e.stages {
-		e.wg.Add(1)
-		go st.run()
+	if len(cores) > 0 {
+		e.runCore(cores[0])
 	}
-	monDone := e.startMonitor()
-	e.wg.Wait()
-	close(e.allDone)
-	<-monDone
+	wg.Wait()
+	disarm()
 
 	if e.failure != nil {
 		return nil, e.failure
@@ -185,24 +169,13 @@ func Run(m *sim.Machine, opt Options) (*Stats, error) {
 	st := &Stats{
 		Instructions: e.instrs.Load(),
 		Wall:         time.Since(start),
+		Leftover:     make([]int, len(e.queues)),
 		Stages:       len(e.stages),
-		RAs:          len(e.ras),
-		Queues:       len(e.chans),
+		RAs:          len(m.RAs),
+		Queues:       len(e.queues),
 	}
-	st.Leftover = make([]int, len(e.chans))
-	for q, ch := range e.chans {
-		st.Leftover[q] = len(ch)
-	}
-	for _, sx := range e.stages {
-		for q := range sx.hasPeek {
-			if sx.hasPeek[q] {
-				st.Leftover[q]++
-			}
-		}
-		sx.release()
-	}
-	for _, ra := range e.ras {
-		ra.release()
+	for q := range e.queues {
+		st.Leftover[q] = e.queues[q].n
 	}
 	// Write final slot bindings back so callers observe swaps exactly as
 	// they would after a functional run.
@@ -212,26 +185,17 @@ func Run(m *sim.Machine, opt Options) (*Stats, error) {
 	return st, nil
 }
 
-func newEngine(m *sim.Machine, opt Options) *engine {
-	if opt.RABatch <= 0 {
-		opt.RABatch = defaultRABatch
-	}
-	if opt.WatchdogInterval <= 0 {
-		opt.WatchdogInterval = defaultWatchdog
-	}
-	e := &engine{
-		m:       m,
-		opt:     opt,
-		stop:    make(chan struct{}),
-		allDone: make(chan struct{}),
-		cap:     uint64(m.MaxTraceEntries),
-	}
+// newEngine lowers the machine: one task per stage and per RA, grouped by
+// simulated core (in order of first appearance), and one ring per queue.
+func newEngine(m *sim.Machine) (*engine, [][]task) {
+	e := &engine{m: m, cap: uint64(m.MaxTraceEntries), live: len(m.Stages)}
+	e.cv.L = &e.mu
 	if e.cap == 0 {
 		e.cap = 64 << 20
 	}
-	e.chans = make([]chan sim.Value, len(m.Queues))
+	e.queues = make([]queue, len(m.Queues))
 	for q := range m.Queues {
-		e.chans[q] = make(chan sim.Value, m.Queues[q].Capacity(m.Cfg.QueueDepth))
+		e.queues[q].buf = make([]sim.Value, m.Queues[q].Capacity(m.Cfg.QueueDepth))
 	}
 	e.slots = make([]atomic.Pointer[mem.Array], len(m.Slots))
 	for i, a := range m.Slots {
@@ -253,73 +217,134 @@ func newEngine(m *sim.Machine, opt Options) *engine {
 	e.raSent = make([]atomic.Uint64, len(m.RAs))
 	e.raDone = make([]atomic.Uint64, len(m.RAs))
 
+	var cores [][]task
+	coreIdx := map[int]int{}
+	place := func(core int, t task) {
+		i, ok := coreIdx[core]
+		if !ok {
+			i = len(cores)
+			coreIdx[core] = i
+			cores = append(cores, nil)
+		}
+		cores[i] = append(cores[i], t)
+	}
+	// A queue every user of which sits on one core is touched by one
+	// goroutine; any other is shared and goes through e.mu.
+	owner := make([]int, len(m.Queues))
+	for q := range owner {
+		owner[q] = -1
+	}
+	touch := func(q, core int) {
+		if owner[q] < 0 {
+			owner[q] = core
+		} else if owner[q] != core {
+			e.queues[q].shared = true
+		}
+	}
+
 	// Static producer census. Every way a token can enter a queue is
 	// statically known: a stage enqueue, its fan-out duplication, or an RA
-	// output. Each producer decrements on clean exit; zero closes the
-	// channel, which is how consumers learn a queue can never be fed again.
-	e.prod = make([]atomic.Int32, len(m.Queues))
+	// output. Each producer retires on clean exit; a queue with none left
+	// is closed, which is how an RA learns its input can never be fed again.
 	for _, st := range m.Stages {
 		u := st.Prog.QueueUse()
 		if u.HasSwap {
 			e.hasSwaps = true
 		}
-		sx := newStageExec(e, st, u)
+		x := newStageExec(e, st, u)
 		for _, q := range u.Produces {
-			sx.prodQ = append(sx.prodQ, q)
+			x.prodQ = append(x.prodQ, q)
 			if e.fan != nil {
-				sx.prodQ = append(sx.prodQ, e.fan[q]...)
+				x.prodQ = append(x.prodQ, e.fan[q]...)
 			}
 		}
-		for _, q := range sx.prodQ {
-			e.prod[q].Add(1)
+		for _, q := range x.prodQ {
+			e.queues[q].prod++
+			touch(q, st.Thread.Core)
 		}
-		e.stages = append(e.stages, sx)
+		for _, q := range u.Consumes {
+			touch(q, st.Thread.Core)
+		}
+		e.stages = append(e.stages, x)
+		place(st.Thread.Core, x)
 	}
 	for i := range m.RAs {
-		e.prod[m.RAs[i].OutQ].Add(1)
-		e.ras = append(e.ras, newRAExec(e, i))
+		spec := &m.RAs[i]
+		e.queues[spec.OutQ].prod++
+		touch(spec.InQ, spec.Core)
+		touch(spec.OutQ, spec.Core)
+		place(spec.Core, &raExec{e: e, idx: i, spec: spec})
 	}
-	for q := range e.prod {
-		if e.prod[q].Load() == 0 {
-			close(e.chans[q])
+	// A fanned enqueue is all-or-nothing over its whole group, so the
+	// group is shared as soon as one member is.
+	for _, f := range m.FanOuts {
+		shared := e.queues[f.Src].shared
+		for _, d := range f.Dst {
+			shared = shared || e.queues[d].shared
+		}
+		e.queues[f.Src].shared = shared
+		for _, d := range f.Dst {
+			e.queues[d].shared = shared
 		}
 	}
-	e.bar = newBarrier(len(e.stages))
-	return e
+	e.cores = len(cores)
+	return e, cores
 }
 
-// producerExit retires one producer: queues whose last producer leaves are
-// closed so their consumer unblocks (drains remaining buffered tokens,
-// then observes closure).
-func (e *engine) producerExit(queues []int) {
-	for _, q := range queues {
-		if e.prod[q].Add(-1) == 0 {
-			close(e.chans[q])
+// arm lets cancellation and the wall deadline fail the run from their own
+// goroutines. The returned function disarms both and waits for one that
+// already started, so neither outlives Run or races its reading the verdict.
+func (e *engine) arm() (disarm func()) {
+	var hooks sync.WaitGroup
+	var stops []func() bool
+	hook := func(err func() error) func() {
+		hooks.Add(1)
+		return func() {
+			defer hooks.Done()
+			e.fail(err())
 		}
+	}
+	if ctx := e.m.Ctx; ctx != nil {
+		stops = append(stops, context.AfterFunc(ctx, hook(func() error {
+			return &sim.CancelledError{Phase: "native", Cause: ctx.Err()}
+		})))
+	}
+	if d := e.m.WallDeadline; !d.IsZero() {
+		stops = append(stops, time.AfterFunc(time.Until(d), hook(func() error {
+			return &sim.WallBudgetError{Phase: "native"}
+		})).Stop)
+	}
+	return func() {
+		for _, stop := range stops {
+			if stop() {
+				hooks.Done()
+			}
+		}
+		hooks.Wait()
 	}
 }
 
-// fail records the first failure and wakes every blocked goroutine. The
-// first caller wins; later failures (often knock-on effects of the abort)
-// are dropped, matching the functional engine's first-error semantics.
+// fail records the first failure and wakes every parked core. The first
+// caller wins; later failures (often knock-on effects of the abort) are
+// dropped, matching the functional engine's first-error semantics.
 func (e *engine) fail(err error) {
-	e.stopOnce.Do(func() {
+	e.mu.Lock()
+	defer e.mu.Unlock()
+	e.failLocked(err)
+}
+
+func (e *engine) failLocked(err error) {
+	if e.failure == nil {
 		e.failure = err
 		e.stopped.Store(true)
-		close(e.stop)
-		e.bar.abort()
-	})
+		e.cv.Broadcast()
+	}
 }
 
-// bumpInstrs flushes a stage's local instruction count and enforces the
+// bumpInstrs flushes part of a stage's instruction count and enforces the
 // livelock guard (the functional trace cap's analogue).
 func (e *engine) bumpInstrs(n uint64) {
-	if n == 0 {
-		return
-	}
-	total := e.instrs.Add(n)
-	e.progress.Add(n)
-	if total > e.cap {
+	if total := e.instrs.Add(n); total > e.cap {
 		e.fail(&sim.TraceLimitError{Entries: total, Limit: e.cap})
 	}
 }
@@ -337,28 +362,18 @@ func (e *engine) checkInterrupt() error {
 	return nil
 }
 
-// quiesceRAs waits until every RA has fully processed every token sent
-// toward it (sent counters are bumped before the send, done counters
-// after processing, and an RA feeding another RA bumps the downstream
-// sent before its own done — so while any token is in flight at least one
-// pair disagrees). Used by OpSwapSlots so in-flight accelerator work
+// rasQuiet reports whether every RA has fully processed every token sent
+// toward it (sent counters are bumped on delivery, done counters after
+// processing, and an RA feeding another RA bumps the downstream sent
+// before its own done — so while any token is in flight at least one pair
+// disagrees). OpSwapSlots waits for it so in-flight accelerator work
 // observes pre-swap bindings, exactly like the functional engine's
 // drain-then-swap.
-func (e *engine) quiesceRAs() bool {
-	for {
-		if e.stopped.Load() {
+func (e *engine) rasQuiet() bool {
+	for i := range e.raSent {
+		if e.raSent[i].Load() != e.raDone[i].Load() {
 			return false
 		}
-		idle := true
-		for i := range e.raSent {
-			if e.raSent[i].Load() != e.raDone[i].Load() {
-				idle = false
-				break
-			}
-		}
-		if idle {
-			return true
-		}
-		time.Sleep(time.Microsecond)
 	}
+	return true
 }

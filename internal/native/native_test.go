@@ -49,6 +49,48 @@ func diffMachines(t *testing.T, name string, build func() *sim.Machine) {
 	compareSpaces(t, name, fm.Space, nm.Space)
 }
 
+// stageWait returns the named stage's entry in err's deadlock snapshot.
+func stageWait(t *testing.T, err error, stage string) sim.StageWait {
+	t.Helper()
+	var de *sim.DeadlockError
+	if !errors.As(err, &de) || de.Snapshot.Phase != "native" {
+		t.Fatalf("expected a native-phase DeadlockError, got %#v", err)
+	}
+	for _, w := range de.Snapshot.Stages {
+		if w.Stage == stage {
+			return w
+		}
+	}
+	t.Fatalf("stage %q not in snapshot: %v", stage, err)
+	return sim.StageWait{}
+}
+
+// checkBlocked requires the named stage to be reported blocked in the
+// given state at its nth (from 0) instruction with opcode op, on queue q.
+func checkBlocked(t *testing.T, m *sim.Machine, err error, stage, state string, op isa.Op, nth, q int) {
+	t.Helper()
+	w := stageWait(t, err, stage)
+	pc := -1
+	for _, st := range m.Stages {
+		if st.Prog.Name != stage {
+			continue
+		}
+		for i, in := range st.Prog.Instrs {
+			if in.Op != op {
+				continue
+			}
+			if nth == 0 {
+				pc = i
+				break
+			}
+			nth--
+		}
+	}
+	if w.State != state || int(w.PC) != pc || w.Queue == nil || w.Queue.Q != q {
+		t.Errorf("%s: blocked as %v, want %s at pc=%d on q%d", stage, w, state, pc, q)
+	}
+}
+
 // TestEmptyPipeline: a machine whose only stage immediately halts, and a
 // machine with no stages at all.
 func TestEmptyPipeline(t *testing.T) {
@@ -108,7 +150,7 @@ func TestHandlerOnlyStage(t *testing.T) {
 
 // TestOverSentQueue: tokens left in a queue nobody consumes. Within the
 // queue's capacity both backends finish and report the same leftovers;
-// past the capacity the native backend (bounded channels, like the timing
+// past the capacity the native backend (bounded queues, like the timing
 // model) backpressure-deadlocks where the unbounded functional phase only
 // reports leftovers — the documented divergence.
 func TestOverSentQueue(t *testing.T) {
@@ -134,7 +176,7 @@ func TestOverSentQueue(t *testing.T) {
 	diffMachines(t, "oversend-within-cap", build(4))
 
 	// Past capacity: functional succeeds with 12 leftovers, native blocks
-	// on the full channel with no consumer and the watchdog fires.
+	// on the full queue with no consumer, which is a deadlock at once.
 	ts, err := build(12)().RunFunctional()
 	if err != nil {
 		t.Fatalf("functional oversend: %v", err)
@@ -142,18 +184,20 @@ func TestOverSentQueue(t *testing.T) {
 	if ts.Leftover[0] != 12 {
 		t.Fatalf("functional leftover = %d, want 12", ts.Leftover[0])
 	}
-	_, err = native.Run(build(12)(), native.Options{WatchdogInterval: 10 * time.Millisecond})
+	m := build(12)()
+	_, err = native.Run(m, native.Options{})
 	if !errors.Is(err, sim.ErrDeadlock) {
 		t.Fatalf("native oversend past capacity: got %v, want ErrDeadlock", err)
 	}
-	if !strings.Contains(err.Error(), "enq-full") {
-		t.Errorf("deadlock snapshot should report enq-full, got: %v", err)
+	checkBlocked(t, m, err, "producer", "enq-full", isa.OpEnq, 0, 0)
+	if w := stageWait(t, err, "producer"); w.Queue.Len != 8 || w.Queue.Cap != 8 {
+		t.Errorf("sink should be reported full at 8/8, got %v", w.Queue)
 	}
 }
 
-// TestZeroProducerDeq: dequeuing a queue no stage or RA ever feeds fails
-// immediately as a deadlock (channel closed at startup), on both backends,
-// with the queue named in the snapshot.
+// TestZeroProducerDeq: dequeuing a queue no stage or RA ever feeds is a
+// deadlock on both backends, with the queue and the blocked dequeue's pc
+// in the snapshot.
 func TestZeroProducerDeq(t *testing.T) {
 	build := func() *sim.Machine {
 		m := sim.NewMachine(arch.DefaultConfig(1))
@@ -168,22 +212,20 @@ func TestZeroProducerDeq(t *testing.T) {
 	if !errors.Is(ferr, sim.ErrDeadlock) {
 		t.Fatalf("functional: got %v, want ErrDeadlock", ferr)
 	}
-	_, nerr := native.Run(build(), native.Options{})
+	m := build()
+	_, nerr := native.Run(m, native.Options{})
 	if !errors.Is(nerr, sim.ErrDeadlock) {
 		t.Fatalf("native: got %v, want ErrDeadlock", nerr)
 	}
 	if !strings.Contains(nerr.Error(), "never_fed") {
 		t.Errorf("snapshot should name the starved queue, got: %v", nerr)
 	}
-	var de *sim.DeadlockError
-	if !errors.As(nerr, &de) || de.Snapshot.Phase != "native" {
-		t.Errorf("expected a native-phase DeadlockError, got %#v", nerr)
-	}
+	checkBlocked(t, m, nerr, "starved", "deq-empty", isa.OpDeq, 0, 0)
 }
 
 // TestCrossBlockDeadlock: two stages each waiting for the other's first
-// token. Both queues have live producers, so no channel ever closes and
-// the no-progress watchdog must catch it.
+// token. Both queues have live producers, so nothing ever closes and only
+// the idle census can catch it.
 func TestCrossBlockDeadlock(t *testing.T) {
 	build := func() *sim.Machine {
 		m := sim.NewMachine(arch.DefaultConfig(1))
@@ -204,13 +246,13 @@ func TestCrossBlockDeadlock(t *testing.T) {
 	if !errors.Is(ferr, sim.ErrDeadlock) {
 		t.Fatalf("functional: got %v, want ErrDeadlock", ferr)
 	}
-	_, nerr := native.Run(build(), native.Options{WatchdogInterval: 10 * time.Millisecond})
+	m := build()
+	_, nerr := native.Run(m, native.Options{})
 	if !errors.Is(nerr, sim.ErrDeadlock) {
 		t.Fatalf("native: got %v, want ErrDeadlock", nerr)
 	}
-	if !strings.Contains(nerr.Error(), "deq-empty") {
-		t.Errorf("snapshot should report deq-empty stages, got: %v", nerr)
-	}
+	checkBlocked(t, m, nerr, "a", "deq-empty", isa.OpDeq, 0, 1)
+	checkBlocked(t, m, nerr, "b", "deq-empty", isa.OpDeq, 0, 0)
 }
 
 // infiniteLoop builds a machine that never terminates and touches no
@@ -339,6 +381,59 @@ func TestBarrierHaltRelease(t *testing.T) {
 	})
 }
 
+// TestInstructionCountAtFlushBoundary: a stage's count is flushed in chunks
+// of 1024 and Halt leaves the interpreter before the periodic flush, so a
+// stage whose total (Halt included) is a multiple of the chunk must still
+// report all of it — straight through, and when it blocks and resumes.
+func TestInstructionCountAtFlushBoundary(t *testing.T) {
+	pad := func(b *isa.Builder, total int) *isa.Program {
+		p := b.MustBuild()
+		for n := len(p.Instrs); n < total-1; n++ {
+			b.Emit(isa.Instr{Op: isa.OpNop})
+		}
+		b.Halt()
+		return b.MustBuild()
+	}
+	for _, n := range []int{1023, 1024, 1025, 2048, 3072} {
+		build := func() *sim.Machine {
+			m := sim.NewMachine(arch.DefaultConfig(1))
+			m.AddStage(&sim.Stage{Prog: pad(isa.NewBuilder("line"), n), Thread: thread(0)})
+			return m
+		}
+		diffMachines(t, "straight-line", build)
+		if st, err := native.Run(build(), native.Options{}); err != nil {
+			t.Fatal(err)
+		} else if st.Instructions != uint64(n) {
+			t.Errorf("%d-instruction stage counted as %d", n, st.Instructions)
+		}
+	}
+	// The producer overfills the queue and the consumer starts on an empty
+	// one, so both cross their flush boundaries after being resumed.
+	const tokens = 100
+	build := func() *sim.Machine {
+		m := sim.NewMachine(arch.DefaultConfig(1))
+		q := m.AddQueue("work")
+		c := isa.NewBuilder("consumer")
+		for i := 0; i < tokens; i++ {
+			c.Deq(q)
+		}
+		m.AddStage(&sim.Stage{Prog: pad(c, 2048), Thread: thread(0)})
+		p := isa.NewBuilder("producer")
+		v := p.Const(7)
+		for i := 0; i < tokens; i++ {
+			p.Enq(q, v)
+		}
+		m.AddStage(&sim.Stage{Prog: pad(p, 1024), Thread: thread(1)})
+		return m
+	}
+	diffMachines(t, "blocked-and-resumed", build)
+	if st, err := native.Run(build(), native.Options{}); err != nil {
+		t.Fatal(err)
+	} else if st.Instructions != 1024+2048 {
+		t.Errorf("stages of 1024 and 2048 instructions counted as %d", st.Instructions)
+	}
+}
+
 // TestCommOptPipelinesNeverDeadlockNatively pins the satellite claim: the
 // commopt pass's Q4 capacity-cycle safety argument holds for bounded Go
 // channels exactly as for the timing model's bounded queues, so every
@@ -378,5 +473,62 @@ func TestCommOptPipelinesNeverDeadlockNatively(t *testing.T) {
 	}
 	if assigned == 0 {
 		t.Error("commopt assigned no capacities on any family; the deadlock-freedom claim was not exercised")
+	}
+}
+
+// TestFanOutAllOrNothing: a data enqueue into a fan-out source delivers to
+// the source and every destination, or — while any of them is full — to
+// none. The producer multicasts three values into "src" (depth 4) and
+// "dup" (depth 1). With the dup consumer stuck on a queue nobody feeds,
+// the second enqueue can never complete: it must be reported blocked on
+// the full destination, and the src consumer must have seen one value
+// only. With the dup consumer draining, the run must match the
+// functional engine.
+func TestFanOutAllOrNothing(t *testing.T) {
+	build := func(stuck bool) *sim.Machine {
+		m := sim.NewMachine(arch.DefaultConfig(1))
+		out := m.Space.Alloc("out", mem.I64, 6)
+		so := m.AddSlot("out", out)
+		m.Queues = append(m.Queues,
+			arch.QueueSpec{Name: "src", Depth: 4},
+			arch.QueueSpec{Name: "dup", Depth: 1},
+			arch.QueueSpec{Name: "never_fed"})
+		m.FanOuts = []arch.FanOut{{Src: 0, Dst: []int{1}}}
+
+		p := isa.NewBuilder("producer")
+		for v := int64(1); v <= 3; v++ {
+			p.Enq(0, p.Const(v*10))
+		}
+		p.Halt()
+		m.AddStage(&sim.Stage{Prog: p.MustBuild(), Thread: thread(0)})
+
+		mk := func(name string, q int, base int64, tid int) {
+			b := isa.NewBuilder(name)
+			if stuck && q == 1 {
+				b.Deq(2)
+			}
+			for i := int64(0); i < 3; i++ {
+				b.Store(so, b.Const(base+i), b.Deq(q))
+			}
+			b.Halt()
+			m.AddStage(&sim.Stage{Prog: b.MustBuild(), Thread: thread(tid)})
+		}
+		mk("a", 0, 0, 1)
+		mk("b", 1, 3, 2)
+		return m
+	}
+	diffMachines(t, "fanout-drained", func() *sim.Machine { return build(false) })
+
+	m := build(true)
+	_, err := native.Run(m, native.Options{})
+	if !errors.Is(err, sim.ErrDeadlock) {
+		t.Fatalf("stuck fan-out destination: got %v, want ErrDeadlock", err)
+	}
+	checkBlocked(t, m, err, "producer", "enq-full", isa.OpEnq, 1, 1)
+	if w := stageWait(t, err, "a"); w.State != "deq-empty" || w.Queue.Q != 0 || w.Queue.Len != 0 {
+		t.Errorf("src must not have received the blocked value, a is %v", w)
+	}
+	if got := m.Slots[0].Ints(); got[0] != 10 || got[1] != 0 {
+		t.Errorf("src consumer stored %v, want only the first value", got[:3])
 	}
 }

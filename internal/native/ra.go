@@ -4,170 +4,128 @@ import (
 	"fmt"
 
 	"phloem/internal/arch"
-	"phloem/internal/mem"
 	"phloem/internal/sim"
 )
 
-// raExec is one reference accelerator's goroutine: a batched prefetching
-// reader. It blocks for the first token, then greedily drains its input
-// channel up to the batch size before processing, amortizing channel
-// synchronization and giving the memory system a window of independent
-// loads — the software analogue of the RA's outstanding-request window.
-// Token semantics (INDIRECT per-index loads, SCAN [start,end) range
-// streaming with optional EmitNext group markers, control pass-through,
-// and trap conditions) match the functional engine's propagateRAs.
+// raExec is one reference accelerator as a resumable task: each step moves
+// tokens from its input queue to its output queue until the input is empty
+// or the output full. Token semantics (INDIRECT per-index loads, SCAN
+// [start,end) range streaming with optional EmitNext group markers,
+// control pass-through, and trap conditions) match the functional engine's
+// propagateRAs. An input token is consumed only once its first output has
+// been delivered, so a blocked step loses nothing.
 type raExec struct {
-	e   *engine
-	idx int
-	// prodQ is the output queue, in producer-census form.
-	prodQ []int
-	buf   *valBuf
-	// pendStart carries a SCAN range's start token across batches.
+	e    *engine
+	idx  int
+	spec *arch.RASpec
+	// pendStart carries a SCAN range's start token to its end token.
 	pendStart sim.Value
 	hasStart  bool
+	// scanning is set while a SCAN range streams; cur..end is what is left
+	// of it, kept across steps.
+	scanning bool
+	cur, end int64
+	// moved counts tokens consumed and delivered.
+	moved uint64
 }
 
-func newRAExec(e *engine, idx int) *raExec {
-	return &raExec{e: e, idx: idx, prodQ: []int{e.m.RAs[idx].OutQ}}
+func (r *raExec) step() (status, bool) {
+	before := r.moved
+	st := r.move()
+	return st, r.moved != before
 }
 
-func (r *raExec) release() {
-	if r.buf != nil {
-		r.buf.put()
-		r.buf = nil
-	}
-}
-
-func (r *raExec) run() {
-	e := r.e
-	defer e.wg.Done()
-	defer func() {
-		if rec := recover(); rec != nil {
-			me, ok := rec.(*mem.Error)
-			if !ok {
-				panic(rec)
-			}
-			e.fail(&sim.TrapError{PC: -1, Msg: me.Error()})
-		}
-	}()
-	spec := &e.m.RAs[r.idx]
-	in := e.chans[spec.InQ]
-	r.buf = getBuf(e.opt.RABatch)
-	batch := r.buf.s[:0]
-	closed := false
-	for !closed {
-		// Block for the first token of a batch.
-		var first sim.Value
-		var ok bool
-		select {
-		case first, ok = <-in:
-		case <-e.stop:
-			return
-		}
-		if !ok {
-			break
-		}
-		batch = append(batch[:0], first)
-		// Greedy non-blocking drain up to the batch size.
-	drain:
-		for len(batch) < cap(batch) {
-			select {
-			case v, ok := <-in:
-				if !ok {
-					closed = true
-					break drain
+func (r *raExec) move() status {
+	e, spec := r.e, r.spec
+	for {
+		if r.scanning {
+			// No swap can intervene while a range streams (its end token is
+			// sent but not done), so this is the array the range was checked
+			// against.
+			arr := e.slots[spec.Slot].Load()
+			for ; r.cur < r.end; r.cur++ {
+				if !r.send(loadValue(arr, r.cur)) {
+					return blocked
 				}
-				batch = append(batch, v)
-			default:
-				break drain
 			}
-		}
-		for _, v := range batch {
-			if !r.process(spec, v) {
-				return
+			if spec.EmitNext && !r.send(sim.CtrlVal(spec.NextCode)) {
+				return blocked
 			}
-			if e.hasSwaps {
-				e.raDone[r.idx].Add(1)
+			r.scanning = false
+			r.done()
+		}
+		v, ok, closed := e.take(spec.InQ, false)
+		if !ok {
+			if !closed {
+				return blocked
 			}
+			// Input closed and drained: this RA can never produce again.
+			e.retire([]int{spec.OutQ}, false)
+			return halted
 		}
-		e.progress.Add(uint64(len(batch)))
-	}
-	// Input closed and drained: this RA can never produce again.
-	e.producerExit(r.prodQ)
-}
-
-// process handles one input token, pushing any outputs downstream.
-func (r *raExec) process(spec *arch.RASpec, v sim.Value) bool {
-	e := r.e
-	outQ := spec.OutQ
-	if v.Ctrl {
-		if r.hasStart {
-			e.fail(&sim.TrapError{Stage: "ra:" + spec.Name, PC: -1,
-				Msg: "control value between SCAN start/end pair"})
-			return false
-		}
-		return r.send(outQ, v)
-	}
-	arr := e.slots[spec.Slot].Load()
-	switch spec.Mode {
-	case arch.RAIndirect:
-		idx := v.Bits
-		if !arr.InBounds(idx) {
-			e.fail(&sim.TrapError{Stage: "ra:" + spec.Name, PC: -1,
-				Msg: fmt.Sprintf("index %d out of bounds for %s (len %d)", idx, arr.Name, arr.Len())})
-			return false
-		}
-		return r.send(outQ, loadValue(arr, idx))
-	default: // arch.RAScan
-		if !r.hasStart {
-			r.pendStart = v
-			r.hasStart = true
-			return true
-		}
-		start, end := r.pendStart.Bits, v.Bits
-		r.hasStart = false
-		if start < 0 || end < start || (end > start && !arr.InBounds(end-1)) {
-			e.fail(&sim.TrapError{Stage: "ra:" + spec.Name, PC: -1,
-				Msg: fmt.Sprintf("scan range [%d,%d) out of bounds for %s (len %d)", start, end, arr.Name, arr.Len())})
-			return false
-		}
-		for i := start; i < end; i++ {
-			if !r.send(outQ, loadValue(arr, i)) {
-				return false
+		// The binding is read per token, after the token is seen: a stage on
+		// another core may have swapped slots since the previous one was done.
+		arr := e.slots[spec.Slot].Load()
+		switch {
+		case v.Ctrl:
+			if r.hasStart {
+				return r.trap("control value between SCAN start/end pair")
 			}
-			if (i-start)&(scanChunk-1) == scanChunk-1 {
-				// Keep the watchdog fed during very long range streams.
-				e.progress.Add(1)
+			if !r.send(v) {
+				return blocked
 			}
+		case spec.Mode == arch.RAIndirect:
+			if !arr.InBounds(v.Bits) {
+				return r.trap(fmt.Sprintf("index %d out of bounds for %s (len %d)", v.Bits, arr.Name, arr.Len()))
+			}
+			if !r.send(loadValue(arr, v.Bits)) {
+				return blocked
+			}
+		case !r.hasStart:
+			r.pendStart, r.hasStart = v, true
+		default:
+			start, end := r.pendStart.Bits, v.Bits
+			if start < 0 || end < start || (end > start && !arr.InBounds(end-1)) {
+				return r.trap(fmt.Sprintf("scan range [%d,%d) out of bounds for %s (len %d)", start, end, arr.Name, arr.Len()))
+			}
+			r.hasStart, r.scanning, r.cur, r.end = false, true, start, end
 		}
-		if spec.EmitNext {
-			return r.send(outQ, sim.CtrlVal(spec.NextCode))
+		e.take(spec.InQ, true)
+		r.moved++
+		if !r.scanning {
+			r.done()
 		}
-		return true
 	}
 }
 
-// send delivers v into q. RA output queues never fan out (validated), but
-// a chained downstream RA's sent counter is bumped before the send and
-// before this RA's done counter, preserving the quiesce invariant across
-// RA chains.
-func (r *raExec) send(q int, v sim.Value) bool {
-	e := r.e
-	if e.hasSwaps {
-		if ra := e.raIdx[q]; ra >= 0 {
-			e.raSent[ra].Add(1)
-		}
-	}
-	ch := e.chans[q]
-	select {
-	case ch <- v:
-		return true
-	default:
-	}
-	select {
-	case ch <- v:
-		return true
-	case <-e.stop:
+func (r *raExec) trap(msg string) status {
+	r.e.fail(&sim.TrapError{Stage: "ra:" + r.spec.Name, PC: -1, Msg: msg})
+	return failed
+}
+
+// send delivers v into the output queue if it has room. RA output queues
+// never fan out (validated); a chained downstream RA's sent counter is
+// bumped on delivery, before this RA's done counter, preserving the
+// quiesce invariant across RA chains.
+func (r *raExec) send(v sim.Value) bool {
+	if r.e.enq(r.spec.OutQ, v, false) >= 0 {
 		return false
+	}
+	r.moved++
+	return true
+}
+
+// done marks one input token fully processed, and tells a stage on another
+// core that waits in OpSwapSlots to look again.
+func (r *raExec) done() {
+	e := r.e
+	if !e.hasSwaps {
+		return
+	}
+	e.raDone[r.idx].Add(1)
+	if e.swapWait.Load() > 0 {
+		e.mu.Lock()
+		e.event()
+		e.mu.Unlock()
 	}
 }

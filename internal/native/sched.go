@@ -1,0 +1,268 @@
+package native
+
+import (
+	"phloem/internal/mem"
+	"phloem/internal/sim"
+)
+
+// status is what a task reports when it hands its core back.
+type status int
+
+const (
+	// blocked: the task cannot continue until a queue, the barrier, or the
+	// RAs change state; stepping it again re-executes the blocked operation.
+	blocked status = iota
+	// halted: the task finished and must not be stepped again.
+	halted
+	// failed: the run is aborting (the failure is already recorded).
+	failed
+)
+
+// task is a stage or an RA: it runs on its core until it blocks, and
+// reports whether it got anything done.
+type task interface {
+	step() (st status, worked bool)
+}
+
+// queue is one architectural queue: a ring of exactly its capacity. A
+// queue used from one core only is touched by that core's goroutine
+// alone; a shared one only with engine.mu held.
+type queue struct {
+	buf     []sim.Value
+	head, n int
+	// prod counts live producers (stages, fan-out duplication, RA
+	// outputs); a queue with none left is closed.
+	prod   int
+	shared bool
+}
+
+// enq delivers v into queue qi and, for a data enqueue, into every fan-out
+// destination — into all of them or none, like the timing model. It
+// returns the id of a queue that is full, or -1 once delivered.
+func (e *engine) enq(qi int, v sim.Value, data bool) int {
+	q := &e.queues[qi]
+	if q.shared {
+		e.mu.Lock()
+		defer e.mu.Unlock()
+	}
+	var dst []int
+	if data && e.fan != nil {
+		dst = e.fan[qi]
+	}
+	if q.n == len(q.buf) {
+		return qi
+	}
+	for _, d := range dst {
+		if e.queues[d].n == len(e.queues[d].buf) {
+			return d
+		}
+	}
+	e.push(qi, v)
+	for _, d := range dst {
+		e.push(d, v)
+	}
+	return -1
+}
+
+// push appends v to queue qi, which has room. When the queue feeds an RA
+// and the machine swaps slots, the RA's sent counter is bumped so
+// quiescence covers tokens still queued.
+func (e *engine) push(qi int, v sim.Value) {
+	q := &e.queues[qi]
+	if e.hasSwaps {
+		if ra := e.raIdx[qi]; ra >= 0 {
+			e.raSent[ra].Add(1)
+		}
+	}
+	i := q.head + q.n
+	if i >= len(q.buf) {
+		i -= len(q.buf)
+	}
+	q.buf[i] = v
+	q.n++
+	if q.shared {
+		e.event()
+	}
+}
+
+// take reads the next token of queue qi, consuming it if pop is set. ok is
+// false when the queue is empty; closed then tells whether it can ever be
+// fed again.
+func (e *engine) take(qi int, pop bool) (v sim.Value, ok, closed bool) {
+	q := &e.queues[qi]
+	if q.shared {
+		e.mu.Lock()
+		defer e.mu.Unlock()
+	}
+	if q.n == 0 {
+		return v, false, q.prod == 0
+	}
+	v = q.buf[q.head]
+	if pop {
+		if q.head++; q.head == len(q.buf) {
+			q.head = 0
+		}
+		q.n--
+		if q.shared {
+			e.event()
+		}
+	}
+	return v, true, false
+}
+
+// retire removes a finished task from the producer census of its output
+// queues; a halted stage also leaves the barrier group, which can release
+// the remaining waiters — exactly like the functional releaseBarriers
+// recomputing the live count each round.
+func (e *engine) retire(queues []int, stage bool) {
+	e.mu.Lock()
+	defer e.mu.Unlock()
+	for _, q := range queues {
+		e.queues[q].prod--
+	}
+	if stage {
+		e.live--
+		e.releaseBarrier()
+	}
+	e.event()
+}
+
+// barrier registers x's arrival at a barrier once and reports whether that
+// barrier has been released: when every live (non-halted) stage waits.
+func (e *engine) barrier(x *stageExec) bool {
+	e.mu.Lock()
+	defer e.mu.Unlock()
+	if x.state != wBarrier {
+		x.state, x.barGen = wBarrier, e.barGen
+		e.waiting++
+		e.releaseBarrier()
+	}
+	if x.barGen == e.barGen {
+		return false
+	}
+	x.state = wRunning
+	return true
+}
+
+func (e *engine) releaseBarrier() {
+	if e.live > 0 && e.waiting == e.live {
+		e.waiting = 0
+		e.barGen++
+		e.event()
+	}
+}
+
+// event publishes a change to shared state. Every parked core waits for
+// the epoch to move, so all of them stop counting as idle at once, before
+// they get to run. Callers hold mu.
+func (e *engine) event() {
+	e.epoch.Add(1)
+	if e.idle > 0 {
+		e.idle = 0
+		e.cv.Broadcast()
+	}
+}
+
+// runCore is one simulated core's scheduler: it steps the core's tasks
+// round-robin until all have halted or the run fails. A round in which no
+// task got anything done can only be followed by a better one if another
+// core changes shared state, so the core parks until then.
+func (e *engine) runCore(tasks []task) {
+	defer func() {
+		e.mu.Lock()
+		e.cores--
+		e.event()
+		e.mu.Unlock()
+	}()
+	// Typed memory-system panics become structured traps, exactly as in
+	// the functional engine; anything else is a real bug and propagates.
+	defer func() {
+		if r := recover(); r != nil {
+			me, ok := r.(*mem.Error)
+			if !ok {
+				panic(r)
+			}
+			e.fail(&sim.TrapError{PC: -1, Msg: me.Error()})
+		}
+	}()
+	for left := len(tasks); left > 0; {
+		seen := e.epoch.Load()
+		progress := false
+		for i, t := range tasks {
+			if t == nil {
+				continue
+			}
+			st, worked := t.step()
+			switch st {
+			case failed:
+				return
+			case halted:
+				tasks[i] = nil
+				left--
+				worked = true
+			}
+			progress = progress || worked
+		}
+		if e.stopped.Load() || (!progress && !e.waitEvent(seen)) {
+			return
+		}
+	}
+}
+
+// waitEvent parks a core whose round got nothing done until shared state
+// moves past epoch seen, and reports whether the run is still on. Every
+// running core parked at once is a deadlock, exactly: each found all its
+// tasks blocked, and nothing is left that could unblock one.
+func (e *engine) waitEvent(seen uint64) bool {
+	e.mu.Lock()
+	defer e.mu.Unlock()
+	if e.epoch.Load() == seen && e.failure == nil {
+		e.idle++
+		if e.idle == e.cores {
+			e.failLocked(&sim.DeadlockError{Snapshot: e.snapshot()})
+		}
+		for e.epoch.Load() == seen && e.failure == nil {
+			e.cv.Wait()
+		}
+	}
+	return e.failure == nil
+}
+
+// snapshot captures the wait-for state at a deadlock. The caller holds mu
+// and every other core is parked, so each stage's saved pc and wait state
+// are those of its blocked instruction.
+func (e *engine) snapshot() *sim.WaitForSnapshot {
+	s := &sim.WaitForSnapshot{Phase: "native"}
+	queueWait := func(q int) *sim.QueueWait {
+		return &sim.QueueWait{Q: q, Name: e.m.Queues[q].Name, Len: e.queues[q].n, Cap: len(e.queues[q].buf)}
+	}
+	for _, x := range e.stages {
+		if x.state == wHalted {
+			continue
+		}
+		w := sim.StageWait{
+			Stage:   x.st.Prog.Name,
+			Thread:  x.st.Thread,
+			PC:      int32(x.pc),
+			Fetched: x.pc,
+			Total:   len(x.st.Prog.Instrs),
+		}
+		switch x.state {
+		case wDeq:
+			w.State = "deq-empty"
+			w.Queue = queueWait(x.waitQ)
+		case wEnq:
+			w.State = "enq-full"
+			w.Queue = queueWait(x.waitQ)
+		case wBarrier:
+			w.State = "barrier"
+		default:
+			w.State = "other"
+		}
+		s.Stages = append(s.Stages, w)
+	}
+	for qi := range e.queues {
+		s.Queues = append(s.Queues, *queueWait(qi))
+	}
+	return s
+}

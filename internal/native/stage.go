@@ -3,62 +3,55 @@ package native
 import (
 	"fmt"
 	"math"
-	"sync/atomic"
 
 	"phloem/internal/isa"
 	"phloem/internal/mem"
 	"phloem/internal/sim"
 )
 
-// Stage wait states published for deadlock snapshots, encoded into one
-// atomic word as state<<32 | queue.
+// Stage wait states, saved when a stage blocks so a deadlock snapshot can
+// say what it is waiting for.
 const (
 	wRunning = iota
 	wDeq
 	wEnq
 	wBarrier
+	wSwap
 	wHalted
 )
 
-// stageExec is one stage's goroutine state: the interpreter's register
-// file, per-queue peek stash (channels cannot peek, and each queue has
-// exactly one consumer, so a one-value holdback is exact), control-value
-// handler table, and the published wait state.
+// stageExec is one stage as a resumable task: the interpreter's register
+// file and pc, the control-value handler table, and what it last blocked on.
 type stageExec struct {
-	e   *engine
-	st  *sim.Stage
-	use isa.QueueUse
+	e  *engine
+	st *sim.Stage
 	// prodQ lists every queue this stage produces into, with fan-out
 	// destinations expanded, mirroring the engine's producer census.
 	prodQ []int
 
-	regsBuf *valBuf
-	regs    []sim.Value
-	peekBuf *valBuf
-	peeked  []sim.Value
-	hasPeek []bool
+	regs []sim.Value
+	pc   int
+	// steps counts executed instructions; a blocked instruction is not
+	// counted until it completes.
+	steps uint64
 	// handler maps queue id to handler pc (-1: none); nil when the
 	// program never registers one.
 	handler    []int
 	handlerVal int64
 
-	wait atomic.Int64
+	// state and waitQ describe the block at pc; barGen is the barrier
+	// generation the stage arrived in.
+	state, waitQ int
+	barGen       uint64
 }
 
 func newStageExec(e *engine, st *sim.Stage, use isa.QueueUse) *stageExec {
-	x := &stageExec{e: e, st: st, use: use}
-	x.regsBuf = getBuf(st.Prog.NumRegs)
-	x.regs = x.regsBuf.s
+	x := &stageExec{e: e, st: st, regs: make([]sim.Value, st.Prog.NumRegs)}
 	for _, ri := range st.Init {
 		x.regs[ri.Reg] = ri.Val
 	}
-	if len(use.Consumes) > 0 {
-		x.peekBuf = getBuf(len(e.chans))
-		x.peeked = x.peekBuf.s
-		x.hasPeek = make([]bool, len(e.chans))
-	}
 	if use.HasHandler {
-		x.handler = make([]int, len(e.chans))
+		x.handler = make([]int, len(e.queues))
 		for i := range x.handler {
 			x.handler[i] = -1
 		}
@@ -66,141 +59,35 @@ func newStageExec(e *engine, st *sim.Stage, use isa.QueueUse) *stageExec {
 	return x
 }
 
-// release returns pooled buffers after a successful run.
-func (x *stageExec) release() {
-	x.regs, x.peeked = nil, nil
-	if x.regsBuf != nil {
-		x.regsBuf.put()
-		x.regsBuf = nil
-	}
-	if x.peekBuf != nil {
-		x.peekBuf.put()
-		x.peekBuf = nil
-	}
-}
-
-func (x *stageExec) run() {
-	defer x.e.wg.Done()
-	// Typed memory-system panics become structured traps, exactly as in
-	// the functional engine; anything else is a real bug and propagates.
-	defer func() {
-		if r := recover(); r != nil {
-			me, ok := r.(*mem.Error)
-			if !ok {
-				panic(r)
-			}
-			x.e.fail(&sim.TrapError{PC: -1, Msg: me.Error()})
-		}
-	}()
-	if x.interp() {
-		x.wait.Store(wHalted << 32)
-		x.e.bar.leave()
-		x.e.producerExit(x.prodQ)
-	}
-}
-
 // trap records a functional trap with the same message the simulator
 // would produce and aborts the run.
-func (x *stageExec) trap(pc int, msg string) {
+func (x *stageExec) trap(pc int, msg string) status {
 	x.e.fail(&sim.TrapError{Stage: x.st.Prog.Name, PC: pc, Msg: msg})
+	return failed
 }
 
-// recv receives the next token of q, blocking until a producer delivers
-// one, the queue's last producer retires (a deadlock: the token can never
-// arrive), or the run aborts.
-func (x *stageExec) recv(q int) (sim.Value, bool) {
+// block saves what the instruction at the current pc waits for.
+func (x *stageExec) block(state, q int) { x.state, x.waitQ = state, q }
+
+// step runs the stage program from its saved pc until it blocks, halts,
+// or the run aborts (the engine's failure is already recorded by whoever
+// aborted). An instruction that cannot complete — a dequeue or peek of an
+// empty queue, an enqueue into a full one, an unreleased barrier, a slot
+// swap while RAs are busy — leaves the pc on itself and is re-executed by
+// the next step. Opcode semantics are a line-for-line port of the
+// functional engine's runThread.
+func (x *stageExec) step() (st status, worked bool) {
 	e := x.e
-	ch := e.chans[q]
-	select {
-	case v, ok := <-ch:
-		if !ok {
-			e.fail(&sim.DeadlockError{Snapshot: e.snapshot(x, q)})
-			return sim.Value{}, false
-		}
-		return v, true
-	default:
-	}
-	x.wait.Store(wDeq<<32 | int64(q))
-	select {
-	case v, ok := <-ch:
-		x.wait.Store(wRunning)
-		if !ok {
-			e.fail(&sim.DeadlockError{Snapshot: e.snapshot(x, q)})
-			return sim.Value{}, false
-		}
-		e.progress.Add(1)
-		return v, true
-	case <-e.stop:
-		return sim.Value{}, false
-	}
-}
-
-// deqVal consumes the next token of q (peeked token first).
-func (x *stageExec) deqVal(q int) (sim.Value, bool) {
-	if x.hasPeek[q] {
-		x.hasPeek[q] = false
-		return x.peeked[q], true
-	}
-	return x.recv(q)
-}
-
-// peekVal reads the next token of q without consuming it.
-func (x *stageExec) peekVal(q int) (sim.Value, bool) {
-	if !x.hasPeek[q] {
-		v, ok := x.recv(q)
-		if !ok {
-			return sim.Value{}, false
-		}
-		x.peeked[q] = v
-		x.hasPeek[q] = true
-	}
-	return x.peeked[q], true
-}
-
-// send delivers v into q, blocking while the bounded queue is full. When
-// q feeds an RA and the machine swaps slots, the RA's sent counter is
-// bumped before the send so quiescence covers tokens still in the channel.
-func (x *stageExec) send(q int, v sim.Value) bool {
-	e := x.e
-	if e.hasSwaps {
-		if ra := e.raIdx[q]; ra >= 0 {
-			e.raSent[ra].Add(1)
-		}
-	}
-	ch := e.chans[q]
-	select {
-	case ch <- v:
-		return true
-	default:
-	}
-	x.wait.Store(wEnq<<32 | int64(q))
-	select {
-	case ch <- v:
-		x.wait.Store(wRunning)
-		e.progress.Add(1)
-		return true
-	case <-e.stop:
-		return false
-	}
-}
-
-// interp runs the stage program to completion, returning true on a clean
-// OpHalt and false when the run aborted (the engine's failure is already
-// recorded by whoever aborted). Opcode semantics are a line-for-line port
-// of the functional engine's runThread.
-func (x *stageExec) interp() bool {
-	e := x.e
-	prog := x.st.Prog
-	instrs := prog.Instrs
+	instrs := x.st.Prog.Instrs
 	regs := x.regs
-	pc := 0
-	var local uint64
+	pc, steps := x.pc, x.steps
+	st = blocked
 
+run:
 	for {
 		if pc < 0 || pc >= len(instrs) {
-			e.bumpInstrs(local)
-			x.trap(pc, "pc out of range")
-			return false
+			st = x.trap(pc, "pc out of range")
+			break
 		}
 		in := &instrs[pc]
 		nextPC := pc + 1
@@ -225,17 +112,15 @@ func (x *stageExec) interp() bool {
 		case isa.OpIDiv:
 			d := regs[in.B].Bits
 			if d == 0 {
-				e.bumpInstrs(local)
-				x.trap(pc, "integer division by zero")
-				return false
+				st = x.trap(pc, "integer division by zero")
+				break run
 			}
 			regs[in.Dst] = sim.IntVal(regs[in.A].Bits / d)
 		case isa.OpIRem:
 			d := regs[in.B].Bits
 			if d == 0 {
-				e.bumpInstrs(local)
-				x.trap(pc, "integer remainder by zero")
-				return false
+				st = x.trap(pc, "integer remainder by zero")
+				break run
 			}
 			regs[in.Dst] = sim.IntVal(regs[in.A].Bits % d)
 		case isa.OpIAnd:
@@ -297,9 +182,8 @@ func (x *stageExec) interp() bool {
 			a := e.slots[in.Slot].Load()
 			idx := regs[in.A].Bits
 			if !a.InBounds(idx) {
-				e.bumpInstrs(local)
-				x.trap(pc, fmt.Sprintf("load %s[%d] out of bounds (len %d)", a.Name, idx, a.Len()))
-				return false
+				st = x.trap(pc, fmt.Sprintf("load %s[%d] out of bounds (len %d)", a.Name, idx, a.Len()))
+				break run
 			}
 			regs[in.Dst] = loadValue(a, idx)
 		case isa.OpPrefetch:
@@ -309,40 +193,31 @@ func (x *stageExec) interp() bool {
 			a := e.slots[in.Slot].Load()
 			idx := regs[in.A].Bits
 			if !a.InBounds(idx) {
-				e.bumpInstrs(local)
-				x.trap(pc, fmt.Sprintf("store %s[%d] out of bounds (len %d)", a.Name, idx, a.Len()))
-				return false
+				st = x.trap(pc, fmt.Sprintf("store %s[%d] out of bounds (len %d)", a.Name, idx, a.Len()))
+				break run
 			}
 			storeValue(a, idx, regs[in.B])
 
 		case isa.OpEnq:
-			if !x.send(in.Q, regs[in.A]) {
-				e.bumpInstrs(local)
-				return false
-			}
-			if e.fan != nil {
-				for _, d := range e.fan[in.Q] {
-					if !x.send(d, regs[in.A]) {
-						e.bumpInstrs(local)
-						return false
-					}
-				}
+			if full := e.enq(in.Q, regs[in.A], true); full >= 0 {
+				x.block(wEnq, full)
+				break run
 			}
 		case isa.OpEnqCtrl:
-			if !x.send(in.Q, sim.CtrlVal(in.Imm)) {
-				e.bumpInstrs(local)
-				return false
+			if full := e.enq(in.Q, sim.CtrlVal(in.Imm), false); full >= 0 {
+				x.block(wEnq, full)
+				break run
 			}
 		case isa.OpEnqCtrlV:
-			if !x.send(in.Q, sim.CtrlVal(regs[in.A].Bits)) {
-				e.bumpInstrs(local)
-				return false
+			if full := e.enq(in.Q, sim.CtrlVal(regs[in.A].Bits), false); full >= 0 {
+				x.block(wEnq, full)
+				break run
 			}
 		case isa.OpDeq:
-			v, ok := x.deqVal(in.Q)
+			v, ok, _ := e.take(in.Q, true)
 			if !ok {
-				e.bumpInstrs(local)
-				return false
+				x.block(wDeq, in.Q)
+				break run
 			}
 			if x.handler != nil && x.handler[in.Q] >= 0 && v.Ctrl {
 				x.handlerVal = v.Bits
@@ -351,10 +226,10 @@ func (x *stageExec) interp() bool {
 				regs[in.Dst] = v
 			}
 		case isa.OpPeek:
-			v, ok := x.peekVal(in.Q)
+			v, ok, _ := e.take(in.Q, false)
 			if !ok {
-				e.bumpInstrs(local)
-				return false
+				x.block(wDeq, in.Q)
+				break run
 			}
 			regs[in.Dst] = v
 		case isa.OpIsCtrl:
@@ -377,41 +252,55 @@ func (x *stageExec) interp() bool {
 		case isa.OpJmp:
 			nextPC = in.Target
 		case isa.OpHalt:
-			e.bumpInstrs(local + 1)
-			return true
+			steps++
+			st = halted
+			break run
 		case isa.OpBarrier:
-			x.wait.Store(wBarrier << 32)
-			if !e.bar.wait() {
-				e.bumpInstrs(local)
-				return false
+			if !e.barrier(x) {
+				break run
 			}
-			x.wait.Store(wRunning)
 		case isa.OpSwapSlots:
 			// Quiesce RAs first so in-flight accelerator work observes the
 			// pre-swap bindings, matching the functional drain-then-swap.
-			if !e.quiesceRAs() {
-				e.bumpInstrs(local)
-				return false
+			// Announcing the wait before looking means an RA that finishes
+			// later sees it and wakes this core.
+			if x.state != wSwap {
+				x.state = wSwap
+				e.swapWait.Add(1)
 			}
+			if !e.rasQuiet() {
+				break run
+			}
+			x.state = wRunning
+			e.swapWait.Add(-1)
 			a := e.slots[in.Slot].Load()
 			b := e.slots[in.Slot2].Load()
 			e.slots[in.Slot].Store(b)
 			e.slots[in.Slot2].Store(a)
 		default:
-			e.bumpInstrs(local)
-			x.trap(pc, fmt.Sprintf("unimplemented op %v", in.Op))
-			return false
+			st = x.trap(pc, fmt.Sprintf("unimplemented op %v", in.Op))
+			break run
 		}
 		pc = nextPC
-		local++
-		if local >= flushEvery {
-			e.bumpInstrs(local)
-			local = 0
+		steps++
+		if steps&(flushEvery-1) == 0 {
+			e.bumpInstrs(flushEvery)
 			if e.stopped.Load() {
-				return false
+				st = failed
+				break
 			}
 		}
 	}
+	worked = steps != x.steps
+	x.pc, x.steps = pc, steps
+	if st == halted {
+		x.state = wHalted
+		// Halt leaves the loop before the periodic flush, so what is left
+		// is 1..flushEvery instructions, never 0.
+		e.bumpInstrs(((steps - 1) & (flushEvery - 1)) + 1)
+		e.retire(x.prodQ, true)
+	}
+	return st, worked
 }
 
 func boolVal(b bool) sim.Value {
