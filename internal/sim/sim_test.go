@@ -97,10 +97,9 @@ func runIntroSerial(t *testing.T, a, bv []int64) *Stats {
 	return st
 }
 
-// runIntroPipeline builds the pipeline-parallel version from Sec. I:
+// introPipeline builds the pipeline-parallel version from Sec. I:
 // Fetch A[i] (SCAN RA) -> Filter A[i]>0 -> Fetch B[A[i]] (INDIRECT RA) -> work().
-func runIntroPipeline(t *testing.T, a, bv []int64) *Stats {
-	t.Helper()
+func introPipeline(a, bv []int64) (*Machine, *mem.Array) {
 	m := NewMachine(arch.DefaultConfig(1))
 	arrA := m.Space.AllocInts("A", a)
 	arrB := m.Space.AllocInts("B", bv)
@@ -165,7 +164,12 @@ func runIntroPipeline(t *testing.T, a, bv []int64) *Stats {
 		b.Halt()
 		m.AddStage(&Stage{Prog: b.MustBuild(), Thread: arch.ThreadID{Core: 0, Thread: 2}})
 	}
+	return m, arrOut
+}
 
+func runIntroPipeline(t *testing.T, a, bv []int64) *Stats {
+	t.Helper()
+	m, arrOut := introPipeline(a, bv)
 	st, err := m.Run()
 	if err != nil {
 		t.Fatalf("pipeline run: %v", err)

@@ -2,6 +2,7 @@ package sim
 
 import (
 	"math"
+	"math/bits"
 
 	"phloem/internal/arch"
 	"phloem/internal/cache"
@@ -15,6 +16,14 @@ import (
 // Queue operations issue in program order per thread and block on full/empty
 // architectural queues; reference accelerators replay their micro-event
 // traces with a bounded outstanding-miss window and in-order delivery.
+//
+// The issue scan is wakeup-driven rather than polled. An entry whose operand
+// producer has not issued cannot be ready, and a queue op behind an unissued
+// older queue op cannot go: both sit in per-thread bitsets (waiting, parked)
+// and the scan accounts for them from the bits without loading them. The
+// producer, when it issues, writes its completion time into each dependent
+// and takes it out of the set; an issuing queue op unparks its successor
+// (DESIGN.md section 5 lists every wake event).
 
 const (
 	issueScanCap     = 48 // unissued entries examined per thread per cycle
@@ -23,39 +32,108 @@ const (
 	farFuture        = math.MaxUint64 / 4
 )
 
+// decoded is what the timing engine needs of one static instruction, computed
+// once per program so the per-entry paths never switch on the opcode to find
+// operands, queue role or latency.
+type decoded struct {
+	srcA, srcB, dst isa.Reg
+	q               int32
+	op              isa.Op
+	qRole           uint8 // notQueue, or which end of queue q the op is on
+	lat             uint8
+}
+
+const (
+	notQueue uint8 = iota
+	enqueues       // Enq, EnqCtrl, EnqCtrlV
+	dequeues       // Deq, Peek
+)
+
+func decode(p *isa.Program) []decoded {
+	out := make([]decoded, len(p.Instrs))
+	for i := range p.Instrs {
+		in := &p.Instrs[i]
+		d := &out[i]
+		d.srcA, d.srcB = in.Reads()
+		d.dst = in.Writes()
+		d.q, d.op = int32(in.Q), in.Op
+		switch in.Op {
+		case isa.OpEnq, isa.OpEnqCtrl, isa.OpEnqCtrlV:
+			d.qRole = enqueues
+		case isa.OpDeq, isa.OpPeek:
+			d.qRole = dequeues
+		}
+		d.lat = uint8(in.Class().Latency())
+	}
+	return out
+}
+
+// noLink ends a dependents list.
+const noLink = -1
+
+// winEntry is one in-flight micro-op. Entry seq lives in window slot
+// seq&winMask from fetch to retire, so slot numbers are stable names for
+// entries and the dependents lists below need no allocation.
 type winEntry struct {
-	seq      int // trace index
-	instr    *isa.Instr
-	doneAt   uint64
-	issued   bool
-	srcASeq  int // producer seq for source A (-1: value already available)
-	srcBSeq  int
-	depSeq   int  // for loads: newest older store to same slot (-1: none)
-	redirect bool // fetch stopped behind this entry (mispredict/handler)
-	released bool // for barriers: all threads arrived, entry may issue
+	doneAt uint64
+	// rdyA and rdyB are the cycles at which the two things this entry waits
+	// for are satisfied: the completion of the producers of its register
+	// sources and, in rdyB of a load (loads read one register), the issue of
+	// the newest older in-window store to the same address. 0: nothing to
+	// wait for; farFuture: that producer has not issued yet, and it will
+	// store the real time here when it does.
+	rdyA, rdyB uint64
+	seq        int32 // trace index
+	// depSeq orders queue ops: the previous queue op of the thread, which
+	// must have issued first (-1: none). A store instead keeps the previous
+	// store of its address bucket here (tThread.storeHead chains).
+	depSeq int32
+	// deps heads the list of entries waiting on this one: each link is
+	// slot<<1|operand (operand 1: rdyB) and continues through that entry's
+	// nextA or nextB.
+	deps         int32
+	nextA, nextB int32
+	nextQ        int32 // queue ops: slot of the next queue op, once fetched
+	q            int32 // queue id for queue ops
+	op           isa.Op
+	qRole        uint8
+	lat          uint8
+	issued       bool
+	redirect     bool // fetch stopped behind this entry (mispredict/handler)
+	released     bool // for barriers: all threads arrived, entry may issue
 }
 
 type tThread struct {
 	idx   int // index into Machine.Stages (probe identity)
 	core  int
 	slot  int // SMT thread index on the core
-	prog  *isa.Program
+	dec   []decoded
 	trace []TEntry
 	name  string
 
 	fetchIdx int
 	win      []winEntry
 	winMask  int
-	head     int // ring index of oldest entry
+	head     int // ring index of oldest entry (baseSeq & winMask)
 	count    int
 	baseSeq  int // seq of oldest entry in window
-	scanFrom int // offset of the oldest unissued entry (lazy)
+	scanFrom int // offset of the oldest unissued entry (lazy: never past it)
 
-	regWriter []int // last fetched writer seq per register (-1: none live)
-	// lastStoreAt maps byte addresses to the newest fetched store (exact
-	// memory disambiguation, as an OOO core's store queue provides).
-	lastStoreAt map[uint64]int
-	lastQOp     int    // last fetched queue-op seq (-1: none)
+	// unissued holds the slots of fetched entries that have not issued.
+	// Two disjoint subsets of it hold entries the issue scan need not load:
+	// waiting, whose rdyA or rdyB is still farFuture, and parked, queue ops
+	// with operands ready that were seen behind an unissued older queue op.
+	unissued, waiting, parked slotSet
+
+	regWriter []int32 // last fetched writer seq per register (-1: none live)
+	// storeHead[h] is the newest fetched store whose address hashes to h;
+	// older stores of the bucket chain through winEntry.depSeq. Only stores
+	// still in the window matter (exact memory disambiguation, as an OOO
+	// core's store queue provides), and a seq below baseSeq ends a chain, so
+	// nothing is ever removed and the table stays O(window).
+	storeHead   []int32
+	storeShift  uint
+	lastQOp     int32  // last fetched queue-op seq (-1: none)
 	redirectAt  uint64 // fetch blocked until this cycle (redirect penalty)
 	redirectSeq int    // entry that must issue before fetch resumes (-1: none)
 
@@ -116,7 +194,7 @@ type timingEngine struct {
 	hier      *cache.Hierarchy
 	threads   []*tThread
 	byCore    [][]*tThread
-	queues    []*tQueue
+	queues    []tQueue
 	ras       []*tRA
 	rasByCore [][]*tRA
 	now       uint64
@@ -183,6 +261,41 @@ func (e *timingEngine) stalled(t *tThread) bool {
 // RunTiming replays traces and returns timing statistics. The Machine must be
 // the same instance (programs, queues, RAs) that produced the traces.
 func (m *Machine) RunTiming(ts *TraceSet) (*Stats, error) {
+	e := newTimingEngine(m, ts)
+	if e.probe != nil {
+		e.probe.BeginTiming(m)
+	}
+	if err := e.run(); err != nil {
+		// On a budget, cancellation, or wall-deadline abort, attach the
+		// partial stats accumulated so far so the caller can still see how
+		// the aborted run spent its cycles.
+		var partial **Stats
+		switch te := err.(type) {
+		case *CycleBudgetError:
+			partial = &te.Stats
+		case *CancelledError:
+			partial = &te.Stats
+		case *WallBudgetError:
+			partial = &te.Stats
+		}
+		if partial != nil {
+			e.finishStats()
+			*partial = &e.stats
+			if e.probe != nil {
+				e.probe.EndTiming(&e.stats)
+			}
+		}
+		return nil, err
+	}
+	e.finishStats()
+	if e.probe != nil {
+		e.probe.EndTiming(&e.stats)
+	}
+	return &e.stats, nil
+}
+
+// newTimingEngine sets up the replay of ts on m at cycle 0.
+func newTimingEngine(m *Machine, ts *TraceSet) *timingEngine {
 	e := &timingEngine{m: m, hier: cache.NewHierarchy(m.Cfg.Mem)}
 	e.byCore = make([][]*tThread, m.Cfg.Cores)
 	e.rasByCore = make([][]*tRA, m.Cfg.Cores)
@@ -191,23 +304,32 @@ func (m *Machine) RunTiming(ts *TraceSet) (*Stats, error) {
 		for winSize < m.Cfg.WindowSize {
 			winSize <<= 1
 		}
+		words := slotSetWords(winSize)
+		sets := make([]uint64, 3*words)
+		// regWriter and storeHead share one allocation; at most winSize stores
+		// are in flight, so winSize buckets keep the chains near length one.
+		links := make([]int32, st.Prog.NumRegs+winSize)
+		for j := range links {
+			links[j] = -1
+		}
 		t := &tThread{
 			idx:         i,
 			core:        st.Thread.Core,
 			slot:        st.Thread.Thread,
-			prog:        st.Prog,
+			dec:         decode(st.Prog),
 			trace:       ts.Threads[i],
 			name:        st.Prog.Name,
 			win:         make([]winEntry, winSize),
-			regWriter:   make([]int, st.Prog.NumRegs),
-			lastStoreAt: map[uint64]int{},
+			winMask:     winSize - 1,
+			unissued:    slotSet{sets[:words], winSize},
+			waiting:     slotSet{sets[words : 2*words], winSize},
+			parked:      slotSet{sets[2*words:], winSize},
+			regWriter:   links[:st.Prog.NumRegs],
+			storeHead:   links[st.Prog.NumRegs:],
+			storeShift:  uint(64 - bits.TrailingZeros(uint(winSize))),
 			lastQOp:     -1,
 			redirectSeq: -1,
 			predTable:   make([]uint8, 1<<predBits),
-		}
-		t.winMask = len(t.win) - 1
-		for j := range t.regWriter {
-			t.regWriter[j] = -1
 		}
 		if len(t.trace) == 0 {
 			t.finished = true
@@ -215,8 +337,9 @@ func (m *Machine) RunTiming(ts *TraceSet) (*Stats, error) {
 		e.threads = append(e.threads, t)
 		e.byCore[t.core] = append(e.byCore[t.core], t)
 	}
-	for q := range m.Queues {
-		e.queues = append(e.queues, &tQueue{cap: m.queueCap(q)})
+	e.queues = make([]tQueue, len(m.Queues))
+	for q := range e.queues {
+		e.queues[q].cap = m.queueCap(q)
 	}
 	if len(m.FanOuts) > 0 {
 		e.fan = make([][]int, len(m.Queues))
@@ -281,36 +404,8 @@ func (m *Machine) RunTiming(ts *TraceSet) (*Stats, error) {
 	if e.probe != nil {
 		e.sampleEvery = m.Cfg.TelemetryInterval
 		e.sampleAt = e.sampleEvery
-		e.probe.BeginTiming(m)
 	}
-
-	if err := e.run(); err != nil {
-		// On a budget, cancellation, or wall-deadline abort, attach the
-		// partial stats accumulated so far so the caller can still see how
-		// the aborted run spent its cycles.
-		var partial **Stats
-		switch te := err.(type) {
-		case *CycleBudgetError:
-			partial = &te.Stats
-		case *CancelledError:
-			partial = &te.Stats
-		case *WallBudgetError:
-			partial = &te.Stats
-		}
-		if partial != nil {
-			e.finishStats()
-			*partial = &e.stats
-			if e.probe != nil {
-				e.probe.EndTiming(&e.stats)
-			}
-		}
-		return nil, err
-	}
-	e.finishStats()
-	if e.probe != nil {
-		e.probe.EndTiming(&e.stats)
-	}
-	return &e.stats, nil
+	return e
 }
 
 // finishStats fills in the derived statistics (cycles, cache, energy,
@@ -517,11 +612,9 @@ func (e *timingEngine) stallSite(c int, class StallClass) (thread, pc int) {
 		if t.finished {
 			continue
 		}
-		for off := t.scanFrom; off < t.count && off-t.scanFrom < issueScanCap; off++ {
-			en := &t.win[(t.head+off)&t.winMask]
-			if en.issued {
-				continue
-			}
+		sc := t.scan(1)
+		for rest := sc.unissued; !rest.empty(); rest = rest.dropFirst() {
+			en := t.at(sc.from + rest.first())
 			ready, qb, mb := e.checkIssue(t, en)
 			match := false
 			switch class {
@@ -562,19 +655,18 @@ func (e *timingEngine) snapshot() *WaitForSnapshot {
 		} else {
 			h := &t.win[t.head]
 			w.PC = t.trace[h.seq].PC
-			in := h.instr
 			switch {
 			case h.issued:
 				w.State = "in-flight"
-			case in.Op == isa.OpDeq || in.Op == isa.OpPeek:
-				w.State = "deq-empty"
-				w.Queue = e.queueWait(in.Q)
-			case in.Op == isa.OpEnq || in.Op == isa.OpEnqCtrl || in.Op == isa.OpEnqCtrlV:
+			case h.qRole == enqueues:
 				w.State = "enq-full"
-				w.Queue = e.queueWait(in.Q)
-			case in.Op == isa.OpBarrier && !h.released:
+				w.Queue = e.queueWait(int(h.q))
+			case h.qRole == dequeues:
+				w.State = "deq-empty"
+				w.Queue = e.queueWait(int(h.q))
+			case h.op == isa.OpBarrier && !h.released:
 				w.State = "barrier"
-			case in.Op == isa.OpLoad:
+			case h.op == isa.OpLoad:
 				w.State = "mem"
 			default:
 				w.State = "other"
@@ -664,31 +756,102 @@ func (e *timingEngine) retireHead(t *tThread) {
 	}
 }
 
-func (t *tThread) at(seq int) *winEntry {
-	return &t.win[(t.head+(seq-t.baseSeq))&t.winMask]
+// scan is the part of a thread's window one walk of its unissued entries
+// covers: window offsets [from, from+n).
+type scan struct {
+	from, n int
+	// unissued holds the unissued entries in the range, member i standing
+	// for offset from+i (as in every other set cut to a scan).
+	unissued bits128
+	// capped reports that the range holds issueScanCap unissued entries, so
+	// there may be more beyond it.
+	capped bool
 }
 
-// producerReady reports whether the producing entry for seq has completed by
-// cycle 'now'; retired producers are always ready.
-func (t *tThread) producerReady(seq int, now uint64) bool {
-	if seq < 0 || seq < t.baseSeq {
-		return true
+// scan applies the issue scan rule, which exists only here: a walk starts at
+// window offset scanFrom, reaches at most reach*issueScanCap offsets, and
+// examines at most issueScanCap unissued entries. issueCore reaches twice as
+// far as the read-only walks.
+func (t *tThread) scan(reach int) scan {
+	const _ = uint(128 - 2*issueScanCap) // the widest scan must fit a bits128
+	sc := scan{from: t.scanFrom}
+	sc.n = max(0, min(t.count-sc.from, reach*issueScanCap))
+	sc.unissued = t.view(t.unissued, sc.from).below(sc.n)
+	if c := sc.unissued.count(); c >= issueScanCap {
+		sc.capped = true
+		if c > issueScanCap {
+			sc.n = sc.unissued.nth(issueScanCap) + 1
+			sc.unissued = sc.unissued.below(sc.n)
+		}
 	}
-	en := t.at(seq)
-	return en.issued && en.doneAt <= now
+	return sc
 }
 
-// producerDone returns the completion time of the producer, or farFuture if
-// not yet issued.
-func (t *tThread) producerDone(seq int) uint64 {
-	if seq < 0 || seq < t.baseSeq {
-		return 0
+// view returns set's members among the 128 window offsets from from on,
+// member i standing for offset from+i. Offsets past the window's count may
+// show entries from the other end of the ring; callers cut the view to
+// their range.
+func (t *tThread) view(set slotSet, from int) bits128 {
+	return set.view(t.head + from)
+}
+
+// at returns the entry at window offset off.
+func (t *tThread) at(off int) *winEntry {
+	return &t.win[(t.head+off)&t.winMask]
+}
+
+// source resolves one thing the entry in slot waits for: the entry prod of
+// the same thread (-1: none). It returns the cycle the wait is over if that
+// is known. Otherwise prod is in the window and has not issued: the slot
+// joins prod's dependents under link and gets the time when prod issues.
+func (t *tThread) source(prod, link int32) (rdy uint64, next int32) {
+	if int(prod) < t.baseSeq {
+		return 0, noLink // no producer, or retired: the value is there
 	}
-	en := t.at(seq)
-	if !en.issued {
-		return farFuture
+	p := &t.win[int(prod)&t.winMask]
+	if p.issued {
+		return p.doneAt, noLink
 	}
-	return en.doneAt
+	next, p.deps = p.deps, link
+	return farFuture, next
+}
+
+// wakeDependents hands the issuing entry's completion time to every entry
+// waiting on it and takes those with nothing left to wait for out of the
+// waiting set. A load waits for an older store to issue, not to complete
+// (the store queue forwards), so it may follow the store in the same cycle.
+func (t *tThread) wakeDependents(en *winEntry, now uint64) {
+	rdy := en.doneAt
+	if en.op == isa.OpStore {
+		rdy = now
+	}
+	for l := en.deps; l != noLink; {
+		slot := int(l >> 1)
+		c := &t.win[slot]
+		other := c.rdyA
+		if l&1 == 0 {
+			c.rdyA, other, l = rdy, c.rdyB, c.nextA
+		} else {
+			c.rdyB, l = rdy, c.nextB
+		}
+		if other != farFuture {
+			t.waiting.clear(slot)
+		}
+	}
+}
+
+// lastStore returns the newest store to addr still in the window, or -1.
+func (t *tThread) lastStore(addr uint64) int32 {
+	for s := t.storeHead[t.storeBucket(addr)]; int(s) >= t.baseSeq; s = t.win[int(s)&t.winMask].depSeq {
+		if t.trace[s].Addr == addr {
+			return s
+		}
+	}
+	return -1
+}
+
+func (t *tThread) storeBucket(addr uint64) uint64 {
+	return addr * 0x9e3779b97f4a7c15 >> t.storeShift
 }
 
 // fetch brings up to FetchWidth trace entries into the window.
@@ -703,11 +866,8 @@ func (e *timingEngine) fetch(t *tThread) bool {
 		}
 		if t.redirectSeq >= 0 {
 			// Fetch is blocked behind an unresolved redirect.
-			if t.redirectSeq >= t.baseSeq {
-				en := t.at(t.redirectSeq)
-				if !en.issued {
-					break
-				}
+			if t.redirectSeq >= t.baseSeq && !t.win[t.redirectSeq&t.winMask].issued {
+				break
 			}
 			if e.now < t.redirectAt {
 				break
@@ -716,23 +876,24 @@ func (e *timingEngine) fetch(t *tThread) bool {
 		}
 		seq := t.fetchIdx
 		te := &t.trace[seq]
-		in := &t.prog.Instrs[te.PC]
-		en := winEntry{seq: seq, instr: in, srcASeq: -1, srcBSeq: -1, depSeq: -1}
+		d := &t.dec[te.PC]
+		slot := seq & t.winMask
+		en := &t.win[slot]
+		*en = winEntry{seq: int32(seq), depSeq: -1, deps: noLink, nextA: noLink, nextB: noLink, nextQ: noLink,
+			q: d.q, op: d.op, qRole: d.qRole, lat: d.lat}
 
-		a, b := in.Reads()
-		if a != isa.NoReg {
-			en.srcASeq = t.regWriter[a]
+		if d.srcA != isa.NoReg {
+			en.rdyA, en.nextA = t.source(t.regWriter[d.srcA], int32(slot<<1))
 		}
-		if b != isa.NoReg {
-			en.srcBSeq = t.regWriter[b]
+		if d.srcB != isa.NoReg {
+			en.rdyB, en.nextB = t.source(t.regWriter[d.srcB], int32(slot<<1|1))
 		}
-		switch in.Op {
+		switch d.op {
 		case isa.OpLoad:
-			if dep, ok := t.lastStoreAt[te.Addr]; ok {
-				en.depSeq = dep
-			}
+			en.rdyB, en.nextB = t.source(t.lastStore(te.Addr), int32(slot<<1|1))
 		case isa.OpStore:
-			t.lastStoreAt[te.Addr] = seq
+			h := t.storeBucket(te.Addr)
+			en.depSeq, t.storeHead[h] = t.storeHead[h], int32(seq)
 		case isa.OpBr, isa.OpBrZ:
 			taken := te.Flags&FlagTaken != 0
 			idx := (uint32(te.PC) ^ t.history) & (1<<predBits - 1)
@@ -760,17 +921,21 @@ func (e *timingEngine) fetch(t *tThread) bool {
 				}
 			}
 		}
-		if in.IsQueueOp() {
-			// remember in-order chain for queue ops
-			en.depSeq = t.lastQOp // reuse depSeq for queue ordering (loads never queue ops)
-			t.lastQOp = seq
+		if d.qRole != notQueue {
+			// Queue ops issue in program order per thread.
+			if prev := int(t.lastQOp); prev >= t.baseSeq {
+				t.win[prev&t.winMask].nextQ = int32(slot)
+			}
+			en.depSeq, t.lastQOp = t.lastQOp, int32(seq)
 		}
-		if w := in.Writes(); w != isa.NoReg {
-			t.regWriter[w] = seq
+		if d.dst != isa.NoReg {
+			t.regWriter[d.dst] = int32(seq)
+		}
+		t.unissued.set(slot)
+		if en.rdyA == farFuture || en.rdyB == farFuture {
+			t.waiting.set(slot)
 		}
 
-		pos := (t.head + t.count) & t.winMask
-		t.win[pos] = en
 		t.count++
 		t.dirty = true
 		t.fetchIdx++
@@ -801,14 +966,14 @@ func (e *timingEngine) barriersReady() bool {
 		if t.count == 0 {
 			return false
 		}
-		h := t.win[t.head]
+		h := &t.win[t.head]
 		// A barrier that was already released but has not issued yet has
 		// not been crossed: counting it as a fresh arrival would pair it
 		// with other threads' *next* barriers and skew the rendezvous.
 		if h.issued || h.released {
 			return false
 		}
-		if t.prog.Instrs[t.trace[h.seq].PC].Op != isa.OpBarrier {
+		if h.op != isa.OpBarrier {
 			return false
 		}
 		any = true
@@ -829,7 +994,11 @@ func (e *timingEngine) issueCore(c int) (issued int, blockEmpty, blockFull, bloc
 	e.curThread, e.curPC = -1, -1
 	start := int(e.now) % n
 	for k := 0; k < n; k++ {
-		t := ths[(start+k)%n]
+		j := start + k
+		if j >= n {
+			j -= n
+		}
+		t := ths[j]
 		if t.finished || budget == 0 {
 			continue
 		}
@@ -852,17 +1021,21 @@ func (e *timingEngine) issueCore(c int) (issued int, blockEmpty, blockFull, bloc
 			continue
 		}
 		t.dirty = false
-		scanned := 0
 		anyIssued := false
 		firstUnissued := -1
 		wake := uint64(farFuture)
 		tQE, tQF, tMB := false, false, false
-		for off := t.scanFrom; off < t.count && off < t.scanFrom+2*issueScanCap && scanned < issueScanCap && budget > 0; off++ {
-			en := &t.win[(t.head+off)&t.winMask]
-			if en.issued {
-				continue
+		sc := t.scan(2)
+		waiting, parked := t.view(t.waiting, sc.from), t.view(t.parked, sc.from)
+		stop := sc.n // the scan examines offsets from..from+stop-1
+		for i := 0; ; i++ {
+			// Only these have to be looked at; the sets answer for the rest.
+			cand := sc.unissued.andNot(waiting).andNot(parked).from(i)
+			if cand.empty() {
+				break
 			}
-			scanned++
+			i = cand.first()
+			en := t.at(sc.from + i)
 			ok, qb, mb := e.tryIssue(t, en)
 			if ok {
 				issued++
@@ -870,25 +1043,44 @@ func (e *timingEngine) issueCore(c int) (issued int, blockEmpty, blockFull, bloc
 				t.issuedN++
 				e.stats.Issued++
 				anyIssued = true
-			} else {
-				if firstUnissued < 0 {
-					firstUnissued = off
+				if budget == 0 {
+					stop = i + 1
+					break
 				}
-				if w := e.entryWake(t, en); w < wake {
-					wake = w
-				}
-				if qb {
-					// A blocking queue op is an enqueue (full queue) or a
-					// dequeue/peek (empty queue); the op kind tells which.
-					switch en.instr.Op {
-					case isa.OpEnq, isa.OpEnqCtrl, isa.OpEnqCtrlV:
-						tQF = true
-					default:
-						tQE = true
-					}
-				}
-				tMB = tMB || mb
+				// The issue may have woken or unparked entries further on.
+				waiting, parked = t.view(t.waiting, sc.from), t.view(t.parked, sc.from)
+				continue
 			}
+			if firstUnissued < 0 {
+				firstUnissued = sc.from + i
+			}
+			if w := e.entryWake(t, en); w < wake {
+				wake = w
+			}
+			if qb {
+				// A blocking queue op is an enqueue (full queue) or a
+				// dequeue/peek (empty queue); the op kind tells which.
+				if en.qRole == enqueues {
+					tQF = true
+				} else {
+					tQE = true
+				}
+			}
+			tMB = tMB || mb
+			if en.qRole != notQueue && !qb && !mb {
+				// Operands ready, in order behind an unissued queue op:
+				// nothing but that op's issue changes this.
+				t.parked.set(int(en.seq) & t.winMask)
+				parked = parked.with(i)
+			}
+		}
+		// The entries stepped over: a waiting one is blocked on an operand,
+		// a parked one on nothing the breakdown names, and neither has a
+		// time known now at which that could change.
+		waiting, parked = waiting.below(stop), parked.below(stop)
+		tMB = tMB || !waiting.empty()
+		if k := sc.from + waiting.or(parked).first(); k < sc.from+stop && (firstUnissued < 0 || k < firstUnissued) {
+			firstUnissued = k
 		}
 		blockEmpty = blockEmpty || tQE
 		blockFull = blockFull || tQF
@@ -902,10 +1094,10 @@ func (e *timingEngine) issueCore(c int) (issued int, blockEmpty, blockFull, bloc
 		}
 		if firstUnissued >= 0 {
 			t.scanFrom = firstUnissued
-		} else if scanned > 0 || t.scanFrom >= t.count {
+		} else if !sc.unissued.below(stop).empty() || t.scanFrom >= t.count {
 			t.scanFrom = 0
 		}
-		if anyIssued || budget == 0 || scanned >= issueScanCap || wake >= farFuture {
+		if anyIssued || budget == 0 || sc.capped || wake >= farFuture {
 			// More may become ready next cycle (new issues unlock
 			// dependents, the scan was truncated, or the wake time is
 			// unknown). Only sleep on a known finite wake.
@@ -936,22 +1128,20 @@ func stallClassOf(qb, mb bool) StallClass {
 // dirty marking instead.
 func (e *timingEngine) entryWake(t *tThread, en *winEntry) uint64 {
 	w := uint64(farFuture)
-	if d := t.producerDone(en.srcASeq); d > e.now && d < w {
+	if d := en.rdyA; d > e.now && d < w {
 		w = d
 	}
-	if d := t.producerDone(en.srcBSeq); d > e.now && d < w {
+	if d := en.rdyB; d > e.now && d < w {
 		w = d
 	}
-	in := en.instr
-	if in.IsQueueOp() {
-		q := e.queues[in.Q]
-		if (in.Op == isa.OpDeq || in.Op == isa.OpPeek) && q.len() > 0 {
+	if en.qRole == dequeues {
+		if q := &e.queues[en.q]; q.len() > 0 {
 			if r := q.headReady(); r > e.now && r < w {
 				w = r
 			}
 		}
 	}
-	if in.Op == isa.OpLoad && len(e.mshrs[t.core]) >= e.m.Cfg.MSHRs && e.m.Cfg.MSHRs > 0 {
+	if en.op == isa.OpLoad && len(e.mshrs[t.core]) >= e.m.Cfg.MSHRs && e.m.Cfg.MSHRs > 0 {
 		for _, c := range e.mshrs[t.core] {
 			if c > e.now && c < w {
 				w = c
@@ -968,12 +1158,11 @@ func (e *timingEngine) classifyCore(c int) (canIssue, blockQ, blockMem bool) {
 		if t.finished {
 			continue
 		}
-		for off := t.scanFrom; off < t.count && off-t.scanFrom < issueScanCap; off++ {
-			en := &t.win[(t.head+off)&t.winMask]
-			if en.issued {
-				continue
-			}
-			_, qb, mb := e.checkIssue(t, en)
+		sc := t.scan(1)
+		rest := sc.unissued.andNot(t.view(t.waiting, sc.from))
+		blockMem = blockMem || rest != sc.unissued // a waiting entry
+		for ; !rest.empty(); rest = rest.dropFirst() {
+			_, qb, mb := e.checkIssue(t, t.at(sc.from+rest.first()))
 			blockQ = blockQ || qb
 			blockMem = blockMem || mb
 		}
@@ -983,20 +1172,13 @@ func (e *timingEngine) classifyCore(c int) (canIssue, blockQ, blockMem bool) {
 
 // checkIssue evaluates readiness without side effects.
 func (e *timingEngine) checkIssue(t *tThread, en *winEntry) (ready, blockQ, blockMem bool) {
-	in := en.instr
-	if !t.producerReady(en.srcASeq, e.now) || !t.producerReady(en.srcBSeq, e.now) {
-		// Waiting on an operand: attribute to memory if the producer is a
-		// load or the wait is long (FU latency counts as backend too).
+	if en.rdyA > e.now || en.rdyB > e.now {
+		// Waiting on an operand (or, a load, on an older store to its
+		// address): attributed to memory, FU latency counts as backend too.
 		return false, false, true
 	}
-	switch in.Op {
+	switch en.op {
 	case isa.OpLoad:
-		if en.depSeq >= t.baseSeq && en.depSeq >= 0 {
-			dep := t.at(en.depSeq)
-			if !dep.issued {
-				return false, false, true
-			}
-		}
 		if !e.mshrAvailable(t.core) {
 			return false, false, true
 		}
@@ -1007,37 +1189,30 @@ func (e *timingEngine) checkIssue(t *tThread, en *winEntry) (ready, blockQ, bloc
 		// Halt serializes: it may only issue once every older instruction
 		// has retired, otherwise the thread would be marked finished with
 		// work still in flight.
-		return t.count > 0 && t.win[t.head].seq == en.seq, false, false
+		return int(en.seq) == t.baseSeq, false, false
 	}
-	if in.IsQueueOp() {
+	if en.qRole != notQueue {
 		// In-order among queue ops.
-		if en.depSeq >= t.baseSeq && en.depSeq >= 0 {
-			dep := t.at(en.depSeq)
-			if !dep.issued {
-				return false, false, false
-			}
+		if dep := int(en.depSeq); dep >= t.baseSeq && !t.win[dep&t.winMask].issued {
+			return false, false, false
 		}
-		q := e.queues[in.Q]
-		switch in.Op {
-		case isa.OpEnq, isa.OpEnqCtrl, isa.OpEnqCtrlV:
+		q := &e.queues[en.q]
+		if en.qRole == enqueues {
 			if q.len() >= q.cap {
 				return false, true, false
 			}
 			// A fanned data enqueue writes every destination in the same
 			// cycle, so it needs space in all of them (all-or-nothing).
-			if in.Op == isa.OpEnq && e.fan != nil {
-				for _, d := range e.fan[in.Q] {
-					if dq := e.queues[d]; dq.len() >= dq.cap {
+			if en.op == isa.OpEnq && e.fan != nil {
+				for _, d := range e.fan[en.q] {
+					if dq := &e.queues[d]; dq.len() >= dq.cap {
 						return false, true, false
 					}
 				}
 			}
-		case isa.OpDeq, isa.OpPeek:
-			if q.len() == 0 || q.headReady() > e.now {
-				return false, true, false
-			}
+		} else if q.len() == 0 || q.headReady() > e.now {
+			return false, true, false
 		}
-		return true, false, false
 	}
 	return true, false, false
 }
@@ -1049,9 +1224,9 @@ func (e *timingEngine) tryIssue(t *tThread, en *winEntry) (ok, blockQ, blockMem 
 		return false, qb, mb
 	}
 	te := &t.trace[en.seq]
-	in := en.instr
+	qi := int(en.q)
 	var done uint64
-	switch in.Op {
+	switch en.op {
 	case isa.OpLoad:
 		lat, missed := e.hier.Access(t.core, te.Addr, e.now)
 		lat += e.extraMemLatency()
@@ -1071,18 +1246,18 @@ func (e *timingEngine) tryIssue(t *tThread, en *winEntry) (ok, blockQ, blockMem 
 		}
 		done = e.now + 1
 	case isa.OpEnq:
-		e.queues[in.Q].push(e.now + 1)
-		e.wakeConsumer(in.Q)
+		e.queues[qi].push(e.now + 1)
+		e.wakeConsumer(qi)
 		e.queueOps++
 		done = e.now + 1
 		if e.probe != nil {
-			e.probe.QueueLen(in.Q, e.queues[in.Q].len(), e.now)
+			e.probe.QueueLen(qi, e.queues[qi].len(), e.now)
 		}
 		if e.fan != nil {
 			// Duplicate the value into each fan-out destination: one issue
 			// slot, but one physical queue write (and one energy event) per
 			// destination.
-			for _, d := range e.fan[in.Q] {
+			for _, d := range e.fan[qi] {
 				e.queues[d].push(e.now + 1)
 				e.wakeConsumer(d)
 				e.queueOps++
@@ -1095,20 +1270,20 @@ func (e *timingEngine) tryIssue(t *tThread, en *winEntry) (ok, blockQ, blockMem 
 		// Control values may be delivered late under fault injection; the
 		// token sits in the queue but is not visible to the consumer until
 		// its readyAt cycle, which delays everything FIFO-behind it too.
-		e.queues[in.Q].push(e.now + 1 + e.ctrlDelay(in.Q))
-		e.wakeConsumer(in.Q)
+		e.queues[qi].push(e.now + 1 + e.ctrlDelay(qi))
+		e.wakeConsumer(qi)
 		e.queueOps++
 		done = e.now + 1
 		if e.probe != nil {
-			e.probe.QueueLen(in.Q, e.queues[in.Q].len(), e.now)
+			e.probe.QueueLen(qi, e.queues[qi].len(), e.now)
 		}
 	case isa.OpDeq:
-		e.queues[in.Q].pop()
-		e.wakeProducers(in.Q)
+		e.queues[qi].pop()
+		e.wakeProducers(qi)
 		e.queueOps++
 		done = e.now + 1
 		if e.probe != nil {
-			e.probe.QueueLen(in.Q, e.queues[in.Q].len(), e.now)
+			e.probe.QueueLen(qi, e.queues[qi].len(), e.now)
 		}
 	case isa.OpPeek:
 		e.queueOps++
@@ -1120,10 +1295,15 @@ func (e *timingEngine) tryIssue(t *tThread, en *winEntry) (ok, blockQ, blockMem 
 			e.probe.ThreadDone(t.idx, e.now)
 		}
 	default:
-		done = e.now + in.Class().Latency()
+		done = e.now + uint64(en.lat)
 	}
 	en.issued = true
 	en.doneAt = done
+	t.unissued.clear(int(en.seq) & t.winMask)
+	t.wakeDependents(en, e.now)
+	if en.nextQ != noLink {
+		t.parked.clear(int(en.nextQ))
+	}
 	if e.probe != nil {
 		e.probe.Issued(t.idx, int(te.PC), e.now)
 		if e.curPC < 0 {
@@ -1158,7 +1338,7 @@ func (e *timingEngine) tickRA(ra *tRA) bool {
 func (e *timingEngine) tickRASteps(ra *tRA) bool {
 	moved := false
 	// Deliver completed tokens in order.
-	outq := e.queues[ra.outQ]
+	outq := &e.queues[ra.outQ]
 	for ra.ifHead < len(ra.inflight) && ra.inflight[ra.ifHead] <= e.now && outq.len() < outq.cap {
 		outq.push(e.now + 1)
 		e.wakeConsumer(ra.outQ)
@@ -1179,7 +1359,7 @@ func (e *timingEngine) tickRASteps(ra *tRA) bool {
 	}
 	// Intake: bounded FSM steps per cycle, at most one load start.
 	steps, loadsStarted := 0, 0
-	inq := e.queues[ra.inQ]
+	inq := &e.queues[ra.inQ]
 	for ra.idx < len(ra.events) && steps < 4 {
 		ev := ra.events[ra.idx]
 		switch ev.Kind {
@@ -1232,18 +1412,22 @@ func (e *timingEngine) nextEvent() uint64 {
 		if t.redirectSeq >= 0 && t.redirectAt < farFuture {
 			min(t.redirectAt)
 		}
-		for off := 0; off < t.count && off < issueScanCap+t.scanFrom; off++ {
-			en := &t.win[(t.head+off)&t.winMask]
-			if en.issued {
-				min(en.doneAt)
-				continue
+		// Everything before scanFrom has issued, so the scan range holds every
+		// unissued entry among the offsets it ends at; the in-flight entries
+		// among those offsets complete at doneAt.
+		sc := t.scan(1)
+		for off := 0; off < sc.from+sc.n; off++ {
+			if slot := (t.head + off) & t.winMask; !t.unissued.has(slot) {
+				min(t.win[slot].doneAt)
 			}
-			min(t.producerDone(en.srcASeq))
-			min(t.producerDone(en.srcBSeq))
-			in := en.instr
-			if in.IsQueueOp() {
-				q := e.queues[in.Q]
-				if (in.Op == isa.OpDeq || in.Op == isa.OpPeek) && q.len() > 0 {
+		}
+		// A waiting entry's known operand is an in-flight entry seen above.
+		for rest := sc.unissued.andNot(t.view(t.waiting, sc.from)); !rest.empty(); rest = rest.dropFirst() {
+			en := t.at(sc.from + rest.first())
+			min(en.rdyA)
+			min(en.rdyB)
+			if en.qRole == dequeues {
+				if q := &e.queues[en.q]; q.len() > 0 {
 					min(q.headReady())
 				}
 			}
@@ -1254,7 +1438,7 @@ func (e *timingEngine) nextEvent() uint64 {
 			min(ra.inflight[ra.ifHead])
 		}
 		if ra.idx < len(ra.events) {
-			q := e.queues[ra.inQ]
+			q := &e.queues[ra.inQ]
 			if ra.events[ra.idx].Kind == RAConsume && q.len() > 0 {
 				min(q.headReady())
 			}
