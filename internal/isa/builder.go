@@ -94,11 +94,6 @@ func (b *Builder) MovTo(dst, a Reg) {
 	b.emit(Instr{Op: OpMov, Dst: dst, A: a})
 }
 
-// ConstTo emits dst = imm into an existing register.
-func (b *Builder) ConstTo(dst Reg, imm int64) {
-	b.emit(Instr{Op: OpConst, Dst: dst, Imm: imm})
-}
-
 // Op2To emits a two-source ALU op into an existing register.
 func (b *Builder) Op2To(dst Reg, op Op, a, c Reg) {
 	b.emit(Instr{Op: op, Dst: dst, A: a, B: c})

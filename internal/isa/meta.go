@@ -49,19 +49,6 @@ func (p *Program) QueueUse() QueueUse {
 	return u
 }
 
-// ConsumesQueue reports whether the program dequeues or peeks from q.
-func (p *Program) ConsumesQueue(q int) bool {
-	for i := range p.Instrs {
-		switch p.Instrs[i].Op {
-		case OpDeq, OpPeek:
-			if p.Instrs[i].Q == q {
-				return true
-			}
-		}
-	}
-	return false
-}
-
 func sortedKeys(set map[int]bool) []int {
 	if len(set) == 0 {
 		return nil

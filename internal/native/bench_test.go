@@ -1,7 +1,7 @@
 package native_test
 
 // Allocation discipline for the native executor, mirroring the simulator's
-// growDouble rule: per-run allocations are bounded by pipeline shape
+// doubling rule for traces: per-run allocations are bounded by pipeline shape
 // (register files, queue rings, task frames), never by workload size —
 // values sit in the rings by value. BenchmarkNative* measure it;
 // TestNativeAllocRegression pins a ceiling so a per-message allocation

@@ -19,6 +19,11 @@ import (
 // produces must run on the native backend with bit-identical output memory
 // to the functional simulator and the same executed-instruction count.
 // Bindings are copied at Instantiate, so two instances never share state.
+// Both backends are one engine (internal/sim/engine.go), so what this suite
+// compares is its two configurations, not two readings of the ISA: what an
+// opcode means is pinned by the hand-computed expectations in
+// internal/sim's opcode/protocol tests and by the Go reference outputs in
+// internal/workloads (in.Verify below).
 
 // runDiff runs pl on both backends from identical bindings and compares
 // the complete memory spaces bitwise, the instruction counts, and the
@@ -29,7 +34,9 @@ func runDiff(t *testing.T, name string, pl *pipeline.Pipeline, bind pipeline.Bin
 	return runDiffOn(t, name, pl, arch.DefaultConfig(1), bind)
 }
 
-// runDiffOn is runDiff on a machine of the given configuration.
+// runDiffOn is runDiff on a machine of the given configuration. It proves
+// that results do not depend on what separates the configurations: bounded
+// vs growable rings, one goroutine per core vs one in all, traced vs not.
 func runDiffOn(t *testing.T, name string, pl *pipeline.Pipeline, cfg arch.Config, bind pipeline.Bindings) *pipeline.Instance {
 	t.Helper()
 

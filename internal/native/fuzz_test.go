@@ -2,7 +2,9 @@ package native_test
 
 // FuzzNativeDiff feeds arbitrary source strings through the full compile
 // flow and, whenever a pipeline builds, runs it on both the functional
-// simulator and the native backend from synthesized bindings. The oracle:
+// simulator and the native backend from synthesized bindings — the two
+// configurations of one engine, so this fuzzes queue bounds, task placement
+// and turn policy rather than opcode semantics. The oracle:
 // when both succeed the output memory must match bitwise and the executed
 // instruction counts must be equal; when the functional run fails, the
 // native run must fail in the same sentinel class (trap/deadlock/limit) —

@@ -222,8 +222,9 @@ func spinners(cores, traceCap int, trap bool) *sim.Machine {
 }
 
 // noLeak runs f and requires the goroutine count back at its starting
-// value: nothing native.Run starts may outlive it. A goroutine that has
-// done its work can take a moment to leave the count, hence the retry.
+// value: nothing an engine entry point starts may outlive it. A goroutine
+// that has done its work can take a moment to leave the count, hence the
+// retry.
 func noLeak(t *testing.T, name string, f func()) {
 	t.Helper()
 	before := runtime.NumGoroutine()
@@ -234,59 +235,69 @@ func noLeak(t *testing.T, name string, f func()) {
 	}
 	if n := runtime.NumGoroutine(); n > before {
 		buf := make([]byte, 1<<16)
-		t.Errorf("%s: %d goroutines before native.Run, %d after\n%s", name, before, n, buf[:runtime.Stack(buf, true)])
+		t.Errorf("%s: %d goroutines before the run, %d after\n%s", name, before, n, buf[:runtime.Stack(buf, true)])
 	}
 }
 
-// TestNoGoroutineLeak covers every exit path of native.Run on a
-// single-core machine (which must not start a goroutine at all) and on a
-// four-core one.
+// TestNoGoroutineLeak covers every exit path of both engine entry points:
+// native.Run on a single-core machine (which must not start a goroutine at
+// all) and on a four-core one, and RunFunctional, which runs every task on
+// the caller's goroutine and polls for cancellation, on the same machines.
 func TestNoGoroutineLeak(t *testing.T) {
-	for _, cores := range []int{1, 4} {
-		run := func(name string, m *sim.Machine, want error) {
-			t.Helper()
-			name = fmt.Sprintf("%s/%d-core", name, cores)
-			noLeak(t, name, func() {
-				if _, err := native.Run(m, native.Options{}); !errors.Is(err, want) {
-					t.Errorf("%s: got %v, want %v", name, err, want)
-				}
-			})
+	entries := []struct {
+		name string
+		run  func(m *sim.Machine) error
+	}{
+		{"native", func(m *sim.Machine) error { _, err := native.Run(m, native.Options{}); return err }},
+		{"functional", func(m *sim.Machine) error { _, err := m.RunFunctional(); return err }},
+	}
+	for _, entry := range entries {
+		for _, cores := range []int{1, 4} {
+			run := func(name string, m *sim.Machine, want error) {
+				t.Helper()
+				name = fmt.Sprintf("%s/%s/%d-core", entry.name, name, cores)
+				noLeak(t, name, func() {
+					if err := entry.run(m); !errors.Is(err, want) {
+						t.Errorf("%s: got %v, want %v", name, err, want)
+					}
+				})
+			}
+			success := twoCore(1000)
+			deadlock := crossDeadlock(4)
+			if cores == 1 {
+				success = sim.NewMachine(arch.DefaultConfig(1))
+				b := isa.NewBuilder("halt")
+				b.Halt()
+				success.AddStage(&sim.Stage{Prog: b.MustBuild()})
+				deadlock = sim.NewMachine(arch.DefaultConfig(1))
+				deadlock.AddQueue("never_fed")
+				b = isa.NewBuilder("starved")
+				b.Deq(0)
+				b.Halt()
+				deadlock.AddStage(&sim.Stage{Prog: b.MustBuild()})
+			}
+			run("success", success, nil)
+			run("deadlock", deadlock, sim.ErrDeadlock)
+			run("trap", spinners(cores, 1<<40, true), sim.ErrTrap)
+			run("trace-limit", spinners(cores, 200_000, false), sim.ErrTraceLimit)
+
+			m := spinners(cores, 1<<40, false)
+			m.WallDeadline = time.Now().Add(10 * time.Millisecond)
+			run("wall-deadline", m, sim.ErrWallBudget)
+
+			ctx, cancel := context.WithCancel(context.Background())
+			cancel()
+			m = spinners(cores, 1<<40, false)
+			m.Ctx = ctx
+			run("pre-cancelled", m, sim.ErrCancelled)
+
+			ctx, cancel = context.WithCancel(context.Background())
+			m = spinners(cores, 1<<40, false)
+			m.Ctx = ctx
+			timer := time.AfterFunc(10*time.Millisecond, cancel)
+			run("mid-run-cancel", m, sim.ErrCancelled)
+			timer.Stop()
+			cancel()
 		}
-		success := twoCore(1000)
-		deadlock := crossDeadlock(4)
-		if cores == 1 {
-			success = sim.NewMachine(arch.DefaultConfig(1))
-			b := isa.NewBuilder("halt")
-			b.Halt()
-			success.AddStage(&sim.Stage{Prog: b.MustBuild()})
-			deadlock = sim.NewMachine(arch.DefaultConfig(1))
-			deadlock.AddQueue("never_fed")
-			b = isa.NewBuilder("starved")
-			b.Deq(0)
-			b.Halt()
-			deadlock.AddStage(&sim.Stage{Prog: b.MustBuild()})
-		}
-		run("success", success, nil)
-		run("deadlock", deadlock, sim.ErrDeadlock)
-		run("trap", spinners(cores, 1<<40, true), sim.ErrTrap)
-		run("trace-limit", spinners(cores, 200_000, false), sim.ErrTraceLimit)
-
-		m := spinners(cores, 1<<40, false)
-		m.WallDeadline = time.Now().Add(10 * time.Millisecond)
-		run("wall-deadline", m, sim.ErrWallBudget)
-
-		ctx, cancel := context.WithCancel(context.Background())
-		cancel()
-		m = spinners(cores, 1<<40, false)
-		m.Ctx = ctx
-		run("pre-cancelled", m, sim.ErrCancelled)
-
-		ctx, cancel = context.WithCancel(context.Background())
-		m = spinners(cores, 1<<40, false)
-		m.Ctx = ctx
-		timer := time.AfterFunc(10*time.Millisecond, cancel)
-		run("mid-run-cancel", m, sim.ErrCancelled)
-		timer.Stop()
-		cancel()
 	}
 }

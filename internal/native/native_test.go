@@ -349,8 +349,8 @@ func TestTrapParity(t *testing.T) {
 }
 
 // TestBarrierHaltRelease: a stage halting must release the remaining
-// stages' barrier (the live-count rule), exactly like the functional
-// scheduler's releaseBarriers.
+// stages' barrier (the live-count rule), whether the rule is applied at
+// once (native) or between rounds (functional).
 func TestBarrierHaltRelease(t *testing.T) {
 	diffMachines(t, "barrier-halt", func() *sim.Machine {
 		m := sim.NewMachine(arch.DefaultConfig(1))

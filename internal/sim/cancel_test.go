@@ -57,11 +57,13 @@ func TestBackgroundCtxBitIdenticalStats(t *testing.T) {
 }
 
 func TestCancelledFunctionalPhase(t *testing.T) {
-	m, _ := introMachine(t, 1500)
 	ctx, cancel := context.WithCancel(context.Background())
 	cancel()
-	m.Ctx = ctx
-	_, err := m.Run()
+	_, _, err := bothEngines(t, func() *Machine {
+		m, _ := introMachine(t, 1500)
+		m.Ctx = ctx
+		return m
+	})
 	if !errors.Is(err, ErrCancelled) {
 		t.Fatalf("expected ErrCancelled, got: %v", err)
 	}
@@ -103,9 +105,11 @@ func TestCancelledTimingPhasePartialStats(t *testing.T) {
 }
 
 func TestWallBudgetExpired(t *testing.T) {
-	m, _ := introMachine(t, 1500)
-	m.WallDeadline = time.Now().Add(-time.Second)
-	_, err := m.Run()
+	_, _, err := bothEngines(t, func() *Machine {
+		m, _ := introMachine(t, 1500)
+		m.WallDeadline = time.Now().Add(-time.Second)
+		return m
+	})
 	if !errors.Is(err, ErrWallBudget) {
 		t.Fatalf("expected ErrWallBudget, got: %v", err)
 	}
@@ -116,7 +120,8 @@ func TestWallBudgetExpired(t *testing.T) {
 	if we.Phase != "functional" {
 		t.Errorf("phase = %q, want functional (deadline already past at entry)", we.Phase)
 	}
-	// An explicit cancel must win over a coincident wall overrun.
+	// An explicit cancel must win over a coincident wall overrun. (Functional
+	// and timing only: natively the two arrive from their own goroutines.)
 	m2, _ := introMachine(t, 1500)
 	ctx, cancel := context.WithCancel(context.Background())
 	cancel()

@@ -33,8 +33,7 @@ func overSendMachine(t *testing.T) *Machine {
 }
 
 func TestLeftoverSurfacesOverSend(t *testing.T) {
-	m := overSendMachine(t)
-	ts, err := m.RunFunctional()
+	m, ts, err := bothEngines(t, func() *Machine { return overSendMachine(t) })
 	if err != nil {
 		t.Fatalf("functional run: %v", err)
 	}
@@ -53,22 +52,24 @@ func TestLeftoverSurfacesOverSend(t *testing.T) {
 }
 
 func TestCheckDrainedCleanPipeline(t *testing.T) {
-	m := NewMachine(arch.DefaultConfig(1))
-	q := m.AddQueue("balanced")
-	{
-		b := isa.NewBuilder("prod")
-		v := b.Const(7)
-		b.Enq(q, v)
-		b.Halt()
-		m.AddStage(&Stage{Prog: b.MustBuild(), Thread: arch.ThreadID{Core: 0, Thread: 0}})
-	}
-	{
-		b := isa.NewBuilder("cons")
-		b.Deq(q)
-		b.Halt()
-		m.AddStage(&Stage{Prog: b.MustBuild(), Thread: arch.ThreadID{Core: 0, Thread: 1}})
-	}
-	ts, err := m.RunFunctional()
+	m, ts, err := bothEngines(t, func() *Machine {
+		m := NewMachine(arch.DefaultConfig(1))
+		q := m.AddQueue("balanced")
+		{
+			b := isa.NewBuilder("prod")
+			v := b.Const(7)
+			b.Enq(q, v)
+			b.Halt()
+			m.AddStage(&Stage{Prog: b.MustBuild(), Thread: arch.ThreadID{Core: 0, Thread: 0}})
+		}
+		{
+			b := isa.NewBuilder("cons")
+			b.Deq(q)
+			b.Halt()
+			m.AddStage(&Stage{Prog: b.MustBuild(), Thread: arch.ThreadID{Core: 0, Thread: 1}})
+		}
+		return m
+	})
 	if err != nil {
 		t.Fatalf("functional run: %v", err)
 	}

@@ -39,7 +39,7 @@ type QueueWait struct {
 	Q    int
 	Name string
 	Len  int
-	Cap  int // 0 in functional snapshots (queues are unbounded there)
+	Cap  int // 0 in functional snapshots (queues grow there)
 }
 
 func (q QueueWait) String() string {
@@ -104,7 +104,7 @@ func (w RAWait) String() string {
 // stage is blocked on which queue (full or empty), every RA's window
 // occupancy, and per-thread retire watermarks.
 type WaitForSnapshot struct {
-	// Phase is "functional" or "timing".
+	// Phase is "functional", "timing", or "native".
 	Phase string
 	// Cycle is the simulated cycle of the snapshot (timing phase only).
 	Cycle  uint64
@@ -193,9 +193,9 @@ func (e *TraceLimitError) Is(target error) bool { return target == ErrTraceLimit
 // requested. Stats holds the partial timing statistics accumulated up to
 // the abort point (nil for functional-phase aborts).
 type CancelledError struct {
-	// Phase is "functional" or "timing".
+	// Phase is "functional", "timing", or "native".
 	Phase string
-	// Cycles is the simulated cycle at the abort (0 for functional aborts).
+	// Cycles is the simulated cycle at the abort (0 outside the timing phase).
 	Cycles uint64
 	// Cause is the context's Err(): context.Canceled or
 	// context.DeadlineExceeded.
@@ -218,9 +218,9 @@ func (e *CancelledError) Unwrap() error { return e.Cause }
 // wall-clock analogue of CycleBudgetError. Stats holds the partial timing
 // statistics accumulated up to the abort (nil for functional-phase aborts).
 type WallBudgetError struct {
-	// Phase is "functional" or "timing".
+	// Phase is "functional", "timing", or "native".
 	Phase string
-	// Cycles is the simulated cycle at the abort (0 for functional aborts).
+	// Cycles is the simulated cycle at the abort (0 outside the timing phase).
 	Cycles uint64
 	Stats  *Stats
 }

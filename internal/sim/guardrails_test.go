@@ -98,13 +98,15 @@ func TestTimingDeadlockSnapshot(t *testing.T) {
 }
 
 func TestFunctionalDeadlockSnapshot(t *testing.T) {
-	m := NewMachine(arch.DefaultConfig(1))
-	q := m.AddQueue("never")
-	b := isa.NewBuilder("waiter")
-	b.Deq(q)
-	b.Halt()
-	m.AddStage(&Stage{Prog: b.MustBuild(), Thread: arch.ThreadID{Core: 0, Thread: 0}})
-	_, err := m.Run()
+	_, _, err := bothEngines(t, func() *Machine {
+		m := NewMachine(arch.DefaultConfig(1))
+		q := m.AddQueue("never")
+		b := isa.NewBuilder("waiter")
+		b.Deq(q)
+		b.Halt()
+		m.AddStage(&Stage{Prog: b.MustBuild(), Thread: arch.ThreadID{Core: 0, Thread: 0}})
+		return m
+	})
 	if !errors.Is(err, ErrDeadlock) {
 		t.Fatalf("expected functional deadlock, got: %v", err)
 	}
@@ -157,15 +159,17 @@ func TestCycleBudgetPartialStats(t *testing.T) {
 }
 
 func TestTraceLimitStructured(t *testing.T) {
-	m := NewMachine(arch.DefaultConfig(1))
-	b := isa.NewBuilder("spinner")
-	out := m.AddSlot("out", m.Space.Alloc("out", mem.I64, 1))
-	zero := b.Const(0)
-	countedLoop(b, 1<<40, func() { b.Store(out, zero, zero) })
-	b.Halt()
-	m.AddStage(&Stage{Prog: b.MustBuild(), Thread: arch.ThreadID{Core: 0, Thread: 0}})
-	m.MaxTraceEntries = 10000
-	_, err := m.Run()
+	_, _, err := bothEngines(t, func() *Machine {
+		m := NewMachine(arch.DefaultConfig(1))
+		b := isa.NewBuilder("spinner")
+		out := m.AddSlot("out", m.Space.Alloc("out", mem.I64, 1))
+		zero := b.Const(0)
+		countedLoop(b, 1<<40, func() { b.Store(out, zero, zero) })
+		b.Halt()
+		m.AddStage(&Stage{Prog: b.MustBuild(), Thread: arch.ThreadID{Core: 0, Thread: 0}})
+		m.MaxTraceEntries = 10000
+		return m
+	})
 	if !errors.Is(err, ErrTraceLimit) {
 		t.Fatalf("expected trace-limit error, got: %v", err)
 	}
@@ -177,14 +181,16 @@ func TestTraceLimitStructured(t *testing.T) {
 
 func TestTrapStructured(t *testing.T) {
 	t.Run("div-zero", func(t *testing.T) {
-		m := NewMachine(arch.DefaultConfig(1))
-		b := isa.NewBuilder("div")
-		x := b.Const(5)
-		z := b.Const(0)
-		b.Op2(isa.OpIDiv, x, z)
-		b.Halt()
-		m.AddStage(&Stage{Prog: b.MustBuild(), Thread: arch.ThreadID{Core: 0, Thread: 0}})
-		_, err := m.Run()
+		_, _, err := bothEngines(t, func() *Machine {
+			m := NewMachine(arch.DefaultConfig(1))
+			b := isa.NewBuilder("div")
+			x := b.Const(5)
+			z := b.Const(0)
+			b.Op2(isa.OpIDiv, x, z)
+			b.Halt()
+			m.AddStage(&Stage{Prog: b.MustBuild(), Thread: arch.ThreadID{Core: 0, Thread: 0}})
+			return m
+		})
 		if !errors.Is(err, ErrTrap) {
 			t.Fatalf("expected trap, got: %v", err)
 		}
@@ -194,14 +200,16 @@ func TestTrapStructured(t *testing.T) {
 		}
 	})
 	t.Run("oob-load", func(t *testing.T) {
-		m := NewMachine(arch.DefaultConfig(1))
-		slot := m.AddSlot("a", m.Space.Alloc("a", mem.I64, 4))
-		b := isa.NewBuilder("oob")
-		idx := b.Const(99)
-		b.Load(slot, idx)
-		b.Halt()
-		m.AddStage(&Stage{Prog: b.MustBuild(), Thread: arch.ThreadID{Core: 0, Thread: 0}})
-		_, err := m.Run()
+		_, _, err := bothEngines(t, func() *Machine {
+			m := NewMachine(arch.DefaultConfig(1))
+			slot := m.AddSlot("a", m.Space.Alloc("a", mem.I64, 4))
+			b := isa.NewBuilder("oob")
+			idx := b.Const(99)
+			b.Load(slot, idx)
+			b.Halt()
+			m.AddStage(&Stage{Prog: b.MustBuild(), Thread: arch.ThreadID{Core: 0, Thread: 0}})
+			return m
+		})
 		if !errors.Is(err, ErrTrap) {
 			t.Fatalf("expected trap, got: %v", err)
 		}

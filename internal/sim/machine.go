@@ -1,10 +1,11 @@
 // Package sim implements the cycle-level Pipette machine simulator used to
 // evaluate Phloem. Simulation is two-phase:
 //
-//  1. A functional phase (func.go) co-executes all stage programs with a
-//     deterministic scheduler, computing every value, memory address, branch
+//  1. A functional phase (RunFunctional) co-executes all stage programs with
+//     a deterministic scheduler, computing every value, memory address, branch
 //     outcome, and queue token. It verifies program correctness and emits
-//     per-thread and per-RA traces.
+//     per-thread and per-RA traces. It is one configuration of the execution
+//     engine (engine.go); the other, RunNative, is the native backend.
 //  2. A timing phase (timing.go) replays the traces on a model of SMT
 //     out-of-order cores with architectural queues, reference accelerators,
 //     control-value handlers, a branch predictor, and the cache hierarchy,
@@ -13,7 +14,8 @@
 // The two-phase structure keeps values independent of timing. That is sound
 // because pipelines are validated to give each queue a single consumer, making
 // per-queue token order deterministic; cross-replica merge queues (Sec. IV-C)
-// use the deterministic functional schedule and are replayed approximately.
+// and the data-parallel baselines' benign races use the deterministic
+// functional schedule (engine.go) and are replayed approximately.
 package sim
 
 import (

@@ -1,6 +1,7 @@
 package sim
 
 import (
+	"errors"
 	"math"
 	"testing"
 
@@ -12,21 +13,23 @@ import (
 // evalBin runs a single two-operand instruction and returns the result.
 func evalBin(t *testing.T, op isa.Op, a, b Value) Value {
 	t.Helper()
-	m := NewMachine(arch.DefaultConfig(1))
-	out := m.Space.Alloc("out", mem.I64, 1)
-	so := m.AddSlot("out", out)
-	bl := isa.NewBuilder("t")
-	ra := bl.Const(a.Bits)
-	rb := bl.Const(b.Bits)
-	zero := bl.Const(0)
-	d := bl.Op2(op, ra, rb)
-	bl.Store(so, zero, d)
-	bl.Halt()
-	m.AddStage(&Stage{Prog: bl.MustBuild(), Thread: arch.ThreadID{Core: 0, Thread: 0}})
-	if _, err := m.RunFunctional(); err != nil {
+	m, _, err := bothEngines(t, func() *Machine {
+		m := NewMachine(arch.DefaultConfig(1))
+		so := m.AddSlot("out", m.Space.Alloc("out", mem.I64, 1))
+		bl := isa.NewBuilder("t")
+		ra := bl.Const(a.Bits)
+		rb := bl.Const(b.Bits)
+		zero := bl.Const(0)
+		d := bl.Op2(op, ra, rb)
+		bl.Store(so, zero, d)
+		bl.Halt()
+		m.AddStage(&Stage{Prog: bl.MustBuild(), Thread: arch.ThreadID{Core: 0, Thread: 0}})
+		return m
+	})
+	if err != nil {
 		t.Fatalf("%v: %v", op, err)
 	}
-	return IntVal(out.Ints()[0])
+	return IntVal(m.Slots[0].Ints()[0])
 }
 
 func TestIntegerOpcodeSemantics(t *testing.T) {
@@ -102,27 +105,29 @@ func TestFloatOpcodeSemantics(t *testing.T) {
 }
 
 func TestImmediateAndUnaryOpcodes(t *testing.T) {
-	m := NewMachine(arch.DefaultConfig(1))
-	out := m.Space.Alloc("out", mem.I64, 8)
-	so := m.AddSlot("out", out)
-	b := isa.NewBuilder("t")
-	x := b.Const(-6)
-	f := b.Const(FloatVal(-2.5).Bits)
-	idx := func(i int64) isa.Reg { return b.Const(i) }
-	b.Store(so, idx(0), b.OpImm(isa.OpIAddImm, x, 10))
-	b.Store(so, idx(1), b.OpImm(isa.OpIMulImm, x, -2))
-	b.Store(so, idx(2), b.OpImm(isa.OpIAndImm, x, 0xF))
-	b.Store(so, idx(3), b.OpImm(isa.OpIShrImm, x, 1))
-	b.Store(so, idx(4), b.Op1(isa.OpFNeg, f))
-	b.Store(so, idx(5), b.Op1(isa.OpFAbs, f))
-	b.Store(so, idx(6), b.Op1(isa.OpF2I, f))
-	b.Store(so, idx(7), b.Op1(isa.OpI2F, x))
-	b.Halt()
-	m.AddStage(&Stage{Prog: b.MustBuild(), Thread: arch.ThreadID{Core: 0, Thread: 0}})
-	if _, err := m.RunFunctional(); err != nil {
+	m, _, err := bothEngines(t, func() *Machine {
+		m := NewMachine(arch.DefaultConfig(1))
+		so := m.AddSlot("out", m.Space.Alloc("out", mem.I64, 8))
+		b := isa.NewBuilder("t")
+		x := b.Const(-6)
+		f := b.Const(FloatVal(-2.5).Bits)
+		idx := func(i int64) isa.Reg { return b.Const(i) }
+		b.Store(so, idx(0), b.OpImm(isa.OpIAddImm, x, 10))
+		b.Store(so, idx(1), b.OpImm(isa.OpIMulImm, x, -2))
+		b.Store(so, idx(2), b.OpImm(isa.OpIAndImm, x, 0xF))
+		b.Store(so, idx(3), b.OpImm(isa.OpIShrImm, x, 1))
+		b.Store(so, idx(4), b.Op1(isa.OpFNeg, f))
+		b.Store(so, idx(5), b.Op1(isa.OpFAbs, f))
+		b.Store(so, idx(6), b.Op1(isa.OpF2I, f))
+		b.Store(so, idx(7), b.Op1(isa.OpI2F, x))
+		b.Halt()
+		m.AddStage(&Stage{Prog: b.MustBuild(), Thread: arch.ThreadID{Core: 0, Thread: 0}})
+		return m
+	})
+	if err != nil {
 		t.Fatal(err)
 	}
-	got := out.Ints()
+	got := m.Slots[0].Ints()
 	if got[0] != 4 || got[1] != 12 || got[2] != (-6)&0xF || got[3] != -3 {
 		t.Errorf("imm ops: %v", got[:4])
 	}
@@ -142,34 +147,39 @@ func TestImmediateAndUnaryOpcodes(t *testing.T) {
 
 func TestDivisionByZeroTraps(t *testing.T) {
 	for _, op := range []isa.Op{isa.OpIDiv, isa.OpIRem} {
-		m := NewMachine(arch.DefaultConfig(1))
-		b := isa.NewBuilder("t")
-		x := b.Const(5)
-		z := b.Const(0)
-		b.Op2(op, x, z)
-		b.Halt()
-		m.AddStage(&Stage{Prog: b.MustBuild(), Thread: arch.ThreadID{Core: 0, Thread: 0}})
-		if _, err := m.RunFunctional(); err == nil {
-			t.Errorf("%v by zero should trap", op)
+		_, _, err := bothEngines(t, func() *Machine {
+			m := NewMachine(arch.DefaultConfig(1))
+			b := isa.NewBuilder("t")
+			x := b.Const(5)
+			z := b.Const(0)
+			b.Op2(op, x, z)
+			b.Halt()
+			m.AddStage(&Stage{Prog: b.MustBuild(), Thread: arch.ThreadID{Core: 0, Thread: 0}})
+			return m
+		})
+		if !errors.Is(err, ErrTrap) {
+			t.Errorf("%v by zero should trap, got %v", op, err)
 		}
 	}
 }
 
 func TestOutOfBoundsTraps(t *testing.T) {
 	mk := func(store bool, idx int64) error {
-		m := NewMachine(arch.DefaultConfig(1))
-		arr := m.Space.Alloc("a", mem.I64, 2)
-		sa := m.AddSlot("a", arr)
-		b := isa.NewBuilder("t")
-		i := b.Const(idx)
-		if store {
-			b.Store(sa, i, i)
-		} else {
-			b.Load(sa, i)
-		}
-		b.Halt()
-		m.AddStage(&Stage{Prog: b.MustBuild(), Thread: arch.ThreadID{Core: 0, Thread: 0}})
-		_, err := m.RunFunctional()
+		_, _, err := bothEngines(t, func() *Machine {
+			m := NewMachine(arch.DefaultConfig(1))
+			arr := m.Space.Alloc("a", mem.I64, 2)
+			sa := m.AddSlot("a", arr)
+			b := isa.NewBuilder("t")
+			i := b.Const(idx)
+			if store {
+				b.Store(sa, i, i)
+			} else {
+				b.Load(sa, i)
+			}
+			b.Halt()
+			m.AddStage(&Stage{Prog: b.MustBuild(), Thread: arch.ThreadID{Core: 0, Thread: 0}})
+			return m
+		})
 		return err
 	}
 	if err := mk(false, 2); err == nil {
@@ -184,55 +194,53 @@ func TestOutOfBoundsTraps(t *testing.T) {
 }
 
 func TestPrefetchSemantics(t *testing.T) {
-	m := NewMachine(arch.DefaultConfig(1))
-	arr := m.Space.AllocInts("a", []int64{1, 2})
-	sa := m.AddSlot("a", arr)
-	b := isa.NewBuilder("t")
-	in := b.Const(1)
-	oob := b.Const(99)
-	b.Emit(isa.Instr{Op: isa.OpPrefetch, Slot: sa, A: in})
-	// Out-of-bounds prefetches are dropped, not trapped.
-	b.Emit(isa.Instr{Op: isa.OpPrefetch, Slot: sa, A: oob})
-	b.Halt()
-	m.AddStage(&Stage{Prog: b.MustBuild(), Thread: arch.ThreadID{Core: 0, Thread: 0}})
-	st, err := m.Run()
-	if err != nil {
-		t.Fatal(err)
-	}
+	_, st := runBoth(t, func() *Machine {
+		m := NewMachine(arch.DefaultConfig(1))
+		arr := m.Space.AllocInts("a", []int64{1, 2})
+		sa := m.AddSlot("a", arr)
+		b := isa.NewBuilder("t")
+		in := b.Const(1)
+		oob := b.Const(99)
+		b.Emit(isa.Instr{Op: isa.OpPrefetch, Slot: sa, A: in})
+		// Out-of-bounds prefetches are dropped, not trapped.
+		b.Emit(isa.Instr{Op: isa.OpPrefetch, Slot: sa, A: oob})
+		b.Halt()
+		m.AddStage(&Stage{Prog: b.MustBuild(), Thread: arch.ThreadID{Core: 0, Thread: 0}})
+		return m
+	})
 	if st.Cache.L1Misses == 0 {
 		t.Error("the in-bounds prefetch should have touched the cache")
 	}
 }
 
 func TestALUClearsControlTag(t *testing.T) {
-	m := NewMachine(arch.DefaultConfig(1))
-	out := m.Space.Alloc("out", mem.I64, 2)
-	so := m.AddSlot("out", out)
-	q := m.AddQueue("q")
-	{
-		b := isa.NewBuilder("p")
-		b.EnqCtrl(q, 5)
-		b.Halt()
-		m.AddStage(&Stage{Prog: b.MustBuild(), Thread: arch.ThreadID{Core: 0, Thread: 0}})
-	}
-	{
-		b := isa.NewBuilder("c")
-		zero := b.Const(0)
-		one := b.Const(1)
-		v := b.Deq(q)
-		tag := b.IsCtrl(v)
-		b.Store(so, zero, tag)
-		// An ALU op on the value clears the tag.
-		w := b.OpImm(isa.OpIAddImm, v, 0)
-		tag2 := b.IsCtrl(w)
-		b.Store(so, one, tag2)
-		b.Halt()
-		m.AddStage(&Stage{Prog: b.MustBuild(), Thread: arch.ThreadID{Core: 0, Thread: 1}})
-	}
-	if _, err := m.Run(); err != nil {
-		t.Fatal(err)
-	}
-	if out.Ints()[0] != 1 || out.Ints()[1] != 0 {
-		t.Errorf("tag semantics: %v", out.Ints())
+	m, _ := runBoth(t, func() *Machine {
+		m := NewMachine(arch.DefaultConfig(1))
+		so := m.AddSlot("out", m.Space.Alloc("out", mem.I64, 2))
+		q := m.AddQueue("q")
+		{
+			b := isa.NewBuilder("p")
+			b.EnqCtrl(q, 5)
+			b.Halt()
+			m.AddStage(&Stage{Prog: b.MustBuild(), Thread: arch.ThreadID{Core: 0, Thread: 0}})
+		}
+		{
+			b := isa.NewBuilder("c")
+			zero := b.Const(0)
+			one := b.Const(1)
+			v := b.Deq(q)
+			tag := b.IsCtrl(v)
+			b.Store(so, zero, tag)
+			// An ALU op on the value clears the tag.
+			w := b.OpImm(isa.OpIAddImm, v, 0)
+			tag2 := b.IsCtrl(w)
+			b.Store(so, one, tag2)
+			b.Halt()
+			m.AddStage(&Stage{Prog: b.MustBuild(), Thread: arch.ThreadID{Core: 0, Thread: 1}})
+		}
+		return m
+	})
+	if out := m.Slots[0].Ints(); out[0] != 1 || out[1] != 0 {
+		t.Errorf("tag semantics: %v", out)
 	}
 }

@@ -1,25 +1,25 @@
-package native
+package sim
 
 import (
 	"fmt"
 
 	"phloem/internal/arch"
-	"phloem/internal/sim"
+	"phloem/internal/mem"
 )
 
 // raExec is one reference accelerator as a resumable task: each step moves
 // tokens from its input queue to its output queue until the input is empty
-// or the output full. Token semantics (INDIRECT per-index loads, SCAN
-// [start,end) range streaming with optional EmitNext group markers,
-// control pass-through, and trap conditions) match the functional engine's
-// propagateRAs. An input token is consumed only once its first output has
+// or the output full. This is the only place RA token semantics are
+// defined: INDIRECT per-index loads, SCAN [start,end) range streaming with
+// optional EmitNext group markers, control pass-through, and the trap
+// conditions. An input token is consumed only once its first output has
 // been delivered, so a blocked step loses nothing.
 type raExec struct {
 	e    *engine
 	idx  int
 	spec *arch.RASpec
 	// pendStart carries a SCAN range's start token to its end token.
-	pendStart sim.Value
+	pendStart Value
 	hasStart  bool
 	// scanning is set while a SCAN range streams; cur..end is what is left
 	// of it, kept across steps.
@@ -47,9 +47,13 @@ func (r *raExec) move() status {
 				if !r.send(loadValue(arr, r.cur)) {
 					return blocked
 				}
+				r.note(RALoad, arr, r.cur)
 			}
-			if spec.EmitNext && !r.send(sim.CtrlVal(spec.NextCode)) {
-				return blocked
+			if spec.EmitNext {
+				if !r.send(CtrlVal(spec.NextCode)) {
+					return blocked
+				}
+				r.note(RACtrlOut, nil, 0)
 			}
 			r.scanning = false
 			r.done()
@@ -66,6 +70,8 @@ func (r *raExec) move() status {
 		// The binding is read per token, after the token is seen: a stage on
 		// another core may have swapped slots since the previous one was done.
 		arr := e.slots[spec.Slot].Load()
+		// out is the delivery this token causes at once (RAConsume: none).
+		out := RAConsume
 		switch {
 		case v.Ctrl:
 			if r.hasStart {
@@ -74,6 +80,7 @@ func (r *raExec) move() status {
 			if !r.send(v) {
 				return blocked
 			}
+			out = RAPass
 		case spec.Mode == arch.RAIndirect:
 			if !arr.InBounds(v.Bits) {
 				return r.trap(fmt.Sprintf("index %d out of bounds for %s (len %d)", v.Bits, arr.Name, arr.Len()))
@@ -81,6 +88,7 @@ func (r *raExec) move() status {
 			if !r.send(loadValue(arr, v.Bits)) {
 				return blocked
 			}
+			out = RALoad
 		case !r.hasStart:
 			r.pendStart, r.hasStart = v, true
 		default:
@@ -92,14 +100,31 @@ func (r *raExec) move() status {
 		}
 		e.take(spec.InQ, true)
 		r.moved++
+		r.note(RAConsume, nil, 0)
+		if out != RAConsume {
+			r.note(out, arr, v.Bits)
+		}
 		if !r.scanning {
 			r.done()
 		}
 	}
 }
 
+// note records one micro-event where a trace is kept; an RALoad's address
+// is that of arr[idx].
+func (r *raExec) note(kind uint8, arr *mem.Array, idx int64) {
+	if r.e.quantum == 0 {
+		return
+	}
+	ev := RAEvent{Kind: kind}
+	if kind == RALoad {
+		ev.Addr = arr.Addr(idx)
+	}
+	r.e.raTrace[r.idx] = addTrace(r.e.raTrace[r.idx], ev)
+}
+
 func (r *raExec) trap(msg string) status {
-	r.e.fail(&sim.TrapError{Stage: "ra:" + r.spec.Name, PC: -1, Msg: msg})
+	r.e.fail(&TrapError{Stage: "ra:" + r.spec.Name, PC: -1, Msg: msg})
 	return failed
 }
 
@@ -107,7 +132,7 @@ func (r *raExec) trap(msg string) status {
 // never fan out (validated); a chained downstream RA's sent counter is
 // bumped on delivery, before this RA's done counter, preserving the
 // quiesce invariant across RA chains.
-func (r *raExec) send(v sim.Value) bool {
+func (r *raExec) send(v Value) bool {
 	if r.e.enq(r.spec.OutQ, v, false) >= 0 {
 		return false
 	}

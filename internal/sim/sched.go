@@ -1,9 +1,4 @@
-package native
-
-import (
-	"phloem/internal/mem"
-	"phloem/internal/sim"
-)
+package sim
 
 // status is what a task reports when it hands its core back.
 type status int
@@ -24,11 +19,12 @@ type task interface {
 	step() (st status, worked bool)
 }
 
-// queue is one architectural queue: a ring of exactly its capacity. A
-// queue used from one core only is touched by that core's goroutine
-// alone; a shared one only with engine.mu held.
+// queue is one architectural queue: a ring that starts at its capacity and,
+// in the functional configuration, doubles instead of filling. A queue used
+// from one core only is touched by that core's goroutine alone; a shared
+// one only with engine.mu held.
 type queue struct {
-	buf     []sim.Value
+	buf     []Value
 	head, n int
 	// prod counts live producers (stages, fan-out duplication, RA
 	// outputs); a queue with none left is closed.
@@ -36,10 +32,23 @@ type queue struct {
 	shared bool
 }
 
+// grown doubles the full ring q where the configuration lets rings grow,
+// and reports whether it did.
+func (e *engine) grown(q *queue) bool {
+	if e.quantum == 0 {
+		return false
+	}
+	next := make([]Value, max(512, 2*len(q.buf)))
+	k := copy(next, q.buf[q.head:])
+	copy(next[k:], q.buf[:q.head])
+	q.buf, q.head = next, 0
+	return true
+}
+
 // enq delivers v into queue qi and, for a data enqueue, into every fan-out
 // destination — into all of them or none, like the timing model. It
 // returns the id of a queue that is full, or -1 once delivered.
-func (e *engine) enq(qi int, v sim.Value, data bool) int {
+func (e *engine) enq(qi int, v Value, data bool) int {
 	q := &e.queues[qi]
 	if q.shared {
 		e.mu.Lock()
@@ -49,11 +58,11 @@ func (e *engine) enq(qi int, v sim.Value, data bool) int {
 	if data && e.fan != nil {
 		dst = e.fan[qi]
 	}
-	if q.n == len(q.buf) {
+	if q.n == len(q.buf) && !e.grown(q) {
 		return qi
 	}
 	for _, d := range dst {
-		if e.queues[d].n == len(e.queues[d].buf) {
+		if dq := &e.queues[d]; dq.n == len(dq.buf) && !e.grown(dq) {
 			return d
 		}
 	}
@@ -67,7 +76,7 @@ func (e *engine) enq(qi int, v sim.Value, data bool) int {
 // push appends v to queue qi, which has room. When the queue feeds an RA
 // and the machine swaps slots, the RA's sent counter is bumped so
 // quiescence covers tokens still queued.
-func (e *engine) push(qi int, v sim.Value) {
+func (e *engine) push(qi int, v Value) {
 	q := &e.queues[qi]
 	if e.hasSwaps {
 		if ra := e.raIdx[qi]; ra >= 0 {
@@ -88,7 +97,7 @@ func (e *engine) push(qi int, v sim.Value) {
 // take reads the next token of queue qi, consuming it if pop is set. ok is
 // false when the queue is empty; closed then tells whether it can ever be
 // fed again.
-func (e *engine) take(qi int, pop bool) (v sim.Value, ok, closed bool) {
+func (e *engine) take(qi int, pop bool) (v Value, ok, closed bool) {
 	q := &e.queues[qi]
 	if q.shared {
 		e.mu.Lock()
@@ -112,8 +121,7 @@ func (e *engine) take(qi int, pop bool) (v sim.Value, ok, closed bool) {
 
 // retire removes a finished task from the producer census of its output
 // queues; a halted stage also leaves the barrier group, which can release
-// the remaining waiters — exactly like the functional releaseBarriers
-// recomputing the live count each round.
+// the remaining waiters.
 func (e *engine) retire(queues []int, stage bool) {
 	e.mu.Lock()
 	defer e.mu.Unlock()
@@ -122,20 +130,24 @@ func (e *engine) retire(queues []int, stage bool) {
 	}
 	if stage {
 		e.live--
-		e.releaseBarrier()
+		if e.quantum == 0 {
+			e.releaseBarrier()
+		}
 	}
 	e.event()
 }
 
 // barrier registers x's arrival at a barrier once and reports whether that
-// barrier has been released: when every live (non-halted) stage waits.
+// barrier has been released.
 func (e *engine) barrier(x *stageExec) bool {
 	e.mu.Lock()
 	defer e.mu.Unlock()
 	if x.state != wBarrier {
 		x.state, x.barGen = wBarrier, e.barGen
 		e.waiting++
-		e.releaseBarrier()
+		if e.quantum == 0 {
+			e.releaseBarrier()
+		}
 	}
 	if x.barGen == e.barGen {
 		return false
@@ -144,12 +156,19 @@ func (e *engine) barrier(x *stageExec) bool {
 	return true
 }
 
-func (e *engine) releaseBarrier() {
-	if e.live > 0 && e.waiting == e.live {
-		e.waiting = 0
-		e.barGen++
-		e.event()
+// releaseBarrier is the barrier rule: the barrier opens when every live
+// (non-halted) stage waits at it. Natively that is looked at whenever a
+// stage arrives or halts; the functional scheduler looks between rounds,
+// so that a turn ends at a barrier and every stage resumes in stage order.
+// Callers sharing the engine hold mu.
+func (e *engine) releaseBarrier() bool {
+	if e.live == 0 || e.waiting != e.live {
+		return false
 	}
+	e.waiting = 0
+	e.barGen++
+	e.event()
+	return true
 }
 
 // event publishes a change to shared state. Every parked core waits for
@@ -174,39 +193,37 @@ func (e *engine) runCore(tasks []task) {
 		e.event()
 		e.mu.Unlock()
 	}()
-	// Typed memory-system panics become structured traps, exactly as in
-	// the functional engine; anything else is a real bug and propagates.
-	defer func() {
-		if r := recover(); r != nil {
-			me, ok := r.(*mem.Error)
-			if !ok {
-				panic(r)
-			}
-			e.fail(&sim.TrapError{PC: -1, Msg: me.Error()})
-		}
-	}()
-	for left := len(tasks); left > 0; {
+	defer recoverMemTrap(e.fail)
+	for {
 		seen := e.epoch.Load()
-		progress := false
-		for i, t := range tasks {
-			if t == nil {
-				continue
-			}
-			st, worked := t.step()
-			switch st {
-			case failed:
-				return
-			case halted:
-				tasks[i] = nil
-				left--
-				worked = true
-			}
-			progress = progress || worked
-		}
-		if e.stopped.Load() || (!progress && !e.waitEvent(seen)) {
+		live, progress := round(tasks)
+		if live == 0 || e.stopped.Load() || (!progress && !e.waitEvent(seen)) {
 			return
 		}
 	}
+}
+
+// round steps every live task once and drops those that halt. It reports
+// how many are still live — none once the run is aborting — and whether
+// any got something done.
+func round(tasks []task) (live int, progress bool) {
+	for i, t := range tasks {
+		if t == nil {
+			continue
+		}
+		st, worked := t.step()
+		switch st {
+		case failed:
+			return 0, false
+		case halted:
+			tasks[i] = nil
+			progress = true
+		default:
+			live++
+		}
+		progress = progress || worked
+	}
+	return live, progress
 }
 
 // waitEvent parks a core whose round got nothing done until shared state
@@ -219,7 +236,7 @@ func (e *engine) waitEvent(seen uint64) bool {
 	if e.epoch.Load() == seen && e.failure == nil {
 		e.idle++
 		if e.idle == e.cores {
-			e.failLocked(&sim.DeadlockError{Snapshot: e.snapshot()})
+			e.failLocked(&DeadlockError{Snapshot: e.snapshot()})
 		}
 		for e.epoch.Load() == seen && e.failure == nil {
 			e.cv.Wait()
@@ -228,19 +245,23 @@ func (e *engine) waitEvent(seen uint64) bool {
 	return e.failure == nil
 }
 
-// snapshot captures the wait-for state at a deadlock. The caller holds mu
-// and every other core is parked, so each stage's saved pc and wait state
-// are those of its blocked instruction.
-func (e *engine) snapshot() *sim.WaitForSnapshot {
-	s := &sim.WaitForSnapshot{Phase: "native"}
-	queueWait := func(q int) *sim.QueueWait {
-		return &sim.QueueWait{Q: q, Name: e.m.Queues[q].Name, Len: e.queues[q].n, Cap: len(e.queues[q].buf)}
+// snapshot captures the wait-for state at a deadlock. No task is running
+// (natively the caller holds mu and every other core is parked), so each
+// stage's saved pc and wait state are those of its blocked instruction.
+func (e *engine) snapshot() *WaitForSnapshot {
+	s := &WaitForSnapshot{Phase: e.phase}
+	queueWait := func(q int) *QueueWait {
+		w := &QueueWait{Q: q, Name: e.m.Queues[q].Name, Len: e.queues[q].n}
+		if e.quantum == 0 {
+			w.Cap = len(e.queues[q].buf)
+		}
+		return w
 	}
 	for _, x := range e.stages {
 		if x.state == wHalted {
 			continue
 		}
-		w := sim.StageWait{
+		w := StageWait{
 			Stage:   x.st.Prog.Name,
 			Thread:  x.st.Thread,
 			PC:      int32(x.pc),
