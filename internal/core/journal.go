@@ -17,7 +17,8 @@ package core
 // anyway (the winner's stages, SearchPoint stage counts, and the Searched
 // counter all need the built pipeline). Pruned and cancelled candidates
 // are never journaled: pruning is recomputed, and a cancelled candidate
-// has no verdict.
+// has no verdict — nor does anything finalized after it, whose bound the
+// cancelled slot failed to tighten.
 //
 // Why replay is sound: the journal key hashes the program (ir.Prog.Print),
 // the arch config, and every option that shapes enumeration or budget
@@ -96,7 +97,10 @@ type journal struct {
 	entries  map[string]*journalEntry // candidate fingerprint -> entry
 	serial   *journalEntry
 	replayed int
-	trace    func(format string, args ...any)
+	// cut is set once a cancelled candidate has been finalized; no later
+	// verdict is recorded.
+	cut   bool
+	trace func(format string, args ...any)
 }
 
 // journalKey hashes everything that shapes the search: the program text,
@@ -302,15 +306,26 @@ func (j *journal) replayCount() int {
 // record journals a finalized unique candidate's measurement verdict.
 // Only measurement outcomes are recorded: the candidate must have built
 // (f.pipe != nil), and pruned/cancelled verdicts are skipped (see the
-// package comment). Called by the merger, in enumeration order.
+// package comment). A cancelled slot never tightened the bound, so every
+// later slot was finalized under a looser one than an uninterrupted run
+// uses there: nothing after the first is recorded. Called by the merger,
+// in enumeration order.
 func (j *journal) record(fp string, f *candFinal) {
-	if j == nil || f.pipe == nil {
+	if j == nil {
 		return
+	}
+	j.mu.Lock()
+	defer j.mu.Unlock()
+	if f.skip != nil && f.skip.Reason == SkipCancelled {
+		j.cut = true
+	}
+	if _, ok := j.entries[fp]; ok || j.cut || f.pipe == nil {
+		return // already journaled (a replayed entry), past a cancelled slot, or never built
 	}
 	e := &journalEntry{Kind: "cand", FP: fp}
 	if f.skip != nil {
 		switch f.skip.Reason {
-		case SkipPruned, SkipCancelled, SkipBuild, SkipVerifier:
+		case SkipPruned, SkipBuild, SkipVerifier:
 			return
 		}
 		e.Reason = f.skip.Reason.String()
@@ -319,11 +334,6 @@ func (j *journal) record(fp string, f *candFinal) {
 		}
 	} else {
 		e.Cycles = f.cycles
-	}
-	j.mu.Lock()
-	defer j.mu.Unlock()
-	if _, ok := j.entries[fp]; ok {
-		return // already journaled (a replayed entry)
 	}
 	j.entries[fp] = e
 	j.append(e)

@@ -20,10 +20,11 @@ import (
 
 // benchInstance compiles family name at test scale (commopt on, so native
 // channels carry pass-inferred capacities) and instantiates its largest
-// test input. The returned instance is safe to re-run: every family's
+// test input; with serial set it instantiates the family's one-stage serial
+// baseline instead. The returned instance is safe to re-run: every family's
 // outputs are pure functions of its inputs, and stage register files are
 // re-initialized per run.
-func benchInstance(tb testing.TB, name string) (*pipeline.Instance, *workloads.Input) {
+func benchInstance(tb testing.TB, name string, serial bool) (*pipeline.Instance, *workloads.Input) {
 	tb.Helper()
 	opt := core.DefaultOptions()
 	opt.CommOpt = true
@@ -35,12 +36,16 @@ func benchInstance(tb testing.TB, name string) (*pipeline.Instance, *workloads.I
 		if err != nil {
 			tb.Fatal(err)
 		}
-		res, err := core.Compile(prog, opt)
-		if err != nil {
-			tb.Fatal(err)
+		pl := pipeline.NewSerial(prog)
+		if !serial {
+			res, err := core.Compile(prog, opt)
+			if err != nil {
+				tb.Fatal(err)
+			}
+			pl = res.Pipeline
 		}
 		in := b.Test[len(b.Test)-1]
-		inst, err := pipeline.Instantiate(res.Pipeline, arch.DefaultConfig(1), in.Bind())
+		inst, err := pipeline.Instantiate(pl, arch.DefaultConfig(1), in.Bind())
 		if err != nil {
 			tb.Fatal(err)
 		}
@@ -50,8 +55,8 @@ func benchInstance(tb testing.TB, name string) (*pipeline.Instance, *workloads.I
 	return nil, nil
 }
 
-func benchNative(b *testing.B, family string) {
-	inst, _ := benchInstance(b, family)
+func benchNative(b *testing.B, family string, serial bool) {
+	inst, _ := benchInstance(b, family, serial)
 	b.ReportAllocs()
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
@@ -61,13 +66,18 @@ func benchNative(b *testing.B, family string) {
 	}
 }
 
-func BenchmarkNativeSpMM(b *testing.B) { benchNative(b, "SpMM") }
-func BenchmarkNativeBFS(b *testing.B)  { benchNative(b, "BFS") }
+func BenchmarkNativeSpMM(b *testing.B) { benchNative(b, "SpMM", false) }
+func BenchmarkNativeBFS(b *testing.B)  { benchNative(b, "BFS", false) }
+
+// BenchmarkNativeSerialSpMM is the evaluator's rate without the scheduler:
+// SpMM's serial baseline is one stage that never touches a queue.
+func BenchmarkNativeSerialSpMM(b *testing.B) { benchNative(b, "SpMM", true) }
 
 // TestNativeAllocRegression pins the per-run allocation ceiling. Measured:
-// 59 allocs/op for the commopt SpMM pipeline (register files, rings, task
-// frames, Validate's and QueueUse's maps — all O(stages+queues)); a
-// single-core run starts no goroutine. The ceiling is that plus 25 %; what
+// 62 allocs/op for the commopt SpMM pipeline (register files, decoded
+// programs — one per stage, which took it from 59 — rings, task frames,
+// Validate's and QueueUse's maps — all O(stages+queues)); a single-core run
+// starts no goroutine. The ceiling is 59 plus 25 %; what
 // it must catch is a per-message or per-element allocation, which would
 // blow through it by orders of magnitude on these inputs (thousands of
 // tokens per run).
@@ -78,7 +88,7 @@ func TestNativeAllocRegression(t *testing.T) {
 	if testing.Short() {
 		t.Skip("benchmark-backed test")
 	}
-	inst, in := benchInstance(t, "SpMM")
+	inst, in := benchInstance(t, "SpMM", false)
 	r := testing.Benchmark(func(b *testing.B) {
 		b.ReportAllocs()
 		for i := 0; i < b.N; i++ {

@@ -298,6 +298,15 @@ func TestNoGoroutineLeak(t *testing.T) {
 			run("mid-run-cancel", m, sim.ErrCancelled)
 			timer.Stop()
 			cancel()
+
+			// A loop of one fused pair entered at an odd count.
+			ctx, cancel = context.WithCancel(context.Background())
+			m = fusedSpin(cores, 1<<40, 1)
+			m.Ctx = ctx
+			timer = time.AfterFunc(10*time.Millisecond, cancel)
+			run("fused-spin-cancel", m, sim.ErrCancelled)
+			timer.Stop()
+			cancel()
 		}
 	}
 }

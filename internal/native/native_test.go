@@ -3,6 +3,7 @@ package native_test
 import (
 	"context"
 	"errors"
+	"fmt"
 	"strings"
 	"testing"
 	"time"
@@ -431,6 +432,99 @@ func TestInstructionCountAtFlushBoundary(t *testing.T) {
 		t.Fatal(err)
 	} else if st.Instructions != 1024+2048 {
 		t.Errorf("stages of 1024 and 2048 instructions counted as %d", st.Instructions)
+	}
+
+	// A fused compare-and-branch counts two at once, so a pair whose
+	// compare is instruction 1024 (or 2048) carries the count from 1023
+	// past the boundary without landing on it.
+	for _, n := range []int{2050, 2051, 3072} {
+		build := func() *sim.Machine {
+			m := sim.NewMachine(arch.DefaultConfig(1))
+			b := isa.NewBuilder("straddle")
+			zero := b.Const(0)
+			for _, at := range []int{1023, 2047} {
+				for b.PC() < at {
+					b.Emit(isa.Instr{Op: isa.OpNop})
+				}
+				b.BrZ(b.Op2(isa.OpICmpNE, zero, zero), fmt.Sprintf("next%d", at))
+				b.Label(fmt.Sprintf("next%d", at))
+			}
+			m.AddStage(&sim.Stage{Prog: pad(b, n), Thread: thread(0)})
+			return m
+		}
+		diffMachines(t, "straddling-pairs", build)
+		if st, err := native.Run(build(), native.Options{}); err != nil {
+			t.Fatal(err)
+		} else if st.Instructions != uint64(n) {
+			t.Errorf("%d-instruction stage with straddling fused pairs counted as %d", n, st.Instructions)
+		}
+	}
+}
+
+// fusedSpin builds one never-terminating stage per core that spins in a
+// loop of one fused compare-and-branch, two instructions a turn, entered
+// after pre padding instructions: with pre odd, the count only ever takes
+// odd values and never lands on a multiple of the flush interval.
+func fusedSpin(cores, traceCap, pre int) *sim.Machine {
+	m := sim.NewMachine(arch.DefaultConfig(cores))
+	m.MaxTraceEntries = traceCap
+	for c := 0; c < cores; c++ {
+		b := isa.NewBuilder(fmt.Sprintf("fused-spin%d", c))
+		lo, hi := b.Const(0), b.Const(1)
+		for i := 0; i < pre; i++ {
+			b.Emit(isa.Instr{Op: isa.OpNop})
+		}
+		b.Label("spin")
+		b.Br(b.Op2(isa.OpICmpLT, lo, hi), "spin")
+		b.Halt() // unreachable; the builder requires a trailing halt
+		m.AddStage(&sim.Stage{Prog: b.MustBuild(), Thread: arch.ThreadID{Core: c}})
+	}
+	return m
+}
+
+// within runs f and fails the test if it has not returned after d: a stage
+// that never polls the stop flag never returns at all.
+func within(t *testing.T, d time.Duration, name string, f func() error) error {
+	t.Helper()
+	done := make(chan error, 1)
+	go func() { done <- f() }()
+	select {
+	case err := <-done:
+		return err
+	case <-time.After(d):
+		t.Fatalf("%s: still running after %v; the stop flag is never polled", name, d)
+		return nil
+	}
+}
+
+// TestFusedSpinPollsStopFlag: a stage looping on one fused pair, entered at
+// an even and at an odd count, still flushes its count and polls the stop
+// flag, so the livelock guard and cancellation both end it.
+func TestFusedSpinPollsStopFlag(t *testing.T) {
+	for _, pre := range []int{0, 1} {
+		name := fmt.Sprintf("entered-after-%d", 2+pre)
+		err := within(t, time.Minute, name, func() error {
+			_, err := native.Run(fusedSpin(1, 200_000, pre), native.Options{})
+			return err
+		})
+		var te *sim.TraceLimitError
+		if !errors.As(err, &te) || te.Entries <= 200_000 {
+			t.Errorf("%s: got %v, want ErrTraceLimit past 200000", name, err)
+		}
+
+		ctx, cancel := context.WithCancel(context.Background())
+		m := fusedSpin(1, 1<<40, pre)
+		m.Ctx = ctx
+		timer := time.AfterFunc(10*time.Millisecond, cancel)
+		err = within(t, time.Minute, name, func() error {
+			_, err := native.Run(m, native.Options{})
+			return err
+		})
+		timer.Stop()
+		cancel()
+		if !errors.Is(err, sim.ErrCancelled) {
+			t.Errorf("%s: got %v, want ErrCancelled", name, err)
+		}
 	}
 }
 

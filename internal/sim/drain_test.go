@@ -77,3 +77,35 @@ func TestCheckDrainedCleanPipeline(t *testing.T) {
 		t.Errorf("CheckDrained on a drained pipeline: %v", err)
 	}
 }
+
+// TestLeftoverBeyondCapacity: in the functional configuration a full ring
+// doubles instead of refusing — the ring fast path declines and the engine
+// grows it — so a producer can over-send far past the queue's capacity and
+// the surplus surfaces as Leftover.
+func TestLeftoverBeyondCapacity(t *testing.T) {
+	m := NewMachine(arch.DefaultConfig(1))
+	m.Queues = append(m.Queues, arch.QueueSpec{Name: "overfed", Depth: 2})
+	{
+		b := isa.NewBuilder("prod")
+		i, n := b.Const(0), b.Const(100)
+		b.Label("loop")
+		b.Enq(0, i)
+		b.OpImmTo(i, isa.OpIAddImm, i, 1)
+		b.Br(b.Op2(isa.OpICmpLT, i, n), "loop")
+		b.Halt()
+		m.AddStage(&Stage{Prog: b.MustBuild(), Thread: arch.ThreadID{Core: 0, Thread: 0}})
+	}
+	{
+		b := isa.NewBuilder("cons")
+		b.Deq(0)
+		b.Halt()
+		m.AddStage(&Stage{Prog: b.MustBuild(), Thread: arch.ThreadID{Core: 0, Thread: 1}})
+	}
+	ts, err := m.RunFunctional()
+	if err != nil {
+		t.Fatal(err)
+	}
+	if ts.Leftover[0] != 99 {
+		t.Errorf("Leftover = %v, want [99]", ts.Leftover)
+	}
+}

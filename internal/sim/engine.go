@@ -325,6 +325,10 @@ func newEngine(m *Machine, phase string, quantum uint64) (*engine, [][]task) {
 			e.queues[d].shared = shared
 		}
 	}
+	for qi := range e.queues {
+		q := &e.queues[qi]
+		q.direct = !q.shared && (e.fan == nil || e.fan[qi] == nil) && (!e.hasSwaps || e.raIdx[qi] < 0)
+	}
 	e.cores = len(cores)
 	return e, cores
 }

@@ -233,3 +233,55 @@ func TestQueueBackpressure(t *testing.T) {
 		t.Error("a depth-2 queue must cause queue stalls")
 	}
 }
+
+// TestSwapQuiescesSameCoreRA: a stage looks index 0 up through an INDIRECT
+// RA on its own core and swaps the RA's array after every lookup. The RA's
+// input queue stays off the ring fast path, because its sent counter is
+// what the swap waits on, while the RA's output takes it; every lookup
+// must still see its own round's binding, and every token sent toward the
+// RA must be counted done.
+func TestSwapQuiescesSameCoreRA(t *testing.T) {
+	const rounds = 200
+	build := func() *Machine {
+		m := NewMachine(arch.DefaultConfig(1))
+		a := m.Space.AllocInts("a", []int64{1})
+		b := m.Space.AllocInts("b", []int64{2})
+		sa, sb := m.AddSlot("a", a), m.AddSlot("b", b)
+		so := m.AddSlot("out", m.Space.Alloc("out", mem.I64, rounds))
+		idx, val := m.AddQueue("idx"), m.AddQueue("val")
+		m.AddRA(arch.RASpec{Name: "look", Mode: arch.RAIndirect, Slot: sa, InQ: idx, OutQ: val})
+
+		s := isa.NewBuilder("swapper")
+		zero, i, n := s.Const(0), s.Const(0), s.Const(rounds)
+		s.Label("loop")
+		s.Enq(idx, zero)
+		s.Store(so, i, s.Deq(val))
+		s.SwapSlots(sa, sb)
+		s.OpImmTo(i, isa.OpIAddImm, i, 1)
+		s.Br(s.Op2(isa.OpICmpLT, i, n), "loop")
+		s.Halt()
+		m.AddStage(&Stage{Prog: s.MustBuild(), Thread: arch.ThreadID{Core: 0, Thread: 0}})
+		return m
+	}
+	m, _, err := bothEngines(t, build)
+	if err != nil {
+		t.Fatal(err)
+	}
+	for i, v := range m.Slots[2].Ints() {
+		if want := int64(1 + i%2); v != want {
+			t.Fatalf("round %d looked up %d, want %d", i, v, want)
+		}
+	}
+
+	e, cores := newEngine(build(), "native", 0)
+	if e.queues[0].direct || !e.queues[1].direct {
+		t.Errorf("direct: RA input %v (want false), RA output %v (want true)", e.queues[0].direct, e.queues[1].direct)
+	}
+	e.runCore(cores[0])
+	if e.failure != nil {
+		t.Fatal(e.failure)
+	}
+	if sent, done := e.raSent[0].Load(), e.raDone[0].Load(); sent != rounds || done != rounds {
+		t.Errorf("RA sent %d, done %d, want %d each", sent, done, rounds)
+	}
+}

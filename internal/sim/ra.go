@@ -37,6 +37,7 @@ func (r *raExec) step() (status, bool) {
 
 func (r *raExec) move() status {
 	e, spec := r.e, r.spec
+	in := &e.queues[spec.InQ]
 	for {
 		if r.scanning {
 			// No swap can intervene while a range streams (its end token is
@@ -58,7 +59,11 @@ func (r *raExec) move() status {
 			r.scanning = false
 			r.done()
 		}
-		v, ok, closed := e.take(spec.InQ, false)
+		v, ok := in.tryPeek()
+		var closed bool
+		if !ok {
+			v, ok, closed = e.take(spec.InQ, false)
+		}
 		if !ok {
 			if !closed {
 				return blocked
@@ -98,7 +103,9 @@ func (r *raExec) move() status {
 			}
 			r.hasStart, r.scanning, r.cur, r.end = false, true, start, end
 		}
-		e.take(spec.InQ, true)
+		if _, ok := in.tryPop(); !ok {
+			e.take(spec.InQ, true)
+		}
 		r.moved++
 		r.note(RAConsume, nil, 0)
 		if out != RAConsume {
@@ -133,7 +140,7 @@ func (r *raExec) trap(msg string) status {
 // bumped on delivery, before this RA's done counter, preserving the
 // quiesce invariant across RA chains.
 func (r *raExec) send(v Value) bool {
-	if r.e.enq(r.spec.OutQ, v, false) >= 0 {
+	if !r.e.queues[r.spec.OutQ].tryPush(v) && r.e.enq(r.spec.OutQ, v, false) >= 0 {
 		return false
 	}
 	r.moved++

@@ -30,6 +30,61 @@ type queue struct {
 	// outputs); a queue with none left is closed.
 	prod   int
 	shared bool
+	// direct: an enqueue is a plain put — the queue is not shared, not a
+	// fan-out source, and feeds no RA whose sent counter a swap watches.
+	direct bool
+}
+
+// The ring fast path. Stage queue ops and the RA step try these first;
+// they are small enough to inline into those loops, and engine.enq and
+// engine.take (a shared, fanned-out, RA-counted or full ring) are called
+// only when these decline. Both paths move tokens with put and get, so
+// there is one ring and one push/pop rule.
+
+// tryPush appends v if the queue is direct and has room.
+func (q *queue) tryPush(v Value) bool {
+	if !q.direct || q.n == len(q.buf) {
+		return false
+	}
+	q.put(v)
+	return true
+}
+
+// tryPop removes and returns the head token of a queue this goroutine
+// alone touches; ok is false when the queue is empty or shared.
+func (q *queue) tryPop() (v Value, ok bool) {
+	if q.shared || q.n == 0 {
+		return v, false
+	}
+	return q.get(), true
+}
+
+// tryPeek is tryPop without consuming the token.
+func (q *queue) tryPeek() (v Value, ok bool) {
+	if q.shared || q.n == 0 {
+		return v, false
+	}
+	return q.buf[q.head], true
+}
+
+// put appends v to the ring, which has room.
+func (q *queue) put(v Value) {
+	i := q.head + q.n
+	if i >= len(q.buf) {
+		i -= len(q.buf)
+	}
+	q.buf[i] = v
+	q.n++
+}
+
+// get removes and returns the head token of the ring, which is not empty.
+func (q *queue) get() Value {
+	v := q.buf[q.head]
+	if q.head++; q.head == len(q.buf) {
+		q.head = 0
+	}
+	q.n--
+	return v
 }
 
 // grown doubles the full ring q where the configuration lets rings grow,
@@ -83,12 +138,7 @@ func (e *engine) push(qi int, v Value) {
 			e.raSent[ra].Add(1)
 		}
 	}
-	i := q.head + q.n
-	if i >= len(q.buf) {
-		i -= len(q.buf)
-	}
-	q.buf[i] = v
-	q.n++
+	q.put(v)
 	if q.shared {
 		e.event()
 	}
@@ -106,15 +156,12 @@ func (e *engine) take(qi int, pop bool) (v Value, ok, closed bool) {
 	if q.n == 0 {
 		return v, false, q.prod == 0
 	}
-	v = q.buf[q.head]
-	if pop {
-		if q.head++; q.head == len(q.buf) {
-			q.head = 0
-		}
-		q.n--
-		if q.shared {
-			e.event()
-		}
+	if !pop {
+		return q.buf[q.head], true, false
+	}
+	v = q.get()
+	if q.shared {
+		e.event()
 	}
 	return v, true, false
 }

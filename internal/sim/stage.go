@@ -19,8 +19,77 @@ const (
 	wHalted
 )
 
+// instr is an isa.Instr as the evaluator runs it, in 24 bytes against 56.
+// k holds the immediate, the array slot, or the branch or handler target.
+// Queue ops keep their queue in b and SwapSlots its second slot, since
+// none of them reads a B register. op is an isa opcode or one of the
+// decoded-only opcodes below; takenOn belongs to the fused ones.
+type instr struct {
+	op        isa.Op
+	takenOn   bool
+	dst, a, b isa.Reg
+	k         int64
+}
+
+// Opcodes that exist only in decoded programs, never in an isa.Program.
+// They continue isa's numbering so the evaluator's switch stays dense.
+// opEnd is the sentinel at len(Instrs): Program.Validate rejects
+// out-of-range targets, so falling off the end is the only way out of
+// range. opEQBr..opGEBr each fuse an integer compare (in order EQ, NE, LT,
+// LE, GT, GE) with the Br or BrZ on its result that follows it.
+const (
+	opEnd = isa.OpSwapSlots + 1 + iota
+	opEQBr
+	opNEBr
+	opLTBr
+	opLEBr
+	opGTBr
+	opGEBr
+)
+
+// predecode turns p into the evaluator's form, with the opEnd sentinel
+// appended. With fuse set, every ICmp immediately followed by a Br or BrZ
+// on the compare's destination becomes one fused op at the compare's pc:
+// it writes the compare's register, counts two instructions, and goes to
+// the branch target when the compare gave takenOn (true for Br, false for
+// BrZ). The branch stays as it was at pc+1, so a jump straight to it is
+// unaffected. The traced configuration does not fuse: a trace entry, and
+// a turn boundary, belong to each instruction of the pair.
+func predecode(p *isa.Program, fuse bool) []instr {
+	code := make([]instr, len(p.Instrs)+1)
+	for pc := range p.Instrs {
+		in := &p.Instrs[pc]
+		d := instr{op: in.Op, dst: in.Dst, a: in.A, b: in.B, k: in.Imm}
+		switch in.Op {
+		case isa.OpLoad, isa.OpStore, isa.OpPrefetch:
+			d.k = int64(in.Slot)
+		case isa.OpSwapSlots:
+			d.k, d.b = int64(in.Slot), isa.Reg(in.Slot2)
+		case isa.OpEnq, isa.OpEnqCtrl, isa.OpEnqCtrlV, isa.OpDeq, isa.OpPeek:
+			d.b = isa.Reg(in.Q)
+		case isa.OpSetHandler:
+			d.k, d.b = int64(in.Target), isa.Reg(in.Q)
+		case isa.OpBr, isa.OpBrZ, isa.OpJmp:
+			d.k = int64(in.Target)
+		case isa.OpICmpEQ, isa.OpICmpNE, isa.OpICmpLT, isa.OpICmpLE, isa.OpICmpGT, isa.OpICmpGE:
+			if !fuse || pc+1 == len(p.Instrs) {
+				break
+			}
+			if br := &p.Instrs[pc+1]; br.A == in.Dst && (br.Op == isa.OpBr || br.Op == isa.OpBrZ) {
+				d.op = opEQBr + (in.Op - isa.OpICmpEQ)
+				d.k = int64(br.Target)
+				d.takenOn = br.Op == isa.OpBr
+			}
+		}
+		code[pc] = d
+	}
+	code[len(p.Instrs)].op = opEnd
+	return code
+}
+
 // stageExec is one stage as a resumable task: the interpreter's register
-// file and pc, the control-value handler table, and what it last blocked on.
+// file, decoded program and pc, the control-value handler table, and what
+// it last blocked on.
 type stageExec struct {
 	e  *engine
 	st *Stage
@@ -28,11 +97,13 @@ type stageExec struct {
 	// destinations expanded, mirroring the engine's producer census.
 	prodQ []int
 
+	code []instr
 	regs []Value
 	pc   int
-	// steps counts executed instructions; a blocked instruction is not
-	// counted until it completes, a barrier when the stage arrives at it.
-	// flushed is how many of them the engine's shared counter has seen.
+	// steps counts executed instructions (a fused pair as two); a blocked
+	// instruction is not counted until it completes, a barrier when the
+	// stage arrives at it. flushed is how many of them the engine's shared
+	// counter has seen.
 	steps, flushed uint64
 	// handler maps queue id to handler pc (-1: none); nil when the
 	// program never registers one.
@@ -53,7 +124,7 @@ type stageExec struct {
 }
 
 func newStageExec(e *engine, st *Stage, use isa.QueueUse) *stageExec {
-	x := &stageExec{e: e, st: st, regs: make([]Value, st.Prog.NumRegs)}
+	x := &stageExec{e: e, st: st, code: predecode(st.Prog, e.quantum == 0), regs: make([]Value, st.Prog.NumRegs)}
 	for _, ri := range st.Init {
 		x.regs[ri.Reg] = ri.Val
 	}
@@ -85,116 +156,135 @@ func (x *stageExec) block(state, q int) { x.state, x.waitQ = state, q }
 // configuration the predictable `if traced` tests and nothing else: the
 // loop is at the edge of the register file, so the trace and its entry in
 // the making live behind x, not in locals the untraced path would spill
-// for (measured in EXPERIMENTS.md "One execution engine").
+// for (measured in EXPERIMENTS.md "One execution engine"). Queue ops on a
+// ring this goroutine alone touches take the queue's inlined fast path and
+// call the engine only when it cannot serve them.
 func (x *stageExec) step() (st status, worked bool) {
 	e := x.e
-	instrs := x.st.Prog.Instrs
+	code := x.code
 	regs := x.regs
 	pc, steps := x.pc, x.steps
 	// The functional configuration keeps a trace and ends the turn after
-	// quantum instructions.
+	// quantum instructions; the native one flushes its count and polls the
+	// stop flag every flushEvery. Either happens when steps reaches limit.
 	traced := e.quantum != 0
-	turnEnd := steps + e.quantum
+	limit := x.flushed + flushEvery
+	if traced {
+		limit = steps + e.quantum
+	}
 	st = blocked
 
 run:
 	for {
-		if pc < 0 || pc >= len(instrs) {
-			st = x.trap(pc, "pc out of range")
-			break
-		}
-		in := &instrs[pc]
+		in := &code[pc]
 		nextPC := pc + 1
-		switch in.Op {
+		switch in.op {
+		case opEnd:
+			st = x.trap(pc, "pc out of range")
+			break run
+		// Fused pairs (untraced only): the steps+1 here counts the branch,
+		// the common increment below the compare.
+		case opEQBr:
+			nextPC, steps = cmpBr(regs, in, pc, regs[in.a].Bits == regs[in.b].Bits), steps+1
+		case opNEBr:
+			nextPC, steps = cmpBr(regs, in, pc, regs[in.a].Bits != regs[in.b].Bits), steps+1
+		case opLTBr:
+			nextPC, steps = cmpBr(regs, in, pc, regs[in.a].Bits < regs[in.b].Bits), steps+1
+		case opLEBr:
+			nextPC, steps = cmpBr(regs, in, pc, regs[in.a].Bits <= regs[in.b].Bits), steps+1
+		case opGTBr:
+			nextPC, steps = cmpBr(regs, in, pc, regs[in.a].Bits > regs[in.b].Bits), steps+1
+		case opGEBr:
+			nextPC, steps = cmpBr(regs, in, pc, regs[in.a].Bits >= regs[in.b].Bits), steps+1
 		case isa.OpNop:
 		case isa.OpConst:
-			regs[in.Dst] = IntVal(in.Imm)
+			regs[in.dst] = IntVal(in.k)
 		case isa.OpMov:
-			v := regs[in.A]
+			v := regs[in.a]
 			v.Ctrl = false
-			regs[in.Dst] = v
+			regs[in.dst] = v
 		case isa.OpIAdd:
-			regs[in.Dst] = IntVal(regs[in.A].Bits + regs[in.B].Bits)
+			regs[in.dst] = IntVal(regs[in.a].Bits + regs[in.b].Bits)
 		case isa.OpIAddImm:
-			regs[in.Dst] = IntVal(regs[in.A].Bits + in.Imm)
+			regs[in.dst] = IntVal(regs[in.a].Bits + in.k)
 		case isa.OpISub:
-			regs[in.Dst] = IntVal(regs[in.A].Bits - regs[in.B].Bits)
+			regs[in.dst] = IntVal(regs[in.a].Bits - regs[in.b].Bits)
 		case isa.OpIMul:
-			regs[in.Dst] = IntVal(regs[in.A].Bits * regs[in.B].Bits)
+			regs[in.dst] = IntVal(regs[in.a].Bits * regs[in.b].Bits)
 		case isa.OpIMulImm:
-			regs[in.Dst] = IntVal(regs[in.A].Bits * in.Imm)
+			regs[in.dst] = IntVal(regs[in.a].Bits * in.k)
 		case isa.OpIDiv:
-			d := regs[in.B].Bits
+			d := regs[in.b].Bits
 			if d == 0 {
 				st = x.trap(pc, "integer division by zero")
 				break run
 			}
-			regs[in.Dst] = IntVal(regs[in.A].Bits / d)
+			regs[in.dst] = IntVal(regs[in.a].Bits / d)
 		case isa.OpIRem:
-			d := regs[in.B].Bits
+			d := regs[in.b].Bits
 			if d == 0 {
 				st = x.trap(pc, "integer remainder by zero")
 				break run
 			}
-			regs[in.Dst] = IntVal(regs[in.A].Bits % d)
+			regs[in.dst] = IntVal(regs[in.a].Bits % d)
 		case isa.OpIAnd:
-			regs[in.Dst] = IntVal(regs[in.A].Bits & regs[in.B].Bits)
+			regs[in.dst] = IntVal(regs[in.a].Bits & regs[in.b].Bits)
 		case isa.OpIAndImm:
-			regs[in.Dst] = IntVal(regs[in.A].Bits & in.Imm)
+			regs[in.dst] = IntVal(regs[in.a].Bits & in.k)
 		case isa.OpIOr:
-			regs[in.Dst] = IntVal(regs[in.A].Bits | regs[in.B].Bits)
+			regs[in.dst] = IntVal(regs[in.a].Bits | regs[in.b].Bits)
 		case isa.OpIXor:
-			regs[in.Dst] = IntVal(regs[in.A].Bits ^ regs[in.B].Bits)
+			regs[in.dst] = IntVal(regs[in.a].Bits ^ regs[in.b].Bits)
 		case isa.OpIShl:
-			regs[in.Dst] = IntVal(regs[in.A].Bits << uint(regs[in.B].Bits&63))
+			regs[in.dst] = IntVal(regs[in.a].Bits << uint(regs[in.b].Bits&63))
 		case isa.OpIShr:
-			regs[in.Dst] = IntVal(regs[in.A].Bits >> uint(regs[in.B].Bits&63))
+			regs[in.dst] = IntVal(regs[in.a].Bits >> uint(regs[in.b].Bits&63))
 		case isa.OpIShrImm:
-			regs[in.Dst] = IntVal(regs[in.A].Bits >> uint(in.Imm&63))
+			regs[in.dst] = IntVal(regs[in.a].Bits >> uint(in.k&63))
 		case isa.OpICmpEQ:
-			regs[in.Dst] = boolVal(regs[in.A].Bits == regs[in.B].Bits)
+			regs[in.dst] = boolVal(regs[in.a].Bits == regs[in.b].Bits)
 		case isa.OpICmpNE:
-			regs[in.Dst] = boolVal(regs[in.A].Bits != regs[in.B].Bits)
+			regs[in.dst] = boolVal(regs[in.a].Bits != regs[in.b].Bits)
 		case isa.OpICmpLT:
-			regs[in.Dst] = boolVal(regs[in.A].Bits < regs[in.B].Bits)
+			regs[in.dst] = boolVal(regs[in.a].Bits < regs[in.b].Bits)
 		case isa.OpICmpLE:
-			regs[in.Dst] = boolVal(regs[in.A].Bits <= regs[in.B].Bits)
+			regs[in.dst] = boolVal(regs[in.a].Bits <= regs[in.b].Bits)
 		case isa.OpICmpGT:
-			regs[in.Dst] = boolVal(regs[in.A].Bits > regs[in.B].Bits)
+			regs[in.dst] = boolVal(regs[in.a].Bits > regs[in.b].Bits)
 		case isa.OpICmpGE:
-			regs[in.Dst] = boolVal(regs[in.A].Bits >= regs[in.B].Bits)
+			regs[in.dst] = boolVal(regs[in.a].Bits >= regs[in.b].Bits)
 		case isa.OpFAdd:
-			regs[in.Dst] = FloatVal(regs[in.A].Float() + regs[in.B].Float())
+			regs[in.dst] = FloatVal(regs[in.a].Float() + regs[in.b].Float())
 		case isa.OpFSub:
-			regs[in.Dst] = FloatVal(regs[in.A].Float() - regs[in.B].Float())
+			regs[in.dst] = FloatVal(regs[in.a].Float() - regs[in.b].Float())
 		case isa.OpFMul:
-			regs[in.Dst] = FloatVal(regs[in.A].Float() * regs[in.B].Float())
+			regs[in.dst] = FloatVal(regs[in.a].Float() * regs[in.b].Float())
 		case isa.OpFDiv:
-			regs[in.Dst] = FloatVal(regs[in.A].Float() / regs[in.B].Float())
+			regs[in.dst] = FloatVal(regs[in.a].Float() / regs[in.b].Float())
 		case isa.OpFNeg:
-			regs[in.Dst] = FloatVal(-regs[in.A].Float())
+			regs[in.dst] = FloatVal(-regs[in.a].Float())
 		case isa.OpFAbs:
-			regs[in.Dst] = FloatVal(math.Abs(regs[in.A].Float()))
+			regs[in.dst] = FloatVal(math.Abs(regs[in.a].Float()))
 		case isa.OpFCmpEQ:
-			regs[in.Dst] = boolVal(regs[in.A].Float() == regs[in.B].Float())
+			regs[in.dst] = boolVal(regs[in.a].Float() == regs[in.b].Float())
 		case isa.OpFCmpNE:
-			regs[in.Dst] = boolVal(regs[in.A].Float() != regs[in.B].Float())
+			regs[in.dst] = boolVal(regs[in.a].Float() != regs[in.b].Float())
 		case isa.OpFCmpLT:
-			regs[in.Dst] = boolVal(regs[in.A].Float() < regs[in.B].Float())
+			regs[in.dst] = boolVal(regs[in.a].Float() < regs[in.b].Float())
 		case isa.OpFCmpLE:
-			regs[in.Dst] = boolVal(regs[in.A].Float() <= regs[in.B].Float())
+			regs[in.dst] = boolVal(regs[in.a].Float() <= regs[in.b].Float())
 		case isa.OpFCmpGT:
-			regs[in.Dst] = boolVal(regs[in.A].Float() > regs[in.B].Float())
+			regs[in.dst] = boolVal(regs[in.a].Float() > regs[in.b].Float())
 		case isa.OpFCmpGE:
-			regs[in.Dst] = boolVal(regs[in.A].Float() >= regs[in.B].Float())
+			regs[in.dst] = boolVal(regs[in.a].Float() >= regs[in.b].Float())
 		case isa.OpI2F:
-			regs[in.Dst] = FloatVal(float64(regs[in.A].Bits))
+			regs[in.dst] = FloatVal(float64(regs[in.a].Bits))
 		case isa.OpF2I:
-			regs[in.Dst] = IntVal(int64(regs[in.A].Float()))
+			regs[in.dst] = IntVal(int64(regs[in.a].Float()))
 
 		case isa.OpLoad:
-			a := e.slots[in.Slot].Load()
-			idx := regs[in.A].Bits
+			a := e.slots[in.k].Load()
+			idx := regs[in.a].Bits
 			if !a.InBounds(idx) {
 				st = x.trap(pc, fmt.Sprintf("load %s[%d] out of bounds (len %d)", a.Name, idx, a.Len()))
 				break run
@@ -202,20 +292,20 @@ run:
 			if traced {
 				x.addr = a.Addr(idx)
 			}
-			regs[in.Dst] = loadValue(a, idx)
+			regs[in.dst] = loadValue(a, idx)
 		case isa.OpPrefetch:
 			// Out-of-bounds prefetches are dropped, as hardware would; the
 			// interpreter has nothing to prefetch into, so only a trace
 			// (for the timing model's caches) needs the address.
 			if traced {
-				a := e.slots[in.Slot].Load()
-				if idx := regs[in.A].Bits; a.InBounds(idx) {
+				a := e.slots[in.k].Load()
+				if idx := regs[in.a].Bits; a.InBounds(idx) {
 					x.addr = a.Addr(idx)
 				}
 			}
 		case isa.OpStore:
-			a := e.slots[in.Slot].Load()
-			idx := regs[in.A].Bits
+			a := e.slots[in.k].Load()
+			idx := regs[in.a].Bits
 			if !a.InBounds(idx) {
 				st = x.trap(pc, fmt.Sprintf("store %s[%d] out of bounds (len %d)", a.Name, idx, a.Len()))
 				break run
@@ -223,70 +313,84 @@ run:
 			if traced {
 				x.addr = a.Addr(idx)
 			}
-			storeValue(a, idx, regs[in.B])
+			storeValue(a, idx, regs[in.b])
 
 		case isa.OpEnq:
-			if full := e.enq(in.Q, regs[in.A], true); full >= 0 {
-				x.block(wEnq, full)
-				break run
+			if !e.queues[in.b].tryPush(regs[in.a]) {
+				if full := e.enq(int(in.b), regs[in.a], true); full >= 0 {
+					x.block(wEnq, full)
+					break run
+				}
 			}
 		case isa.OpEnqCtrl, isa.OpEnqCtrlV:
-			code := in.Imm
-			if in.Op == isa.OpEnqCtrlV {
-				code = regs[in.A].Bits
+			v := CtrlVal(in.k)
+			if in.op == isa.OpEnqCtrlV {
+				v.Bits = regs[in.a].Bits
 			}
-			if full := e.enq(in.Q, CtrlVal(code), false); full >= 0 {
-				x.block(wEnq, full)
-				break run
+			if !e.queues[in.b].tryPush(v) {
+				if full := e.enq(int(in.b), v, false); full >= 0 {
+					x.block(wEnq, full)
+					break run
+				}
 			}
 			x.flag(traced, FlagCtrlDeq)
 		case isa.OpDeq:
-			v, ok, _ := e.take(in.Q, true)
+			q := &e.queues[in.b]
+			v, ok := q.tryPop()
+			if !ok && q.shared {
+				v, ok, _ = e.take(int(in.b), true)
+			}
 			if !ok {
-				x.block(wDeq, in.Q)
+				x.block(wDeq, int(in.b))
 				break run
 			}
-			if v.Ctrl {
-				x.flag(traced, FlagCtrlDeq)
+			if !v.Ctrl {
+				regs[in.dst] = v
+				break
 			}
-			if x.handler != nil && x.handler[in.Q] >= 0 && v.Ctrl {
+			x.flag(traced, FlagCtrlDeq)
+			if x.handler != nil && x.handler[in.b] >= 0 {
 				x.handlerVal = v.Bits
-				nextPC = x.handler[in.Q]
+				nextPC = x.handler[in.b]
 				x.flag(traced, FlagHandlerFire)
 			} else {
-				regs[in.Dst] = v
+				regs[in.dst] = v
 			}
 		case isa.OpPeek:
-			v, ok, _ := e.take(in.Q, false)
+			q := &e.queues[in.b]
+			v, ok := q.tryPeek()
+			if !ok && q.shared {
+				v, ok, _ = e.take(int(in.b), false)
+			}
 			if !ok {
-				x.block(wDeq, in.Q)
+				x.block(wDeq, int(in.b))
 				break run
 			}
 			if v.Ctrl {
 				x.flag(traced, FlagCtrlDeq)
 			}
-			regs[in.Dst] = v
+			regs[in.dst] = v
 		case isa.OpIsCtrl:
-			regs[in.Dst] = boolVal(regs[in.A].Ctrl)
+			regs[in.dst] = boolVal(regs[in.a].Ctrl)
 		case isa.OpCtrlCode:
-			regs[in.Dst] = IntVal(regs[in.A].Bits)
+			regs[in.dst] = IntVal(regs[in.a].Bits)
 		case isa.OpSetHandler:
-			x.handler[in.Q] = in.Target
+			x.handler[in.b] = int(in.k)
 		case isa.OpHandlerVal:
-			regs[in.Dst] = IntVal(x.handlerVal)
+			regs[in.dst] = IntVal(x.handlerVal)
 
 		case isa.OpBr:
-			if regs[in.A].Bits != 0 {
-				nextPC = in.Target
+			if regs[in.a].Bits != 0 {
+				nextPC = int(in.k)
 				x.flag(traced, FlagTaken)
 			}
 		case isa.OpBrZ:
-			if regs[in.A].Bits == 0 {
-				nextPC = in.Target
+			if regs[in.a].Bits == 0 {
+				nextPC = int(in.k)
 				x.flag(traced, FlagTaken)
 			}
 		case isa.OpJmp:
-			nextPC = in.Target
+			nextPC = int(in.k)
 			x.flag(traced, FlagTaken)
 		case isa.OpHalt:
 			if traced {
@@ -330,26 +434,29 @@ run:
 			}
 			x.state = wRunning
 			e.swapWait.Add(-1)
-			a := e.slots[in.Slot].Load()
-			b := e.slots[in.Slot2].Load()
-			e.slots[in.Slot].Store(b)
-			e.slots[in.Slot2].Store(a)
+			a := e.slots[in.k].Load()
+			b := e.slots[in.b].Load()
+			e.slots[in.k].Store(b)
+			e.slots[in.b].Store(a)
 		default:
-			st = x.trap(pc, fmt.Sprintf("unimplemented op %v", in.Op))
+			st = x.trap(pc, fmt.Sprintf("unimplemented op %v", in.op))
 			break run
 		}
 		steps++
 		switch {
 		case traced:
 			x.record(pc)
-			if steps == turnEnd {
+			if steps == limit {
 				pc = nextPC
 				break run
 			}
-		case steps&(flushEvery-1) == 0:
+		case steps >= limit:
 			// Natively: flush to the shared counter and poll the stop flag.
+			// A countdown, not a mask: a fused op counts two, so steps can
+			// step over every multiple of flushEvery.
 			e.bumpInstrs(steps - x.flushed)
 			x.flushed = steps
+			limit = steps + flushEvery
 			if e.stopped.Load() {
 				st = failed
 				break run
@@ -367,6 +474,16 @@ run:
 		e.retire(x.prodQ, true)
 	}
 	return st, worked
+}
+
+// cmpBr completes the fused compare-and-branch in at pc whose compare gave
+// c: it writes the compare's register and returns the pc after the branch.
+func cmpBr(regs []Value, in *instr, pc int, c bool) int {
+	regs[in.dst] = boolVal(c)
+	if c == in.takenOn {
+		return int(in.k)
+	}
+	return pc + 2
 }
 
 // flag adds f to the flags of the executing instruction's trace entry.
