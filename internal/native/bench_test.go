@@ -19,12 +19,12 @@ import (
 )
 
 // benchInstance compiles family name at test scale (commopt on, so native
-// channels carry pass-inferred capacities) and instantiates its largest
-// test input; with serial set it instantiates the family's one-stage serial
-// baseline instead. The returned instance is safe to re-run: every family's
-// outputs are pure functions of its inputs, and stage register files are
-// re-initialized per run.
-func benchInstance(tb testing.TB, name string, serial bool) (*pipeline.Instance, *workloads.Input) {
+// channels carry pass-inferred capacities) and returns a constructor for
+// instances of its largest test input; with serial set they run the
+// family's one-stage serial baseline instead. Every run needs a new
+// instance: BFS updates its distances and swaps its fringes in place, so a
+// second run on one instance would start from the first one's output.
+func benchInstance(tb testing.TB, name string, serial bool) (fresh func() *pipeline.Instance, in *workloads.Input) {
 	tb.Helper()
 	opt := core.DefaultOptions()
 	opt.CommOpt = true
@@ -45,25 +45,38 @@ func benchInstance(tb testing.TB, name string, serial bool) (*pipeline.Instance,
 			pl = res.Pipeline
 		}
 		in := b.Test[len(b.Test)-1]
-		inst, err := pipeline.Instantiate(pl, arch.DefaultConfig(1), in.Bind())
-		if err != nil {
-			tb.Fatal(err)
-		}
-		return inst, in
+		return func() *pipeline.Instance {
+			inst, err := pipeline.Instantiate(pl, arch.DefaultConfig(1), in.Bind())
+			if err != nil {
+				tb.Fatal(err)
+			}
+			return inst
+		}, in
 	}
 	tb.Fatalf("no benchmark family %q", name)
 	return nil, nil
 }
 
-func benchNative(b *testing.B, family string, serial bool) {
-	inst, _ := benchInstance(b, family, serial)
+// benchRuns makes b.N native runs, each on a fresh instance built outside
+// the timer and the allocation count, and returns the last instance.
+func benchRuns(b *testing.B, fresh func() *pipeline.Instance) *pipeline.Instance {
 	b.ReportAllocs()
-	b.ResetTimer()
+	var inst *pipeline.Instance
 	for i := 0; i < b.N; i++ {
+		b.StopTimer()
+		inst = fresh()
+		b.StartTimer()
 		if _, err := native.Run(inst.Machine, native.Options{}); err != nil {
 			b.Fatal(err)
 		}
 	}
+	return inst
+}
+
+func benchNative(b *testing.B, family string, serial bool) {
+	fresh, _ := benchInstance(b, family, serial)
+	b.ResetTimer()
+	benchRuns(b, fresh)
 }
 
 func BenchmarkNativeSpMM(b *testing.B) { benchNative(b, "SpMM", false) }
@@ -73,14 +86,15 @@ func BenchmarkNativeBFS(b *testing.B)  { benchNative(b, "BFS", false) }
 // SpMM's serial baseline is one stage that never touches a queue.
 func BenchmarkNativeSerialSpMM(b *testing.B) { benchNative(b, "SpMM", true) }
 
-// TestNativeAllocRegression pins the per-run allocation ceiling. Measured:
-// 62 allocs/op for the commopt SpMM pipeline (register files, decoded
-// programs — one per stage, which took it from 59 — rings, task frames,
-// Validate's and QueueUse's maps — all O(stages+queues)); a single-core run
-// starts no goroutine. The ceiling is 59 plus 25 %; what
-// it must catch is a per-message or per-element allocation, which would
-// blow through it by orders of magnitude on these inputs (thousands of
-// tokens per run).
+// TestNativeAllocRegression pins the per-run allocation ceilings. Measured:
+// 61 allocs/op for the commopt SpMM pipeline and 66 for the commopt BFS
+// one (register files, decoded programs — one per stage — rings, task
+// frames, Validate's and QueueUse's maps — all O(stages+queues+RAs)); a
+// single-core run starts no goroutine. BFS is the RA path: its stages feed
+// three RAs and swap fringes. Each ceiling is the measurement plus about
+// 25 %; what it must catch is a per-message or per-element allocation,
+// which would blow through it by orders of magnitude on these inputs
+// (thousands of tokens per run).
 func TestNativeAllocRegression(t *testing.T) {
 	if raceEnabled {
 		t.Skip("race instrumentation changes allocation counts")
@@ -88,20 +102,18 @@ func TestNativeAllocRegression(t *testing.T) {
 	if testing.Short() {
 		t.Skip("benchmark-backed test")
 	}
-	inst, in := benchInstance(t, "SpMM", false)
-	r := testing.Benchmark(func(b *testing.B) {
-		b.ReportAllocs()
-		for i := 0; i < b.N; i++ {
-			if _, err := native.Run(inst.Machine, native.Options{}); err != nil {
-				b.Fatal(err)
-			}
+	for _, c := range []struct {
+		family  string
+		ceiling int64
+	}{{"SpMM", 74}, {"BFS", 83}} {
+		fresh, in := benchInstance(t, c.family, false)
+		var inst *pipeline.Instance
+		r := testing.Benchmark(func(b *testing.B) { inst = benchRuns(b, fresh) })
+		if got := r.AllocsPerOp(); got > c.ceiling {
+			t.Errorf("%s: native run allocates %d objects/op, ceiling %d — a per-message allocation has crept into the hot path", c.family, got, c.ceiling)
 		}
-	})
-	const ceiling = 74
-	if got := r.AllocsPerOp(); got > ceiling {
-		t.Errorf("native run allocates %d objects/op, ceiling %d — a per-message allocation has crept into the hot path", got, ceiling)
-	}
-	if err := in.Verify(inst); err != nil {
-		t.Errorf("benchmarked instance no longer verifies: %v", err)
+		if err := in.Verify(inst); err != nil {
+			t.Errorf("%s: benchmarked instance no longer verifies: %v", c.family, err)
+		}
 	}
 }

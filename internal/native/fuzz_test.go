@@ -13,6 +13,13 @@ package native_test
 // reaches the instruction cap (the documented capacity divergence).
 // Trap messages are compared only when a single stage exists; with
 // concurrent stages the first trap to fire is scheduling-dependent.
+// A nonzero depth shrinks the machine's default queue capacity (to
+// 1 + depth%24) so that rings fill mid-burst and RAs resume often. Below
+// the capacities the compiler sizes for, a native run may deadlock behind
+// a full ring (backpressured) where the functional run, whose rings grow,
+// succeeded or went on to trap: the same divergence, accepted at depth > 0
+// only. Every other verdict must still agree, and the RA seeds must reach
+// the verdict they were added for, never that exemption.
 //
 // Runs as a plain unit test over the seed corpus in `go test`; explore with
 //
@@ -28,6 +35,7 @@ import (
 	"phloem/internal/native"
 	"phloem/internal/pipeline"
 	"phloem/internal/sim"
+	"phloem/internal/workloads"
 )
 
 // synthBindings builds deterministic in-bounds-biased bindings for any
@@ -67,6 +75,51 @@ func synthBindings(pl *pipeline.Pipeline) pipeline.Bindings {
 	}
 	return b
 }
+
+// backpressured reports whether err is a native deadlock with a queue at
+// capacity: a block the functional configuration's growing rings never
+// have.
+func backpressured(err error) bool {
+	var de *sim.DeadlockError
+	if !errors.As(err, &de) {
+		return false
+	}
+	for _, q := range de.Snapshot.Queues {
+		if q.Cap > 0 && q.Len == q.Cap {
+			return true
+		}
+	}
+	return false
+}
+
+// relaySource is BFS's shape at the synthesized bindings' scale: every
+// index stays in bounds, so its runs get past the first level and swap.
+const relaySource = `#pragma phloem
+void relay(int* restrict nodes, int* restrict edges, int* restrict dist,
+           int* restrict cur, int* restrict next, int n) {
+  int size = n;
+  int level = 1;
+  while (level < 4) {
+    int nsize = 0;
+    for (int i = 0; i < size; i = i + 1) {
+      int v = cur[i] / 2;
+      int s = nodes[v] / 4;
+      int t = nodes[v + 1] / 4 + 8;
+      for (int e = s; e < t; e = e + 1) {
+        int u = edges[e];
+        int d = dist[u];
+        if (level < d) {
+          dist[u] = level;
+          next[nsize] = u;
+          nsize = nsize + 1;
+        }
+      }
+    }
+    swap(cur, next);
+    size = nsize;
+    level = level + 1;
+  }
+}`
 
 func FuzzNativeDiff(f *testing.F) {
 	seeds := []string{
@@ -112,10 +165,28 @@ void div(int* restrict a, int* restrict b, int n) {
 }`,
 	}
 	for _, s := range seeds {
-		f.Add(s)
+		f.Add(s, uint8(0))
 	}
-	cfg := arch.DefaultConfig(1)
-	f.Fuzz(func(t *testing.T, src string) {
+	// RAs (SCAN, INDIRECT, chained) behind a double-buffered fringe whose
+	// swap must wait for them, at the default capacity and at tiny ones.
+	// relay runs to completion and must match; BFS on the synthesized
+	// bindings traps on an out-of-bounds index in an INDIRECT RA mid-run.
+	type seed struct {
+		src   string
+		depth uint8
+	}
+	want := map[seed]string{}
+	for _, s := range []struct{ src, verdict string }{{relaySource, "match"}, {workloads.BFSSource, "trap"}} {
+		for _, depth := range []uint8{0, 1, 2, 3} {
+			f.Add(s.src, depth)
+			want[seed{s.src, depth}] = s.verdict
+		}
+	}
+	f.Fuzz(func(t *testing.T, src string, depth uint8) {
+		cfg := arch.DefaultConfig(1)
+		if depth > 0 {
+			cfg.QueueDepth = 1 + int(depth)%cfg.QueueDepth
+		}
 		for _, commOpt := range []bool{false, true} {
 			opt := core.DefaultOptions()
 			opt.CommOpt = commOpt
@@ -141,8 +212,12 @@ void div(int* restrict a, int* restrict b, int n) {
 			natInst.Machine.MaxTraceEntries = 1 << 20
 			st, natErr := native.Run(natInst.Machine, native.Options{})
 
+			var verdict string
 			switch {
+			case depth > 0 && (simErr == nil || errors.Is(simErr, sim.ErrTrap)) && backpressured(natErr):
+				verdict = "backpressured"
 			case simErr == nil:
+				verdict = "match"
 				if natErr != nil {
 					t.Fatalf("functional succeeded, native failed: %v\nsource:\n%s", natErr, src)
 				}
@@ -155,6 +230,7 @@ void div(int* restrict a, int* restrict b, int n) {
 					t.Fatalf("memory diverged\nsource:\n%s", src)
 				}
 			case errors.Is(simErr, sim.ErrTrap):
+				verdict = "trap"
 				if !errors.Is(natErr, sim.ErrTrap) {
 					t.Fatalf("functional trapped (%v), native: %v\nsource:\n%s", simErr, natErr, src)
 				}
@@ -163,15 +239,21 @@ void div(int* restrict a, int* restrict b, int n) {
 						simErr, natErr, src)
 				}
 			case errors.Is(simErr, sim.ErrDeadlock):
+				verdict = "deadlock"
 				if !errors.Is(natErr, sim.ErrDeadlock) {
 					t.Fatalf("functional deadlocked (%v), native: %v\nsource:\n%s", simErr, natErr, src)
 				}
 			case errors.Is(simErr, sim.ErrTraceLimit):
+				verdict = "limit"
 				if !errors.Is(natErr, sim.ErrTraceLimit) && !errors.Is(natErr, sim.ErrDeadlock) {
 					t.Fatalf("functional hit trace limit, native: %v\nsource:\n%s", natErr, src)
 				}
 			default:
 				t.Fatalf("unexpected functional error class: %v\nsource:\n%s", simErr, src)
+			}
+			if w, ok := want[seed{src, depth}]; ok && verdict != w {
+				t.Fatalf("seed at depth %d (commOpt %v) reached %q, want %q\nfunctional: %v\nnative: %v\nsource:\n%s",
+					depth, commOpt, verdict, w, simErr, natErr, src)
 			}
 		}
 	})

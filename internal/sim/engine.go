@@ -6,6 +6,7 @@ import (
 	"sync/atomic"
 	"time"
 
+	"phloem/internal/arch"
 	"phloem/internal/mem"
 )
 
@@ -52,10 +53,6 @@ type engine struct {
 	// fan maps a queue id to the fan-out destinations every data enqueue
 	// into it is duplicated to (nil for ordinary queues).
 	fan [][]int
-	// raIdx maps a queue id to the RA consuming it (-1 if none); producers
-	// bump that RA's sent counter on delivery so OpSwapSlots can quiesce
-	// in-flight accelerator work.
-	raIdx []int
 
 	stages []*stageExec
 	// ras is the RAs as the functional scheduler steps them (nil once
@@ -63,10 +60,16 @@ type engine struct {
 	ras     []task
 	raTrace [][]RAEvent
 
-	// hasSwaps gates the RA quiesce counters: pipelines without
-	// OpSwapSlots never pay for them. swapWait counts stages blocked in
-	// OpSwapSlots, so an RA on another core knows to announce its progress.
-	hasSwaps bool
+	// counted gates the RA quiesce counters. OpSwapSlots waits until no RA
+	// holds a token; where every RA runs on the swapper's goroutine (the
+	// functional configuration, a native machine on one core) rasQuiet
+	// reads that off the rings, so only a multi-core native machine with
+	// swaps pays for counters: raIdx maps a queue id to the RA consuming it
+	// (-1 if none), whose sent counter producers bump on delivery. swapWait
+	// counts stages blocked in OpSwapSlots, so an RA on another core knows
+	// to announce its progress.
+	counted  bool
+	raIdx    []int
 	raSent   []atomic.Uint64
 	raDone   []atomic.Uint64
 	swapWait atomic.Int32
@@ -239,15 +242,6 @@ func newEngine(m *Machine, phase string, quantum uint64) (*engine, [][]task) {
 			e.fan[f.Src] = f.Dst
 		}
 	}
-	e.raIdx = make([]int, len(m.Queues))
-	for q := range e.raIdx {
-		e.raIdx[q] = -1
-	}
-	for i := range m.RAs {
-		e.raIdx[m.RAs[i].InQ] = i
-	}
-	e.raSent = make([]atomic.Uint64, len(m.RAs))
-	e.raDone = make([]atomic.Uint64, len(m.RAs))
 	if quantum != 0 && len(m.RAs) > 0 {
 		e.raTrace = make([][]RAEvent, len(m.RAs))
 	}
@@ -282,11 +276,10 @@ func newEngine(m *Machine, phase string, quantum uint64) (*engine, [][]task) {
 	// statically known: a stage enqueue, its fan-out duplication, or an RA
 	// output. Each producer retires on clean exit; a queue with none left
 	// is closed, which is how an RA learns its input can never be fed again.
+	hasSwaps := false
 	for _, st := range m.Stages {
 		u := st.Prog.QueueUse()
-		if u.HasSwap {
-			e.hasSwaps = true
-		}
+		hasSwaps = hasSwaps || u.HasSwap
 		x := newStageExec(e, st, u)
 		for _, q := range u.Produces {
 			x.prodQ = append(x.prodQ, q)
@@ -325,11 +318,30 @@ func newEngine(m *Machine, phase string, quantum uint64) (*engine, [][]task) {
 			e.queues[d].shared = shared
 		}
 	}
+	e.cores = len(cores)
+	if e.counted = hasSwaps && quantum == 0 && e.cores > 1; e.counted {
+		e.raIdx = make([]int, len(m.Queues))
+		for q := range e.raIdx {
+			e.raIdx[q] = -1
+		}
+		for i := range m.RAs {
+			e.raIdx[m.RAs[i].InQ] = i
+		}
+		e.raSent = make([]atomic.Uint64, len(m.RAs))
+		e.raDone = make([]atomic.Uint64, len(m.RAs))
+	}
 	for qi := range e.queues {
 		q := &e.queues[qi]
-		q.direct = !q.shared && (e.fan == nil || e.fan[qi] == nil) && (!e.hasSwaps || e.raIdx[qi] < 0)
+		q.direct = !q.shared && (e.fan == nil || e.fan[qi] == nil) && (!e.counted || e.raIdx[qi] < 0)
 	}
-	e.cores = len(cores)
+	// Bursts (ra.go) are untraced and fill a direct ring. An INDIRECT run
+	// also reads an unshared input under one slot read, which is sound only
+	// where no swap can land between its tokens: no counters.
+	for _, t := range e.ras {
+		r := t.(*raExec)
+		r.burstScan = quantum == 0 && e.queues[r.spec.OutQ].direct
+		r.burstIndirect = r.burstScan && r.spec.Mode == arch.RAIndirect && !e.counted && !e.queues[r.spec.InQ].shared
+	}
 	return e, cores
 }
 
@@ -423,14 +435,33 @@ func (e *engine) bumpInstrs(n uint64) {
 }
 
 // rasQuiet reports whether every RA has fully processed every token sent
-// toward it (sent counters are bumped on delivery, done counters after
-// processing, and an RA feeding another RA bumps the downstream sent
-// before its own done — so while any token is in flight at least one pair
-// disagrees). OpSwapSlots waits for it so in-flight accelerator work
-// observes pre-swap bindings.
+// toward it. OpSwapSlots waits for it so in-flight accelerator work
+// observes pre-swap bindings. An RA holds a token while one sits in its
+// input ring or while a SCAN range streams (its end token stays unfinished
+// until the range is out), so on the swapper's own goroutine the rings and
+// scanning flags say it directly (an RA the functional scheduler dropped
+// has halted: its input is closed and drained). Counted (an RA may run on
+// another core while the swapper looks), sent counters are bumped on
+// delivery, done counters after processing, and an RA feeding another RA
+// bumps the downstream sent before its own done — so while any token is in
+// flight at least one pair disagrees. Out of line: the swap is rare, and
+// its loops inlined would crowd the evaluator loop's registers.
+//
+//go:noinline
 func (e *engine) rasQuiet() bool {
-	for i := range e.raSent {
-		if e.raSent[i].Load() != e.raDone[i].Load() {
+	if e.counted {
+		for i := range e.raSent {
+			if e.raSent[i].Load() != e.raDone[i].Load() {
+				return false
+			}
+		}
+		return true
+	}
+	for _, t := range e.ras {
+		if t == nil {
+			continue
+		}
+		if r := t.(*raExec); e.queues[r.spec.InQ].n != 0 || r.scanning {
 			return false
 		}
 	}

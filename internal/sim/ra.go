@@ -14,6 +14,14 @@ import (
 // optional EmitNext group markers, control pass-through, and the trap
 // conditions. An input token is consumed only once its first output has
 // been delivered, so a blocked step loses nothing.
+//
+// Where the configuration allows it (burstScan, burstIndirect: set by
+// newEngine), the common case moves in bursts first: the rest of an open
+// SCAN range, or a run of data indices, straight into the output ring as
+// far as it has room. A burst makes no decision the per-token path would
+// make differently; whatever it declines — a control value, an
+// out-of-bounds index, a full ring — is left to that path, which stays the
+// one definition of trap text, control pass-through and EmitNext.
 type raExec struct {
 	e    *engine
 	idx  int
@@ -27,6 +35,8 @@ type raExec struct {
 	cur, end int64
 	// moved counts tokens consumed and delivered.
 	moved uint64
+
+	burstScan, burstIndirect bool
 }
 
 func (r *raExec) step() (status, bool) {
@@ -37,13 +47,16 @@ func (r *raExec) step() (status, bool) {
 
 func (r *raExec) move() status {
 	e, spec := r.e, r.spec
-	in := &e.queues[spec.InQ]
+	in, out := &e.queues[spec.InQ], &e.queues[spec.OutQ]
 	for {
 		if r.scanning {
-			// No swap can intervene while a range streams (its end token is
-			// sent but not done), so this is the array the range was checked
-			// against.
+			// No swap can intervene while a range streams (the RA is not
+			// quiet until its end token is finished), so this is the array
+			// the range was checked against.
 			arr := e.slots[spec.Slot].Load()
+			if r.burstScan {
+				r.scanBurst(arr, out)
+			}
 			for ; r.cur < r.end; r.cur++ {
 				if !r.send(loadValue(arr, r.cur)) {
 					return blocked
@@ -58,6 +71,9 @@ func (r *raExec) move() status {
 			}
 			r.scanning = false
 			r.done()
+		}
+		if r.burstIndirect {
+			r.indirectBurst(in, out)
 		}
 		v, ok := in.tryPeek()
 		var closed bool
@@ -75,8 +91,8 @@ func (r *raExec) move() status {
 		// The binding is read per token, after the token is seen: a stage on
 		// another core may have swapped slots since the previous one was done.
 		arr := e.slots[spec.Slot].Load()
-		// out is the delivery this token causes at once (RAConsume: none).
-		out := RAConsume
+		// kind is the delivery this token causes at once (RAConsume: none).
+		kind := RAConsume
 		switch {
 		case v.Ctrl:
 			if r.hasStart {
@@ -85,7 +101,7 @@ func (r *raExec) move() status {
 			if !r.send(v) {
 				return blocked
 			}
-			out = RAPass
+			kind = RAPass
 		case spec.Mode == arch.RAIndirect:
 			if !arr.InBounds(v.Bits) {
 				return r.trap(fmt.Sprintf("index %d out of bounds for %s (len %d)", v.Bits, arr.Name, arr.Len()))
@@ -93,7 +109,7 @@ func (r *raExec) move() status {
 			if !r.send(loadValue(arr, v.Bits)) {
 				return blocked
 			}
-			out = RALoad
+			kind = RALoad
 		case !r.hasStart:
 			r.pendStart, r.hasStart = v, true
 		default:
@@ -108,12 +124,39 @@ func (r *raExec) move() status {
 		}
 		r.moved++
 		r.note(RAConsume, nil, 0)
-		if out != RAConsume {
-			r.note(out, arr, v.Bits)
+		if kind != RAConsume {
+			r.note(kind, arr, v.Bits)
 		}
 		if !r.scanning {
 			r.done()
 		}
+	}
+}
+
+// scanBurst streams as much of the open SCAN range as out has room for.
+// The range was bounds-checked against arr when it opened.
+func (r *raExec) scanBurst(arr *mem.Array, out *queue) {
+	k := min(r.end-r.cur, int64(len(out.buf)-out.n))
+	for stop := r.cur + k; r.cur < stop; r.cur++ {
+		out.put(loadValue(arr, r.cur))
+	}
+	r.moved += uint64(k)
+}
+
+// indirectBurst moves the run of in-bounds data indices at the head of in
+// into out, as far as out has room, under one slot read: swaps are not
+// counted, so any swapper runs on this goroutine and none can land between
+// the run's tokens.
+func (r *raExec) indirectBurst(in, out *queue) {
+	arr := r.e.slots[r.spec.Slot].Load()
+	for k := min(in.n, len(out.buf)-out.n); k > 0; k-- {
+		v := in.buf[in.head]
+		if v.Ctrl || !arr.InBounds(v.Bits) {
+			return
+		}
+		in.get()
+		out.put(loadValue(arr, v.Bits))
+		r.moved += 2
 	}
 }
 
@@ -148,10 +191,10 @@ func (r *raExec) send(v Value) bool {
 }
 
 // done marks one input token fully processed, and tells a stage on another
-// core that waits in OpSwapSlots to look again.
+// core that waits in OpSwapSlots to look again (counted swaps only).
 func (r *raExec) done() {
 	e := r.e
-	if !e.hasSwaps {
+	if !e.counted {
 		return
 	}
 	e.raDone[r.idx].Add(1)

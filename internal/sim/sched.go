@@ -129,11 +129,11 @@ func (e *engine) enq(qi int, v Value, data bool) int {
 }
 
 // push appends v to queue qi, which has room. When the queue feeds an RA
-// and the machine swaps slots, the RA's sent counter is bumped so
-// quiescence covers tokens still queued.
+// and swaps are counted, the RA's sent counter is bumped so quiescence
+// covers tokens still queued.
 func (e *engine) push(qi int, v Value) {
 	q := &e.queues[qi]
-	if e.hasSwaps {
+	if e.counted {
 		if ra := e.raIdx[qi]; ra >= 0 {
 			e.raSent[ra].Add(1)
 		}

@@ -416,9 +416,10 @@ run:
 		case isa.OpSwapSlots:
 			// Quiesce RAs first so in-flight accelerator work observes the
 			// pre-swap bindings (hardware would quiesce the RA). Announcing
-			// the wait before looking means an RA that finishes later sees
-			// it and wakes this core; the functional configuration's RAs
-			// run on this goroutine, so it drains them here instead.
+			// the wait before looking means an RA on another core that
+			// finishes later sees it and wakes this core; the functional
+			// configuration's RAs run on this goroutine, so it drains them
+			// here instead.
 			if x.state != wSwap {
 				x.state = wSwap
 				e.swapWait.Add(1)
