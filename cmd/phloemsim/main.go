@@ -244,9 +244,7 @@ func run() int {
 	if backend == core.BackendSim && (*seriesOut != "" || *profile || *chromeOut != "" || *commOpt) {
 		col = telemetry.NewCollector()
 		// Stamp the run's identity into the trace header so a sim-level
-		// trace can be matched to the bench/input (and, under the
-		// autotuner's CandidateProbe, to a candidate span in a search
-		// trace) that produced it.
+		// trace can be matched to the bench and input that produced it.
 		col.SetMeta("bench", bench.Name)
 		col.SetMeta("input", in.Name)
 	}

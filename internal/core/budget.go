@@ -5,7 +5,6 @@ import (
 	"errors"
 	"fmt"
 	"math"
-	"time"
 
 	"phloem/internal/pipeline"
 	"phloem/internal/sim"
@@ -33,22 +32,14 @@ type Budget struct {
 	// default).
 	Trace int
 	// Probe, when non-nil, is installed on the candidate's machine so the
-	// measurement is observed (e.g. by a telemetry.Collector). Probes never
-	// change timing results.
+	// measurement is observed (e.g. by a telemetry.Collector, sampling every
+	// Machine.Cfg.TelemetryInterval cycles). Probes never change timing
+	// results.
 	Probe sim.Probe
-	// TelemetryInterval sets the probe's sampling period in cycles
-	// (0 = end-of-run sample only).
-	TelemetryInterval uint64
 	// Ctx, when non-nil, cancels the measurement cooperatively: the
 	// simulator polls it at amortized intervals and aborts with
 	// sim.ErrCancelled. A background context changes nothing.
 	Ctx context.Context
-	// Wall bounds the measurement in wall-clock time (0 = unlimited) — the
-	// wall complement of Cycles. Each Apply re-anchors the deadline at
-	// time.Now()+Wall, so the allowance is per applied machine (one
-	// training input in the autotune loop), aborting with
-	// sim.ErrWallBudget.
-	Wall time.Duration
 }
 
 // Apply configures a machine with the budget.
@@ -61,13 +52,9 @@ func (b Budget) Apply(m *sim.Machine) {
 	}
 	if b.Probe != nil {
 		m.Probe = b.Probe
-		m.Cfg.TelemetryInterval = b.TelemetryInterval
 	}
 	if b.Ctx != nil {
 		m.Ctx = b.Ctx
-	}
-	if b.Wall > 0 {
-		m.WallDeadline = time.Now().Add(b.Wall)
 	}
 }
 

@@ -19,7 +19,6 @@ import (
 	"phloem/internal/lower"
 	"phloem/internal/passes"
 	"phloem/internal/pipeline"
-	"phloem/internal/sim"
 	"phloem/internal/source"
 	"phloem/internal/verify"
 )
@@ -78,8 +77,6 @@ type Options struct {
 	// candidate; Exhaustive overrides TopK (the escape hatch really does
 	// measure everything).
 	TopK int
-	// Trace receives search progress lines (optional).
-	Trace func(format string, args ...any)
 	// CommOpt enables the static queue-communication optimization pass
 	// (internal/commopt) on every built pipeline, including each autotune
 	// candidate: inferred per-queue capacities are applied (never touching
@@ -109,18 +106,6 @@ type Options struct {
 	// safe for concurrent use when Parallelism > 1 and must not block.
 	// internal/obs provides the standard collector/progress observers.
 	Observer Observer
-	// CandidateProbe, when set, supplies a telemetry probe (typically a
-	// fresh telemetry.Collector) for each unique autotune/Search candidate,
-	// identified by phase index and point subset (the static pipeline is
-	// phase -1 with a nil subset). The factory is called once per unique
-	// candidate at enumeration time, on one goroutine, in enumeration order
-	// — deduplicated candidates, bound-exact re-measurements, and
-	// journal-replayed candidates are not probed. The probe samples every
-	// Machine.TelemetryInterval cycles and observes every training input of
-	// that candidate; it never changes measured cycles, but the probe
-	// itself must tolerate being driven from a worker goroutine when
-	// Parallelism > 1.
-	CandidateProbe func(phase int, subset []int) sim.Probe
 	// Ctx, when non-nil, cancels compilation and the autotune search
 	// cooperatively: the simulator polls it at amortized intervals, and in
 	// Autotune mode a cancelled search returns a structured partial Result
@@ -146,19 +131,12 @@ type Options struct {
 	// degrades gracefully to re-measurement; without Resume an existing
 	// journal is truncated and rewritten.
 	Resume bool
-	// Backend selects the execution engine Execute uses when a caller
-	// runs the compiled pipeline through core: the cycle-accurate
-	// simulator (default) or the native Go-concurrency backend (wall
-	// time and functional results only; see internal/native). Compile
-	// itself never consults it — autotune measurement always needs the
-	// timing model — so compiled output is identical for every value.
-	Backend Backend
 
 	// obsw is the resolved Observer emission state (nil = disabled),
 	// threaded on the Options copy so build/verify sites deep in the flow
 	// can emit spans; obsC is the candidate identity those sites attribute
-	// their spans to. Both are set internally by Compile/Search/the search
-	// engine, never by callers.
+	// their spans to. Both are set by resolve and the search engine, never
+	// by callers.
 	obsw *obsWriter
 	obsC obsCand
 }
@@ -179,31 +157,55 @@ func (o *Options) obsEvent(kind EventKind) SearchEvent {
 		Subset: o.obsC.subset, FP: o.obsC.fp, Worker: o.obsC.worker}
 }
 
-// searchContext resolves Ctx and Deadline into the effective context for
-// one compilation. It returns nil (plus a no-op cancel) when neither is
-// set, so the default path skips context plumbing entirely.
-func (o *Options) searchContext() (context.Context, context.CancelFunc) {
-	if o.Ctx == nil && o.Deadline <= 0 {
-		return nil, func() {}
+// resolve prepares an Options copy for one Compile or Search call: it fills
+// the defaults, layers Deadline over Ctx so everything below sees one
+// effective context on Ctx (nil when neither is set, so the default path
+// skips context plumbing entirely), and anchors the Observer clock. The
+// returned cancel releases that context; the error is the context's when it
+// is already done.
+func (o *Options) resolve() (context.CancelFunc, error) {
+	if o.MaxThreads <= 0 {
+		o.MaxThreads = 4
 	}
-	ctx := o.Ctx
-	if ctx == nil {
-		ctx = context.Background()
+	if o.Machine.Cores == 0 {
+		o.Machine = arch.DefaultConfig(1)
 	}
+	if !o.EnableAblation {
+		o.Passes = passes.Default()
+	}
+	if o.MaxCandidates <= 0 {
+		o.MaxCandidates = 5
+	}
+	cancel := context.CancelFunc(func() {})
 	if o.Deadline > 0 {
-		return context.WithTimeout(ctx, o.Deadline)
+		if o.Ctx == nil {
+			o.Ctx = context.Background()
+		}
+		o.Ctx, cancel = context.WithTimeout(o.Ctx, o.Deadline)
+		o.Deadline = 0
 	}
-	return ctx, func() {}
+	if o.Ctx != nil {
+		if err := o.Ctx.Err(); err != nil {
+			return cancel, err
+		}
+	}
+	// The obsWriter rides every Options copy so build/verify/measure sites
+	// emit against one shared clock anchor.
+	o.obsw = newObsWriter(o.Observer)
+	o.obsC = obsCand{seq: -1, phase: -1}
+	return cancel, nil
 }
 
-// probed attaches the per-candidate telemetry probe (if configured) to a
-// copy of the measurement budget.
-func (o *Options) probed(b Budget, phase int, subset []int) Budget {
-	if o.CandidateProbe != nil {
-		b.Probe = o.CandidateProbe(phase, subset)
-		b.TelemetryInterval = o.Machine.TelemetryInterval
+// candidates ranks every program phase's decoupling points with the static
+// cost model (Sec. V).
+func candidates(p *ir.Prog) ([]*analysis.Phase, [][]*analysis.Candidate) {
+	an := analysis.New(p)
+	phases := analysis.ProgramPhases(p.Body)
+	cands := make([][]*analysis.Candidate, len(phases))
+	for i, ph := range phases {
+		cands[i] = an.Candidates(ph)
 	}
-	return b
+	return phases, cands
 }
 
 // DefaultOptions returns an all-passes static compilation for the Table III
@@ -324,44 +326,16 @@ func Compile(p *ir.Prog, opt Options) (res *Result, err error) {
 			res, err = nil, fmt.Errorf("core: compile panicked: %v", r)
 		}
 	}()
-	if opt.MaxThreads <= 0 {
-		opt.MaxThreads = 4
-	}
-	if opt.Machine.Cores == 0 {
-		opt.Machine = arch.DefaultConfig(1)
-	}
-	if !opt.EnableAblation {
-		opt.Passes = passes.Default()
-	}
-	if opt.MaxCandidates <= 0 {
-		opt.MaxCandidates = 5
-	}
-	// Resolve Ctx/Deadline once; everything below sees the effective
-	// context on opt.Ctx (nil when neither is configured).
-	ctx, cancel := opt.searchContext()
+	cancel, err := opt.resolve()
 	defer cancel()
-	if ctx != nil {
-		opt.Ctx, opt.Deadline = ctx, 0
-		if err := ctx.Err(); err != nil {
-			return nil, fmt.Errorf("core: compile cancelled: %w", err)
-		}
+	if err != nil {
+		return nil, fmt.Errorf("core: compile cancelled: %w", err)
 	}
-	// Resolve the Observer once; the obsWriter rides every Options copy so
-	// build/verify/measure sites emit against one shared clock anchor.
-	opt.obsw = newObsWriter(opt.Observer)
-	opt.obsC = obsCand{seq: -1, phase: -1}
-
-	an := analysis.New(p)
-	phases := analysis.ProgramPhases(p.Body)
-	cands := make([][]*analysis.Candidate, len(phases))
-	for i, ph := range phases {
-		cands[i] = an.Candidates(ph)
-	}
-
+	phases, cands := candidates(p)
 	if opt.Mode == Autotune && len(opt.Training) > 0 {
 		return autotune(p, phases, cands, opt)
 	}
-	return buildStatic(p, cands, opt)
+	return buildStatic(p, phases, cands, opt)
 }
 
 func buildCfg(opt Options) passes.BuildConfig {
@@ -399,18 +373,9 @@ func staticCut(cs []*analysis.Candidate, maxThreads int) []*analysis.Candidate {
 
 // buildStatic picks the (N-1) highest-ranked points per phase; phases with
 // `#pragma decouple` marks use the programmer's points instead (Table II).
-func buildStatic(p *ir.Prog, cands [][]*analysis.Candidate, opt Options) (*Result, error) {
+func buildStatic(p *ir.Prog, phases []*analysis.Phase, cands [][]*analysis.Candidate, opt Options) (*Result, error) {
 	opt.obsw.instant(SearchEvent{Kind: EvSearchStart, Seq: -1, Phase: -1, Mode: "static"})
-	an := analysis.New(p)
-	phases := analysis.ProgramPhases(p.Body)
-	points := make([][]*analysis.Candidate, len(cands))
-	for i, cs := range cands {
-		if forced := an.ForcedPoints(phases[i]); len(forced) > 0 {
-			points[i] = forced
-			continue
-		}
-		points[i] = staticCut(cs, opt.MaxThreads)
-	}
+	points := staticFullPoints(p, phases, cands, opt.MaxThreads)
 	t0 := opt.obsw.now()
 	pipe, err := passes.Build(p, points, opt.Passes, buildCfg(opt))
 	if err != nil {
@@ -461,9 +426,9 @@ func finishPipeline(pipe *pipeline.Pipeline, opt Options) error {
 // case); multi-phase programs tune each phase greedily against the others'
 // static choices to keep the search tractable.
 //
-// The enumeration is handed to the search engine in search.go, which
-// deduplicates coinciding configurations (the static pipeline is candidate
-// zero, so an enumerated subset equal to the static cut is never re-measured),
+// The search driver in search.go, shared with Search, deduplicates
+// coinciding configurations (the static pipeline is candidate zero, so an
+// enumerated subset equal to the static cut is never re-measured),
 // measures candidates on Options.Parallelism workers, and tightens the cycle
 // budget to the best total seen so far — slower candidates abort with
 // SkipBudget since they cannot win (disable with Options.Exhaustive).
@@ -473,55 +438,16 @@ func finishPipeline(pipe *pipeline.Pipeline, opt Options) error {
 // every candidate build+measure runs under panic recovery, and each dropped
 // candidate is recorded on Result.Skips with a structured reason.
 func autotune(p *ir.Prog, phases []*analysis.Phase, cands [][]*analysis.Candidate, opt Options) (*Result, error) {
-	trace := opt.Trace
-	if trace == nil {
-		trace = func(string, ...any) {}
-	}
-	opt.obsw.instant(SearchEvent{Kind: EvSearchStart, Seq: -1, Phase: -1, Mode: "autotune"})
-	jr, err := openJournal(p, opt, "autotune", trace)
+	r, err := search(p, phases, cands, opt, "autotune")
 	if err != nil {
 		return nil, err
 	}
-	defer jr.close()
-	serial := pipeline.NewSerial(p)
-	serialCycles, replayedSerial := jr.serialCycles()
-	if !replayedSerial {
-		t0 := opt.obsw.now()
-		serialCycles, err = measure(serial, opt, Budget{Ctx: opt.Ctx})
-		if err != nil {
-			// The serial program itself fails (or the search was cancelled
-			// before the baseline finished): nothing to tune against.
-			return nil, fmt.Errorf("core: serial baseline failed training: %w", err)
-		}
-		jr.recordSerial(serialCycles)
-		opt.obsw.span(SearchEvent{Kind: EvSerial, Seq: -1, Phase: -1, Cycles: serialCycles}, t0)
-	} else {
-		opt.obsw.instant(SearchEvent{Kind: EvSerial, Seq: -1, Phase: -1,
-			Cycles: serialCycles, Replayed: true})
-	}
-	budget := candidateBudget(serialCycles, opt.BudgetFactor)
-	// The trace deliberately omits the parallelism level: search traces are
-	// byte-identical for every Options.Parallelism value.
-	trace("autotune: serial baseline %d train cycles (candidate budget %d cycles)",
-		serialCycles, budget.Cycles)
-
-	tasks := newTaskList(opt, budget)
-	tasks.add(-1, nil, staticFullPoints(p, phases, cands, opt.MaxThreads))
-	tasks.enumerate(phases, cands, staticEnumPoints(cands, opt.MaxThreads),
-		opt.MaxCandidates, opt.MaxThreads)
-	emitEnumerated(opt, tasks.tasks)
-	pruned, rankMS := rankAndPrune(p, opt, tasks.tasks)
-	if pruned > 0 {
-		trace("autotune: rank phase pruned %d of %d unique candidates (top-%d survive)",
-			pruned, len(tasks.seen), opt.TopK)
-	}
-
-	res := &Result{Pipeline: serial, Prog: p, Searched: 1, TrainCycles: serialCycles,
-		ReplicateRequested: p.Replicate, Enumerated: len(tasks.tasks),
-		Pruned: pruned, RankMillis: rankMS}
-	s := newSearcher(p, opt, budget, serialCycles)
-	s.ctx, s.journal = opt.Ctx, jr
-	s.run(tasks.tasks, func(t *candTask, f *candFinal) {
+	res := &Result{Pipeline: pipeline.NewSerial(p), Prog: p, Searched: 1, TrainCycles: r.serial,
+		ReplicateRequested: p.Replicate, Enumerated: len(r.tasks),
+		Pruned: r.pruned, RankMillis: r.rankMS, Replayed: r.replayed,
+		Cancelled: r.cancelled != nil, CancelCause: r.cancelled}
+	for i, t := range r.tasks {
+		f := r.finals[i]
 		if !f.dup {
 			pt := SearchPoint{TotalStages: f.stages, Cycles: f.cycles,
 				Subset: t.subset, Skip: f.skip, PredictedRank: t.predRank}
@@ -536,8 +462,6 @@ func autotune(p *ir.Prog, phases []*analysis.Phase, cands [][]*analysis.Candidat
 			if f.skip != nil {
 				res.Skips = append(res.Skips, *f.skip)
 			}
-			trace("autotune: pipeline %s deduplicated (same configuration as an earlier candidate)",
-				subsetDesc(t))
 		case f.skip != nil:
 			if f.pipe != nil && f.skip.Reason != SkipPruned {
 				// Built cleanly and entered measurement before failing.
@@ -546,25 +470,13 @@ func autotune(p *ir.Prog, phases []*analysis.Phase, cands [][]*analysis.Candidat
 				res.Searched++
 			}
 			res.Skips = append(res.Skips, *f.skip)
-			trace("autotune: pipeline %s skipped (%s): %v", subsetDesc(t), f.skip.Reason, f.skip.Err)
 		default:
 			res.Searched++
-			trace("autotune: pipeline %s: %d stages (+%d RAs) -> %d cycles",
-				subsetDesc(t), f.pipe.NumStages(), len(f.pipe.RAs), f.cycles)
 			if f.cycles < res.TrainCycles {
 				res.TrainCycles, res.Pipeline = f.cycles, f.pipe
 			}
 		}
-	})
-	res.Replayed = jr.replayCount()
-	if opt.Ctx != nil {
-		if cerr := opt.Ctx.Err(); cerr != nil {
-			res.Cancelled, res.CancelCause = true, cerr
-			trace("autotune: search cancelled (%v); returning best-so-far pipeline", cerr)
-		}
 	}
-	opt.obsw.instant(SearchEvent{Kind: EvSearchEnd, Seq: -1, Phase: -1, Mode: "autotune",
-		Cycles: res.TrainCycles, N: res.Replayed})
 	return res, nil
 }
 
@@ -630,127 +542,47 @@ func Search(p *ir.Prog, opt Options) (out []SearchPoint, err error) {
 			out, err = nil, fmt.Errorf("core: search panicked: %v", r)
 		}
 	}()
-	if !opt.EnableAblation {
-		opt.Passes = passes.Default()
-	}
-	if opt.MaxThreads <= 0 {
-		opt.MaxThreads = 4
-	}
-	if opt.MaxCandidates <= 0 {
-		opt.MaxCandidates = 5
-	}
-	if opt.Machine.Cores == 0 {
-		opt.Machine = arch.DefaultConfig(1)
-	}
-	ctx, cancel := opt.searchContext()
+	cancel, err := opt.resolve()
 	defer cancel()
-	if ctx != nil {
-		opt.Ctx, opt.Deadline = ctx, 0
-		if cerr := ctx.Err(); cerr != nil {
-			return nil, fmt.Errorf("core: search cancelled: %w", cerr)
-		}
-	}
-	trace := opt.Trace
-	if trace == nil {
-		trace = func(string, ...any) {}
-	}
-	opt.obsw = newObsWriter(opt.Observer)
-	opt.obsC = obsCand{seq: -1, phase: -1}
-	opt.obsw.instant(SearchEvent{Kind: EvSearchStart, Seq: -1, Phase: -1, Mode: "search"})
-	an := analysis.New(p)
-	phases := analysis.ProgramPhases(p.Body)
-	cands := make([][]*analysis.Candidate, len(phases))
-	for i, ph := range phases {
-		cands[i] = an.Candidates(ph)
-	}
-	// Search's bound sequence starts without an incumbent, so its journal
-	// entries are keyed under a distinct mode and never mix with autotune's.
-	jr, err := openJournal(p, opt, "search", trace)
 	if err != nil {
-		return nil, err
+		return nil, fmt.Errorf("core: search cancelled: %w", err)
 	}
-	defer jr.close()
-	serialCycles, replayedSerial := jr.serialCycles()
-	if !replayedSerial {
-		t0 := opt.obsw.now()
-		serialCycles, err = measure(pipeline.NewSerial(p), opt, Budget{Ctx: opt.Ctx})
-		if err != nil {
-			return nil, fmt.Errorf("core: serial baseline failed training: %w", err)
-		}
-		jr.recordSerial(serialCycles)
-		opt.obsw.span(SearchEvent{Kind: EvSerial, Seq: -1, Phase: -1, Cycles: serialCycles}, t0)
-	} else {
-		opt.obsw.instant(SearchEvent{Kind: EvSerial, Seq: -1, Phase: -1,
-			Cycles: serialCycles, Replayed: true})
-	}
-	budget := candidateBudget(serialCycles, opt.BudgetFactor)
-
-	tasks := newTaskList(opt, budget)
-	tasks.enumerate(phases, cands, staticEnumPoints(cands, opt.MaxThreads),
-		opt.MaxCandidates, opt.MaxThreads)
-	emitEnumerated(opt, tasks.tasks)
-	rankAndPrune(p, opt, tasks.tasks)
-
+	phases, cands := candidates(p)
 	// The serial pipeline is not a search point, so branch-and-bound starts
 	// with no incumbent: the first measured candidate sets the bound.
 	// Duplicated configurations still yield one point each (the landscape
 	// has one dot per subset), resolved from the memoized original.
-	s := newSearcher(p, opt, budget, noBest)
-	s.ctx, s.journal = opt.Ctx, jr
-	s.run(tasks.tasks, func(t *candTask, f *candFinal) {
-		pt := SearchPoint{TotalStages: f.stages, Subset: t.subset}
-		if f.skip != nil {
-			pt.Skip = f.skip
-		} else {
-			pt.Cycles = f.cycles
-		}
-		out = append(out, pt)
-	})
-
+	r, err := search(p, phases, cands, opt, "search")
+	if err != nil {
+		return nil, err
+	}
 	// Stamp static predictions: without TopK the workers priced each unique
 	// candidate as they built it, so ranks are assigned here; duplicates
-	// inherit their original's prediction. Emission order matches task
-	// order, so out[i] corresponds to tasks.tasks[i].
+	// inherit their original's prediction.
 	var unique []*candTask
-	for _, t := range tasks.tasks {
+	for _, t := range r.tasks {
 		if t.dupOf < 0 {
 			unique = append(unique, t)
 		}
 	}
 	assignRanks(unique)
-	for i, t := range tasks.tasks {
+	for i, t := range r.tasks {
+		f := r.finals[i]
+		pt := SearchPoint{TotalStages: f.stages, Subset: t.subset, Skip: f.skip}
+		if f.skip == nil {
+			pt.Cycles = f.cycles
+		}
 		root := t
 		if t.dupOf >= 0 {
-			root = tasks.tasks[t.dupOf]
+			root = r.tasks[t.dupOf]
 		}
 		if root.predOK {
-			out[i].PredictedCycles = root.predCycles
-			out[i].PredictedRank = root.predRank
+			pt.PredictedCycles, pt.PredictedRank = root.predCycles, root.predRank
 		}
-	}
-
-	if opt.obsw != nil {
-		best := uint64(0)
-		if s.best != noBest {
-			best = s.best
-		}
-		opt.obsw.instant(SearchEvent{Kind: EvSearchEnd, Seq: -1, Phase: -1, Mode: "search",
-			Cycles: best, N: jr.replayCount()})
+		out = append(out, pt)
 	}
 	sort.SliceStable(out, func(i, j int) bool { return out[i].TotalStages < out[j].TotalStages })
 	return out, nil
-}
-
-func measure(pipe *pipeline.Pipeline, opt Options, b Budget) (uint64, error) {
-	var total uint64
-	for _, train := range opt.Training {
-		c, err := train(pipe, b)
-		if err != nil {
-			return 0, err
-		}
-		total += c
-	}
-	return total, nil
 }
 
 // subsets enumerates all non-empty subsets of {0..n-1} with size <= maxSize,

@@ -59,6 +59,43 @@ func TestStaticFlowBFS(t *testing.T) {
 	}
 }
 
+// TestAutotuneCandidateZeroIsStatic pins that autotune measures the static
+// flow's pipeline as its first candidate, for every benchmark family: both
+// come from one definition of the static configuration.
+func TestAutotuneCandidateZeroIsStatic(t *testing.T) {
+	families := []struct{ name, src string }{
+		{"BFS", workloads.BFSSource}, {"CC", workloads.CCSource}, {"PRD", workloads.PRDSource},
+		{"Radii", workloads.RadiiSource}, {"SpMM", workloads.SpMMSource},
+	}
+	render := func(pl *pipeline.Pipeline) string { return pl.Describe() + pl.DumpStages() }
+	for _, fam := range families {
+		static, err := core.CompileSource(fam.src, core.DefaultOptions())
+		if err != nil {
+			t.Fatalf("%s static: %v", fam.name, err)
+		}
+		// Serially, measurements arrive in enumeration order: the serial
+		// baseline, then candidate zero.
+		var measured []string
+		opt := core.DefaultOptions()
+		opt.Mode = core.Autotune
+		opt.Parallelism = 1
+		opt.Training = []core.TrainFunc{func(pl *pipeline.Pipeline, _ core.Budget) (uint64, error) {
+			measured = append(measured, render(pl))
+			return 1000, nil
+		}}
+		if _, err := core.CompileSource(fam.src, opt); err != nil {
+			t.Fatalf("%s autotune: %v", fam.name, err)
+		}
+		if len(measured) < 2 {
+			t.Fatalf("%s: autotune measured %d pipelines, want the serial baseline and candidate zero", fam.name, len(measured))
+		}
+		if want := render(static.Pipeline); measured[1] != want {
+			t.Errorf("%s: autotune candidate zero differs from the static pipeline:\n--- static\n%s--- candidate 0\n%s",
+				fam.name, want, measured[1])
+		}
+	}
+}
+
 func TestAblationConfigsAllCorrect(t *testing.T) {
 	g := graph.Grid("g", 14, 14, 5)
 	configs := []passes.Options{

@@ -99,8 +99,7 @@ type journal struct {
 	replayed int
 	// cut is set once a cancelled candidate has been finalized; no later
 	// verdict is recorded.
-	cut   bool
-	trace func(format string, args ...any)
+	cut bool
 }
 
 // journalKey hashes everything that shapes the search: the program text,
@@ -125,7 +124,7 @@ func journalKey(p *ir.Prog, opt Options, mode string) string {
 // With Resume set it loads every valid entry recorded under a matching
 // key; otherwise — or on a key mismatch — the file restarts empty. A nil
 // journal (no error) is returned when no checkpoint is configured.
-func openJournal(p *ir.Prog, opt Options, mode string, trace func(string, ...any)) (*journal, error) {
+func openJournal(p *ir.Prog, opt Options, mode string) (*journal, error) {
 	if opt.Checkpoint == "" {
 		return nil, nil
 	}
@@ -137,7 +136,6 @@ func openJournal(p *ir.Prog, opt Options, mode string, trace func(string, ...any
 		f:       f,
 		key:     journalKey(p, opt, mode),
 		entries: map[string]*journalEntry{},
-		trace:   trace,
 	}
 	keep := int64(0)
 	if opt.Resume {
@@ -146,11 +144,11 @@ func openJournal(p *ir.Prog, opt Options, mode string, trace func(string, ...any
 	// Drop everything past the valid prefix (corrupt tail, key-mismatched
 	// or non-resumed content) and position appends after it.
 	if err := f.Truncate(keep); err != nil {
-		j.disable("truncate: %v", err)
+		j.disable()
 		return j, nil
 	}
 	if _, err := f.Seek(keep, io.SeekStart); err != nil {
-		j.disable("seek: %v", err)
+		j.disable()
 		return j, nil
 	}
 	if keep == 0 {
@@ -176,13 +174,11 @@ func (j *journal) load() int64 {
 		line := sc.Bytes()
 		var e journalEntry
 		if err := json.Unmarshal(line, &e); err != nil || e.Sum != e.checksum() {
-			j.trace("autotune: checkpoint journal corrupt after %d bytes; later entries will be re-measured", valid)
 			return valid
 		}
 		if first {
 			first = false
 			if e.Kind != "header" || e.Version != journalVersion || e.Key != j.key {
-				j.trace("autotune: checkpoint journal key mismatch (different program, machine, or options); starting fresh")
 				return 0
 			}
 			valid += int64(len(line)) + 1
@@ -200,26 +196,12 @@ func (j *journal) load() int64 {
 		}
 		valid += int64(len(line)) + 1
 	}
-	if err := sc.Err(); err != nil {
-		j.trace("autotune: checkpoint journal read stopped: %v; later entries will be re-measured", err)
-	}
-	if n := len(j.entries); n > 0 || j.serial != nil {
-		j.trace("autotune: resuming from checkpoint journal: %d completed measurements available", n+btoi(j.serial != nil))
-	}
 	return valid
-}
-
-func btoi(b bool) int {
-	if b {
-		return 1
-	}
-	return 0
 }
 
 // disable turns the journal off after an I/O failure: the search must
 // never crash or stall on checkpoint trouble, it just stops checkpointing.
-func (j *journal) disable(format string, args ...any) {
-	j.trace("autotune: checkpoint journal disabled: "+format, args...)
+func (j *journal) disable() {
 	j.f.Close()
 	j.f = nil
 }
@@ -233,12 +215,12 @@ func (j *journal) append(e *journalEntry) {
 	e.Sum = e.checksum()
 	b, err := json.Marshal(e)
 	if err != nil {
-		j.disable("encode: %v", err)
+		j.disable()
 		return
 	}
 	b = append(b, '\n')
 	if _, err := j.f.Write(b); err != nil {
-		j.disable("write: %v", err)
+		j.disable()
 	}
 }
 

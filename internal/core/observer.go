@@ -136,8 +136,7 @@ type SearchEvent struct {
 	// pipeline).
 	Subset []int
 	// FP is the candidate's canonical configuration fingerprint — the same
-	// key the dedup table and checkpoint journal use, and the link to a
-	// per-candidate sim-level telemetry trace (telemetry.Collector.SetMeta).
+	// key the dedup table and checkpoint journal use.
 	FP string
 	// Worker attributes the event to a search worker: 0 is the merger /
 	// serial goroutine, 1..Parallelism are pool workers.
@@ -202,14 +201,6 @@ func (o *obsWriter) now() time.Duration {
 		return 0
 	}
 	return time.Since(o.anchor)
-}
-
-// emit delivers one event (no-op when disabled).
-func (o *obsWriter) emit(e SearchEvent) {
-	if o == nil {
-		return
-	}
-	o.obs.Observe(e)
 }
 
 // instant emits a zero-width event stamped at the current offset.

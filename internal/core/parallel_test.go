@@ -9,6 +9,7 @@ package core_test
 import (
 	"fmt"
 	"strings"
+	"sync"
 	"testing"
 
 	"phloem/internal/core"
@@ -45,33 +46,50 @@ func renderPoints(points []core.SearchPoint) string {
 	return b.String()
 }
 
+// verdictLog records the merger's verdict events, which the Observer
+// contract emits in enumeration order at every Parallelism.
+type verdictLog struct {
+	mu sync.Mutex
+	b  strings.Builder
+}
+
+func (v *verdictLog) Observe(e core.SearchEvent) {
+	switch e.Kind {
+	case core.EvDeduped, core.EvPruned, core.EvAccept, core.EvSkip, core.EvCancel:
+		v.mu.Lock()
+		fmt.Fprintf(&v.b, "%s seq=%d cycles=%d skip=%v\n", e.Kind, e.Seq, e.Cycles, e.Skip)
+		v.mu.Unlock()
+	}
+}
+
 func TestAutotuneParallelismDeterministic(t *testing.T) {
 	train := graph.Grid("t", 24, 24, 9)
 	run := func(parallelism int) (string, string) {
-		var trace strings.Builder
+		verdicts := &verdictLog{}
 		opt := core.DefaultOptions()
 		opt.Mode = core.Autotune
 		opt.Training = []core.TrainFunc{bfsTrainer(train)}
 		opt.Parallelism = parallelism
-		opt.Trace = func(format string, args ...any) {
-			fmt.Fprintf(&trace, format+"\n", args...)
-		}
+		opt.Observer = verdicts
 		res, err := core.CompileSource(workloads.BFSSource, opt)
 		if err != nil {
 			t.Fatalf("parallelism %d: %v", parallelism, err)
 		}
-		return renderResult(res), trace.String()
+		return renderResult(res), verdicts.b.String()
 	}
-	wantRes, wantTrace := run(1)
+	wantRes, wantVerdicts := run(1)
+	if !strings.Contains(wantVerdicts, "accept") || !strings.Contains(wantVerdicts, "deduped") {
+		t.Fatalf("serial run emitted no accept or deduped verdicts:\n%s", wantVerdicts)
+	}
 	for _, par := range []int{2, 3, 4, 8, 0} {
-		gotRes, gotTrace := run(par)
+		gotRes, gotVerdicts := run(par)
 		if gotRes != wantRes {
 			t.Errorf("parallelism %d result differs from serial:\n--- serial\n%s--- parallel\n%s",
 				par, wantRes, gotRes)
 		}
-		if gotTrace != wantTrace {
-			t.Errorf("parallelism %d trace differs from serial:\n--- serial\n%s--- parallel\n%s",
-				par, wantTrace, gotTrace)
+		if gotVerdicts != wantVerdicts {
+			t.Errorf("parallelism %d verdict events differ from serial:\n--- serial\n%s--- parallel\n%s",
+				par, wantVerdicts, gotVerdicts)
 		}
 	}
 }

@@ -1,6 +1,11 @@
 package core
 
 // The candidate-search engine behind autotune and Search (Sec. V, Fig. 8).
+// Both front doors resolve their Options the same way and run one driver,
+// search: measure the serial baseline, enumerate, rank, then measure and
+// merge. They differ only in whether the static pipeline leads the
+// enumeration and the serial baseline seeds branch-and-bound (autotune), and
+// in how they report the merged verdicts.
 //
 // Candidates are enumerated up front in a deterministic order, deduplicated
 // by a canonical fingerprint, and measured by a pool of Options.Parallelism
@@ -35,12 +40,11 @@ package core
 //     generated variable numbering is per-clone and therefore identical to a
 //     serial run's for every candidate.
 //
-// Options.Trace lines and SearchPoint/skip records are emitted by the merger
-// in enumeration order; Options.CandidateProbe is invoked once per unique
-// candidate at enumeration time (single-threaded, deterministic order).
+// The merger settles every candidate in enumeration order: its verdict
+// event (Options.Observer) and its SearchPoint/skip record come out in the
+// same order at every Parallelism.
 
 import (
-	"context"
 	"errors"
 	"fmt"
 	"runtime"
@@ -55,6 +59,84 @@ import (
 	"phloem/internal/pipeline"
 	"phloem/internal/sim"
 )
+
+// searchRun is what one search leaves for its front door to report: every
+// enumerated task with its merged verdict, index-aligned.
+type searchRun struct {
+	tasks     []*candTask
+	finals    []*candFinal
+	serial    uint64 // serial-baseline training cycles
+	pruned    int
+	rankMS    int64
+	replayed  int   // journal entries replayed, the serial baseline included
+	cancelled error // the context's error when Options.Ctx ended the search
+}
+
+// search runs the profile-guided flow shared by autotune and Search. mode
+// ("autotune" or "search") names the flow in events and keys the journal:
+// Search's bound sequence starts without an incumbent, so its entries never
+// mix with autotune's.
+func search(p *ir.Prog, phases []*analysis.Phase, cands [][]*analysis.Candidate, opt Options, mode string) (*searchRun, error) {
+	opt.obsw.instant(SearchEvent{Kind: EvSearchStart, Seq: -1, Phase: -1, Mode: mode})
+	jr, err := openJournal(p, opt, mode)
+	if err != nil {
+		return nil, err
+	}
+	defer jr.close()
+	serial, err := baseline(p, opt, jr)
+	if err != nil {
+		return nil, err
+	}
+	tasks := &taskList{seen: map[string]int{}}
+	best := noBest
+	if mode == "autotune" {
+		tasks.add(-1, nil, staticFullPoints(p, phases, cands, opt.MaxThreads))
+		best = serial
+	}
+	tasks.enumerate(phases, cands, staticEnumPoints(cands, opt.MaxThreads),
+		opt.MaxCandidates, opt.MaxThreads)
+	emitEnumerated(opt, tasks.tasks)
+	r := &searchRun{tasks: tasks.tasks, serial: serial}
+	r.pruned, r.rankMS = rankAndPrune(p, opt, r.tasks)
+
+	s := newSearcher(p, opt, candidateBudget(serial, opt.BudgetFactor), best, jr)
+	r.finals = s.run(r.tasks)
+	r.replayed = jr.replayCount()
+	if opt.Ctx != nil {
+		r.cancelled = opt.Ctx.Err()
+	}
+	end := SearchEvent{Kind: EvSearchEnd, Seq: -1, Phase: -1, Mode: mode, N: r.replayed}
+	if s.best != noBest {
+		end.Cycles = s.best
+	}
+	opt.obsw.instant(end)
+	return r, nil
+}
+
+// baseline returns the serial program's summed training cycles, replayed
+// from the journal when it holds them and measured (then journaled)
+// otherwise.
+func baseline(p *ir.Prog, opt Options, jr *journal) (uint64, error) {
+	if c, ok := jr.serialCycles(); ok {
+		opt.obsw.instant(SearchEvent{Kind: EvSerial, Seq: -1, Phase: -1, Cycles: c, Replayed: true})
+		return c, nil
+	}
+	serial := pipeline.NewSerial(p)
+	t0 := opt.obsw.now()
+	var total uint64
+	for _, train := range opt.Training {
+		c, err := train(serial, Budget{Ctx: opt.Ctx})
+		if err != nil {
+			// The serial program itself fails (or the search was cancelled
+			// before the baseline finished): nothing to tune against.
+			return 0, fmt.Errorf("core: serial baseline failed training: %w", err)
+		}
+		total += c
+	}
+	jr.recordSerial(total)
+	opt.obsw.span(SearchEvent{Kind: EvSerial, Seq: -1, Phase: -1, Cycles: total}, t0)
+	return total, nil
+}
 
 // parallelism resolves Options.Parallelism: 0 defaults to GOMAXPROCS, 1 is
 // the serial path.
@@ -76,8 +158,7 @@ type candTask struct {
 	// points holds the full per-phase point configuration the build uses.
 	points [][]*analysis.Candidate
 	fp     string
-	budget Budget // base measurement budget, with any CandidateProbe attached
-	dupOf  int    // seq of the first task with the same fingerprint (-1: unique)
+	dupOf  int // seq of the first task with the same fingerprint (-1: unique)
 
 	// Static-prediction state (filled by rankAndPrune for Options.TopK, or
 	// lazily by runTask so SearchPoint predictions are always auditable).
@@ -146,10 +227,13 @@ func cloneProg(p *ir.Prog) *ir.Prog {
 
 // searcher runs candidate tasks and merges their results deterministically.
 type searcher struct {
-	p       *ir.Prog
-	opt     Options
-	base    Budget // per-candidate budget derived from the serial baseline
-	tighten bool   // branch-and-bound: shrink the bound to the best so far
+	p   *ir.Prog
+	opt Options
+	// base is the per-candidate budget derived from the serial baseline,
+	// carrying opt.Ctx: once it is done, remaining candidates skip with
+	// SkipCancelled instead of being measured.
+	base    Budget
+	tighten bool // branch-and-bound: shrink the bound to the best so far
 	// best is the best finalized training cycle count (merger-owned).
 	best uint64
 	// bound is min(base.Cycles, best), republished after every finalize for
@@ -157,22 +241,20 @@ type searcher struct {
 	// finalizes in enumeration order, any value a worker reads is >= the
 	// bound a strictly serial search would use for that candidate.
 	bound atomic.Uint64
-	// ctx, when non-nil, cancels the search: remaining candidates skip
-	// with SkipCancelled instead of being measured (set by autotune/Search
-	// from Options.Ctx/Deadline).
-	ctx context.Context
 	// journal, when non-nil, replays previously recorded measurements and
 	// records new ones (Options.Checkpoint/Resume).
 	journal *journal
 }
 
-func newSearcher(p *ir.Prog, opt Options, base Budget, initialBest uint64) *searcher {
+func newSearcher(p *ir.Prog, opt Options, base Budget, initialBest uint64, jr *journal) *searcher {
+	base.Ctx = opt.Ctx
 	s := &searcher{
 		p:       p,
 		opt:     opt,
 		base:    base,
 		tighten: opt.BudgetFactor >= 0 && !opt.Exhaustive,
 		best:    initialBest,
+		journal: jr,
 	}
 	s.bound.Store(s.exactBound())
 	return s
@@ -197,7 +279,7 @@ func (s *searcher) runTask(t *candTask, worker int) *candOutcome {
 	o := &candOutcome{seq: t.seq}
 	opt := s.opt
 	opt.obsC = obsCand{seq: t.seq, phase: t.phase, subset: t.subset, fp: t.fp, worker: worker}
-	if s.ctx != nil && s.ctx.Err() != nil {
+	if ctx := s.base.Ctx; ctx != nil && ctx.Err() != nil {
 		// Cancelled before this candidate was touched: skip without
 		// building (pipe stays nil, so it never counts as searched).
 		o.skip = &CandidateSkip{Phase: t.phase, Subset: t.subset,
@@ -240,12 +322,10 @@ func (s *searcher) runTask(t *candTask, worker int) *candOutcome {
 		opt.obsw.instant(re)
 		return o
 	}
-	b := t.budget
-	b.Ctx = s.ctx
 	o.bound = s.bound.Load()
 	first := true
 	t0 := opt.obsw.now()
-	o.cycles, o.merr = tryMeasure(pipe, opt, b, func() uint64 {
+	o.cycles, o.merr = tryMeasure(pipe, opt, s.base, func() uint64 {
 		if first {
 			first = false
 			return o.bound
@@ -293,9 +373,9 @@ func skipFor(t *candTask, err error) *CandidateSkip {
 //     every earlier input fit under the exact bound.
 //
 // Only the remaining sliver — a timing-phase deadlock, panic, or verify
-// mismatch observed under a stale bound — re-measures under the exact bound
-// (unprobed; any CandidateProbe already observed the first run). That case
-// never arises at Parallelism 1, where the observed bound is always exact.
+// mismatch observed under a stale bound — re-measures under the exact bound.
+// That case never arises at Parallelism 1, where the observed bound is
+// always exact.
 func (s *searcher) finalize(t *candTask, o *candOutcome) *candFinal {
 	if o.skip != nil {
 		return &candFinal{skip: o.skip}
@@ -328,11 +408,8 @@ func (s *searcher) finalize(t *candTask, o *candOutcome) *candFinal {
 		// inputs before it already exhaust the exact budget.
 		f.skip = skipFor(t, errBudget)
 	default:
-		b := s.base
-		b.Probe, b.TelemetryInterval = nil, 0
-		b.Ctx = s.ctx
 		t0 := s.opt.obsw.now()
-		cycles, err := tryMeasure(o.pipe, s.opt, b, func() uint64 { return bound })
+		cycles, err := tryMeasure(o.pipe, s.opt, s.base, func() uint64 { return bound })
 		s.opt.obsw.span(SearchEvent{Kind: EvTrain, Seq: t.seq, Phase: t.phase,
 			Subset: t.subset, FP: t.fp, Cycles: cycles, Err: err}, t0)
 		if err != nil {
@@ -344,10 +421,9 @@ func (s *searcher) finalize(t *candTask, o *candOutcome) *candFinal {
 	return f
 }
 
-// merge updates the branch-and-bound state with a finalized result,
-// memoizes it for duplicates, and journals its measurement verdict.
-func (s *searcher) merge(memo map[int]*candFinal, t *candTask, f *candFinal) {
-	memo[t.seq] = f
+// merge updates the branch-and-bound state with a finalized result and
+// journals its measurement verdict.
+func (s *searcher) merge(t *candTask, f *candFinal) {
 	if f.skip == nil && f.cycles < s.best {
 		s.best = f.cycles
 		s.bound.Store(s.exactBound())
@@ -381,89 +457,73 @@ func (s *searcher) prunedFinal(t *candTask) *candFinal {
 	}
 }
 
-// run measures every task and calls emit exactly once per task, strictly in
-// enumeration order. With parallelism 1 (or a single runnable task)
-// everything happens inline on the calling goroutine — the serial path.
-// Duplicates and statically pruned candidates resolve without a worker.
-func (s *searcher) run(tasks []*candTask, emit func(*candTask, *candFinal)) {
+// run measures every task and settles each exactly once, strictly in
+// enumeration order, returning the merged verdicts index-aligned with tasks.
+// Duplicates and statically pruned candidates resolve without a worker. With
+// parallelism 1 (or a single runnable task) every task settles inline on the
+// calling goroutine — the serial path.
+func (s *searcher) run(tasks []*candTask) []*candFinal {
+	finals := make([]*candFinal, len(tasks))
 	runnable := 0
 	for _, t := range tasks {
 		if t.dupOf < 0 && !t.pruned {
 			runnable++
 		}
 	}
-	nw := s.opt.parallelism()
-	if nw > runnable {
-		nw = runnable
-	}
-	memo := make(map[int]*candFinal, len(tasks))
-
 	// local resolves tasks that never reach a worker; nil means the task
 	// must build and measure.
 	local := func(t *candTask) *candFinal {
 		if t.dupOf >= 0 {
 			// The original has a lower seq and was finalized earlier.
-			return dupFinal(t, memo[t.dupOf])
+			return dupFinal(t, finals[t.dupOf])
 		}
 		if t.pruned {
 			return s.prunedFinal(t)
 		}
 		return nil
 	}
-
-	if nw <= 1 {
-		for _, t := range tasks {
-			f := local(t)
-			if f == nil {
-				f = s.finalize(t, s.runTask(t, 0))
-			}
-			if !f.dup {
-				s.merge(memo, t, f)
-			}
-			s.opt.obsw.instant(finalEvent(t, f))
-			emit(t, f)
+	settle := func(t *candTask, f *candFinal) {
+		if !f.dup {
+			s.merge(t, f)
 		}
-		return
+		finals[t.seq] = f
+		s.opt.obsw.instant(finalEvent(t, f))
 	}
 
-	// Head start: measure the first runnable task inline before the pool
-	// spins up. The merger finalizes it first anyway, so this changes
-	// nothing observable — but its finalized cycles tighten the shared
-	// bound (in autotune it is the static pipeline, usually close to the
-	// eventual best) before any worker reads it, so the pool never burns
+	// Head start: when a pool will run, measure the first runnable task
+	// inline before it spins up. The merger finalizes it first anyway, so
+	// this changes nothing observable — but its finalized cycles tighten the
+	// shared bound (in autotune it is the static pipeline, usually close to
+	// the eventual best) before any worker reads it, so the pool never burns
 	// the loose initial budget on candidates the serial order prunes
 	// cheaply.
-	i := 0
+	pool := min(s.opt.parallelism(), runnable) > 1
+	i, measured := 0, false
 	for ; i < len(tasks); i++ {
 		t := tasks[i]
 		f := local(t)
 		if f == nil {
-			f = s.finalize(t, s.runTask(t, 0))
-			s.merge(memo, t, f)
-			s.opt.obsw.instant(finalEvent(t, f))
-			emit(t, f)
-			i++
-			break
+			if pool && measured {
+				break
+			}
+			f, measured = s.finalize(t, s.runTask(t, 0)), true
 		}
-		if !f.dup {
-			s.merge(memo, t, f)
-		}
-		s.opt.obsw.instant(finalEvent(t, f))
-		emit(t, f)
+		settle(t, f)
 	}
 	rest := tasks[i:]
-	if nw > runnable-1 {
-		nw = runnable - 1
+	if len(rest) == 0 {
+		return finals
 	}
 
+	nw := min(s.opt.parallelism(), runnable-1)
 	work := make(chan *candTask, len(rest))
 	outs := make(chan *candOutcome, len(rest))
-	for w := 0; w < nw; w++ {
+	for w := 1; w <= nw; w++ {
 		go func(id int) {
 			for t := range work {
 				outs <- s.runTask(t, id)
 			}
-		}(w + 1)
+		}(w)
 	}
 	for _, t := range rest {
 		if t.dupOf < 0 && !t.pruned {
@@ -474,29 +534,23 @@ func (s *searcher) run(tasks []*candTask, emit func(*candTask, *candFinal)) {
 
 	pending := make(map[int]*candOutcome)
 	for _, t := range rest {
-		if f := local(t); f != nil {
-			if !f.dup {
-				s.merge(memo, t, f)
+		f := local(t)
+		if f == nil {
+			o := pending[t.seq]
+			for o == nil {
+				got := <-outs
+				if got.seq == t.seq {
+					o = got
+				} else {
+					pending[got.seq] = got
+				}
 			}
-			s.opt.obsw.instant(finalEvent(t, f))
-			emit(t, f)
-			continue
+			delete(pending, t.seq)
+			f = s.finalize(t, o)
 		}
-		o := pending[t.seq]
-		for o == nil {
-			got := <-outs
-			if got.seq == t.seq {
-				o = got
-			} else {
-				pending[got.seq] = got
-			}
-		}
-		delete(pending, t.seq)
-		f := s.finalize(t, o)
-		s.merge(memo, t, f)
-		s.opt.obsw.instant(finalEvent(t, f))
-		emit(t, f)
+		settle(t, f)
 	}
+	return finals
 }
 
 // assignRanks orders the unique tasks by static prediction (buildable
@@ -587,19 +641,11 @@ func rankAndPrune(p *ir.Prog, opt Options, tasks []*candTask) (pruned int, milli
 	return pruned, time.Since(start).Milliseconds()
 }
 
-// taskList accumulates candidate tasks, assigning sequence numbers,
-// fingerprint-deduplicating, and attaching per-candidate probes (in
-// enumeration order, on one goroutine — CandidateProbe and the budget
-// factory are never called concurrently).
+// taskList accumulates candidate tasks, assigning sequence numbers and
+// fingerprint-deduplicating (in enumeration order, on one goroutine).
 type taskList struct {
-	opt   Options
-	base  Budget
 	seen  map[string]int
 	tasks []*candTask
-}
-
-func newTaskList(opt Options, base Budget) *taskList {
-	return &taskList{opt: opt, base: base, seen: map[string]int{}}
 }
 
 func (l *taskList) add(phase int, subset []int, points [][]*analysis.Candidate) {
@@ -609,7 +655,6 @@ func (l *taskList) add(phase int, subset []int, points [][]*analysis.Candidate) 
 		t.dupOf = orig
 	} else {
 		l.seen[t.fp] = t.seq
-		t.budget = l.opt.probed(l.base, phase, subset)
 	}
 	l.tasks = append(l.tasks, t)
 }
@@ -647,9 +692,9 @@ func staticEnumPoints(cands [][]*analysis.Candidate, maxThreads int) [][]*analys
 	return out
 }
 
-// staticFullPoints is the static pipeline's configuration: forced
-// (#pragma decouple) points where present, the static cut elsewhere —
-// exactly what buildStatic selects.
+// staticFullPoints is the static pipeline's configuration — what
+// buildStatic builds and autotune measures as candidate zero: forced
+// (#pragma decouple) points where present, the static cut elsewhere.
 func staticFullPoints(p *ir.Prog, phases []*analysis.Phase, cands [][]*analysis.Candidate, maxThreads int) [][]*analysis.Candidate {
 	an := analysis.New(p)
 	out := make([][]*analysis.Candidate, len(cands))
@@ -661,13 +706,4 @@ func staticFullPoints(p *ir.Prog, phases []*analysis.Phase, cands [][]*analysis.
 		out[i] = staticCut(cs, maxThreads)
 	}
 	return out
-}
-
-// subsetDesc renders a candidate identity for trace lines: the static
-// pipeline has no subset.
-func subsetDesc(t *candTask) string {
-	if t.phase < 0 {
-		return "static"
-	}
-	return fmt.Sprintf("%v", t.subset)
 }

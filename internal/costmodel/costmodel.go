@@ -164,21 +164,6 @@ func AnalyzeFlat(pl *pipeline.Pipeline, cfg arch.Config, progs []*isa.Program) *
 	return m.run()
 }
 
-// AnalyzeWith models the pipeline with explicit parameters (calibration and
-// tests).
-func AnalyzeWith(pl *pipeline.Pipeline, cfg arch.Config, p Params) (*Report, error) {
-	progs := make([]*isa.Program, len(pl.Stages))
-	for i, st := range pl.Stages {
-		prog, err := pipeline.FlattenStage(pl, st)
-		if err != nil {
-			return nil, fmt.Errorf("costmodel: flatten %s: %w", st.Name, err)
-		}
-		progs[i] = prog
-	}
-	m := newModel(pl, cfg, p, progs)
-	return m.run(), nil
-}
-
 // model carries the per-pipeline analysis state.
 type model struct {
 	pl    *pipeline.Pipeline

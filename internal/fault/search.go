@@ -168,22 +168,3 @@ func NewSearch(seed uint64) SearchPlan {
 		CancelAfter:   3 + int32(next()%8),
 	}
 }
-
-// SearchByName resolves a named search plan, or a "search-seed-N" plan for
-// any N.
-func SearchByName(name string) (SearchPlan, error) {
-	for _, p := range NamedSearch() {
-		if p.Name == name {
-			return p, nil
-		}
-	}
-	var seed uint64
-	if _, err := fmt.Sscanf(name, "search-seed-%d", &seed); err == nil {
-		return NewSearch(seed), nil
-	}
-	var names []string
-	for _, p := range NamedSearch() {
-		names = append(names, p.Name)
-	}
-	return SearchPlan{}, fmt.Errorf("fault: unknown search plan %q (named plans: %v, or search-seed-N)", name, names)
-}

@@ -159,16 +159,6 @@ func TestSearchPlanDeterminism(t *testing.T) {
 		if p.Desc == "" {
 			t.Errorf("plan %s has no description", p.Name)
 		}
-		got, err := fault.SearchByName(p.Name)
-		if err != nil || got.Name != p.Name {
-			t.Errorf("SearchByName(%q) = %v, %v", p.Name, got, err)
-		}
-	}
-	if p, err := fault.SearchByName("search-seed-7"); err != nil || p != fault.NewSearch(7) {
-		t.Errorf("SearchByName(search-seed-7) = %v, %v", p, err)
-	}
-	if _, err := fault.SearchByName("nope"); err == nil {
-		t.Error("SearchByName(nope) should fail")
 	}
 	for _, p := range fault.Named() {
 		if p.Desc == "" {

@@ -1,35 +1,13 @@
 package obs
 
 import (
-	"encoding/json"
 	"fmt"
 	"io"
 	"sort"
 
 	"phloem/internal/core"
+	"phloem/internal/telemetry"
 )
-
-// chromeEvent is one entry of the Chrome trace_event format (same "JSON
-// array format" internal/telemetry writes for sim-level traces). Ts/Dur are
-// wall-clock microseconds from the search's EvSearchStart anchor. Dur is
-// deliberately not omitempty: sub-microsecond spans keep an explicit dur of
-// 0 so per-phase dur sums reconcile exactly with Metrics.Phases.
-type chromeEvent struct {
-	Name string         `json:"name"`
-	Ph   string         `json:"ph"`
-	Pid  int            `json:"pid"`
-	Tid  int            `json:"tid"`
-	Ts   int64          `json:"ts"`
-	Dur  *int64         `json:"dur,omitempty"`
-	S    string         `json:"s,omitempty"`
-	Cat  string         `json:"cat,omitempty"`
-	Args map[string]any `json:"args,omitempty"`
-}
-
-type chromeTrace struct {
-	TraceEvents []chromeEvent  `json:"traceEvents"`
-	OtherData   map[string]any `json:"otherData,omitempty"`
-}
 
 // searchPid is the single process every search track lives under.
 const searchPid = 1
@@ -39,30 +17,33 @@ const searchPid = 1
 // worker (worker 0 is the merger/serial goroutine), one enclosing span per
 // candidate visit nested with its phase sub-spans (build/commopt/verify/
 // train), the serial-baseline and rank-phase spans, and the merger's verdict
-// instants in enumeration order. Every candidate event carries its
-// fingerprint in args.fp — the same key `phloemsim -chrome-trace` stamps
-// into a candidate's sim-level trace via telemetry.Collector.SetMeta, so the
-// two traces can be joined per candidate.
+// instants in enumeration order. Ts/Dur are wall-clock microseconds from
+// the search's EvSearchStart anchor; Dur is always set on spans, so
+// sub-microsecond spans keep an explicit dur of 0 and per-phase dur sums
+// reconcile exactly with Metrics.Phases. Every candidate event carries its
+// fingerprint in args.fp, the candidate's canonical configuration key
+// (dedup table and checkpoint journal).
 func (c *Collector) WriteChromeTrace(w io.Writer) error {
 	events := c.Events()
 	m := Aggregate(events)
-	tr := chromeTrace{OtherData: map[string]any{
+	other := map[string]any{
 		"mode":       m.Mode,
 		"enumerated": m.Enumerated,
 		"unique":     m.Unique,
 		"bestCycles": m.BestCycles,
 		"replayed":   m.ReplayedTotal,
-	}}
-	ev := func(e chromeEvent) { tr.TraceEvents = append(tr.TraceEvents, e) }
+	}
+	var out []telemetry.ChromeEvent
+	ev := func(e telemetry.ChromeEvent) { out = append(out, e) }
 
-	ev(chromeEvent{Name: "process_name", Ph: "M", Pid: searchPid,
+	ev(telemetry.ChromeEvent{Name: "process_name", Ph: "M", Pid: searchPid,
 		Args: map[string]any{"name": fmt.Sprintf("search (%s)", m.Mode)}})
 	for wkr := 0; wkr < m.Workers; wkr++ {
 		name := fmt.Sprintf("worker %d", wkr)
 		if wkr == 0 {
 			name = "worker 0 (merger)"
 		}
-		ev(chromeEvent{Name: "thread_name", Ph: "M", Pid: searchPid, Tid: wkr + 1,
+		ev(telemetry.ChromeEvent{Name: "thread_name", Ph: "M", Pid: searchPid, Tid: wkr + 1,
 			Args: map[string]any{"name": name}})
 	}
 
@@ -71,8 +52,8 @@ func (c *Collector) WriteChromeTrace(w io.Writer) error {
 	// measurement on whichever worker drew the task).
 	type visitKey struct{ seq, worker int }
 	type visit struct {
-		first, last int // indices into events bounding the visit's spans
-		start, end  int64
+		first      int // index into events of the visit's first span
+		start, end int64
 	}
 	visits := map[visitKey]*visit{}
 	var visitOrder []visitKey
@@ -94,7 +75,6 @@ func (c *Collector) WriteChromeTrace(w io.Writer) error {
 		if end := e.End.Microseconds(); end > v.end {
 			v.end = end
 		}
-		v.last = i
 	}
 	sort.Slice(visitOrder, func(i, j int) bool {
 		a, b := visits[visitOrder[i]], visits[visitOrder[j]]
@@ -107,7 +87,7 @@ func (c *Collector) WriteChromeTrace(w io.Writer) error {
 		v := visits[k]
 		e := &events[v.first]
 		dur := v.end - v.start
-		ev(chromeEvent{Name: candName(e), Ph: "X", Cat: "candidate",
+		ev(telemetry.ChromeEvent{Name: candName(e), Ph: "X", Cat: "candidate",
 			Pid: searchPid, Tid: k.worker + 1, Ts: v.start, Dur: &dur,
 			Args: candArgs(e)})
 	}
@@ -120,14 +100,14 @@ func (c *Collector) WriteChromeTrace(w io.Writer) error {
 			core.EvVerify, core.EvTrain:
 			if !phaseSpan(e) {
 				// A journal-replayed serial baseline is an instant, not a span.
-				ev(chromeEvent{Name: "serial (replayed)", Ph: "i", S: "t",
+				ev(telemetry.ChromeEvent{Name: "serial (replayed)", Ph: "i", S: "t",
 					Cat: "search", Pid: searchPid, Tid: e.Worker + 1,
 					Ts:   e.Start.Microseconds(),
 					Args: map[string]any{"cycles": e.Cycles}})
 				continue
 			}
 			dur := spanMicros(e)
-			ce := chromeEvent{Name: e.Kind.String(), Ph: "X", Cat: "phase",
+			ce := telemetry.ChromeEvent{Name: e.Kind.String(), Ph: "X", Cat: "phase",
 				Pid: searchPid, Tid: e.Worker + 1, Ts: e.Start.Microseconds(), Dur: &dur}
 			if e.Seq >= 0 {
 				ce.Args = candArgs(e)
@@ -141,7 +121,7 @@ func (c *Collector) WriteChromeTrace(w io.Writer) error {
 			ev(ce)
 		case core.EvSearchStart, core.EvSearchEnd, core.EvReplay,
 			core.EvDeduped, core.EvPruned, core.EvAccept, core.EvSkip, core.EvCancel:
-			ce := chromeEvent{Name: e.Kind.String(), Ph: "i", S: "t", Cat: "verdict",
+			ce := telemetry.ChromeEvent{Name: e.Kind.String(), Ph: "i", S: "t", Cat: "verdict",
 				Pid: searchPid, Tid: e.Worker + 1, Ts: e.Start.Microseconds()}
 			switch e.Kind {
 			case core.EvSearchStart, core.EvSearchEnd:
@@ -159,8 +139,7 @@ func (c *Collector) WriteChromeTrace(w io.Writer) error {
 		}
 	}
 
-	enc := json.NewEncoder(w)
-	return enc.Encode(&tr)
+	return telemetry.WriteChromeEvents(w, out, other)
 }
 
 // candName labels a candidate's enclosing span.

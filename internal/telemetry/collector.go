@@ -271,11 +271,8 @@ func (c *Collector) EndTiming(stats *sim.Stats) {
 // Final returns the run's end-of-run Stats (nil before EndTiming).
 func (c *Collector) Final() *sim.Stats { return c.finalStat }
 
-// SetMeta stamps a key into the Chrome trace's otherData block. The search
-// layer uses it to label per-candidate sim traces (made via
-// core.Options.CandidateProbe) with the candidate fingerprint, so a sim
-// trace can be joined to its span in the search-level trace, which carries
-// the same fp in its candidate span args.
+// SetMeta stamps a key into the Chrome trace's otherData block, labelling
+// the run that produced the trace (phloemsim stamps the bench and input).
 func (c *Collector) SetMeta(key string, value any) {
 	if c.meta == nil {
 		c.meta = map[string]any{}
