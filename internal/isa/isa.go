@@ -363,12 +363,3 @@ func (in Instr) String() string {
 		return fmt.Sprintf("r%d = %s r%d, r%d", in.Dst, in.Op, in.A, in.B)
 	}
 }
-
-// Disassemble renders the whole program.
-func (p *Program) Disassemble() string {
-	out := ""
-	for i, in := range p.Instrs {
-		out += fmt.Sprintf("%4d: %s\n", i, in.String())
-	}
-	return out
-}

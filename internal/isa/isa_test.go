@@ -95,18 +95,3 @@ func TestClassLatencies(t *testing.T) {
 		t.Error("enq_ctrl is a queue op")
 	}
 }
-
-func TestDisassembleSmoke(t *testing.T) {
-	b := NewBuilder("t")
-	r := b.Const(1)
-	b.Enq(0, r)
-	b.EnqCtrl(0, 16)
-	v := b.Deq(1)
-	b.IsCtrl(v)
-	b.Store(0, r, v)
-	b.Halt()
-	p := b.MustBuild()
-	if len(p.Disassemble()) == 0 {
-		t.Error("empty disassembly")
-	}
-}

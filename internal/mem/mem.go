@@ -198,13 +198,6 @@ func (s *Space) AllocInts(name string, vals []int64) *Array {
 	return a
 }
 
-// AllocInt32s allocates an I32 array initialized from vals.
-func (s *Space) AllocInt32s(name string, vals []int32) *Array {
-	a := s.Alloc(name, I32, len(vals))
-	copy(a.i32, vals)
-	return a
-}
-
 // AllocFloats allocates an F64 array initialized from vals.
 func (s *Space) AllocFloats(name string, vals []float64) *Array {
 	a := s.Alloc(name, F64, len(vals))
@@ -214,6 +207,3 @@ func (s *Space) AllocFloats(name string, vals []float64) *Array {
 
 // Arrays returns all allocated arrays in allocation order.
 func (s *Space) Arrays() []*Array { return s.arrays }
-
-// Footprint returns the total allocated bytes (including alignment padding).
-func (s *Space) Footprint() uint64 { return s.next - LineBytes }

@@ -17,12 +17,15 @@ import (
 // architectural queues; reference accelerators replay their micro-event
 // traces with a bounded outstanding-miss window and in-order delivery.
 //
-// The issue scan is wakeup-driven rather than polled. An entry whose operand
-// producer has not issued cannot be ready, and a queue op behind an unissued
-// older queue op cannot go: both sit in per-thread bitsets (waiting, parked)
-// and the scan accounts for them from the bits without loading them. The
-// producer, when it issues, writes its completion time into each dependent
-// and takes it out of the set; an issuing queue op unparks its successor
+// The issue scan is wakeup-driven rather than polled: it loads a window entry
+// only in a cycle where it can issue. An entry whose operands are not all
+// complete, a queue op behind an unissued older queue op, and a queue op
+// facing an empty or full queue sit in per-thread bitsets (waiting, parked)
+// and the scan accounts for them from the bits. The producer, when it
+// issues, writes its completion time into each dependent, which leaves the
+// set when that time comes (the due list); an issuing queue op unparks its
+// successor, and a queue's push or pop unparks the op parked on it. A thread
+// with nothing to issue sleeps until the earliest known time or an event
 // (DESIGN.md section 5 lists every wake event).
 
 const (
@@ -121,9 +124,23 @@ type tThread struct {
 
 	// unissued holds the slots of fetched entries that have not issued.
 	// Two disjoint subsets of it hold entries the issue scan need not load:
-	// waiting, whose rdyA or rdyB is still farFuture, and parked, queue ops
-	// with operands ready that were seen behind an unissued older queue op.
+	// waiting, whose rdyA or rdyB is still farFuture or, the subset timed,
+	// whose operands complete after the cycle the last of their times came
+	// in; and parked, queue ops with operands ready that were seen behind an
+	// unissued older queue op or, as qPark, on an empty or full queue.
 	unissued, waiting, parked slotSet
+
+	// due lists the timed entries as at<<dueShift | slot; they leave
+	// waiting once now reaches at. nextDue is the smallest at (farFuture:
+	// none). An entry joins once, when its last operand gets a time, so the
+	// list never outgrows its window-size capacity.
+	due      []uint64
+	dueShift uint
+	nextDue  uint64
+	// qPark is the head queue op parked on its queue, slot<<1 | 1 for an
+	// enqueue facing a full queue, slot<<1 for a dequeue or peek facing an
+	// empty one (noLink: none). The queue's next pop or push unparks it.
+	qPark int32
 
 	regWriter []int32 // last fetched writer seq per register (-1: none live)
 	// storeHead[h] is the newest fetched store whose address hashes to h;
@@ -145,8 +162,9 @@ type tThread struct {
 	issuedN  uint64
 
 	// Scan-skip state: the thread is rescanned when dirty or once wakeAt is
-	// reached; lastQE/lastQF/lastMB cache the stall classification (blocked
-	// on empty queue, full queue, memory) meanwhile.
+	// reached (farFuture: only an event wakes it); lastQE/lastQF/lastMB
+	// cache the stall classification (blocked on empty queue, full queue,
+	// memory) meanwhile.
 	dirty  bool
 	wakeAt uint64
 	lastQE bool
@@ -198,6 +216,7 @@ type timingEngine struct {
 	ras       []*tRA
 	rasByCore [][]*tRA
 	now       uint64
+	live      int // threads not finished
 
 	// qConsumer[q] is the thread consuming queue q (nil if an RA consumes
 	// it); qProducers[q] lists producing threads (for full-queue wakeups).
@@ -305,7 +324,8 @@ func newTimingEngine(m *Machine, ts *TraceSet) *timingEngine {
 			winSize <<= 1
 		}
 		words := slotSetWords(winSize)
-		sets := make([]uint64, 3*words)
+		sets := make([]uint64, 3*words+winSize) // and the due list
+		shift := uint(bits.TrailingZeros(uint(winSize)))
 		// regWriter and storeHead share one allocation; at most winSize stores
 		// are in flight, so winSize buckets keep the chains near length one.
 		links := make([]int32, st.Prog.NumRegs+winSize)
@@ -323,16 +343,22 @@ func newTimingEngine(m *Machine, ts *TraceSet) *timingEngine {
 			winMask:     winSize - 1,
 			unissued:    slotSet{sets[:words], winSize},
 			waiting:     slotSet{sets[words : 2*words], winSize},
-			parked:      slotSet{sets[2*words:], winSize},
+			parked:      slotSet{sets[2*words : 3*words], winSize},
+			due:         sets[3*words : 3*words : 3*words+winSize],
+			dueShift:    shift,
+			nextDue:     farFuture,
+			qPark:       noLink,
 			regWriter:   links[:st.Prog.NumRegs],
 			storeHead:   links[st.Prog.NumRegs:],
-			storeShift:  uint(64 - bits.TrailingZeros(uint(winSize))),
+			storeShift:  64 - shift,
 			lastQOp:     -1,
 			redirectSeq: -1,
 			predTable:   make([]uint8, 1<<predBits),
 		}
 		if len(t.trace) == 0 {
 			t.finished = true
+		} else {
+			e.live++
 		}
 		e.threads = append(e.threads, t)
 		e.byCore[t.core] = append(e.byCore[t.core], t)
@@ -448,13 +474,7 @@ func (e *timingEngine) run() error {
 			e.emitSample()
 			e.sampleAt = (e.now/e.sampleEvery + 1) * e.sampleEvery
 		}
-		done := true
-		for _, t := range e.threads {
-			if !t.finished {
-				done = false
-				break
-			}
-		}
+		done := e.live == 0
 		if done {
 			for _, ra := range e.ras {
 				if ra.idx < len(ra.events) || ra.ifHead < len(ra.inflight) {
@@ -725,16 +745,33 @@ func (e *timingEngine) mshrAvailable(core int) bool {
 	return len(live) < lim
 }
 
+// wakeConsumer reports a push on q to its consumer thread, unparking a
+// dequeue parked on an empty queue.
 func (e *timingEngine) wakeConsumer(q int) {
 	if t := e.qConsumer[q]; t != nil {
 		t.dirty = true
+		if t.qPark != noLink && t.qPark&1 == 0 {
+			t.unpark()
+		}
 	}
 }
 
+// wakeProducers reports a pop on q to its producer threads, unparking an
+// enqueue parked on a full queue (a fan-out source's producers are among a
+// destination's).
 func (e *timingEngine) wakeProducers(q int) {
 	for _, t := range e.qProducers[q] {
 		t.dirty = true
+		if t.qPark != noLink && t.qPark&1 == 1 {
+			t.unpark()
+		}
 	}
+}
+
+// unpark makes the op parked on its queue a candidate again.
+func (t *tThread) unpark() {
+	t.parked.clear(int(t.qPark >> 1))
+	t.qPark = noLink
 }
 
 func (e *timingEngine) coreLive(c int) bool {
@@ -817,8 +854,9 @@ func (t *tThread) source(prod, link int32) (rdy uint64, next int32) {
 }
 
 // wakeDependents hands the issuing entry's completion time to every entry
-// waiting on it and takes those with nothing left to wait for out of the
-// waiting set. A load waits for an older store to issue, not to complete
+// waiting on it. One with nothing left to wait for leaves the waiting set
+// now if its operands are complete, and otherwise joins the due list at the
+// cycle they are. A load waits for an older store to issue, not to complete
 // (the store queue forwards), so it may follow the store in the same cycle.
 func (t *tThread) wakeDependents(en *winEntry, now uint64) {
 	rdy := en.doneAt
@@ -834,10 +872,29 @@ func (t *tThread) wakeDependents(en *winEntry, now uint64) {
 		} else {
 			c.rdyB, l = rdy, c.nextB
 		}
-		if other != farFuture {
+		switch at := max(rdy, other); {
+		case other == farFuture:
+		case at <= now:
 			t.waiting.clear(slot)
+		default:
+			t.due = append(t.due, at<<t.dueShift|uint64(slot))
+			t.nextDue = min(t.nextDue, at)
 		}
 	}
+}
+
+// ripen takes the due entries whose operands complete by now out of the
+// waiting set.
+func (t *tThread) ripen(now uint64) {
+	keep, next := t.due[:0], uint64(farFuture)
+	for _, d := range t.due {
+		if at := d >> t.dueShift; at > now {
+			keep, next = append(keep, d), min(next, at)
+		} else {
+			t.waiting.clear(int(d) & t.winMask)
+		}
+	}
+	t.due, t.nextDue = keep, next
 }
 
 // lastStore returns the newest store to addr still in the window, or -1.
@@ -999,7 +1056,15 @@ func (e *timingEngine) issueCore(c int) (issued int, blockEmpty, blockFull, bloc
 			j -= n
 		}
 		t := ths[j]
-		if t.finished || budget == 0 {
+		if t.finished {
+			continue
+		}
+		// Ripen even when the thread is not scanned, so that classifyCore
+		// and stallSite never see a ripe entry in waiting.
+		if e.now >= t.nextDue {
+			t.ripen(e.now)
+		}
+		if budget == 0 {
 			continue
 		}
 		if e.stalled(t) {
@@ -1048,7 +1113,16 @@ func (e *timingEngine) issueCore(c int) (issued int, blockEmpty, blockFull, bloc
 					break
 				}
 				// The issue may have woken or unparked entries further on.
-				waiting, parked = t.view(t.waiting, sc.from), t.view(t.parked, sc.from)
+				// Only a store wakes a dependent in its own cycle (later
+				// times go to the due list), and an issue unparks only its
+				// queue successor: an op parked on its queue is the thread's
+				// oldest unissued queue op, so no queue op of it can issue.
+				if en.op == isa.OpStore {
+					waiting = t.view(t.waiting, sc.from)
+				}
+				if en.nextQ != noLink {
+					parked = t.view(t.parked, sc.from)
+				}
 				continue
 			}
 			if firstUnissued < 0 {
@@ -1057,28 +1131,42 @@ func (e *timingEngine) issueCore(c int) (issued int, blockEmpty, blockFull, bloc
 			if w := e.entryWake(t, en); w < wake {
 				wake = w
 			}
-			if qb {
-				// A blocking queue op is an enqueue (full queue) or a
-				// dequeue/peek (empty queue); the op kind tells which.
-				if en.qRole == enqueues {
+			tMB = tMB || mb
+			slot := int(en.seq) & t.winMask
+			switch {
+			case qb && en.qRole == enqueues:
+				// A full queue: nothing but a pop changes this.
+				t.qPark = int32(slot<<1 | 1)
+			case qb && e.queues[en.q].len() == 0:
+				// An empty queue: nothing but a push changes this. A token
+				// not yet visible has a time, which entryWake took.
+				t.qPark = int32(slot << 1)
+			case qb:
+				tQE = true
+				continue
+			case en.qRole != notQueue && !mb:
+				// Operands ready, in order behind an unissued queue op:
+				// nothing but that op's issue changes this.
+			default:
+				continue
+			}
+			t.parked.set(slot)
+			parked = parked.with(i)
+		}
+		// The entries stepped over: a waiting one is blocked on an operand,
+		// an op parked on its queue on that queue, and any other parked one
+		// on nothing the breakdown names.
+		waiting, parked = waiting.below(stop), parked.below(stop)
+		tMB = tMB || !waiting.empty()
+		if p := t.qPark; p != noLink {
+			if i := (int(p>>1)-t.head)&t.winMask - sc.from; i >= 0 && i < stop {
+				if p&1 == 1 {
 					tQF = true
 				} else {
 					tQE = true
 				}
 			}
-			tMB = tMB || mb
-			if en.qRole != notQueue && !qb && !mb {
-				// Operands ready, in order behind an unissued queue op:
-				// nothing but that op's issue changes this.
-				t.parked.set(int(en.seq) & t.winMask)
-				parked = parked.with(i)
-			}
 		}
-		// The entries stepped over: a waiting one is blocked on an operand,
-		// a parked one on nothing the breakdown names, and neither has a
-		// time known now at which that could change.
-		waiting, parked = waiting.below(stop), parked.below(stop)
-		tMB = tMB || !waiting.empty()
 		if k := sc.from + waiting.or(parked).first(); k < sc.from+stop && (firstUnissued < 0 || k < firstUnissued) {
 			firstUnissued = k
 		}
@@ -1097,15 +1185,32 @@ func (e *timingEngine) issueCore(c int) (issued int, blockEmpty, blockFull, bloc
 		} else if !sc.unissued.below(stop).empty() || t.scanFrom >= t.count {
 			t.scanFrom = 0
 		}
-		if anyIssued || budget == 0 || sc.capped || wake >= farFuture {
-			// More may become ready next cycle (new issues unlock
-			// dependents, the scan was truncated, or the wake time is
-			// unknown). Only sleep on a known finite wake.
+		// A scan that issued (new issues unlock dependents and move
+		// scanFrom; the budget only stops a scan that issued) or that the
+		// cap cut short is repeated next cycle. Otherwise, where the range
+		// ends before the window does, the next range depends on the cycle
+		// the rescan runs in (scanFrom moved, and retirement moves a stale
+		// scanFrom of 0), and so does a Halt's issue (it waits for
+		// retirement, which is no event): there the thread is rescanned
+		// when a scan that examined its timed entries would have been, at
+		// the earliest time one of them names, or every cycle if none is
+		// known. Elsewhere every blocked entry is woken by an event, which
+		// marks the thread dirty, or at its own or its due time, and a
+		// rescan in any cycle before that would find what this one did.
+		if anyIssued || sc.capped {
 			t.dirty = true
-		} else {
-			t.wakeAt = wake
-			t.lastQE, t.lastQF, t.lastMB = tQE, tQF, tMB
+			continue
 		}
+		if t.count-sc.from > 2*issueScanCap || t.fetchIdx == len(t.trace) {
+			if wake = min(wake, e.timedWake(t, sc.from, stop)); wake >= farFuture {
+				t.dirty = true
+				continue
+			}
+		} else {
+			wake = min(wake, t.nextDue)
+		}
+		t.wakeAt = wake
+		t.lastQE, t.lastQF, t.lastMB = tQE, tQF, tMB
 	}
 	return issued, blockEmpty, blockFull, blockMem
 }
@@ -1146,6 +1251,22 @@ func (e *timingEngine) entryWake(t *tThread, en *winEntry) uint64 {
 			if c > e.now && c < w {
 				w = c
 			}
+		}
+	}
+	return w
+}
+
+// timedWake is the earliest entryWake of the timed entries among offset
+// indexes [0, stop) of a scan from from that issued nothing: the wake they
+// would have given had the scan examined them. The MSHR list looks the same
+// to each (in such a scan a load's check compacts it only to find it still
+// full).
+func (e *timingEngine) timedWake(t *tThread, from, stop int) uint64 {
+	w := uint64(farFuture)
+	for _, d := range t.due {
+		slot := int(d) & t.winMask
+		if i := (slot-t.head)&t.winMask - from; i >= 0 && i < stop {
+			w = min(w, e.entryWake(t, &t.win[slot]))
 		}
 	}
 	return w
@@ -1290,6 +1411,7 @@ func (e *timingEngine) tryIssue(t *tThread, en *winEntry) (ok, blockQ, blockMem 
 		done = e.now + 1
 	case isa.OpHalt:
 		t.finished = true
+		e.live--
 		done = e.now + 1
 		if e.probe != nil {
 			e.probe.ThreadDone(t.idx, e.now)

@@ -76,14 +76,30 @@ func (b bits128) first() int {
 	return 64 + bits.TrailingZeros64(b.hi)
 }
 
-// nth returns the k-th smallest member (k >= 1; the set has at least k).
+// nth returns the k-th smallest member (k >= 1; the set has at least k),
+// halving the word that holds it until two bits are left.
 func (b bits128) nth(k int) int {
 	w, base := b.lo, 0
 	if c := bits.OnesCount64(w); c < k {
 		w, base, k = b.hi, 64, k-c
 	}
-	for ; k > 1; k-- {
-		w &= w - 1
+	if c := bits.OnesCount32(uint32(w)); c < k {
+		w, base, k = w>>32, base+32, k-c
 	}
-	return base + bits.TrailingZeros64(w)
+	if c := bits.OnesCount16(uint16(w)); c < k {
+		w, base, k = w>>16, base+16, k-c
+	}
+	if c := bits.OnesCount8(uint8(w)); c < k {
+		w, base, k = w>>8, base+8, k-c
+	}
+	if c := bits.OnesCount8(uint8(w) & 0xf); c < k {
+		w, base, k = w>>4, base+4, k-c
+	}
+	if c := bits.OnesCount8(uint8(w) & 3); c < k {
+		w, base, k = w>>2, base+2, k-c
+	}
+	if int(w&1) < k {
+		base++
+	}
+	return base
 }

@@ -33,12 +33,3 @@ func CompileSerial(src string) (*ir.Prog, error) {
 	}
 	return p, nil
 }
-
-// MustCompile is CompileSerial that panics on error (static sources only).
-func MustCompile(src string) *ir.Prog {
-	p, err := CompileSerial(src)
-	if err != nil {
-		panic(err)
-	}
-	return p
-}
