@@ -549,9 +549,9 @@ func TestPhloemsimNativeBackend(t *testing.T) {
 }
 
 // TestPhloembenchBenchdiffNative drives the regression gate against the
-// committed native report: self-diff is clean, tampering with a
-// deterministic column (instructions) regresses, and tripling a wall-time
-// column changes nothing — wall clock is never a gated metric.
+// committed native report: self-diff is clean, tampering with a gated
+// column (instructions) regresses, and a report of another kind, or with a
+// missing or unknown kind, is a usage error.
 func TestPhloembenchBenchdiffNative(t *testing.T) {
 	committed := "../BENCH_native.json"
 	data, err := os.ReadFile(committed)
@@ -600,18 +600,15 @@ func TestPhloembenchBenchdiffNative(t *testing.T) {
 		t.Errorf("doubled instructions should exit 3 with a REGRESSION line, got %d:\n%s", code, out)
 	}
 
-	// Wall time changes are invisible to the gate.
-	var fresh map[string]any
-	if err := json.Unmarshal(data, &fresh); err != nil {
-		t.Fatal(err)
-	}
-	for _, b := range fresh["benchmarks"].([]any) {
-		m := b.(map[string]any)
-		m["sim_wall_ms"] = m["sim_wall_ms"].(float64) * 3
-		m["native_wall_ms"] = m["native_wall_ms"].(float64) * 3
-	}
-	if code, out := exitCode("-benchdiff", committed, write(fresh)); code != 0 {
-		t.Errorf("tripled wall columns should exit 0, got %d:\n%s", code, out)
+	// A report whose kind is missing or unknown is a usage error (1).
+	for _, kind := range []string{"", "bogus"} {
+		rep["kind"] = kind
+		if kind == "" {
+			delete(rep, "kind")
+		}
+		if code, out := exitCode("-benchdiff", committed, write(rep)); code != 1 {
+			t.Errorf("kind %q should exit 1, got %d:\n%s", kind, code, out)
+		}
 	}
 
 	// Mixed report kinds are a usage-level error (1).

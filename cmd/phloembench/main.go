@@ -1,10 +1,10 @@
 // Command phloembench regenerates the paper's tables and figures on the
 // simulated Pipette machine with the synthetic input suite.
 //
-// -exp compare is the benchmark regression gate: it re-runs the search and
-// commopt suites at the committed BENCH_*.json reports' scale/topk and diffs
-// the fresh counts and simulator cycles against them (never wall time, which
-// is host-dependent). Any metric beyond threshold exits 3. -benchdiff diffs
+// -exp compare is the benchmark regression gate: it re-runs the search,
+// commopt and native reports at the committed BENCH_*.json files' scale/topk
+// and diffs the fresh counts and simulator cycles against them (the reports
+// carry no wall time). Any metric beyond threshold exits 3. -benchdiff diffs
 // two already-written report files the same way without running anything.
 //
 // Usage:
@@ -37,7 +37,7 @@ func main() {
 	commOptOut := flag.String("commopt-out", "BENCH_commopt.json",
 		"output path for the -exp commopt report (for -exp compare: the committed report to diff against; \"\" skips it)")
 	nativeOut := flag.String("native-out", "BENCH_native.json",
-		"output path for the -exp native report (sim-vs-native wall time and the scale sweep)")
+		"output path for the -exp native report (for -exp compare: the committed report to diff against; \"\" skips it)")
 	topK := flag.Int("topk", 0,
 		"with -exp search: K for the static rank-and-prune leg (0 = default 5)")
 	benchdiff := flag.Bool("benchdiff", false,
@@ -129,7 +129,7 @@ func main() {
 			}
 			fmt.Fprintf(os.Stderr, "wrote %s\n", *nativeOut)
 		case "compare":
-			findings, err := bench.Compare(cfg, *searchOut, *commOptOut, diffOpt)
+			findings, err := bench.Compare(cfg, []string{*searchOut, *commOptOut, *nativeOut}, diffOpt)
 			if err != nil {
 				return err
 			}

@@ -30,10 +30,10 @@ type Config struct {
 	// 1 = serial). Results are identical for every value; only wall-clock
 	// time changes.
 	Parallelism int
-	// SkipSearchBaseline drops the pre-engine baseline leg (serial, no
-	// branch-and-bound pruning) from the SearchPerf comparison. The native
-	// test suite sets it to keep the bench package inside the go test
-	// timeout; `phloembench -exp search` measures the full four-way run.
+	// SkipSearchBaseline drops the pre-engine baseline leg (every candidate
+	// measured to completion) from SearchPerf. No gated value depends on
+	// it, so -exp compare and the package tests skip it to save time;
+	// `phloembench -exp search` runs it for the rank correlation.
 	SkipSearchBaseline bool
 	// TopK sets the K for SearchPerf's static rank-and-prune leg
 	// (0 = DefaultSearchTopK).

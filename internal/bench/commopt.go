@@ -12,9 +12,7 @@ package bench
 // writes the report to BENCH_commopt.json.
 
 import (
-	"encoding/json"
 	"fmt"
-	"os"
 
 	"phloem/internal/arch"
 	"phloem/internal/commopt"
@@ -52,15 +50,36 @@ type CommOptRow struct {
 
 // CommOptReport is the BENCH_commopt.json schema.
 type CommOptReport struct {
-	// HostInfo is the shared environment/scale metadata block (flattened
-	// into the JSON header, same keys as BENCH_search.json).
-	HostInfo
+	Header
 	QueueDepth int          `json:"default_queue_depth"`
 	Benchmarks []CommOptRow `json:"benchmarks"`
 	// ImprovedFamilies counts benchmarks where an optimized leg improved on
 	// the uniform default.
 	ImprovedFamilies int `json:"improved_families"`
 }
+
+// gated lists the default depth, improved-family count, and per leg the
+// cycles, queue-full stalls, assigned capacities and fan-outs.
+func (r *CommOptReport) gated() []gated {
+	out := []gated{
+		countOf("", "default_queue_depth", r.QueueDepth),
+		countOf("", "improved_families", r.ImprovedFamilies),
+	}
+	for _, b := range r.Benchmarks {
+		out = append(out, countOf(b.Name, "queues", b.Queues))
+		for _, l := range b.Legs {
+			key := l.Name + "." // e.g. "both.cycles"
+			out = append(out,
+				cyclesOf(b.Name, key+"cycles", l.Cycles),
+				cyclesOf(b.Name, key+"queue_full_stalls", l.FullStalls),
+				countOf(b.Name, key+"assigned", l.Assigned),
+				countOf(b.Name, key+"fanouts", l.FanOuts))
+		}
+	}
+	return out
+}
+
+func (r *CommOptReport) rerun(cfg Config) (Report, error) { return CommOptPerf(cfg) }
 
 // commOptLegs enumerates the four configurations in report order.
 var commOptLegs = []struct {
@@ -76,7 +95,7 @@ var commOptLegs = []struct {
 // CommOptPerf runs the four-leg commopt comparison over the whole suite and
 // returns the report.
 func CommOptPerf(cfg Config) (*CommOptReport, error) {
-	rep := &CommOptReport{HostInfo: Host(cfg.Scale), QueueDepth: arch.DefaultConfig(1).QueueDepth}
+	rep := &CommOptReport{Header: newHeader(KindCommOpt, cfg.Scale), QueueDepth: arch.DefaultConfig(1).QueueDepth}
 	cfg.printf("\nQueue-communication optimization: uniform default vs inferred capacities vs multicast fan-out\n")
 	cfg.printf("%-8s %-10s %12s %9s %8s %10s %9s %6s\n",
 		"bench", "leg", "cycles", "delta", "full", "delta", "assigned", "fanout")
@@ -141,9 +160,5 @@ func CommOptJSON(cfg Config, path string) error {
 	if err != nil {
 		return err
 	}
-	data, err := json.MarshalIndent(rep, "", "  ")
-	if err != nil {
-		return err
-	}
-	return os.WriteFile(path, append(data, '\n'), 0o644)
+	return writeReport(rep, path)
 }

@@ -2,12 +2,13 @@ package bench
 
 // The benchmark regression gate behind `phloembench -exp compare` and
 // `phloembench -benchdiff`: diff a fresh run (or any report file) against a
-// committed BENCH_*.json with per-metric thresholds. Only counts and
-// simulator cycles are compared — never wall time, which depends on the
-// host. Simulator cycle counts are deterministic for a given scale, so the
-// thresholds exist to absorb intentional small shifts (a pass reordering, a
-// calibration tweak), not host noise; anything beyond them is a regression
-// CI should fail on.
+// committed BENCH_*.json with per-metric thresholds. Every report lists the
+// values it submits to the gate — counts, simulator cycles and must-stay-true
+// flags, all deterministic for a given scale — and one differ compares them,
+// so the thresholds exist to absorb intentional small shifts (a pass
+// reordering, a calibration tweak), not host noise; anything beyond them is
+// a regression CI should fail on. The reports carry no wall-clock columns:
+// wall-time evidence lives in benchmark/.
 
 import (
 	"encoding/json"
@@ -15,7 +16,84 @@ import (
 	"io"
 	"math"
 	"os"
+
+	"phloem/internal/workloads"
 )
+
+// Report kinds, recorded in every report header.
+const (
+	KindSearch  = "search"
+	KindCommOpt = "commopt"
+	KindNative  = "native"
+)
+
+// Header is the metadata block every BENCH_*.json report carries: which
+// report it is and the input scale that produced its numbers.
+type Header struct {
+	Kind  string `json:"kind"`
+	Scale string `json:"scale"`
+}
+
+func newHeader(kind string, scale workloads.Scale) Header {
+	s := "test"
+	if scale == workloads.ScaleFull {
+		s = "full"
+	}
+	return Header{Kind: kind, Scale: s}
+}
+
+func (h Header) header() Header { return h }
+
+// ParseScale maps a report's scale string back to the workloads scale.
+func ParseScale(s string) workloads.Scale {
+	if s == "full" {
+		return workloads.ScaleFull
+	}
+	return workloads.ScaleTest
+}
+
+// Report is one BENCH_*.json report.
+type Report interface {
+	header() Header
+	// gated lists the values the differ compares, in report order.
+	gated() []gated
+	// rerun regenerates the report with its own settings (the caller sets
+	// cfg.Scale from the header).
+	rerun(cfg Config) (Report, error)
+}
+
+// metricKind says how the differ compares a gated value.
+type metricKind int
+
+const (
+	count  metricKind = iota // exact, two-sided CountTol drift
+	cycles                   // lower is better, one-sided CyclesTolPct (CountTol when old is 0)
+	flag                     // must stay true
+)
+
+// gated is one value a report submits to the differ. bench names the row
+// ("" for report-level values).
+type gated struct {
+	bench, metric string
+	kind          metricKind
+	v             float64
+}
+
+func countOf(bench, metric string, v int) gated {
+	return gated{bench, metric, count, float64(v)}
+}
+
+func cyclesOf(bench, metric string, v uint64) gated {
+	return gated{bench, metric, cycles, float64(v)}
+}
+
+func flagOf(bench, metric string, v bool) gated {
+	f := gated{bench, metric, flag, 0}
+	if v {
+		f.v = 1
+	}
+	return f
+}
 
 // DiffOptions sets the regression thresholds.
 type DiffOptions struct {
@@ -48,160 +126,95 @@ type DiffFinding struct {
 	Note       string `json:"note,omitempty"`
 }
 
-// differ accumulates findings over one report pair.
-type differ struct {
-	opt      DiffOptions
-	findings []DiffFinding
-}
-
-// count compares an exact count metric (two-sided CountTol drift).
-func (d *differ) count(bench, metric string, old, new int) {
-	f := DiffFinding{Bench: bench, Metric: metric, Old: float64(old), New: float64(new)}
-	if old != new {
-		f.Changed = true
-		if math.Abs(float64(new-old)) > float64(d.opt.CountTol) {
-			f.Regression = true
-			f.Note = fmt.Sprintf("count drifted by %+d (tolerance %d)", new-old, d.opt.CountTol)
+// Diff compares two reports of one kind value by value. A scale mismatch is
+// a single structural regression (nothing is comparable). A row or value the
+// old report has and the new one lacks is a structural regression, and so is
+// a row only the new report has (the committed report is stale); a value
+// only the new report has, within a shared row, is a non-fatal change.
+func Diff(old, new Report, opt DiffOptions) []DiffFinding {
+	if o, n := old.header().Scale, new.header().Scale; o != n {
+		return []DiffFinding{structural("", fmt.Sprintf("scale mismatch: old %q vs new %q (not comparable)", o, n))}
+	}
+	type key struct{ bench, metric string }
+	newList := new.gated()
+	newVals := map[key]gated{}
+	newRows, oldRows := map[string]bool{}, map[string]bool{}
+	for _, v := range newList {
+		newVals[key{v.bench, v.metric}] = v
+		newRows[v.bench] = true
+	}
+	var out []DiffFinding
+	rowNoted := map[string]bool{} // rows already reported as structural
+	row := func(bench, note string) {
+		if !rowNoted[bench] {
+			rowNoted[bench] = true
+			out = append(out, structural(bench, note))
 		}
 	}
-	d.findings = append(d.findings, f)
+	for _, o := range old.gated() {
+		oldRows[o.bench] = true
+		k := key{o.bench, o.metric}
+		n, ok := newVals[k]
+		delete(newVals, k)
+		switch {
+		case !newRows[o.bench]:
+			row(o.bench, "row missing from new report")
+		case !ok:
+			out = append(out, structural(o.bench, o.metric+" missing from new report"))
+		default:
+			out = append(out, compare(o, n.v, opt))
+		}
+	}
+	for _, n := range newList {
+		if _, left := newVals[key{n.bench, n.metric}]; !left {
+			continue
+		}
+		if !oldRows[n.bench] {
+			row(n.bench, "row only in new report")
+			continue
+		}
+		out = append(out, DiffFinding{Bench: n.bench, Metric: n.metric, New: n.v,
+			Changed: true, Note: "only in new report"})
+	}
+	return out
 }
 
-// cycles compares a lower-is-better cycle/stall metric (one-sided pct
-// tolerance; a zero old value falls back to the CountTol drift check).
-func (d *differ) cycles(bench, metric string, old, new uint64) {
-	f := DiffFinding{Bench: bench, Metric: metric, Old: float64(old), New: float64(new)}
-	if old != new {
-		f.Changed = true
-	}
+// compare applies o's threshold to the new value nv.
+func compare(o gated, nv float64, opt DiffOptions) DiffFinding {
+	f := DiffFinding{Bench: o.bench, Metric: o.metric, Old: o.v, New: nv, Changed: o.v != nv}
 	switch {
-	case old == 0:
-		if new > uint64(d.opt.CountTol) {
+	case !f.Changed:
+	case o.kind == count:
+		if math.Abs(nv-o.v) > float64(opt.CountTol) {
 			f.Regression = true
-			f.Note = fmt.Sprintf("was 0, now %d", new)
+			f.Note = fmt.Sprintf("count drifted by %+.0f (tolerance %d)", nv-o.v, opt.CountTol)
 		}
-	case new > old:
-		pct := 100 * (float64(new) - float64(old)) / float64(old)
-		f.Note = fmt.Sprintf("%+.2f%%", pct)
-		if pct > d.opt.CyclesTolPct {
-			f.Regression = true
-			f.Note = fmt.Sprintf("+%.2f%% (tolerance %.2f%%)", pct, d.opt.CyclesTolPct)
-		}
-	case new < old:
-		f.Note = fmt.Sprintf("%.2f%% improvement", 100*(float64(old)-float64(new))/float64(old))
-	}
-	d.findings = append(d.findings, f)
-}
-
-// flag compares a must-stay-true boolean (true -> false is a regression).
-func (d *differ) flag(bench, metric string, old, new bool) {
-	f := DiffFinding{Bench: bench, Metric: metric, Old: b2f(old), New: b2f(new)}
-	if old != new {
-		f.Changed = true
-		if old && !new {
+	case o.kind == flag:
+		if o.v == 1 {
 			f.Regression = true
 			f.Note = "was true, now false"
 		}
+	case o.v == 0:
+		if nv > float64(opt.CountTol) {
+			f.Regression = true
+			f.Note = fmt.Sprintf("was 0, now %.0f", nv)
+		}
+	case nv > o.v:
+		pct := 100 * (nv - o.v) / o.v
+		f.Note = fmt.Sprintf("%+.2f%%", pct)
+		if pct > opt.CyclesTolPct {
+			f.Regression = true
+			f.Note = fmt.Sprintf("+%.2f%% (tolerance %.2f%%)", pct, opt.CyclesTolPct)
+		}
+	default:
+		f.Note = fmt.Sprintf("%.2f%% improvement", 100*(o.v-nv)/o.v)
 	}
-	d.findings = append(d.findings, f)
+	return f
 }
 
 // structural records a report-shape mismatch (always a regression).
-func (d *differ) structural(bench, note string) {
-	d.findings = append(d.findings, DiffFinding{Bench: bench, Metric: "structure",
-		Regression: true, Changed: true, Note: note})
-}
-
-func b2f(b bool) float64 {
-	if b {
-		return 1
-	}
-	return 0
-}
-
-// DiffSearchReports compares two search-engine reports metric by metric.
-// Wall-time columns (the *_ms fields, speedups, candidates/sec) and the
-// baseline-leg-dependent rank-correlation columns are never compared.
-func DiffSearchReports(old, new *SearchReport, opt DiffOptions) []DiffFinding {
-	d := &differ{opt: opt}
-	if old.Scale != new.Scale {
-		d.structural("", fmt.Sprintf("scale mismatch: old %q vs new %q (not comparable)", old.Scale, new.Scale))
-		return d.findings
-	}
-	d.count("", "topk", old.TopK, new.TopK)
-	byName := map[string]*SearchRow{}
-	for i := range new.Benchmarks {
-		byName[new.Benchmarks[i].Name] = &new.Benchmarks[i]
-	}
-	for i := range old.Benchmarks {
-		o := &old.Benchmarks[i]
-		n, ok := byName[o.Name]
-		if !ok {
-			d.structural(o.Name, "benchmark missing from new report")
-			continue
-		}
-		delete(byName, o.Name)
-		d.count(o.Name, "enumerated", o.Enumerated, n.Enumerated)
-		d.count(o.Name, "searched", o.Searched, n.Searched)
-		d.count(o.Name, "deduped", o.Deduped, n.Deduped)
-		d.count(o.Name, "skipped", o.Skipped, n.Skipped)
-		d.count(o.Name, "best_stages", o.BestStages, n.BestStages)
-		d.cycles(o.Name, "best_train_cycles", o.BestCycles, n.BestCycles)
-		d.count(o.Name, "topk_pruned", o.TopKPruned, n.TopKPruned)
-		d.count(o.Name, "topk_measured", o.TopKMeasured, n.TopKMeasured)
-		d.cycles(o.Name, "topk_train_cycles", o.TopKCycles, n.TopKCycles)
-		d.flag(o.Name, "topk_agrees", o.TopKAgrees, n.TopKAgrees)
-	}
-	for name := range byName {
-		d.structural(name, "benchmark only in new report")
-	}
-	return d.findings
-}
-
-// DiffCommOptReports compares two commopt reports leg by leg.
-func DiffCommOptReports(old, new *CommOptReport, opt DiffOptions) []DiffFinding {
-	d := &differ{opt: opt}
-	if old.Scale != new.Scale {
-		d.structural("", fmt.Sprintf("scale mismatch: old %q vs new %q (not comparable)", old.Scale, new.Scale))
-		return d.findings
-	}
-	d.count("", "default_queue_depth", old.QueueDepth, new.QueueDepth)
-	d.count("", "improved_families", old.ImprovedFamilies, new.ImprovedFamilies)
-	byName := map[string]*CommOptRow{}
-	for i := range new.Benchmarks {
-		byName[new.Benchmarks[i].Name] = &new.Benchmarks[i]
-	}
-	for i := range old.Benchmarks {
-		o := &old.Benchmarks[i]
-		n, ok := byName[o.Name]
-		if !ok {
-			d.structural(o.Name, "benchmark missing from new report")
-			continue
-		}
-		delete(byName, o.Name)
-		d.count(o.Name, "queues", o.Queues, n.Queues)
-		legs := map[string]*CommOptLeg{}
-		for j := range n.Legs {
-			legs[n.Legs[j].Name] = &n.Legs[j]
-		}
-		for j := range o.Legs {
-			ol := &o.Legs[j]
-			nl, ok := legs[ol.Name]
-			if !ok {
-				d.structural(o.Name, fmt.Sprintf("leg %q missing from new report", ol.Name))
-				continue
-			}
-			key := ol.Name + "." // e.g. "both.cycles"
-			d.cycles(o.Name, key+"cycles", ol.Cycles, nl.Cycles)
-			d.cycles(o.Name, key+"queue_full_stalls", ol.FullStalls, nl.FullStalls)
-			d.count(o.Name, key+"assigned", ol.Assigned, nl.Assigned)
-			d.count(o.Name, key+"fanouts", ol.FanOuts, nl.FanOuts)
-		}
-	}
-	for name := range byName {
-		d.structural(name, "benchmark only in new report")
-	}
-	return d.findings
+func structural(bench, note string) DiffFinding {
+	return DiffFinding{Bench: bench, Metric: "structure", Regression: true, Changed: true, Note: note}
 }
 
 // Regressions filters findings down to threshold violations.
@@ -251,72 +264,44 @@ func RenderDiff(w io.Writer, title string, findings []DiffFinding) {
 	}
 }
 
-// LoadedReport holds whichever BENCH_*.json schema a file was sniffed as;
-// exactly one field is non-nil.
-type LoadedReport struct {
-	Search  *SearchReport
-	CommOpt *CommOptReport
-	Native  *NativeReport
-}
-
-func (r *LoadedReport) kind() string {
-	switch {
-	case r.Search != nil:
-		return "search"
-	case r.CommOpt != nil:
-		return "commopt"
-	case r.Native != nil:
-		return "native"
-	}
-	return "unknown"
-}
-
-// LoadReport reads a BENCH_*.json file, detecting its schema from the
-// benchmark rows: a commopt report's carry legs, a search report's carry
-// enumerated counts, a native report's carry native wall columns.
-func LoadReport(path string) (*LoadedReport, error) {
+// LoadReport reads a BENCH_*.json file as the kind its header names.
+func LoadReport(path string) (Report, error) {
 	data, err := os.ReadFile(path)
 	if err != nil {
 		return nil, err
 	}
-	var probe struct {
-		Benchmarks []map[string]json.RawMessage `json:"benchmarks"`
-	}
-	if err := json.Unmarshal(data, &probe); err != nil {
+	var h Header
+	if err := json.Unmarshal(data, &h); err != nil {
 		return nil, fmt.Errorf("%s: %w", path, err)
 	}
-	out := &LoadedReport{}
-	var into any
-	if len(probe.Benchmarks) > 0 {
-		row := probe.Benchmarks[0]
-		switch {
-		case hasKey(row, "legs"):
-			out.CommOpt = &CommOptReport{}
-			into = out.CommOpt
-		case hasKey(row, "enumerated"):
-			out.Search = &SearchReport{}
-			into = out.Search
-		case hasKey(row, "native_wall_ms"):
-			out.Native = &NativeReport{}
-			into = out.Native
-		}
+	var rep Report
+	switch h.Kind {
+	case KindSearch:
+		rep = &SearchReport{}
+	case KindCommOpt:
+		rep = &CommOptReport{}
+	case KindNative:
+		rep = &NativeReport{}
+	default:
+		return nil, fmt.Errorf("%s: report kind %q is not %s, %s or %s", path, h.Kind, KindSearch, KindCommOpt, KindNative)
 	}
-	if into == nil {
-		return nil, fmt.Errorf("%s: not a recognized BENCH report (no search/commopt/native benchmark rows)", path)
-	}
-	if err := json.Unmarshal(data, into); err != nil {
+	if err := json.Unmarshal(data, rep); err != nil {
 		return nil, fmt.Errorf("%s: %w", path, err)
 	}
-	return out, nil
+	return rep, nil
 }
 
-func hasKey(m map[string]json.RawMessage, k string) bool {
-	_, ok := m[k]
-	return ok
+// writeReport writes a report as indented JSON.
+func writeReport(rep Report, path string) error {
+	data, err := json.MarshalIndent(rep, "", "  ")
+	if err != nil {
+		return err
+	}
+	return os.WriteFile(path, append(data, '\n'), 0o644)
 }
 
-// DiffReportFiles diffs two report files of the same sniffed kind, printing
-// to w and returning the findings.
+// DiffReportFiles diffs two report files of the same kind, printing to w
+// and returning the findings.
 func DiffReportFiles(w io.Writer, oldPath, newPath string, opt DiffOptions) ([]DiffFinding, error) {
 	old, err := LoadReport(oldPath)
 	if err != nil {
@@ -326,70 +311,36 @@ func DiffReportFiles(w io.Writer, oldPath, newPath string, opt DiffOptions) ([]D
 	if err != nil {
 		return nil, err
 	}
-	title := fmt.Sprintf("%s report %s vs %s", old.kind(), oldPath, newPath)
-	switch {
-	case old.Search != nil && new.Search != nil:
-		f := DiffSearchReports(old.Search, new.Search, opt)
-		RenderDiff(w, title, f)
-		return f, nil
-	case old.CommOpt != nil && new.CommOpt != nil:
-		f := DiffCommOptReports(old.CommOpt, new.CommOpt, opt)
-		RenderDiff(w, title, f)
-		return f, nil
-	case old.Native != nil && new.Native != nil:
-		f := DiffNativeReports(old.Native, new.Native, opt)
-		RenderDiff(w, title, f)
-		return f, nil
+	ok, nk := old.header().Kind, new.header().Kind
+	if ok != nk {
+		return nil, fmt.Errorf("report kinds differ: %s (%s) vs %s (%s)", oldPath, ok, newPath, nk)
 	}
-	return nil, fmt.Errorf("report kinds differ: %s (%s) vs %s (%s)", oldPath, old.kind(), newPath, new.kind())
+	f := Diff(old, new, opt)
+	RenderDiff(w, fmt.Sprintf("%s report %s vs %s", ok, oldPath, newPath), f)
+	return f, nil
 }
 
-// Compare re-runs the search and commopt suites at the committed reports'
-// scale/parallelism/topk and diffs the fresh numbers against them. The
-// committed search report's baseline leg is skipped (wall time is never
-// compared, and the baseline triples the run time); count and cycle columns
-// are leg-independent. Returns every finding; the caller gates on
-// Regressions.
-func Compare(cfg Config, searchPath, commoptPath string, opt DiffOptions) ([]DiffFinding, error) {
+// Compare re-runs each committed report (paths naming "" are skipped) at
+// its own scale and settings and diffs the fresh numbers against it.
+// Returns every finding; the caller gates on Regressions.
+func Compare(cfg Config, paths []string, opt DiffOptions) ([]DiffFinding, error) {
 	var all []DiffFinding
-	if searchPath != "" {
-		loaded, err := LoadReport(searchPath)
+	for _, path := range paths {
+		if path == "" {
+			continue
+		}
+		committed, err := LoadReport(path)
 		if err != nil {
 			return nil, err
-		}
-		committed := loaded.Search
-		if committed == nil {
-			return nil, fmt.Errorf("%s: not a search report", searchPath)
 		}
 		runCfg := cfg
-		runCfg.Scale = ParseScale(committed.Scale)
-		runCfg.TopK = committed.TopK
-		runCfg.SkipSearchBaseline = true
-		fresh, err := SearchPerf(runCfg)
+		runCfg.Scale = ParseScale(committed.header().Scale)
+		fresh, err := committed.rerun(runCfg)
 		if err != nil {
 			return nil, err
 		}
-		f := DiffSearchReports(committed, fresh, opt)
-		RenderDiff(cfg.Out, "search vs committed "+searchPath, f)
-		all = append(all, f...)
-	}
-	if commoptPath != "" {
-		loaded, err := LoadReport(commoptPath)
-		if err != nil {
-			return nil, err
-		}
-		committed := loaded.CommOpt
-		if committed == nil {
-			return nil, fmt.Errorf("%s: not a commopt report", commoptPath)
-		}
-		runCfg := cfg
-		runCfg.Scale = ParseScale(committed.Scale)
-		fresh, err := CommOptPerf(runCfg)
-		if err != nil {
-			return nil, err
-		}
-		f := DiffCommOptReports(committed, fresh, opt)
-		RenderDiff(cfg.Out, "commopt vs committed "+commoptPath, f)
+		f := Diff(committed, fresh, opt)
+		RenderDiff(cfg.Out, committed.header().Kind+" vs committed "+path, f)
 		all = append(all, f...)
 	}
 	return all, nil

@@ -3,6 +3,7 @@ package bench
 import (
 	"bytes"
 	"encoding/json"
+	"fmt"
 	"os"
 	"path/filepath"
 	"strings"
@@ -12,8 +13,7 @@ import (
 // searchFixture builds a small two-benchmark search report.
 func searchFixture() *SearchReport {
 	return &SearchReport{
-		Parallelism: 4, TopK: 5,
-		HostInfo: HostInfo{GOMAXPROCS: 1, NumCPU: 1, GoVersion: "go1.24.0", Scale: "test"},
+		Header: Header{Kind: KindSearch, Scale: "test"}, TopK: 5,
 		Benchmarks: []SearchRow{
 			{Name: "BFS", Enumerated: 15, Searched: 15, Deduped: 1, Skipped: 12,
 				BestStages: 3, BestCycles: 70000, TopKPruned: 9, TopKMeasured: 5,
@@ -28,7 +28,7 @@ func searchFixture() *SearchReport {
 // commoptFixture builds a one-benchmark commopt report.
 func commoptFixture() *CommOptReport {
 	return &CommOptReport{
-		HostInfo:   HostInfo{GOMAXPROCS: 1, NumCPU: 1, GoVersion: "go1.24.0", Scale: "test"},
+		Header:     Header{Kind: KindCommOpt, Scale: "test"},
 		QueueDepth: 24, ImprovedFamilies: 1,
 		Benchmarks: []CommOptRow{
 			{Name: "BFS", Input: "road-usa", Queues: 6, Improved: true,
@@ -44,46 +44,29 @@ func commoptFixture() *CommOptReport {
 // two-size sweep where the simulator DNFs at the larger size.
 func nativeFixture() *NativeReport {
 	return &NativeReport{
-		HostInfo:         HostInfo{GOMAXPROCS: 1, NumCPU: 1, GoVersion: "go1.24.0", Scale: "test"},
+		Header:           Header{Kind: KindNative, Scale: "test"},
 		Note:             "fixture",
 		SweepCycleBudget: NativeSweepCycleBudget,
 		SimDNF:           1,
-		MinSpeedup:       6.5, GeomeanSpeedup: 8.1,
 		Benchmarks: []NativeRow{
 			{Name: "BFS", Input: "road-usa", Stages: 4, Queues: 6,
-				Cycles: 100000, Instructions: 500000,
-				SimWallMS: 130, NativeWallMS: 20, Speedup: 6.5},
+				Cycles: 100000, Instructions: 500000},
 		},
 		Sweep: []NativeSweepRow{
 			{Input: "grid-50x50", Vertices: 2500, Edges: 5000, SimOK: true,
-				SimStatus: "ok", SimCycles: 100000, Instructions: 500000,
-				SimWallMS: 130, NativeWallMS: 20},
+				SimStatus: "ok", SimCycles: 100000, Instructions: 500000},
 			{Input: "grid-400x400", Vertices: 160000, Edges: 320000,
-				SimStatus: "cycle-budget", Instructions: 32000000, NativeWallMS: 900},
+				SimStatus: "cycle-budget", Instructions: 32000000},
 		},
 	}
 }
 
-// TestDiffNative: wall/speedup columns are never compared; cycles and
-// instruction counts are; losing sweep reach (sim_ok true -> false) and a
-// DNF-count change regress.
+// TestDiffNative: cycles and instruction counts are compared; losing sweep
+// reach (sim_ok true -> false, which also drops that size's sim_cycles) and
+// a DNF-count change regress; gaining it does not.
 func TestDiffNative(t *testing.T) {
-	if r := Regressions(DiffNativeReports(nativeFixture(), nativeFixture(), DefaultDiffOptions())); len(r) != 0 {
+	if r := Regressions(Diff(nativeFixture(), nativeFixture(), DefaultDiffOptions())); len(r) != 0 {
 		t.Errorf("identical native reports regressed: %+v", r)
-	}
-
-	// Wall-time noise must be invisible: triple every wall column.
-	noisy := nativeFixture()
-	noisy.Benchmarks[0].SimWallMS *= 3
-	noisy.Benchmarks[0].NativeWallMS *= 3
-	noisy.Benchmarks[0].Speedup = 1
-	noisy.MinSpeedup, noisy.GeomeanSpeedup = 1, 1
-	noisy.Sweep[0].NativeWallMS *= 3
-	f := DiffNativeReports(nativeFixture(), noisy, DefaultDiffOptions())
-	for _, x := range f {
-		if x.Changed {
-			t.Errorf("wall-only change surfaced as a compared metric: %+v", x)
-		}
 	}
 
 	worse := nativeFixture()
@@ -91,21 +74,31 @@ func TestDiffNative(t *testing.T) {
 	worse.Sweep[0].SimOK = false
 	worse.Sweep[0].SimStatus = "cycle-budget"
 	worse.SimDNF = 2
-	r := Regressions(DiffNativeReports(nativeFixture(), worse, DefaultDiffOptions()))
+	r := Regressions(Diff(nativeFixture(), worse, DefaultDiffOptions()))
 	var metrics []string
 	for _, x := range r {
-		metrics = append(metrics, x.Metric)
+		metrics = append(metrics, x.Metric+" "+x.Note)
 	}
 	got := strings.Join(metrics, ",")
-	for _, want := range []string{"instructions", "sim_ok", "sim_dnf"} {
+	for _, want := range []string{"instructions", "sim_ok", "sim_dnf", "sim_cycles missing"} {
 		if !strings.Contains(got, want) {
 			t.Errorf("want %q regression, got %v", want, r)
 		}
 	}
+
+	// The simulator now finishing a size that used to DNF adds its
+	// sim_cycles: a change, not a regression (sim_dnf itself still drifts).
+	better := nativeFixture()
+	better.Sweep[1].SimOK, better.Sweep[1].SimCycles = true, 900000
+	f := Diff(nativeFixture(), better, DefaultDiffOptions())
+	last := f[len(f)-1]
+	if last.Metric != "sim_cycles" || last.Bench != "grid-400x400" || !last.Changed || last.Regression {
+		t.Errorf("a new sim_cycles value should be a non-fatal change, got %+v", last)
+	}
 }
 
 func TestDiffSearchIdentical(t *testing.T) {
-	f := DiffSearchReports(searchFixture(), searchFixture(), DefaultDiffOptions())
+	f := Diff(searchFixture(), searchFixture(), DefaultDiffOptions())
 	if len(f) == 0 {
 		t.Fatal("no metrics compared")
 	}
@@ -123,20 +116,20 @@ func TestDiffSearchInjectedRegression(t *testing.T) {
 	opt := DiffOptions{CyclesTolPct: 10}
 	within := searchFixture()
 	within.Benchmarks[0].BestCycles = 75000 // +7.1%, inside 10%
-	if r := Regressions(DiffSearchReports(searchFixture(), within, opt)); len(r) != 0 {
+	if r := Regressions(Diff(searchFixture(), within, opt)); len(r) != 0 {
 		t.Errorf("+7%% cycles within 10%% tolerance flagged as regression: %+v", r)
 	}
 
 	beyond := searchFixture()
 	beyond.Benchmarks[0].BestCycles = 80000 // +14.3%
-	r := Regressions(DiffSearchReports(searchFixture(), beyond, opt))
+	r := Regressions(Diff(searchFixture(), beyond, opt))
 	if len(r) != 1 || r[0].Metric != "best_train_cycles" || r[0].Bench != "BFS" {
 		t.Fatalf("+14%% cycles should be exactly one regression, got %+v", r)
 	}
 
 	improved := searchFixture()
 	improved.Benchmarks[1].BestCycles = 50000
-	if r := Regressions(DiffSearchReports(searchFixture(), improved, opt)); len(r) != 0 {
+	if r := Regressions(Diff(searchFixture(), improved, opt)); len(r) != 0 {
 		t.Errorf("cycle improvement flagged as regression: %+v", r)
 	}
 }
@@ -145,13 +138,13 @@ func TestDiffSearchCountDrift(t *testing.T) {
 	// Counts are exact by default: any drift regresses.
 	drift := searchFixture()
 	drift.Benchmarks[0].Enumerated = 16
-	r := Regressions(DiffSearchReports(searchFixture(), drift, DefaultDiffOptions()))
+	r := Regressions(Diff(searchFixture(), drift, DefaultDiffOptions()))
 	if len(r) != 1 || r[0].Metric != "enumerated" {
 		t.Fatalf("enumerated drift should regress, got %+v", r)
 	}
 	// ...unless CountTol allows it.
 	opt := DiffOptions{CyclesTolPct: 10, CountTol: 2}
-	if r := Regressions(DiffSearchReports(searchFixture(), drift, opt)); len(r) != 0 {
+	if r := Regressions(Diff(searchFixture(), drift, opt)); len(r) != 0 {
 		t.Errorf("drift of 1 within CountTol 2 flagged: %+v", r)
 	}
 }
@@ -161,7 +154,7 @@ func TestDiffSearchStructuralAndFlags(t *testing.T) {
 	worse := searchFixture()
 	worse.Benchmarks[0].TopKAgrees = false
 	worse.Benchmarks = worse.Benchmarks[:1]
-	r := Regressions(DiffSearchReports(searchFixture(), worse, DefaultDiffOptions()))
+	r := Regressions(Diff(searchFixture(), worse, DefaultDiffOptions()))
 	var metrics []string
 	for _, x := range r {
 		metrics = append(metrics, x.Metric)
@@ -173,20 +166,20 @@ func TestDiffSearchStructuralAndFlags(t *testing.T) {
 	// Scale mismatch short-circuits: nothing is comparable.
 	full := searchFixture()
 	full.Scale = "full"
-	f := DiffSearchReports(searchFixture(), full, DefaultDiffOptions())
+	f := Diff(searchFixture(), full, DefaultDiffOptions())
 	if len(f) != 1 || !f[0].Regression || !strings.Contains(f[0].Note, "scale mismatch") {
 		t.Errorf("scale mismatch should be a single structural regression, got %+v", f)
 	}
 }
 
 func TestDiffCommOpt(t *testing.T) {
-	if r := Regressions(DiffCommOptReports(commoptFixture(), commoptFixture(), DefaultDiffOptions())); len(r) != 0 {
+	if r := Regressions(Diff(commoptFixture(), commoptFixture(), DefaultDiffOptions())); len(r) != 0 {
 		t.Errorf("identical commopt reports regressed: %+v", r)
 	}
 	worse := commoptFixture()
 	worse.Benchmarks[0].Legs[1].Cycles = 120000  // +26% on the "both" leg
 	worse.Benchmarks[0].Legs[1].FullStalls = 400 // was 10: +3900%
-	r := Regressions(DiffCommOptReports(commoptFixture(), worse, DefaultDiffOptions()))
+	r := Regressions(Diff(commoptFixture(), worse, DefaultDiffOptions()))
 	if len(r) != 2 {
 		t.Fatalf("want 2 regressions (both.cycles, both.queue_full_stalls), got %+v", r)
 	}
@@ -197,9 +190,24 @@ func TestDiffCommOpt(t *testing.T) {
 	}
 }
 
-// TestLoadReportSniffing: the loader detects the schema from the benchmark
-// rows, so benchdiff needs no -kind flag.
-func TestLoadReportSniffing(t *testing.T) {
+// TestDiffRows: a row the new report lacks, or one only it has, is one
+// structural regression per row, and the findings keep report order.
+func TestDiffRows(t *testing.T) {
+	fewer := searchFixture()
+	fewer.Benchmarks = fewer.Benchmarks[1:]
+	r := Regressions(Diff(searchFixture(), fewer, DefaultDiffOptions()))
+	if len(r) != 1 || r[0].Bench != "BFS" || r[0].Note != "row missing from new report" {
+		t.Errorf("missing row should be one structural regression, got %+v", r)
+	}
+	r = Regressions(Diff(fewer, searchFixture(), DefaultDiffOptions()))
+	if len(r) != 1 || r[0].Bench != "BFS" || r[0].Note != "row only in new report" {
+		t.Errorf("extra row should be one structural regression, got %+v", r)
+	}
+}
+
+// TestLoadReportKind: the loader reads the header's kind, so benchdiff
+// needs no -kind flag, and a missing or unknown kind is an error.
+func TestLoadReportKind(t *testing.T) {
 	dir := t.TempDir()
 	write := func(name string, v any) string {
 		data, err := json.MarshalIndent(v, "", "  ")
@@ -215,34 +223,39 @@ func TestLoadReportSniffing(t *testing.T) {
 	sp := write("search.json", searchFixture())
 	cp := write("commopt.json", commoptFixture())
 	np := write("native.json", nativeFixture())
-	if r, err := LoadReport(sp); err != nil || r.Search == nil || r.CommOpt != nil || r.Native != nil {
-		t.Errorf("search.json sniffed wrong: %+v %v", r, err)
+	for p, want := range map[string]Report{sp: searchFixture(), cp: commoptFixture(), np: nativeFixture()} {
+		r, err := LoadReport(p)
+		if err != nil {
+			t.Errorf("%s: %v", p, err)
+			continue
+		}
+		if fmt.Sprintf("%T", r) != fmt.Sprintf("%T", want) {
+			t.Errorf("%s loaded as %T, want %T", p, r, want)
+		}
+		if f := Diff(want, r, DefaultDiffOptions()); len(f) != len(want.gated()) || len(Regressions(f)) != 0 {
+			t.Errorf("%s: roundtrip diff %+v", p, f)
+		}
 	}
-	if r, err := LoadReport(cp); err != nil || r.CommOpt == nil || r.Search != nil || r.Native != nil {
-		t.Errorf("commopt.json sniffed wrong: %+v %v", r, err)
-	}
-	if r, err := LoadReport(np); err != nil || r.Native == nil || r.Search != nil || r.CommOpt != nil {
-		t.Errorf("native.json sniffed wrong: %+v %v", r, err)
-	}
-	junk := write("junk.json", map[string]any{"benchmarks": []map[string]any{{"name": "x"}}})
-	if _, err := LoadReport(junk); err == nil {
-		t.Error("unrecognizable report should error")
+	untyped := searchFixture()
+	untyped.Kind = ""
+	bogus := commoptFixture()
+	bogus.Kind = "bogus"
+	for _, p := range []string{write("untyped.json", untyped), write("bogus.json", bogus)} {
+		if _, err := LoadReport(p); err == nil || !strings.Contains(err.Error(), "report kind") {
+			t.Errorf("%s: missing or unknown kind should error, got %v", p, err)
+		}
 	}
 
 	// DiffReportFiles: same kind diffs, mixed kinds error.
 	var buf bytes.Buffer
-	if _, err := DiffReportFiles(&buf, sp, sp, DefaultDiffOptions()); err != nil {
-		t.Errorf("same-kind diff: %v", err)
-	}
-	if !strings.Contains(buf.String(), "ok: no metric changes") {
-		t.Errorf("self-diff should render clean:\n%s", buf.String())
-	}
-	buf.Reset()
-	if _, err := DiffReportFiles(&buf, np, np, DefaultDiffOptions()); err != nil {
-		t.Errorf("native self-diff: %v", err)
-	}
-	if !strings.Contains(buf.String(), "ok: no metric changes") {
-		t.Errorf("native self-diff should render clean:\n%s", buf.String())
+	for _, p := range []string{sp, cp, np} {
+		buf.Reset()
+		if _, err := DiffReportFiles(&buf, p, p, DefaultDiffOptions()); err != nil {
+			t.Errorf("%s self-diff: %v", p, err)
+		}
+		if !strings.Contains(buf.String(), "ok: no metric changes") {
+			t.Errorf("%s self-diff should render clean:\n%s", p, buf.String())
+		}
 	}
 	if _, err := DiffReportFiles(&buf, sp, cp, DefaultDiffOptions()); err == nil {
 		t.Error("mixed-kind diff should error")
@@ -252,10 +265,10 @@ func TestLoadReportSniffing(t *testing.T) {
 	}
 }
 
-// TestHostInfoHeader: both report schemas flatten the shared HostInfo block
-// into their JSON headers.
-func TestHostInfoHeader(t *testing.T) {
-	for name, v := range map[string]any{"search": searchFixture(), "commopt": commoptFixture(), "native": nativeFixture()} {
+// TestReportHeader: every report schema flattens the shared Header into
+// its JSON header, and no report carries host metadata.
+func TestReportHeader(t *testing.T) {
+	for _, v := range []Report{searchFixture(), commoptFixture(), nativeFixture()} {
 		data, err := json.Marshal(v)
 		if err != nil {
 			t.Fatal(err)
@@ -264,13 +277,14 @@ func TestHostInfoHeader(t *testing.T) {
 		if err := json.Unmarshal(data, &m); err != nil {
 			t.Fatal(err)
 		}
-		for _, key := range []string{"gomaxprocs", "numcpu", "go_version", "scale"} {
-			if _, ok := m[key]; !ok {
-				t.Errorf("%s report header missing %q: %s", name, key, data)
-			}
+		kind := v.header().Kind
+		if string(m["kind"]) != `"`+kind+`"` || string(m["scale"]) != `"test"` {
+			t.Errorf("%s report header wrong: %s", kind, data)
 		}
-		if _, ok := m["host"]; ok {
-			t.Errorf("%s report did not flatten HostInfo: %s", name, data)
+		for _, key := range []string{"host", "gomaxprocs", "numcpu", "go_version", "parallelism"} {
+			if _, ok := m[key]; ok {
+				t.Errorf("%s report carries %q: %s", kind, key, data)
+			}
 		}
 	}
 }
@@ -279,7 +293,7 @@ func TestRenderDiffMarksRegressions(t *testing.T) {
 	var buf bytes.Buffer
 	beyond := searchFixture()
 	beyond.Benchmarks[0].BestCycles = 80000
-	RenderDiff(&buf, "t", DiffSearchReports(searchFixture(), beyond, DefaultDiffOptions()))
+	RenderDiff(&buf, "t", Diff(searchFixture(), beyond, DefaultDiffOptions()))
 	out := buf.String()
 	if !strings.Contains(out, "! BFS.best_train_cycles") || !strings.Contains(out, "REGRESSION: 1 metric(s)") {
 		t.Errorf("render missing regression marks:\n%s", out)

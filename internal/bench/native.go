@@ -3,27 +3,17 @@ package bench
 // The native-backend benchmark behind `phloembench -exp native`: every suite
 // benchmark is compiled once (commopt on, so native queues carry the
 // pass-inferred capacities) and its largest test input runs through the full
-// timing simulator and the native backend, comparing wall
-// time at seed scale; then a BFS scale sweep grows grid graphs past the
-// point the timing simulator can finish within a fixed cycle budget while
-// the native backend keeps producing verified functional results. Both legs
-// of every row are verified and must execute identical instruction counts —
-// the report doubles as an end-to-end run of the differential contract.
-//
-// Honesty note, baked into the report's "note" field: every suite pipeline
-// is single-core, which the native backend runs on one goroutine, so the
-// speedup column measures the cost of cycle-accurate *simulation* (trace recording
-// plus timing replay) against direct execution — wall-clock speedup and
-// scale reach, not parallel speedup. Wall columns are never compared by the
-// regression differ.
+// timing simulator and the native backend; then a BFS scale sweep grows grid
+// graphs past the point the timing simulator can finish within a fixed cycle
+// budget while the native backend keeps producing verified functional
+// results. Both legs of every row are verified and must execute identical
+// instruction counts — the report is an end-to-end run of the differential
+// contract. Sim-vs-native wall time is measured by benchmark/ (the sim-* and
+// native-* cells), not here.
 
 import (
-	"encoding/json"
 	"errors"
 	"fmt"
-	"math"
-	"os"
-	"time"
 
 	"phloem/internal/arch"
 	"phloem/internal/core"
@@ -61,11 +51,6 @@ type NativeRow struct {
 	// Instructions is the dynamic micro-op count; both backends executed
 	// exactly this many or the row would have failed.
 	Instructions uint64 `json:"instructions"`
-	// Wall columns are host-dependent and never compared.
-	SimWallMS    float64 `json:"sim_wall_ms"`
-	NativeWallMS float64 `json:"native_wall_ms"`
-	// Speedup is SimWallMS/NativeWallMS (host-dependent, never compared).
-	Speedup float64 `json:"speedup"`
 }
 
 // NativeSweepRow is one BFS sweep size. SimOK distinguishes completed
@@ -84,15 +69,13 @@ type NativeSweepRow struct {
 	// Instructions is the native backend's executed micro-op count,
 	// cross-checked against the functional phase when the simulator
 	// finished this size.
-	Instructions uint64  `json:"instructions"`
-	SimWallMS    float64 `json:"sim_wall_ms,omitempty"`
-	NativeWallMS float64 `json:"native_wall_ms"`
+	Instructions uint64 `json:"instructions"`
 }
 
 // NativeReport is the BENCH_native.json schema.
 type NativeReport struct {
-	HostInfo
-	// Note states what the wall-clock numbers do and do not claim.
+	Header
+	// Note states what the report does and does not claim.
 	Note             string           `json:"note"`
 	SweepCycleBudget uint64           `json:"sweep_cycle_budget"`
 	Benchmarks       []NativeRow      `json:"benchmarks"`
@@ -100,17 +83,42 @@ type NativeReport struct {
 	// SimDNF counts sweep sizes the simulator could not finish within the
 	// cycle budget (exact: the budget and inputs are deterministic).
 	SimDNF int `json:"sim_dnf"`
-	// Speedup aggregates (host-dependent, never compared).
-	MinSpeedup     float64 `json:"min_speedup"`
-	GeomeanSpeedup float64 `json:"geomean_speedup"`
 }
 
 // nativeNote is the report's standing honesty disclaimer.
-const nativeNote = "wall-clock speedup of direct execution over cycle-accurate simulation " +
-	"(functional pass + trace recording + timing replay) on this host; this is NOT " +
-	"parallel speedup — every pipeline here is single-core, which the native backend " +
-	"runs on one goroutine. The sweep shows scale reach: sizes the simulator cannot finish within " +
-	"the fixed cycle budget still produce verified functional results natively."
+const nativeNote = "every pipeline here is single-core, which the native backend runs on one " +
+	"goroutine: the rows check that both backends execute the same instructions, not parallel " +
+	"speedup. The sweep shows scale reach: sizes the simulator cannot finish within the fixed " +
+	"cycle budget still produce verified functional results natively. Sim-vs-native wall time " +
+	"is measured by benchmark/ (the sim-* and native-* cells)."
+
+// gated lists pipeline shape, simulator cycles, instruction counts and
+// sweep reach; sim_cycles only for sweep sizes the simulator finished.
+func (r *NativeReport) gated() []gated {
+	out := []gated{
+		countOf("", "sweep_cycle_budget", int(r.SweepCycleBudget)),
+		countOf("", "sim_dnf", r.SimDNF),
+	}
+	for _, b := range r.Benchmarks {
+		out = append(out,
+			countOf(b.Name, "stages", b.Stages),
+			countOf(b.Name, "queues", b.Queues),
+			cyclesOf(b.Name, "cycles", b.Cycles),
+			cyclesOf(b.Name, "instructions", b.Instructions))
+	}
+	for _, s := range r.Sweep {
+		out = append(out,
+			countOf(s.Input, "vertices", s.Vertices),
+			flagOf(s.Input, "sim_ok", s.SimOK),
+			cyclesOf(s.Input, "instructions", s.Instructions))
+		if s.SimOK {
+			out = append(out, cyclesOf(s.Input, "sim_cycles", s.SimCycles))
+		}
+	}
+	return out
+}
+
+func (r *NativeReport) rerun(cfg Config) (Report, error) { return NativePerf(cfg) }
 
 // nativeInstance compiles-and-instantiates with the bench suite's trace
 // headroom. Native runs reuse MaxTraceEntries as an instruction cap, so the
@@ -147,7 +155,7 @@ func runNativeLeg(pl *pipeline.Pipeline, in *workloads.Input, traceCap int) (*na
 // the go test timeout.
 func NativePerf(cfg Config, families ...string) (*NativeReport, error) {
 	rep := &NativeReport{
-		HostInfo:         Host(cfg.Scale),
+		Header:           newHeader(KindNative, cfg.Scale),
 		Note:             nativeNote,
 		SweepCycleBudget: NativeSweepCycleBudget,
 	}
@@ -158,10 +166,8 @@ func NativePerf(cfg Config, families ...string) (*NativeReport, error) {
 	opt := core.DefaultOptions()
 	opt.CommOpt = true
 
-	cfg.printf("\nNative backend: wall time vs the timing simulator (largest test input per family)\n")
-	cfg.printf("%-8s %-14s %7s %7s %12s %14s %12s %12s %8s\n",
-		"bench", "input", "stages", "queues", "cycles", "instructions", "sim-wall", "native-wall", "speedup")
-	var speedups []float64
+	cfg.printf("\nNative backend vs the timing simulator (largest test input per family)\n")
+	cfg.printf("%-8s %-14s %7s %7s %12s %14s\n", "bench", "input", "stages", "queues", "cycles", "instructions")
 	for _, b := range workloads.Benchmarks(cfg.Scale) {
 		if len(keep) > 0 && !keep[b.Name] {
 			continue
@@ -176,12 +182,10 @@ func NativePerf(cfg Config, families ...string) (*NativeReport, error) {
 		}
 		in := b.Test[len(b.Test)-1]
 
-		simStart := time.Now()
 		st, err := runPipe(res.Pipeline, in.Bind(), in, 1, true)
 		if err != nil {
 			return nil, fmt.Errorf("%s (sim): %w", b.Name, err)
 		}
-		simWall := time.Since(simStart)
 
 		nst, err := runNativeLeg(res.Pipeline, in, 256<<20)
 		if err != nil {
@@ -195,23 +199,10 @@ func NativePerf(cfg Config, families ...string) (*NativeReport, error) {
 			Name: b.Name, Input: in.Name,
 			Stages: res.Pipeline.TotalStages(), Queues: len(res.Pipeline.Queues),
 			Cycles: st.Cycles, Instructions: st.Instructions,
-			SimWallMS:    float64(simWall.Microseconds()) / 1e3,
-			NativeWallMS: float64(nst.Wall.Microseconds()) / 1e3,
 		}
-		row.Speedup = row.SimWallMS / row.NativeWallMS
-		speedups = append(speedups, row.Speedup)
 		rep.Benchmarks = append(rep.Benchmarks, row)
-		cfg.printf("%-8s %-14s %7d %7d %12d %14d %10.1fms %10.1fms %7.1fx\n",
-			row.Name, row.Input, row.Stages, row.Queues, row.Cycles, row.Instructions,
-			row.SimWallMS, row.NativeWallMS, row.Speedup)
-	}
-	if len(speedups) > 0 {
-		rep.MinSpeedup = speedups[0]
-		for _, s := range speedups {
-			rep.MinSpeedup = math.Min(rep.MinSpeedup, s)
-		}
-		rep.GeomeanSpeedup = gmean(speedups)
-		cfg.printf("speedup: min %.1fx, geomean %.1fx (%s)\n", rep.MinSpeedup, rep.GeomeanSpeedup, "wall-clock vs timing simulation; see note")
+		cfg.printf("%-8s %-14s %7d %7d %12d %14d\n",
+			row.Name, row.Input, row.Stages, row.Queues, row.Cycles, row.Instructions)
 	}
 
 	if err := nativeSweep(cfg, rep); err != nil {
@@ -238,8 +229,8 @@ func nativeSweep(cfg Config, rep *NativeReport) error {
 	}
 
 	cfg.printf("\nBFS grid sweep: scale reach past the simulator's %d-cycle budget\n", uint64(NativeSweepCycleBudget))
-	cfg.printf("%-12s %9s %9s %-12s %12s %14s %12s %12s\n",
-		"input", "vertices", "edges", "sim", "sim-cycles", "instructions", "sim-wall", "native-wall")
+	cfg.printf("%-12s %9s %9s %-12s %12s %14s\n",
+		"input", "vertices", "edges", "sim", "sim-cycles", "instructions")
 	for _, side := range nativeSweepSides {
 		name := fmt.Sprintf("grid-%dx%d", side, side)
 		g := graph.Grid(name, side, side, 25)
@@ -257,7 +248,6 @@ func nativeSweep(cfg Config, rep *NativeReport) error {
 			return err
 		}
 		simInst.Machine.Cfg.CycleBudget = NativeSweepCycleBudget
-		simStart := time.Now()
 		st, simErr := simInst.Run()
 		switch {
 		case simErr == nil:
@@ -266,7 +256,6 @@ func nativeSweep(cfg Config, rep *NativeReport) error {
 			}
 			row.SimOK, row.SimStatus = true, "ok"
 			row.SimCycles = st.Cycles
-			row.SimWallMS = float64(time.Since(simStart).Microseconds()) / 1e3
 		case isBudgetStop(simErr):
 			row.SimStatus = budgetStatus(simErr)
 			rep.SimDNF++
@@ -279,17 +268,14 @@ func nativeSweep(cfg Config, rep *NativeReport) error {
 			return fmt.Errorf("%s (native): %w", name, err)
 		}
 		row.Instructions = nst.Instructions
-		row.NativeWallMS = float64(nst.Wall.Microseconds()) / 1e3
 
 		rep.Sweep = append(rep.Sweep, row)
-		simWall, simCyc := "-", "-"
+		simCyc := "-"
 		if row.SimOK {
-			simWall = fmt.Sprintf("%.1fms", row.SimWallMS)
 			simCyc = fmt.Sprintf("%d", row.SimCycles)
 		}
-		cfg.printf("%-12s %9d %9d %-12s %12s %14d %12s %10.1fms\n",
-			row.Input, row.Vertices, row.Edges, row.SimStatus, simCyc, row.Instructions,
-			simWall, row.NativeWallMS)
+		cfg.printf("%-12s %9d %9d %-12s %12s %14d\n",
+			row.Input, row.Vertices, row.Edges, row.SimStatus, simCyc, row.Instructions)
 	}
 	cfg.printf("simulator DNFs: %d/%d sweep sizes (native completed and verified all %d)\n",
 		rep.SimDNF, len(rep.Sweep), len(rep.Sweep))
@@ -315,66 +301,5 @@ func NativeJSON(cfg Config, path string) error {
 	if err != nil {
 		return err
 	}
-	data, err := json.MarshalIndent(rep, "", "  ")
-	if err != nil {
-		return err
-	}
-	return os.WriteFile(path, append(data, '\n'), 0o644)
-}
-
-// DiffNativeReports compares two native reports. Only deterministic
-// metrics are compared: pipeline shape, simulator cycles, instruction
-// counts, and sweep reachability. Wall columns and speedups are
-// host-dependent and never compared.
-func DiffNativeReports(old, new *NativeReport, opt DiffOptions) []DiffFinding {
-	d := &differ{opt: opt}
-	if old.Scale != new.Scale {
-		d.structural("", fmt.Sprintf("scale mismatch: old %q vs new %q (not comparable)", old.Scale, new.Scale))
-		return d.findings
-	}
-	d.count("", "sweep_cycle_budget", int(old.SweepCycleBudget), int(new.SweepCycleBudget))
-	d.count("", "sim_dnf", old.SimDNF, new.SimDNF)
-	byName := map[string]*NativeRow{}
-	for i := range new.Benchmarks {
-		byName[new.Benchmarks[i].Name] = &new.Benchmarks[i]
-	}
-	for i := range old.Benchmarks {
-		o := &old.Benchmarks[i]
-		n, ok := byName[o.Name]
-		if !ok {
-			d.structural(o.Name, "benchmark missing from new report")
-			continue
-		}
-		delete(byName, o.Name)
-		d.count(o.Name, "stages", o.Stages, n.Stages)
-		d.count(o.Name, "queues", o.Queues, n.Queues)
-		d.cycles(o.Name, "cycles", o.Cycles, n.Cycles)
-		d.cycles(o.Name, "instructions", o.Instructions, n.Instructions)
-	}
-	for name := range byName {
-		d.structural(name, "benchmark only in new report")
-	}
-	bySize := map[string]*NativeSweepRow{}
-	for i := range new.Sweep {
-		bySize[new.Sweep[i].Input] = &new.Sweep[i]
-	}
-	for i := range old.Sweep {
-		o := &old.Sweep[i]
-		n, ok := bySize[o.Input]
-		if !ok {
-			d.structural(o.Input, "sweep size missing from new report")
-			continue
-		}
-		delete(bySize, o.Input)
-		d.count(o.Input, "vertices", o.Vertices, n.Vertices)
-		d.flag(o.Input, "sim_ok", o.SimOK, n.SimOK)
-		d.cycles(o.Input, "instructions", o.Instructions, n.Instructions)
-		if o.SimOK && n.SimOK {
-			d.cycles(o.Input, "sim_cycles", o.SimCycles, n.SimCycles)
-		}
-	}
-	for name := range bySize {
-		d.structural(name, "sweep size only in new report")
-	}
-	return d.findings
+	return writeReport(rep, path)
 }

@@ -10,8 +10,8 @@ import (
 // TestNativePerfSmoke runs the experiment end to end at reduced scope (one
 // family, tiny sweep) and checks the report's internal invariants: the
 // differential contract held on every row (NativePerf fails otherwise),
-// wall columns are populated, and the report self-diffs clean through the
-// JSON roundtrip — the same path `phloembench -benchdiff` takes.
+// and the report self-diffs clean through the JSON roundtrip — the same
+// path `phloembench -benchdiff` takes.
 func TestNativePerfSmoke(t *testing.T) {
 	if testing.Short() {
 		t.Skip("runs the timing simulator")
@@ -29,17 +29,14 @@ func TestNativePerfSmoke(t *testing.T) {
 		t.Fatalf("families filter ignored: %+v", rep.Benchmarks)
 	}
 	r := rep.Benchmarks[0]
-	if r.Instructions == 0 || r.Cycles == 0 || r.SimWallMS <= 0 || r.NativeWallMS <= 0 {
+	if r.Instructions == 0 || r.Cycles == 0 {
 		t.Errorf("degenerate seed row: %+v", r)
-	}
-	if r.Speedup <= 0 {
-		t.Errorf("speedup not computed: %+v", r)
 	}
 	if len(rep.Sweep) != 2 {
 		t.Fatalf("want 2 sweep rows, got %+v", rep.Sweep)
 	}
 	for _, s := range rep.Sweep {
-		if s.Instructions == 0 || s.NativeWallMS <= 0 {
+		if s.Instructions == 0 {
 			t.Errorf("degenerate sweep row: %+v", s)
 		}
 		// Tiny grids finish well inside the budget.
@@ -50,10 +47,10 @@ func TestNativePerfSmoke(t *testing.T) {
 	if rep.SimDNF != 0 {
 		t.Errorf("SimDNF = %d on tiny sweep", rep.SimDNF)
 	}
-	if !strings.Contains(rep.Note, "NOT parallel speedup") {
+	if !strings.Contains(rep.Note, "not parallel speedup") {
 		t.Errorf("report note lost the single-core disclaimer: %q", rep.Note)
 	}
-	if !strings.Contains(out.String(), "speedup") {
+	if !strings.Contains(out.String(), "instructions") {
 		t.Errorf("no human-readable table rendered:\n%s", out.String())
 	}
 
@@ -66,7 +63,7 @@ func TestNativePerfSmoke(t *testing.T) {
 	if err := json.Unmarshal(data, &back); err != nil {
 		t.Fatal(err)
 	}
-	if r := Regressions(DiffNativeReports(rep, &back, DefaultDiffOptions())); len(r) != 0 {
+	if r := Regressions(Diff(rep, &back, DefaultDiffOptions())); len(r) != 0 {
 		t.Errorf("roundtripped report regressed against itself: %+v", r)
 	}
 }

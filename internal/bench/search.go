@@ -1,27 +1,21 @@
 package bench
 
-// The search-engine benchmark: autotunes every benchmark in the suite four
-// ways — the pre-engine baseline (serial, every candidate measured under the
-// full BudgetFactor budget, the cost profile the search had before the
-// branch-and-bound engine), the engine fully serial, the engine with the
-// configured worker parallelism, and the engine with Options.TopK static
-// rank-and-prune. The two engine runs must pick byte-identical results (the
-// determinism contract), and the baseline must agree on the winning
-// pipeline; the top-K leg records whether its winner agrees too (pruning by
-// static prediction is allowed to miss, so disagreement is reported, not
-// fatal). The report carries wall-clock time per leg, the headline speedup
-// (baseline vs parallel engine: pruning + dedup + parallelism combined),
-// the engine-only parallel speedup, the top-K leg's rank-phase/measure-phase
-// split, and the per-benchmark Spearman correlation between the static cost
-// model's predicted cycles and the simulator's measured cycles.
-// `phloembench -exp search` writes the report to BENCH_search.json.
+// The search-engine benchmark: autotunes every benchmark in the suite three
+// ways at the configured worker parallelism — the pre-engine baseline (every
+// candidate measured to completion, no branch-and-bound pruning), the
+// engine, and the engine with Options.TopK static rank-and-prune. The
+// baseline must agree with the engine on the winning pipeline; the top-K leg
+// records whether its winner agrees too (pruning by static prediction is
+// allowed to miss, so disagreement is reported, not fatal). The report
+// carries the engine's candidate counts and winner, the top-K leg's pruning
+// counts, and the per-benchmark Spearman correlation between the static cost
+// model's predicted cycles and the simulator's measured cycles. Every number
+// is identical at every parallelism; search wall time is measured by
+// benchmark/ (autotune-graph). `phloembench -exp search` writes the report
+// to BENCH_search.json.
 
 import (
-	"encoding/json"
 	"fmt"
-	"os"
-	"runtime"
-	"time"
 
 	"phloem/internal/core"
 	"phloem/internal/costmodel"
@@ -32,7 +26,7 @@ import (
 // is zero — the same K the cross-benchmark winner-agreement test pins.
 const DefaultSearchTopK = 5
 
-// SearchRow is one benchmark's search measurement across the four legs.
+// SearchRow is one benchmark's search measurement across the three legs.
 type SearchRow struct {
 	Name string `json:"name"`
 	// Enumerated counts candidate configurations walked (duplicates
@@ -42,73 +36,70 @@ type SearchRow struct {
 	Deduped    int `json:"deduped"`
 	Skipped    int `json:"skipped"`
 	// BestStages/BestCycles identify the winning pipeline (identical
-	// across the baseline/serial/parallel legs by construction; the top-K
-	// leg's winner is reported separately via TopKCycles/TopKAgrees).
+	// across the baseline and engine legs by construction; the top-K leg's
+	// winner is reported separately via TopKCycles/TopKAgrees).
 	BestStages int    `json:"best_stages"`
 	BestCycles uint64 `json:"best_train_cycles"`
-	// BaselineMS is the pre-engine search: serial, no candidate pruning
-	// (0 when the baseline leg is skipped).
-	BaselineMS float64 `json:"baseline_ms"`
-	SerialMS   float64 `json:"serial_ms"`
-	ParallelMS float64 `json:"parallel_ms"`
-	// Speedup is baseline/parallel — the full win of the engine over the
-	// search it replaced (serial/parallel when the baseline leg is skipped).
-	Speedup float64 `json:"speedup"`
-	// ParSpeedup is serial/parallel: the worker-pool contribution alone.
-	ParSpeedup      float64 `json:"parallel_speedup"`
-	SerialCandsSec  float64 `json:"candidates_per_sec_serial"`
-	ParallelCandSec float64 `json:"candidates_per_sec_parallel"`
-	// The top-K leg: serial engine with Options.TopK rank-and-prune.
-	// TopKRankMS is the static rank phase alone (build + cost model);
-	// TopKMS - TopKRankMS is the measurement phase.
-	TopKMS       float64 `json:"topk_ms"`
-	TopKRankMS   float64 `json:"topk_rank_ms"`
-	TopKPruned   int     `json:"topk_pruned"`
-	TopKMeasured int     `json:"topk_measured"`
+	// The top-K leg: the engine with Options.TopK rank-and-prune.
+	TopKPruned   int `json:"topk_pruned"`
+	TopKMeasured int `json:"topk_measured"`
 	// TopKAgrees reports whether the top-K leg selected the same winner
 	// (description and training cycles) as the unpruned engine.
 	TopKAgrees bool `json:"topk_agrees"`
 	// TopKCycles is the top-K leg winner's training cycle count (equals
 	// BestCycles when TopKAgrees).
 	TopKCycles uint64 `json:"topk_train_cycles"`
-	// TopKSpeedup is serial/topk: the static-pruning contribution alone.
-	TopKSpeedup float64 `json:"topk_speedup"`
 	// RankCorrelation is the Spearman rank correlation between the cost
 	// model's predicted cycles and the simulator's measured training cycles
 	// over this benchmark's measured (non-skipped) candidates, taken from
 	// the exhaustive baseline leg when it ran (every candidate measured to
-	// completion) and the serial engine leg otherwise. RankPoints is the
-	// number of candidates behind the number; 0 or 1 point yields 0.
+	// completion) and the engine leg otherwise. RankPoints is the number of
+	// candidates behind the number; 0 or 1 point yields 0.
 	RankCorrelation float64 `json:"rank_correlation"`
 	RankPoints      int     `json:"rank_points"`
 }
 
 // SearchReport is the BENCH_search.json schema.
 type SearchReport struct {
-	Parallelism int `json:"parallelism"`
+	Header
 	// TopK is the K the top-K leg pruned to.
-	TopK int `json:"topk"`
-	// HostInfo is the shared environment/scale metadata block (flattened
-	// into the JSON header, same keys as every other BENCH_*.json report).
-	HostInfo
-	Benchmarks  []SearchRow `json:"benchmarks"`
-	TotalBaseMS float64     `json:"total_baseline_ms"`
-	TotalSerMS  float64     `json:"total_serial_ms"`
-	TotalParMS  float64     `json:"total_parallel_ms"`
-	TotalTopKMS float64     `json:"total_topk_ms"`
-	// Speedup is total baseline/parallel (serial/parallel when the baseline
-	// leg is skipped); ParSpeedup is total serial/parallel; TopKSpeedup is
-	// total serial/topk.
-	Speedup     float64 `json:"speedup"`
-	ParSpeedup  float64 `json:"parallel_speedup"`
-	TopKSpeedup float64 `json:"topk_speedup"`
+	TopK       int         `json:"topk"`
+	Benchmarks []SearchRow `json:"benchmarks"`
 	// MeanRankCorrelation averages RankCorrelation over benchmarks with 2+
 	// measured points.
 	MeanRankCorrelation float64 `json:"mean_rank_correlation"`
 }
 
+// gated lists the counts, winner cycles and top-K agreement. The rank
+// correlation is not gated: it depends on whether the baseline leg ran.
+func (r *SearchReport) gated() []gated {
+	out := []gated{countOf("", "topk", r.TopK)}
+	for _, b := range r.Benchmarks {
+		out = append(out,
+			countOf(b.Name, "enumerated", b.Enumerated),
+			countOf(b.Name, "searched", b.Searched),
+			countOf(b.Name, "deduped", b.Deduped),
+			countOf(b.Name, "skipped", b.Skipped),
+			countOf(b.Name, "best_stages", b.BestStages),
+			cyclesOf(b.Name, "best_train_cycles", b.BestCycles),
+			countOf(b.Name, "topk_pruned", b.TopKPruned),
+			countOf(b.Name, "topk_measured", b.TopKMeasured),
+			cyclesOf(b.Name, "topk_train_cycles", b.TopKCycles),
+			flagOf(b.Name, "topk_agrees", b.TopKAgrees))
+	}
+	return out
+}
+
+// rerun regenerates the report at its own K. The baseline leg is skipped:
+// no gated value depends on it, and it triples the run time.
+func (r *SearchReport) rerun(cfg Config) (Report, error) {
+	cfg.TopK = r.TopK
+	cfg.SkipSearchBaseline = true
+	return SearchPerf(cfg)
+}
+
 // searchSignature summarizes everything observable about an autotune result;
-// serial and parallel engine runs must agree on it exactly.
+// runs at any parallelism, and a resumed run, must agree on it exactly.
 func searchSignature(res *core.Result) string {
 	sig := fmt.Sprintf("best=%q stages=%d ras=%d cycles=%d searched=%d deduped=%d enum=%d",
 		res.Pipeline.Description, res.Pipeline.NumStages(), len(res.Pipeline.RAs),
@@ -136,129 +127,86 @@ func rankCorrelation(res *core.Result) (corr float64, n int) {
 	return costmodel.SpearmanRank(pred, meas), len(pred)
 }
 
-// SearchPerf runs the baseline-vs-serial-vs-parallel-vs-topK autotune
-// comparison over the whole suite and returns the report. Parallelism and
-// TopK come from cfg (0 = GOMAXPROCS / DefaultSearchTopK);
-// cfg.SkipSearchBaseline drops the (slow) baseline leg.
+// SearchPerf runs the baseline, engine and top-K autotune legs over the
+// whole suite and returns the report. Parallelism and TopK come from cfg
+// (0 = GOMAXPROCS / DefaultSearchTopK); cfg.SkipSearchBaseline drops the
+// (slow) baseline leg.
 func SearchPerf(cfg Config) (*SearchReport, error) {
-	par := cfg.Parallelism
-	if par <= 0 {
-		par = runtime.GOMAXPROCS(0)
-	}
 	topK := cfg.TopK
 	if topK <= 0 {
 		topK = DefaultSearchTopK
 	}
-	rep := &SearchReport{Parallelism: par, TopK: topK, HostInfo: Host(cfg.Scale)}
-	cfg.printf("\nSearch engine: baseline (no pruning) vs serial vs parallel vs top-%d autotune (parallelism %d)\n",
-		topK, par)
-	cfg.printf("%-8s %6s %6s %6s %6s %11s %10s %10s %10s %8s %8s %6s %6s\n",
-		"bench", "enum", "meas", "dedup", "skip", "baseline ms", "serial ms", "par ms", "topk ms",
-		"speedup", "par-only", "agree", "rho")
+	rep := &SearchReport{Header: newHeader(KindSearch, cfg.Scale), TopK: topK}
+	cfg.printf("\nSearch engine: exhaustive baseline vs branch-and-bound engine vs top-%d autotune\n", topK)
+	cfg.printf("%-8s %6s %6s %6s %6s %6s %12s %6s %6s %6s %6s\n",
+		"bench", "enum", "meas", "dedup", "skip", "stages", "train cycles", "pruned", "agree", "rho", "points")
 	for _, bench := range workloads.Benchmarks(cfg.Scale) {
 		prog, err := workloads.CompileSerial(bench.SerialSource)
 		if err != nil {
 			return nil, fmt.Errorf("%s: %w", bench.Name, err)
 		}
-		run := func(parallelism int, exhaustive bool, topk int) (*core.Result, float64, error) {
+		run := func(exhaustive bool, topk int) (*core.Result, error) {
 			opt := autotuneOptions(cfg, bench)
-			opt.Parallelism = parallelism
 			opt.Exhaustive = exhaustive
 			opt.TopK = topk
-			start := time.Now()
 			res, err := core.Compile(prog, opt)
 			if err != nil {
-				return nil, 0, fmt.Errorf("%s (parallelism %d): %w", bench.Name, parallelism, err)
+				return nil, fmt.Errorf("%s: %w", bench.Name, err)
 			}
-			return res, float64(time.Since(start).Microseconds()) / 1e3, nil
+			return res, nil
 		}
-		var baseMS float64
 		var baseRes *core.Result
 		if !cfg.SkipSearchBaseline {
-			if baseRes, baseMS, err = run(1, true, 0); err != nil {
+			if baseRes, err = run(true, 0); err != nil {
 				return nil, err
 			}
 		}
-		serRes, serMS, err := run(1, false, 0)
+		engRes, err := run(false, 0)
 		if err != nil {
 			return nil, err
 		}
-		parRes, parMS, err := run(par, false, 0)
+		topRes, err := run(false, topK)
 		if err != nil {
 			return nil, err
-		}
-		topRes, topMS, err := run(1, false, topK)
-		if err != nil {
-			return nil, err
-		}
-		if s, p := searchSignature(serRes), searchSignature(parRes); s != p {
-			return nil, fmt.Errorf("%s: parallel search diverged from serial:\nserial:   %s\nparallel: %s",
-				bench.Name, s, p)
-		}
-		if baseRes != nil {
-			// Pruning only aborts losers, so the exhaustive baseline must
-			// crown the same winner with the same training cycle count.
-			if baseRes.Pipeline.Description != serRes.Pipeline.Description ||
-				baseRes.TrainCycles != serRes.TrainCycles {
-				return nil, fmt.Errorf("%s: baseline search picked %q (%d cycles), engine picked %q (%d cycles)",
-					bench.Name, baseRes.Pipeline.Description, baseRes.TrainCycles,
-					serRes.Pipeline.Description, serRes.TrainCycles)
-			}
-		}
-		row := SearchRow{
-			Name:            bench.Name,
-			Enumerated:      serRes.Enumerated,
-			Searched:        serRes.Searched,
-			Deduped:         serRes.Deduped,
-			Skipped:         len(serRes.Skips),
-			BestStages:      serRes.Pipeline.NumStages(),
-			BestCycles:      serRes.TrainCycles,
-			BaselineMS:      baseMS,
-			SerialMS:        serMS,
-			ParallelMS:      parMS,
-			Speedup:         serMS / parMS,
-			ParSpeedup:      serMS / parMS,
-			SerialCandsSec:  float64(serRes.Enumerated) / (serMS / 1e3),
-			ParallelCandSec: float64(serRes.Enumerated) / (parMS / 1e3),
-			TopKMS:          topMS,
-			TopKRankMS:      float64(topRes.RankMillis),
-			TopKPruned:      topRes.Pruned,
-			TopKMeasured:    topRes.Searched - 1, // exclude the serial baseline
-			TopKCycles:      topRes.TrainCycles,
-			TopKSpeedup:     serMS / topMS,
-			TopKAgrees: topRes.Pipeline.Description == serRes.Pipeline.Description &&
-				topRes.TrainCycles == serRes.TrainCycles,
-		}
-		if baseMS > 0 {
-			row.Speedup = baseMS / parMS
 		}
 		// The exhaustive baseline measures every candidate to completion, so
 		// its points give the model the fairest grading; the engine's
 		// branch-and-bound leg aborts losers early and grades on fewer.
-		corrRes := serRes
+		corrRes := engRes
 		if baseRes != nil {
+			// Pruning only aborts losers, so the exhaustive baseline must
+			// crown the same winner with the same training cycle count.
+			if baseRes.Pipeline.Description != engRes.Pipeline.Description ||
+				baseRes.TrainCycles != engRes.TrainCycles {
+				return nil, fmt.Errorf("%s: baseline search picked %q (%d cycles), engine picked %q (%d cycles)",
+					bench.Name, baseRes.Pipeline.Description, baseRes.TrainCycles,
+					engRes.Pipeline.Description, engRes.TrainCycles)
+			}
 			corrRes = baseRes
+		}
+		row := SearchRow{
+			Name:         bench.Name,
+			Enumerated:   engRes.Enumerated,
+			Searched:     engRes.Searched,
+			Deduped:      engRes.Deduped,
+			Skipped:      len(engRes.Skips),
+			BestStages:   engRes.Pipeline.NumStages(),
+			BestCycles:   engRes.TrainCycles,
+			TopKPruned:   topRes.Pruned,
+			TopKMeasured: topRes.Searched - 1, // exclude the serial baseline
+			TopKCycles:   topRes.TrainCycles,
+			TopKAgrees: topRes.Pipeline.Description == engRes.Pipeline.Description &&
+				topRes.TrainCycles == engRes.TrainCycles,
 		}
 		row.RankCorrelation, row.RankPoints = rankCorrelation(corrRes)
 		rep.Benchmarks = append(rep.Benchmarks, row)
-		rep.TotalBaseMS += baseMS
-		rep.TotalSerMS += serMS
-		rep.TotalParMS += parMS
-		rep.TotalTopKMS += topMS
 		agree := "yes"
 		if !row.TopKAgrees {
 			agree = "NO"
 		}
-		cfg.printf("%-8s %6d %6d %6d %6d %11.1f %10.1f %10.1f %10.1f %7.2fx %7.2fx %6s %+5.2f\n",
-			row.Name, row.Enumerated, row.Searched, row.Deduped, row.Skipped,
-			row.BaselineMS, row.SerialMS, row.ParallelMS, row.TopKMS,
-			row.Speedup, row.ParSpeedup, agree, row.RankCorrelation)
-	}
-	rep.ParSpeedup = rep.TotalSerMS / rep.TotalParMS
-	rep.TopKSpeedup = rep.TotalSerMS / rep.TotalTopKMS
-	rep.Speedup = rep.ParSpeedup
-	if rep.TotalBaseMS > 0 {
-		rep.Speedup = rep.TotalBaseMS / rep.TotalParMS
+		cfg.printf("%-8s %6d %6d %6d %6d %6d %12d %6d %6s %+6.2f %6d\n",
+			row.Name, row.Enumerated, row.Searched, row.Deduped, row.Skipped, row.BestStages,
+			row.BestCycles, row.TopKPruned, agree, row.RankCorrelation, row.RankPoints)
 	}
 	nCorr := 0
 	for _, row := range rep.Benchmarks {
@@ -270,21 +218,8 @@ func SearchPerf(cfg Config) (*SearchReport, error) {
 	if nCorr > 0 {
 		rep.MeanRankCorrelation /= float64(nCorr)
 	}
-	cfg.printf("%-8s %43.1f %10.1f %10.1f %10.1f %7.2fx %7.2fx %6s %+5.2f\n",
-		"total", rep.TotalBaseMS, rep.TotalSerMS, rep.TotalParMS, rep.TotalTopKMS,
-		rep.Speedup, rep.ParSpeedup, "", rep.MeanRankCorrelation)
-	cfg.printf("top-%d: %.2fx over serial engine (rank phase %.0f ms total); mean rank correlation %+.2f\n",
-		topK, rep.TopKSpeedup, totalRankMS(rep), rep.MeanRankCorrelation)
+	cfg.printf("mean rank correlation %+.2f\n", rep.MeanRankCorrelation)
 	return rep, nil
-}
-
-// totalRankMS sums the top-K leg's static rank-phase time across the suite.
-func totalRankMS(rep *SearchReport) float64 {
-	var total float64
-	for _, row := range rep.Benchmarks {
-		total += row.TopKRankMS
-	}
-	return total
 }
 
 // SearchPerfJSON runs SearchPerf and writes the report to path.
@@ -293,9 +228,5 @@ func SearchPerfJSON(cfg Config, path string) error {
 	if err != nil {
 		return err
 	}
-	data, err := json.MarshalIndent(rep, "", "  ")
-	if err != nil {
-		return err
-	}
-	return os.WriteFile(path, append(data, '\n'), 0o644)
+	return writeReport(rep, path)
 }

@@ -10,7 +10,7 @@ package bench
 // bound-tightening structure they exercise is input-count independent);
 // TestAutotuneMultiInputDeterminism covers the cumulative multi-input
 // budget path on the cheapest benchmark, and TestSearchPerfReport runs the
-// real full-training generator.
+// real full-training generator against the committed report.
 
 import (
 	"fmt"
@@ -148,44 +148,30 @@ func TestParallelSearchMatchesSerialAllBenchmarks(t *testing.T) {
 	}
 }
 
-// TestSearchPerfReport exercises the BENCH_search.json generator end to end
-// with the real (full) training inputs. It is the long pole of the package
-// and is skipped under -short and -race; the CI benchmark smoke step runs
-// the generator natively instead.
+// TestSearchPerfReport regenerates BENCH_search.json with the real (full)
+// training inputs at parallelism 4 and diffs it against the committed
+// report through the regression gate, so the committed counts and winners
+// also pin parallel-equals-serial when the report was recorded at -j 1. It
+// is the long pole of the package and is skipped under -short and -race.
 func TestSearchPerfReport(t *testing.T) {
 	if testing.Short() {
 		t.Skip("search perf sweep is long under -short")
 	}
 	if raceEnabled {
-		t.Skip("search perf sweep is wall-clock timing; skipped under -race")
+		t.Skip("search perf sweep is long under the race detector")
 	}
+	var out strings.Builder
 	cfg := testConfig()
+	cfg.Out = &out
 	cfg.Parallelism = 4
-	// The exhaustive baseline leg multiplies losing candidates' cost by the
-	// full BudgetFactor; skip it here to stay inside the package time budget
-	// (the CI search-report smoke step measures all three legs).
-	cfg.SkipSearchBaseline = true
-	rep, err := SearchPerf(cfg)
+	findings, err := Compare(cfg, []string{"../../BENCH_search.json"}, DefaultDiffOptions())
 	if err != nil {
 		t.Fatal(err)
 	}
-	if len(rep.Benchmarks) != len(workloads.Benchmarks(workloads.ScaleTest)) {
-		t.Fatalf("report covers %d benchmarks", len(rep.Benchmarks))
+	if len(findings) == 0 || len(Regressions(findings)) != 0 {
+		t.Errorf("fresh search report vs committed:\n%s", out.String())
 	}
-	for _, row := range rep.Benchmarks {
-		if row.Enumerated <= 0 || row.SerialMS <= 0 || row.ParallelMS <= 0 || row.TopKMS <= 0 {
-			t.Errorf("%s: degenerate row %+v", row.Name, row)
-		}
-		// RankPoints can legitimately be 0 here: with the baseline leg
-		// skipped, grading falls to the engine leg, whose branch-and-bound
-		// budget can abort every candidate when the serial baseline wins
-		// (SpMM at full training). The CI search-report smoke runs the
-		// baseline leg and asserts 2+ graded points per benchmark.
-		t.Logf("%s: topk agrees=%v pruned=%d rho=%+.2f (%d points)",
-			row.Name, row.TopKAgrees, row.TopKPruned, row.RankCorrelation, row.RankPoints)
-	}
-	t.Logf("engine parallel speedup at parallelism 4: %.2fx; top-%d speedup %.2fx; mean rho %+.2f",
-		rep.ParSpeedup, rep.TopK, rep.TopKSpeedup, rep.MeanRankCorrelation)
+	t.Log(out.String())
 }
 
 func benchmarkAutotune(b *testing.B, parallelism int) {
