@@ -127,7 +127,11 @@ func runAutotune(name string, f autotuneFlags) (cancelled bool, err error) {
 	opt.Training = bench.Trainers(wl)
 	opt.Parallelism = f.parallelism
 	opt.TopK = f.topK
-	opt.Deadline = f.timeout
+	if f.timeout > 0 {
+		ctx, cancel := context.WithTimeout(context.Background(), f.timeout)
+		defer cancel()
+		opt.Ctx = ctx
+	}
 	opt.Checkpoint = f.checkpoint
 	opt.Resume = f.resume
 	// Observability is strictly opt-in: with none of the flags set the

@@ -8,7 +8,7 @@
 //	phloemsim -faults list                      # list fault plans and stop
 //	phloemsim -bench BFS -faults kitchen-sink   # chaos plan, results must match
 //	phloemsim -bench BFS -cycle-budget 1000     # guardrail demo, exits 2
-//	phloemsim -bench BFS -timeout 100ms         # wall-clock bound, exits 4
+//	phloemsim -bench BFS -timeout 100ms         # per-run wall-clock bound, exits 4
 //	phloemsim -bench BFS -inject deadlock       # guardrail demo, exits 1
 //	phloemsim -bench BFS -profile               # source-line stall profile
 //	phloemsim -bench BFS -chrome-trace out.json # chrome://tracing timeline
@@ -33,10 +33,13 @@
 // Exit codes: 0 success, 1 compile failure/deadlock/any other error,
 // 2 cycle or trace budget exceeded, 3 functional trap, 4 wall-clock
 // timeout (-timeout) or interruption. The contract is backend-independent:
-// the native backend fails with the same sentinel error classes.
+// the native backend fails with the same sentinel error classes. -timeout
+// bounds each run (serial and pipelined) on its own: every run gets its own
+// context.WithTimeout on Machine.Ctx, and an expired one is sim.ErrCancelled.
 package main
 
 import (
+	"context"
 	"errors"
 	"flag"
 	"fmt"
@@ -49,6 +52,7 @@ import (
 	"phloem/internal/core"
 	"phloem/internal/fault"
 	"phloem/internal/ir"
+	"phloem/internal/native"
 	"phloem/internal/pipeline"
 	"phloem/internal/sim"
 	"phloem/internal/telemetry"
@@ -67,7 +71,7 @@ func exitCode(err error) int {
 		return 2
 	case errors.Is(err, sim.ErrTrap):
 		return 3
-	case errors.Is(err, sim.ErrWallBudget), errors.Is(err, sim.ErrCancelled):
+	case errors.Is(err, sim.ErrCancelled):
 		return 4
 	default:
 		return 1
@@ -112,7 +116,7 @@ func run() int {
 	inputName := flag.String("input", "", "input name (default: the road-like test input)")
 	cycleBudget := flag.Uint64("cycle-budget", 0, "abort any run past this many cycles (exit code 2)")
 	traceLimit := flag.Int("trace-limit", 0, "abort any run past this many executed instructions (exit code 2; works on both backends)")
-	timeout := flag.Duration("timeout", 0, "abort any run past this wall-clock duration (exit code 4)")
+	timeout := flag.Duration("timeout", 0, "abort a run past this wall-clock duration, bounding the serial and pipelined runs each on its own (exit code 4)")
 	faultPlan := flag.String("faults", "", "timing-fault plan: a named plan or seed-N (results must still match); 'list' prints all plans")
 	inject := flag.String("inject", "", "sabotage the pipeline to demo guardrails: deadlock|trap")
 	seriesOut := flag.String("telemetry", "", "write the pipelined run's interval time-series to this file (.csv, else JSON; \"-\" = stdout)")
@@ -136,11 +140,10 @@ func run() int {
 		return 0
 	}
 
-	backend, err := core.ParseBackend(*backendName)
-	if err != nil {
-		return fail(err)
-	}
-	if backend == core.BackendNative {
+	backend := *backendName
+	switch backend {
+	case "sim":
+	case "native":
 		// These features live in the timing simulator; there is no cycle
 		// model or probe stream to drive natively.
 		for flagName, set := range map[string]bool{
@@ -154,6 +157,8 @@ func run() int {
 				return fail(fmt.Errorf("%s requires -backend sim (the native backend has no cycle model)", flagName))
 			}
 		}
+	default:
+		return fail(fmt.Errorf("unknown backend %q (sim|native)", backend))
 	}
 
 	bench, err := workloads.ByName(workloads.ScaleTest, *benchName)
@@ -194,10 +199,12 @@ func run() int {
 	if err != nil {
 		return fail(err)
 	}
-	runPipe := func(name string, p *pipeline.Pipeline, col *telemetry.Collector) (*core.ExecStats, error) {
+	// runPipe runs one leg on the selected backend and returns its
+	// simulated cycles (sim) or host wall time (native).
+	runPipe := func(name string, p *pipeline.Pipeline, col *telemetry.Collector) (cycles uint64, wall time.Duration, err error) {
 		inst, err := pipeline.Instantiate(p, arch.DefaultConfig(1), in.Bind())
 		if err != nil {
-			return nil, fmt.Errorf("%s: %w", name, err)
+			return 0, 0, fmt.Errorf("%s: %w", name, err)
 		}
 		plan.Apply(inst.Machine)
 		inst.Machine.Cfg.CycleBudget = *cycleBudget
@@ -205,24 +212,37 @@ func run() int {
 			inst.Machine.MaxTraceEntries = *traceLimit
 		}
 		if *timeout > 0 {
-			inst.Machine.WallDeadline = time.Now().Add(*timeout)
+			ctx, cancel := context.WithTimeout(context.Background(), *timeout)
+			defer cancel()
+			inst.Machine.Ctx = ctx
 		}
 		if col != nil {
 			inst.Machine.Probe = col
 			inst.Machine.Cfg.TelemetryInterval = *interval
 		}
-		st, err := core.Execute(inst, backend)
+		var report string
+		if backend == "native" {
+			var st *native.Stats
+			if st, err = native.Run(inst.Machine, native.Options{}); err == nil {
+				wall, report = st.Wall, st.String()
+			}
+		} else {
+			var st *sim.Stats
+			if st, err = inst.Run(); err == nil {
+				cycles, report = st.Cycles, st.String()
+			}
+		}
+		if err == nil {
+			err = in.Verify(inst)
+		}
 		if err != nil {
-			return nil, fmt.Errorf("%s: %w", name, err)
+			return 0, 0, fmt.Errorf("%s: %w", name, err)
 		}
-		if err := in.Verify(inst); err != nil {
-			return nil, fmt.Errorf("%s: %w", name, err)
-		}
-		fmt.Printf("--- %s (%s)\n%s", name, backend, st.Report)
-		return st, nil
+		fmt.Printf("--- %s (%s)\n%s", name, backend, report)
+		return cycles, wall, nil
 	}
 
-	sc, err := runPipe("serial", pipeline.NewSerial(serialProg), nil)
+	serialCycles, serialWall, err := runPipe("serial", pipeline.NewSerial(serialProg), nil)
 	if err != nil {
 		return fail(err)
 	}
@@ -241,14 +261,14 @@ func run() int {
 	}
 	fmt.Printf("--- phloem pipeline\n%s", res.Pipeline.Describe())
 	var col *telemetry.Collector
-	if backend == core.BackendSim && (*seriesOut != "" || *profile || *chromeOut != "" || *commOpt) {
+	if backend == "sim" && (*seriesOut != "" || *profile || *chromeOut != "" || *commOpt) {
 		col = telemetry.NewCollector()
 		// Stamp the run's identity into the trace header so a sim-level
 		// trace can be matched to the bench and input that produced it.
 		col.SetMeta("bench", bench.Name)
 		col.SetMeta("input", in.Name)
 	}
-	pc, err := runPipe("phloem", res.Pipeline, col)
+	pipeCycles, pipeWall, err := runPipe("phloem", res.Pipeline, col)
 	if err != nil {
 		return fail(err)
 	}
@@ -260,15 +280,15 @@ func run() int {
 	if plan2 != nil && col != nil {
 		printOccupancy(plan2, col.Series())
 	}
-	if backend == core.BackendNative {
+	if backend == "native" {
 		// No cycle model natively: report wall time, and say what it is
 		// not — this is serial-interpreter vs pipeline-interpreter wall
 		// clock, not simulated speedup.
 		fmt.Printf("\nwall on %s: serial %v, phloem %v (%s backend; wall-clock on this host, not simulated cycles)\n",
-			in.Name, sc.Wall.Round(time.Microsecond), pc.Wall.Round(time.Microsecond), backend)
+			in.Name, serialWall.Round(time.Microsecond), pipeWall.Round(time.Microsecond), backend)
 		return 0
 	}
-	fmt.Printf("\nspeedup on %s: %.2fx\n", in.Name, float64(sc.Cycles)/float64(pc.Cycles))
+	fmt.Printf("\nspeedup on %s: %.2fx\n", in.Name, float64(serialCycles)/float64(pipeCycles))
 	return 0
 }
 

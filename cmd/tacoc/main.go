@@ -44,7 +44,11 @@ func main() {
 	fmt.Printf("// %s\n%s", taco.Expression(k), src)
 	if *pipe {
 		opt := core.DefaultOptions()
-		opt.Deadline = *timeout
+		if *timeout > 0 {
+			ctx, cancel := context.WithTimeout(context.Background(), *timeout)
+			defer cancel()
+			opt.Ctx = ctx
+		}
 		var col *obs.Collector
 		if *stats {
 			col = obs.NewCollector()

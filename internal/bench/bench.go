@@ -61,6 +61,10 @@ func runPipe(pipe *pipeline.Pipeline, b pipeline.Bindings, in *workloads.Input,
 	return runPipeBudget(pipe, b, in, cores, verify, core.Budget{})
 }
 
+// benchTraceCap is the functional-trace cap of every harness run: four
+// times the simulator's default of 64M entries.
+const benchTraceCap = 256 << 20
+
 // runPipeBudget is runPipe with a measurement budget applied to the machine
 // (zero Budget leaves the defaults).
 func runPipeBudget(pipe *pipeline.Pipeline, b pipeline.Bindings, in *workloads.Input,
@@ -69,7 +73,7 @@ func runPipeBudget(pipe *pipeline.Pipeline, b pipeline.Bindings, in *workloads.I
 	if err != nil {
 		return nil, err
 	}
-	inst.Machine.MaxTraceEntries = 256 << 20
+	inst.Machine.MaxTraceEntries = benchTraceCap
 	budget.Apply(inst.Machine)
 	st, err := inst.Run()
 	if err != nil {

@@ -3,7 +3,9 @@ package bench
 import (
 	"fmt"
 
+	"phloem/internal/arch"
 	"phloem/internal/core"
+	"phloem/internal/pipeline"
 	"phloem/internal/telemetry"
 	"phloem/internal/workloads"
 )
@@ -28,8 +30,17 @@ func Telemetry(cfg Config) error {
 			return fmt.Errorf("%s: %w", b.Name, err)
 		}
 		in := b.Test[len(b.Test)-1]
+		inst, err := pipeline.Instantiate(res.Pipeline, arch.DefaultConfig(1), in.Bind())
+		if err != nil {
+			return fmt.Errorf("%s: %w", b.Name, err)
+		}
 		col := telemetry.NewCollector()
-		st, err := runPipeBudget(res.Pipeline, in.Bind(), in, 1, true, core.Budget{Probe: col})
+		inst.Machine.MaxTraceEntries = benchTraceCap
+		inst.Machine.Probe = col
+		st, err := inst.Run()
+		if err == nil && in.Verify != nil {
+			err = in.Verify(inst)
+		}
 		if err != nil {
 			return fmt.Errorf("%s: %w", b.Name, err)
 		}

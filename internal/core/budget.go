@@ -31,11 +31,6 @@ type Budget struct {
 	// functional phase runs before any cycle is simulated (0 = simulator
 	// default).
 	Trace int
-	// Probe, when non-nil, is installed on the candidate's machine so the
-	// measurement is observed (e.g. by a telemetry.Collector, sampling every
-	// Machine.Cfg.TelemetryInterval cycles). Probes never change timing
-	// results.
-	Probe sim.Probe
 	// Ctx, when non-nil, cancels the measurement cooperatively: the
 	// simulator polls it at amortized intervals and aborts with
 	// sim.ErrCancelled. A background context changes nothing.
@@ -49,9 +44,6 @@ func (b Budget) Apply(m *sim.Machine) {
 	}
 	if b.Trace > 0 {
 		m.MaxTraceEntries = b.Trace
-	}
-	if b.Probe != nil {
-		m.Probe = b.Probe
 	}
 	if b.Ctx != nil {
 		m.Ctx = b.Ctx
@@ -109,8 +101,8 @@ const (
 	// SkipPruned: the Options.TopK rank phase statically predicted the
 	// candidate cannot win and excluded it from simulation.
 	SkipPruned
-	// SkipCancelled: the search was cancelled (Options.Ctx or Deadline)
-	// before this candidate could be measured.
+	// SkipCancelled: the search was cancelled (Options.Ctx, or its
+	// deadline expired) before this candidate could be measured.
 	SkipCancelled
 )
 
@@ -197,10 +189,7 @@ func classify(err error) SkipReason {
 		return SkipVerifier
 	case errors.Is(err, sim.ErrDeadlock):
 		return SkipDeadlock
-	case errors.Is(err, sim.ErrCycleBudget), errors.Is(err, sim.ErrTraceLimit),
-		errors.Is(err, sim.ErrWallBudget):
-		// A wall overrun is a per-candidate budget verdict, not a search
-		// abort: the candidate is dropped but the search goes on.
+	case errors.Is(err, sim.ErrCycleBudget), errors.Is(err, sim.ErrTraceLimit):
 		return SkipBudget
 	case errors.Is(err, sim.ErrTrap):
 		return SkipTrap
@@ -245,7 +234,7 @@ var errCancelled = fmt.Errorf("core: search cancelled before candidate finished 
 // re-evaluated before each input so long measurements pick up tightening
 // published while they run; it must be non-increasing across calls.
 //
-// base supplies the per-input trace cap and any probe; base.Cycles is
+// base supplies the per-input trace cap and context; base.Cycles is
 // superseded by bound. On error the returned cycle count is the total
 // accumulated before the failing (or skipped) input.
 func measureAll(pipe *pipeline.Pipeline, opt Options, base Budget, bound func() uint64) (uint64, error) {

@@ -9,7 +9,6 @@ import (
 	"context"
 	"fmt"
 	"sort"
-	"time"
 
 	"phloem/internal/analysis"
 	"phloem/internal/arch"
@@ -110,13 +109,11 @@ type Options struct {
 	// cooperatively: the simulator polls it at amortized intervals, and in
 	// Autotune mode a cancelled search returns a structured partial Result
 	// — best-so-far incumbent, full counters, and every unmeasured
-	// candidate tagged SkipCancelled — with a nil error. A nil or
-	// background context leaves results and Stats bit-identical.
+	// candidate tagged SkipCancelled — with a nil error. It is also the
+	// only wall-clock bound: wrap it in context.WithTimeout, and expiry
+	// behaves exactly like cancellation. A nil or background context
+	// leaves results and Stats bit-identical.
 	Ctx context.Context
-	// Deadline bounds the whole compilation in wall-clock time
-	// (0 = unbounded). It is implemented as a context timeout layered over
-	// Ctx, so expiry behaves exactly like cancellation.
-	Deadline time.Duration
 	// Checkpoint, when non-empty, is the path of an append-only JSONL
 	// journal recording each measured candidate's training outcome, keyed
 	// by candidate fingerprint under a program/arch/options hash. An
@@ -158,12 +155,9 @@ func (o *Options) obsEvent(kind EventKind) SearchEvent {
 }
 
 // resolve prepares an Options copy for one Compile or Search call: it fills
-// the defaults, layers Deadline over Ctx so everything below sees one
-// effective context on Ctx (nil when neither is set, so the default path
-// skips context plumbing entirely), and anchors the Observer clock. The
-// returned cancel releases that context; the error is the context's when it
-// is already done.
-func (o *Options) resolve() (context.CancelFunc, error) {
+// the defaults and anchors the Observer clock. The error is the context's
+// when Ctx is already done.
+func (o *Options) resolve() error {
 	if o.MaxThreads <= 0 {
 		o.MaxThreads = 4
 	}
@@ -176,24 +170,16 @@ func (o *Options) resolve() (context.CancelFunc, error) {
 	if o.MaxCandidates <= 0 {
 		o.MaxCandidates = 5
 	}
-	cancel := context.CancelFunc(func() {})
-	if o.Deadline > 0 {
-		if o.Ctx == nil {
-			o.Ctx = context.Background()
-		}
-		o.Ctx, cancel = context.WithTimeout(o.Ctx, o.Deadline)
-		o.Deadline = 0
-	}
 	if o.Ctx != nil {
 		if err := o.Ctx.Err(); err != nil {
-			return cancel, err
+			return err
 		}
 	}
 	// The obsWriter rides every Options copy so build/verify/measure sites
 	// emit against one shared clock anchor.
 	o.obsw = newObsWriter(o.Observer)
 	o.obsC = obsCand{seq: -1, phase: -1}
-	return cancel, nil
+	return nil
 }
 
 // candidates ranks every program phase's decoupling points with the static
@@ -259,7 +245,7 @@ type Result struct {
 	// occurrences are not repeated.
 	Points []SearchPoint
 	// Cancelled reports that the autotune search stopped early because
-	// Options.Ctx was cancelled or Options.Deadline expired. The Result is
+	// Options.Ctx was cancelled or its deadline expired. The Result is
 	// still structurally complete: Pipeline is the best candidate measured
 	// before the cut (at worst the serial fallback), counters cover every
 	// enumerated candidate, and each unmeasured candidate is recorded in
@@ -326,9 +312,7 @@ func Compile(p *ir.Prog, opt Options) (res *Result, err error) {
 			res, err = nil, fmt.Errorf("core: compile panicked: %v", r)
 		}
 	}()
-	cancel, err := opt.resolve()
-	defer cancel()
-	if err != nil {
+	if err := opt.resolve(); err != nil {
 		return nil, fmt.Errorf("core: compile cancelled: %w", err)
 	}
 	phases, cands := candidates(p)
@@ -542,9 +526,7 @@ func Search(p *ir.Prog, opt Options) (out []SearchPoint, err error) {
 			out, err = nil, fmt.Errorf("core: search panicked: %v", r)
 		}
 	}()
-	cancel, err := opt.resolve()
-	defer cancel()
-	if err != nil {
+	if err := opt.resolve(); err != nil {
 		return nil, fmt.Errorf("core: search cancelled: %w", err)
 	}
 	phases, cands := candidates(p)

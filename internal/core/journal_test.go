@@ -15,6 +15,7 @@ import (
 	"strings"
 	"sync/atomic"
 	"testing"
+	"time"
 
 	"phloem/internal/core"
 	"phloem/internal/graph"
@@ -307,7 +308,9 @@ func TestDeadlineGenerousMatchesUnbounded(t *testing.T) {
 	}
 	opt = autotuneBFSOptions(train)
 	opt.Parallelism = 1
-	opt.Deadline = 3600e9 // an hour: never expires, must change nothing
+	ctx, cancel := context.WithTimeout(context.Background(), time.Hour) // never expires, must change nothing
+	defer cancel()
+	opt.Ctx = ctx
 	res, err := core.CompileSource(workloads.BFSSource, opt)
 	if err != nil {
 		t.Fatal(err)

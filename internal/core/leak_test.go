@@ -2,8 +2,8 @@ package core_test
 
 // The search worker pool must terminate on every exit path of both front
 // doors — success, a context cancelled before the search, a cancel in the
-// middle of it, Deadline expiry with workers in flight, and panics inside
-// worker builds — without leaving a goroutine behind.
+// middle of it, a context deadline expiring with workers in flight, and
+// panics inside worker builds — without leaving a goroutine behind.
 
 import (
 	"context"
@@ -137,8 +137,10 @@ func TestSearchNoGoroutineLeak(t *testing.T) {
 			<-b.Ctx.Done()
 			return 0, sim.ErrCancelled
 		}}
-		opt.Deadline = 100 * time.Millisecond
+		ctx, cancel = context.WithTimeout(context.Background(), 100*time.Millisecond)
+		opt.Ctx = ctx
 		run("deadline", opt, func(o outcome) bool { return o.err == nil && o.cancelled })
+		cancel()
 
 		// Worker builds panic inside PostBuild; the seeded plan mixes panics
 		// with verifier sabotage and a mid-search cancel.

@@ -77,7 +77,7 @@ const (
 	// structured reason; cancellations use EvCancel instead).
 	EvSkip
 	// EvCancel is the merger's verdict for a candidate the cancelled search
-	// never finished (Options.Ctx / Deadline).
+	// never finished (Options.Ctx cancelled or past its deadline).
 	EvCancel
 	// EvSearchEnd closes the stream: Cycles is the winner's training total
 	// (0 in static mode), N the number of journal-replayed measurements.

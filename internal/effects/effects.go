@@ -124,9 +124,6 @@ type Stats struct {
 	MayAlias   int
 }
 
-// Proven counts the pairs with a safety proof (everything but may-alias).
-func (s Stats) Proven() int { return s.Pairs - s.MayAlias }
-
 func (s Stats) String() string {
 	return fmt.Sprintf("pairs=%d disjoint=%d no-conflict=%d benign=%d swap-sync=%d may-alias=%d",
 		s.Pairs, s.Disjoint, s.NoConflict, s.Benign, s.SwapSync, s.MayAlias)

@@ -32,9 +32,6 @@ func (g *CSR) AvgDegree() float64 {
 	return float64(g.NumEdges()) / float64(g.NumVertices())
 }
 
-// Degree returns the out-degree of v.
-func (g *CSR) Degree(v int) int64 { return g.Nodes[v+1] - g.Nodes[v] }
-
 // Neighbors returns v's adjacency slice (aliases the Edges array).
 func (g *CSR) Neighbors(v int) []int64 { return g.Edges[g.Nodes[v]:g.Nodes[v+1]] }
 

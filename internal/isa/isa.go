@@ -211,9 +211,6 @@ func (c Class) Latency() uint64 {
 	}
 }
 
-// IsQueueOp reports whether the instruction touches a queue.
-func (in *Instr) IsQueueOp() bool { return in.Class() == ClassQueue }
-
 // Reads returns the source registers read by the instruction (0, 1, or 2).
 func (in *Instr) Reads() (a, b Reg) {
 	a, b = NoReg, NoReg

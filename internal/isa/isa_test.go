@@ -91,7 +91,7 @@ func TestClassLatencies(t *testing.T) {
 	if ClassDiv.Latency() <= ClassIntAlu.Latency() {
 		t.Error("div should be slower than alu")
 	}
-	if !(&Instr{Op: OpEnqCtrl}).IsQueueOp() {
+	if (&Instr{Op: OpEnqCtrl}).Class() != ClassQueue {
 		t.Error("enq_ctrl is a queue op")
 	}
 }

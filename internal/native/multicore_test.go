@@ -281,11 +281,14 @@ func TestNoGoroutineLeak(t *testing.T) {
 			run("trap", spinners(cores, 1<<40, true), sim.ErrTrap)
 			run("trace-limit", spinners(cores, 200_000, false), sim.ErrTraceLimit)
 
+			// A timer-fired deadline must still reach parked cores.
+			ctx, cancel := context.WithTimeout(context.Background(), 10*time.Millisecond)
 			m := spinners(cores, 1<<40, false)
-			m.WallDeadline = time.Now().Add(10 * time.Millisecond)
-			run("wall-deadline", m, sim.ErrWallBudget)
+			m.Ctx = ctx
+			run("wall-deadline", m, context.DeadlineExceeded)
+			cancel()
 
-			ctx, cancel := context.WithCancel(context.Background())
+			ctx, cancel = context.WithCancel(context.Background())
 			cancel()
 			m = spinners(cores, 1<<40, false)
 			m.Ctx = ctx

@@ -18,7 +18,8 @@
 // reports leftovers; the commopt Q4 capacity argument is what makes
 // compiler-sized pipelines safe (DESIGN.md §16). Failures are the
 // simulator's sentinel errors (sim.ErrDeadlock, sim.ErrTrap,
-// sim.ErrTraceLimit, sim.ErrCancelled, sim.ErrWallBudget).
+// sim.ErrTraceLimit, sim.ErrCancelled). Machine.Ctx is the one way to stop
+// a run early: cancel it, or give it a deadline.
 package native
 
 import (
@@ -64,9 +65,9 @@ func (s *Stats) String() string {
 
 // Run executes the machine's stage programs natively to completion.
 // Memory side effects remain in m.Space (and m.Slots reflects any slot
-// swaps), exactly as after sim.RunFunctional. m.Ctx, m.WallDeadline, and
-// m.MaxTraceEntries are honored with the same sentinel errors as the
-// simulator. No goroutine started here outlives the call.
+// swaps), exactly as after sim.RunFunctional. m.Ctx (cancellation and any
+// deadline) and m.MaxTraceEntries are honored with the same sentinel errors
+// as the simulator. No goroutine started here outlives the call.
 func Run(m *sim.Machine, _ Options) (*Stats, error) {
 	start := time.Now()
 	instrs, leftover, err := m.RunNative()

@@ -306,13 +306,17 @@ func TestPreCancelled(t *testing.T) {
 	}
 }
 
-// TestWallDeadline: Machine.WallDeadline maps to ErrWallBudget.
-func TestWallDeadline(t *testing.T) {
+// TestCancelledDeadline: a wall-clock deadline is a context deadline; when
+// its timer fires mid-run the run stops with ErrCancelled and the deadline
+// as the cause.
+func TestCancelledDeadline(t *testing.T) {
+	ctx, cancel := context.WithTimeout(context.Background(), 10*time.Millisecond)
+	defer cancel()
 	m := infiniteLoop(1 << 40)
-	m.WallDeadline = time.Now().Add(10 * time.Millisecond)
+	m.Ctx = ctx
 	_, err := native.Run(m, native.Options{})
-	if !errors.Is(err, sim.ErrWallBudget) {
-		t.Fatalf("got %v, want ErrWallBudget", err)
+	if !errors.Is(err, sim.ErrCancelled) || !errors.Is(err, context.DeadlineExceeded) {
+		t.Fatalf("got %v, want ErrCancelled caused by context.DeadlineExceeded", err)
 	}
 }
 

@@ -13,7 +13,7 @@ func errClass(err error) string {
 	if err == nil {
 		return ""
 	}
-	for _, class := range []error{ErrTrap, ErrDeadlock, ErrTraceLimit, ErrCancelled, ErrWallBudget} {
+	for _, class := range []error{ErrTrap, ErrDeadlock, ErrTraceLimit, ErrCancelled} {
 		if errors.Is(err, class) {
 			return class.Error()
 		}

@@ -29,9 +29,9 @@ func introMachine(t *testing.T, n int) (*Machine, *mem.Array) {
 	return m, arrOut
 }
 
-// TestBackgroundCtxBitIdenticalStats pins the tentpole's no-op guarantee: a
-// background (never-cancelled) context and a far-future wall deadline must
-// leave both results and Stats bit-identical to a run with neither set.
+// TestBackgroundCtxBitIdenticalStats pins the no-op guarantee: a context
+// with a far-future deadline that never fires must leave both results and
+// Stats bit-identical to a run without one.
 func TestBackgroundCtxBitIdenticalStats(t *testing.T) {
 	m1, out1 := introMachine(t, 1500)
 	base, err := m1.Run()
@@ -39,8 +39,9 @@ func TestBackgroundCtxBitIdenticalStats(t *testing.T) {
 		t.Fatalf("baseline run: %v", err)
 	}
 	m2, out2 := introMachine(t, 1500)
-	m2.Ctx = context.Background()
-	m2.WallDeadline = time.Now().Add(time.Hour)
+	ctx, cancel := context.WithDeadline(context.Background(), time.Now().Add(time.Hour))
+	defer cancel()
+	m2.Ctx = ctx
 	got, err := m2.Run()
 	if err != nil {
 		t.Fatalf("ctx run: %v", err)
@@ -104,31 +105,28 @@ func TestCancelledTimingPhasePartialStats(t *testing.T) {
 	}
 }
 
-func TestWallBudgetExpired(t *testing.T) {
+// TestCancelledDeadlineExpired: a wall-clock deadline is a context
+// deadline; one already past at entry stops both configurations before
+// their first round, with the deadline as the cause.
+func TestCancelledDeadlineExpired(t *testing.T) {
+	ctx, cancel := context.WithDeadline(context.Background(), time.Now().Add(-time.Second))
+	defer cancel()
 	_, _, err := bothEngines(t, func() *Machine {
 		m, _ := introMachine(t, 1500)
-		m.WallDeadline = time.Now().Add(-time.Second)
+		m.Ctx = ctx
 		return m
 	})
-	if !errors.Is(err, ErrWallBudget) {
-		t.Fatalf("expected ErrWallBudget, got: %v", err)
-	}
-	var we *WallBudgetError
-	if !errors.As(err, &we) {
-		t.Fatalf("error is not *WallBudgetError: %T", err)
-	}
-	if we.Phase != "functional" {
-		t.Errorf("phase = %q, want functional (deadline already past at entry)", we.Phase)
-	}
-	// An explicit cancel must win over a coincident wall overrun. (Functional
-	// and timing only: natively the two arrive from their own goroutines.)
-	m2, _ := introMachine(t, 1500)
-	ctx, cancel := context.WithCancel(context.Background())
-	cancel()
-	m2.Ctx = ctx
-	m2.WallDeadline = time.Now().Add(-time.Second)
-	_, err = m2.Run()
 	if !errors.Is(err, ErrCancelled) {
-		t.Fatalf("ctx cancel should take precedence over wall deadline, got: %v", err)
+		t.Fatalf("expected ErrCancelled, got: %v", err)
+	}
+	if !errors.Is(err, context.DeadlineExceeded) {
+		t.Errorf("deadline not surfaced via Unwrap: %v", err)
+	}
+	var ce *CancelledError
+	if !errors.As(err, &ce) {
+		t.Fatalf("error is not *CancelledError: %T", err)
+	}
+	if ce.Phase != "functional" {
+		t.Errorf("phase = %q, want functional (deadline already past at entry)", ce.Phase)
 	}
 }

@@ -4,7 +4,6 @@ import (
 	"context"
 	"sync"
 	"sync/atomic"
-	"time"
 
 	"phloem/internal/arch"
 	"phloem/internal/mem"
@@ -170,9 +169,9 @@ func (e *engine) drainRAs() (moved, ok bool) {
 // native.Run). It returns the executed-instruction count and the per-queue
 // leftover tokens, equal to a functional run's TraceSet.Instructions and
 // TraceSet.Leftover; memory and m.Slots are left as after RunFunctional, and
-// m.Ctx, m.WallDeadline and m.MaxTraceEntries are honored with the same
-// sentinel errors. The first core runs on the caller's goroutine, and no
-// goroutine started here outlives the call.
+// m.Ctx and m.MaxTraceEntries are honored with the same sentinel errors. The
+// first core runs on the caller's goroutine, and no goroutine started here
+// outlives the call.
 func (m *Machine) RunNative() (instructions uint64, leftover []int, err error) {
 	if err := m.Validate(); err != nil {
 		return 0, nil, err
@@ -374,37 +373,24 @@ func (e *engine) storeSlots() {
 	}
 }
 
-// arm lets cancellation and the wall deadline fail a native run from their
-// own goroutines (its cores may all be parked; the functional scheduler
-// polls between rounds). The returned function disarms both and waits for
-// one that already started, so neither outlives the run or races its verdict.
+// arm lets cancellation fail a native run from the context's own goroutine
+// (its cores may all be parked; the functional scheduler polls between
+// rounds). The returned function disarms the hook and waits for it if it
+// already started, so it never outlives the run or races its verdict.
 func (e *engine) arm() (disarm func()) {
-	var hooks sync.WaitGroup
-	var stops []func() bool
-	hook := func(err func() error) func() {
-		hooks.Add(1)
-		return func() {
-			defer hooks.Done()
-			e.fail(err())
-		}
+	ctx := e.m.Ctx
+	if ctx == nil {
+		return func() {}
 	}
-	if ctx := e.m.Ctx; ctx != nil {
-		stops = append(stops, context.AfterFunc(ctx, hook(func() error {
-			return &CancelledError{Phase: e.phase, Cause: ctx.Err()}
-		})))
-	}
-	if d := e.m.WallDeadline; !d.IsZero() {
-		stops = append(stops, time.AfterFunc(time.Until(d), hook(func() error {
-			return &WallBudgetError{Phase: e.phase}
-		})).Stop)
-	}
+	fired := make(chan struct{})
+	stop := context.AfterFunc(ctx, func() {
+		defer close(fired)
+		e.fail(&CancelledError{Phase: e.phase, Cause: ctx.Err()})
+	})
 	return func() {
-		for _, stop := range stops {
-			if stop() {
-				hooks.Done()
-			}
+		if !stop() {
+			<-fired
 		}
-		hooks.Wait()
 	}
 }
 

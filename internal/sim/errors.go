@@ -9,7 +9,7 @@ import (
 )
 
 // Structured simulation errors. Every way a simulation can fail maps to one
-// of four sentinel classes so callers (the autotuner, the CLI tools, chaos
+// of five sentinel classes so callers (the autotuner, the CLI tools, chaos
 // tests) can classify failures with errors.Is without string matching:
 //
 //	ErrDeadlock    — no thread or RA can make progress (carries a wait-for
@@ -22,16 +22,15 @@ import (
 //	ErrTrap        — a functional trap: out-of-bounds access, division by
 //	                 zero, or a queue-protocol violation
 //	ErrCancelled   — the run was cancelled cooperatively through
-//	                 Machine.Ctx (carries the context's cause)
-//	ErrWallBudget  — the run exceeded the wall-clock deadline set via
-//	                 Machine.WallDeadline
+//	                 Machine.Ctx (carries the context's cause:
+//	                 context.Canceled, or context.DeadlineExceeded for a
+//	                 wall-clock deadline)
 var (
 	ErrDeadlock    = errors.New("sim: deadlock")
 	ErrCycleBudget = errors.New("sim: cycle budget exceeded")
 	ErrTraceLimit  = errors.New("sim: trace limit exceeded")
 	ErrTrap        = errors.New("sim: functional trap")
 	ErrCancelled   = errors.New("sim: cancelled")
-	ErrWallBudget  = errors.New("sim: wall-clock budget exceeded")
 )
 
 // QueueWait is one queue's occupancy in a wait-for snapshot.
@@ -213,26 +212,6 @@ func (e *CancelledError) Error() string {
 func (e *CancelledError) Is(target error) bool { return target == ErrCancelled }
 
 func (e *CancelledError) Unwrap() error { return e.Cause }
-
-// WallBudgetError reports that the run exceeded Machine.WallDeadline — the
-// wall-clock analogue of CycleBudgetError. Stats holds the partial timing
-// statistics accumulated up to the abort (nil for functional-phase aborts).
-type WallBudgetError struct {
-	// Phase is "functional", "timing", or "native".
-	Phase string
-	// Cycles is the simulated cycle at the abort (0 outside the timing phase).
-	Cycles uint64
-	Stats  *Stats
-}
-
-func (e *WallBudgetError) Error() string {
-	if e.Phase == "timing" {
-		return fmt.Sprintf("sim: wall-clock budget exceeded during timing phase at cycle %d", e.Cycles)
-	}
-	return fmt.Sprintf("sim: wall-clock budget exceeded during %s phase", e.Phase)
-}
-
-func (e *WallBudgetError) Is(target error) bool { return target == ErrWallBudget }
 
 // TrapError reports a functional trap with the faulting stage and pc.
 type TrapError struct {

@@ -1,34 +1,21 @@
 package sim
 
-import "time"
-
 // interruptCheckPeriod amortizes the cooperative cancellation poll in the
-// timing engine's cycle loop: Machine.Ctx and Machine.WallDeadline are
-// checked at most once every this many simulated cycles (the functional
-// phase checks once per scheduler round instead, which bounds the poll to
-// one per len(threads)*funcQuantum instructions). The period trades abort
-// latency against poll overhead; at 4096 cycles both are negligible.
+// timing engine's cycle loop: Machine.Ctx is checked at most once every
+// this many simulated cycles (the functional phase checks once per
+// scheduler round instead, which bounds the poll to one per
+// len(threads)*funcQuantum instructions). The period trades abort latency
+// against poll overhead; at 4096 cycles both are negligible.
 const interruptCheckPeriod = 4096
 
-// interruptible reports whether the machine has any cooperative abort
-// source configured. Loops guard their amortized polls on this so a plain
-// run (nil Ctx, zero WallDeadline) pays one boolean test per check site
-// and stays bit-identical.
-func (m *Machine) interruptible() bool {
-	return m.Ctx != nil || !m.WallDeadline.IsZero()
-}
-
-// checkInterrupt polls the cooperative abort sources: the context first
-// (so an explicit cancel wins over a coincident wall overrun), then the
-// wall-clock deadline. phase and cycles annotate the returned error.
+// checkInterrupt polls Machine.Ctx, the run's one cooperative abort source
+// (a deadline is a context deadline). phase and cycles annotate the
+// returned error.
 func (m *Machine) checkInterrupt(phase string, cycles uint64) error {
 	if m.Ctx != nil {
 		if err := m.Ctx.Err(); err != nil {
 			return &CancelledError{Phase: phase, Cycles: cycles, Cause: err}
 		}
-	}
-	if !m.WallDeadline.IsZero() && time.Now().After(m.WallDeadline) {
-		return &WallBudgetError{Phase: phase, Cycles: cycles}
 	}
 	return nil
 }

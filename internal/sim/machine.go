@@ -21,7 +21,6 @@ package sim
 import (
 	"context"
 	"fmt"
-	"time"
 
 	"phloem/internal/arch"
 	"phloem/internal/isa"
@@ -84,11 +83,6 @@ type Machine struct {
 	// and Stats bit-identical: the poll reads wall state only and never
 	// influences simulation decisions.
 	Ctx context.Context
-
-	// WallDeadline, when nonzero, aborts the run with a *WallBudgetError
-	// once wall-clock time passes it — the wall analogue of
-	// Cfg.CycleBudget. Polled on the same amortized schedule as Ctx.
-	WallDeadline time.Time
 }
 
 // NewMachine creates a machine with the given configuration and an empty
@@ -102,11 +96,6 @@ func (m *Machine) AddSlot(name string, a *mem.Array) int {
 	m.SlotNames = append(m.SlotNames, name)
 	m.Slots = append(m.Slots, a)
 	return len(m.Slots) - 1
-}
-
-// BindSlot rebinds an existing slot (e.g., between Run calls).
-func (m *Machine) BindSlot(slot int, a *mem.Array) {
-	m.Slots[slot] = a
 }
 
 // SlotIndex returns the slot with the given name, or -1.

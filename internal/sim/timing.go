@@ -285,7 +285,7 @@ func (m *Machine) RunTiming(ts *TraceSet) (*Stats, error) {
 		e.probe.BeginTiming(m)
 	}
 	if err := e.run(); err != nil {
-		// On a budget, cancellation, or wall-deadline abort, attach the
+		// On a budget or cancellation abort, attach the
 		// partial stats accumulated so far so the caller can still see how
 		// the aborted run spent its cycles.
 		var partial **Stats
@@ -293,8 +293,6 @@ func (m *Machine) RunTiming(ts *TraceSet) (*Stats, error) {
 		case *CycleBudgetError:
 			partial = &te.Stats
 		case *CancelledError:
-			partial = &te.Stats
-		case *WallBudgetError:
 			partial = &te.Stats
 		}
 		if partial != nil {
@@ -458,7 +456,7 @@ func (e *timingEngine) run() error {
 		idleLimit = defaultIdleLimit
 	}
 	budget := e.m.Cfg.CycleBudget
-	interruptible := e.m.interruptible()
+	interruptible := e.m.Ctx != nil // a nil Ctx pays one test per cycle
 	nextInterruptCheck := uint64(0)
 	for {
 		if budget != 0 && e.now >= budget {

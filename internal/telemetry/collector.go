@@ -4,11 +4,11 @@
 // stall profiles ("which line burned the cycles"), and Chrome trace_event
 // JSON for visual stage-overlap inspection in chrome://tracing / Perfetto.
 //
-// A Collector implements sim.Probe. Install it with Machine.Probe (or via
-// core.Budget.Probe) before the timing phase; with no probe installed the
-// simulator pays one nil test per hook and produces bit-identical Stats.
-// Everything the Collector records is a pure function of the deterministic
-// simulation, so exports are byte-identical across runs.
+// A Collector implements sim.Probe. Install it with Machine.Probe before
+// the timing phase; with no probe installed the simulator pays one nil test
+// per hook and produces bit-identical Stats. Everything the Collector
+// records is a pure function of the deterministic simulation, so exports
+// are byte-identical across runs.
 package telemetry
 
 import (
@@ -118,13 +118,12 @@ type Collector struct {
 	sites map[siteKey]*siteCount
 
 	// chrome trace
-	spans     []span
-	instants  []instant
-	open      []openSpan
-	handlerN  uint64
-	finalStat *sim.Stats
-	endCycle  uint64
-	meta      map[string]any
+	spans    []span
+	instants []instant
+	open     []openSpan
+	handlerN uint64
+	endCycle uint64
+	meta     map[string]any
 }
 
 type openSpan struct {
@@ -255,7 +254,6 @@ func (c *Collector) RAInflight(ra, inflight, loads int, now uint64) {
 // EndTiming implements sim.Probe: it closes open spans and the final partial
 // sample window.
 func (c *Collector) EndTiming(stats *sim.Stats) {
-	c.finalStat = stats
 	c.endCycle = stats.Cycles
 	for i := range c.open {
 		o := &c.open[i]
@@ -267,9 +265,6 @@ func (c *Collector) EndTiming(stats *sim.Stats) {
 	// Final partial window (also the only row when sampling is off).
 	c.addRow(stats.Cycles, stats)
 }
-
-// Final returns the run's end-of-run Stats (nil before EndTiming).
-func (c *Collector) Final() *sim.Stats { return c.finalStat }
 
 // SetMeta stamps a key into the Chrome trace's otherData block, labelling
 // the run that produced the trace (phloemsim stamps the bench and input).
