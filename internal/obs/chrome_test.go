@@ -159,3 +159,17 @@ func TestTraceMetricsReconcile(t *testing.T) {
 		t.Errorf("trace has phase spans %q with no metrics aggregate", name)
 	}
 }
+
+// TestSearchChromeTraceGolden pins the search trace's bytes: fixtureEvents
+// has fixed offsets, so the export is deterministic.
+func TestSearchChromeTraceGolden(t *testing.T) {
+	col := obs.NewCollector()
+	for _, e := range fixtureEvents() {
+		col.Observe(e)
+	}
+	var buf bytes.Buffer
+	if err := col.WriteChromeTrace(&buf); err != nil {
+		t.Fatal(err)
+	}
+	golden(t, "search_trace.json", buf.Bytes())
+}
