@@ -137,12 +137,12 @@ func runAutotune(name string, f autotuneFlags) (cancelled bool, err error) {
 	// Observability is strictly opt-in: with none of the flags set the
 	// Observer stays nil and the search output is bit-identical.
 	var observers obs.Tee
-	var col *obs.Collector
+	var col *obs.SearchCollector
 	if f.progress {
 		observers = append(observers, obs.NewProgress(os.Stderr))
 	}
 	if f.searchTrace != "" || f.searchStats {
-		col = obs.NewCollector()
+		col = obs.NewSearchCollector()
 		observers = append(observers, col)
 	}
 	if len(observers) > 0 {
@@ -175,15 +175,7 @@ func runAutotune(name string, f autotuneFlags) (cancelled bool, err error) {
 			fmt.Printf("\n%s", col.Metrics().String())
 		}
 		if f.searchTrace != "" {
-			w, err := os.Create(f.searchTrace)
-			if err != nil {
-				return res.Cancelled, err
-			}
-			if err := col.WriteChromeTrace(w); err != nil {
-				w.Close()
-				return res.Cancelled, err
-			}
-			if err := w.Close(); err != nil {
+			if err := obs.WriteFile(f.searchTrace, col.WriteChromeTrace); err != nil {
 				return res.Cancelled, err
 			}
 			fmt.Printf("search trace: wrote %s (%d events; open in chrome://tracing or Perfetto)\n",

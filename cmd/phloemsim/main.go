@@ -53,9 +53,9 @@ import (
 	"phloem/internal/fault"
 	"phloem/internal/ir"
 	"phloem/internal/native"
+	"phloem/internal/obs"
 	"phloem/internal/pipeline"
 	"phloem/internal/sim"
-	"phloem/internal/telemetry"
 	"phloem/internal/workloads"
 )
 
@@ -122,7 +122,7 @@ func run() int {
 	seriesOut := flag.String("telemetry", "", "write the pipelined run's interval time-series to this file (.csv, else JSON; \"-\" = stdout)")
 	profile := flag.Bool("profile", false, "print the pipelined run's source-annotated hot-lines stall profile")
 	profileTop := flag.Int("profile-top", 10, "hot lines to show with -profile")
-	chromeOut := flag.String("chrome-trace", "", "write the pipelined run as Chrome trace_event JSON to this file")
+	chromeOut := flag.String("chrome-trace", "", "write the pipelined run as Chrome trace_event JSON to this file (\"-\" = stdout)")
 	interval := flag.Uint64("interval", 0, "telemetry sampling period in cycles (0: one end-of-run sample)")
 	commOpt := flag.Bool("commopt", false,
 		"apply the static queue-communication optimization pass and print its plan plus a predicted-vs-observed occupancy table")
@@ -201,7 +201,7 @@ func run() int {
 	}
 	// runPipe runs one leg on the selected backend and returns its
 	// simulated cycles (sim) or host wall time (native).
-	runPipe := func(name string, p *pipeline.Pipeline, col *telemetry.Collector) (cycles uint64, wall time.Duration, err error) {
+	runPipe := func(name string, p *pipeline.Pipeline, col *obs.SimCollector) (cycles uint64, wall time.Duration, err error) {
 		inst, err := pipeline.Instantiate(p, arch.DefaultConfig(1), in.Bind())
 		if err != nil {
 			return 0, 0, fmt.Errorf("%s: %w", name, err)
@@ -260,9 +260,9 @@ func run() int {
 		fmt.Printf("--- %s\n%s", plan2.Summary(), plan2.String())
 	}
 	fmt.Printf("--- phloem pipeline\n%s", res.Pipeline.Describe())
-	var col *telemetry.Collector
+	var col *obs.SimCollector
 	if backend == "sim" && (*seriesOut != "" || *profile || *chromeOut != "" || *commOpt) {
-		col = telemetry.NewCollector()
+		col = obs.NewSimCollector()
 		// Stamp the run's identity into the trace header so a sim-level
 		// trace can be matched to the bench and input that produced it.
 		col.SetMeta("bench", bench.Name)
@@ -296,7 +296,7 @@ func run() int {
 // queue occupancy against the occupancy the simulator observed. Predicted
 // is an upper bound (the assigned or default capacity under backpressure),
 // so observed must never exceed it.
-func printOccupancy(plan *commopt.Plan, s *telemetry.Series) {
+func printOccupancy(plan *commopt.Plan, s *obs.Series) {
 	obs := make([]int, len(plan.Queues))
 	for _, row := range s.Rows {
 		for q, qs := range row.Queues {
@@ -317,48 +317,22 @@ func printOccupancy(plan *commopt.Plan, s *telemetry.Series) {
 }
 
 // export writes the telemetry artifacts requested on the command line.
-func export(col *telemetry.Collector, seriesOut, chromeOut string, profile bool, top int, source string) error {
+func export(col *obs.SimCollector, seriesOut, chromeOut string, profile bool, top int, source string) error {
 	if profile {
 		fmt.Printf("--- stall profile\n%s", col.Profile().Render(top, source))
 	}
 	if seriesOut != "" {
 		s := col.Series()
-		write := func(w *os.File) error {
-			if strings.HasSuffix(seriesOut, ".csv") {
-				return s.WriteCSV(w)
-			}
-			return s.WriteJSON(w)
+		write := s.WriteJSON
+		if seriesOut == "-" || strings.HasSuffix(seriesOut, ".csv") {
+			write = s.WriteCSV
 		}
-		if seriesOut == "-" {
-			if err := s.WriteCSV(os.Stdout); err != nil {
-				return err
-			}
-		} else {
-			f, err := os.Create(seriesOut)
-			if err != nil {
-				return err
-			}
-			if err := write(f); err != nil {
-				f.Close()
-				return err
-			}
-			if err := f.Close(); err != nil {
-				return err
-			}
+		if err := obs.WriteFile(seriesOut, write); err != nil {
+			return err
 		}
 	}
 	if chromeOut != "" {
-		f, err := os.Create(chromeOut)
-		if err != nil {
-			return err
-		}
-		if err := col.WriteChromeTrace(f); err != nil {
-			f.Close()
-			return err
-		}
-		if err := f.Close(); err != nil {
-			return err
-		}
+		return obs.WriteFile(chromeOut, col.WriteChromeTrace)
 	}
 	return nil
 }

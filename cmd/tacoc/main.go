@@ -49,9 +49,9 @@ func main() {
 			defer cancel()
 			opt.Ctx = ctx
 		}
-		var col *obs.Collector
+		var col *obs.SearchCollector
 		if *stats {
-			col = obs.NewCollector()
+			col = obs.NewSearchCollector()
 			opt.Observer = col
 		}
 		res, err := core.CompileSource(src, opt)

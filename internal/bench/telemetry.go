@@ -5,8 +5,8 @@ import (
 
 	"phloem/internal/arch"
 	"phloem/internal/core"
+	"phloem/internal/obs"
 	"phloem/internal/pipeline"
-	"phloem/internal/telemetry"
 	"phloem/internal/workloads"
 )
 
@@ -34,7 +34,7 @@ func Telemetry(cfg Config) error {
 		if err != nil {
 			return fmt.Errorf("%s: %w", b.Name, err)
 		}
-		col := telemetry.NewCollector()
+		col := obs.NewSimCollector()
 		inst.Machine.MaxTraceEntries = benchTraceCap
 		inst.Machine.Probe = col
 		st, err := inst.Run()
@@ -48,12 +48,8 @@ func Telemetry(cfg Config) error {
 		prof := col.Profile()
 		hottest := "(no stalls)"
 		if len(prof.Lines) > 0 && prof.Lines[0].Stalls() > 0 {
-			l := prof.Lines[0]
-			where := fmt.Sprintf("line %d", l.Line)
-			if l.Line == 0 {
-				where = "generated"
-			}
-			hottest = fmt.Sprintf("%s: %d cycles", where, l.Stalls())
+			l := &prof.Lines[0]
+			hottest = fmt.Sprintf("%s: %d cycles", l.Label(), l.Stalls())
 		}
 
 		// With no sampling interval the series has exactly one row covering

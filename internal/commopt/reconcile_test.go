@@ -18,9 +18,9 @@ import (
 	"phloem/internal/commopt"
 	"phloem/internal/core"
 	"phloem/internal/matrix"
+	"phloem/internal/obs"
 	"phloem/internal/pipeline"
 	"phloem/internal/taco"
-	"phloem/internal/telemetry"
 	"phloem/internal/workloads"
 )
 
@@ -47,7 +47,7 @@ func reconcile(t *testing.T, name string, src string, bind pipeline.Bindings,
 	if err != nil {
 		t.Fatalf("%s: instantiate: %v", name, err)
 	}
-	col := telemetry.NewCollector()
+	col := obs.NewSimCollector()
 	inst.Machine.Probe = col
 	if _, err := inst.Run(); err != nil {
 		t.Fatalf("%s: run: %v", name, err)

@@ -1,13 +1,50 @@
 package obs
 
 import (
+	"encoding/json"
 	"fmt"
 	"io"
 	"sort"
 
 	"phloem/internal/core"
-	"phloem/internal/telemetry"
+	"phloem/internal/sim"
 )
+
+// chromeEvent is one entry of the Chrome trace_event format ("JSON array
+// format" with a traceEvents wrapper), shared by both traces this package
+// writes: the sim-level trace (Ts/Dur in cycles, written as microseconds 1:1
+// so the tracing UI's time axis reads directly in cycles) and the search
+// trace (wall-clock microseconds). A nil Dur is omitted; instants and
+// metadata carry none.
+type chromeEvent struct {
+	Name string         `json:"name"`
+	Ph   string         `json:"ph"`
+	Pid  int            `json:"pid"`
+	Tid  int            `json:"tid"`
+	Ts   int64          `json:"ts"`
+	Dur  *int64         `json:"dur,omitempty"`
+	S    string         `json:"s,omitempty"`
+	Cat  string         `json:"cat,omitempty"`
+	Args map[string]any `json:"args,omitempty"`
+}
+
+// writeChromeEvents encodes one Chrome trace document: the events in order,
+// plus the otherData header block (omitted when empty).
+func writeChromeEvents(w io.Writer, events []chromeEvent, otherData map[string]any) error {
+	return json.NewEncoder(w).Encode(&struct {
+		TraceEvents []chromeEvent  `json:"traceEvents"`
+		OtherData   map[string]any `json:"otherData,omitempty"`
+	}{events, otherData})
+}
+
+// trackName is the metadata row naming a process (tid 0) or a thread track.
+func trackName(pid, tid int, name string) chromeEvent {
+	kind := "thread_name"
+	if tid == 0 {
+		kind = "process_name"
+	}
+	return chromeEvent{Name: kind, Ph: "M", Pid: pid, Tid: tid, Args: map[string]any{"name": name}}
+}
 
 // searchPid is the single process every search track lives under.
 const searchPid = 1
@@ -23,7 +60,7 @@ const searchPid = 1
 // reconcile exactly with Metrics.Phases. Every candidate event carries its
 // fingerprint in args.fp, the candidate's canonical configuration key
 // (dedup table and checkpoint journal).
-func (c *Collector) WriteChromeTrace(w io.Writer) error {
+func (c *SearchCollector) WriteChromeTrace(w io.Writer) error {
 	events := c.Events()
 	m := Aggregate(events)
 	other := map[string]any{
@@ -33,18 +70,16 @@ func (c *Collector) WriteChromeTrace(w io.Writer) error {
 		"bestCycles": m.BestCycles,
 		"replayed":   m.ReplayedTotal,
 	}
-	var out []telemetry.ChromeEvent
-	ev := func(e telemetry.ChromeEvent) { out = append(out, e) }
+	var out []chromeEvent
+	ev := func(e chromeEvent) { out = append(out, e) }
 
-	ev(telemetry.ChromeEvent{Name: "process_name", Ph: "M", Pid: searchPid,
-		Args: map[string]any{"name": fmt.Sprintf("search (%s)", m.Mode)}})
+	ev(trackName(searchPid, 0, fmt.Sprintf("search (%s)", m.Mode)))
 	for wkr := 0; wkr < m.Workers; wkr++ {
 		name := fmt.Sprintf("worker %d", wkr)
 		if wkr == 0 {
 			name = "worker 0 (merger)"
 		}
-		ev(telemetry.ChromeEvent{Name: "thread_name", Ph: "M", Pid: searchPid, Tid: wkr + 1,
-			Args: map[string]any{"name": name}})
+		ev(trackName(searchPid, wkr+1, name))
 	}
 
 	// Enclosing candidate spans: one per (candidate, worker) visit, covering
@@ -87,7 +122,7 @@ func (c *Collector) WriteChromeTrace(w io.Writer) error {
 		v := visits[k]
 		e := &events[v.first]
 		dur := v.end - v.start
-		ev(telemetry.ChromeEvent{Name: candName(e), Ph: "X", Cat: "candidate",
+		ev(chromeEvent{Name: candName(e), Ph: "X", Cat: "candidate",
 			Pid: searchPid, Tid: k.worker + 1, Ts: v.start, Dur: &dur,
 			Args: candArgs(e)})
 	}
@@ -100,14 +135,14 @@ func (c *Collector) WriteChromeTrace(w io.Writer) error {
 			core.EvVerify, core.EvTrain:
 			if !phaseSpan(e) {
 				// A journal-replayed serial baseline is an instant, not a span.
-				ev(telemetry.ChromeEvent{Name: "serial (replayed)", Ph: "i", S: "t",
+				ev(chromeEvent{Name: "serial (replayed)", Ph: "i", S: "t",
 					Cat: "search", Pid: searchPid, Tid: e.Worker + 1,
 					Ts:   e.Start.Microseconds(),
 					Args: map[string]any{"cycles": e.Cycles}})
 				continue
 			}
 			dur := spanMicros(e)
-			ce := telemetry.ChromeEvent{Name: e.Kind.String(), Ph: "X", Cat: "phase",
+			ce := chromeEvent{Name: e.Kind.String(), Ph: "X", Cat: "phase",
 				Pid: searchPid, Tid: e.Worker + 1, Ts: e.Start.Microseconds(), Dur: &dur}
 			if e.Seq >= 0 {
 				ce.Args = candArgs(e)
@@ -121,7 +156,7 @@ func (c *Collector) WriteChromeTrace(w io.Writer) error {
 			ev(ce)
 		case core.EvSearchStart, core.EvSearchEnd, core.EvReplay,
 			core.EvDeduped, core.EvPruned, core.EvAccept, core.EvSkip, core.EvCancel:
-			ce := telemetry.ChromeEvent{Name: e.Kind.String(), Ph: "i", S: "t", Cat: "verdict",
+			ce := chromeEvent{Name: e.Kind.String(), Ph: "i", S: "t", Cat: "verdict",
 				Pid: searchPid, Tid: e.Worker + 1, Ts: e.Start.Microseconds()}
 			switch e.Kind {
 			case core.EvSearchStart, core.EvSearchEnd:
@@ -139,7 +174,7 @@ func (c *Collector) WriteChromeTrace(w io.Writer) error {
 		}
 	}
 
-	return telemetry.WriteChromeEvents(w, out, other)
+	return writeChromeEvents(w, out, other)
 }
 
 // candName labels a candidate's enclosing span.
@@ -158,4 +193,78 @@ func candArgs(e *core.SearchEvent) map[string]any {
 		"phase": e.Phase,
 		"fp":    e.FP,
 	}
+}
+
+// Sim-level track numbering: one process per core (pid = core+1), one thread
+// track per stage (tid = stage index+1) and per RA (tid = raTidBase+RA index).
+const raTidBase = 1001
+
+// WriteChromeTrace writes the run as Chrome trace_event JSON, loadable in
+// chrome://tracing or Perfetto: one track per stage thread (activity spans
+// classified run/queue/backend/other, handler-fire instants) and one
+// counter track per RA (in-flight window occupancy, sampled at interval
+// boundaries). Output is deterministic for a given run.
+func (c *SimCollector) WriteChromeTrace(w io.Writer) error {
+	other := map[string]any{
+		"cycles":       c.endCycle,
+		"handlerFires": c.handlerN,
+	}
+	for k, v := range c.meta {
+		other[k] = v
+	}
+	var events []chromeEvent
+	ev := func(e chromeEvent) { events = append(events, e) }
+
+	// Metadata: name processes (cores) and thread tracks (stages, RAs).
+	seenCore := map[int]bool{}
+	proc := func(core int) {
+		if !seenCore[core] {
+			seenCore[core] = true
+			ev(trackName(core+1, 0, fmt.Sprintf("core %d", core)))
+		}
+	}
+	for i, st := range c.stages {
+		proc(st.core)
+		ev(trackName(st.core+1, i+1, fmt.Sprintf("stage %s (t%d)", st.name, st.slot)))
+	}
+	for j, ra := range c.ras {
+		proc(ra.core)
+		ev(trackName(ra.core+1, raTidBase+j, "RA "+ra.name))
+	}
+
+	// Stage activity spans. Chrome drops zero-duration "X" events, so a
+	// one-cycle state shows as dur=1.
+	for _, sp := range c.spans {
+		dur := int64(sp.end - sp.start)
+		if dur == 0 {
+			dur = 1
+		}
+		st := c.stages[sp.thread]
+		name := "run"
+		if sp.state != sim.ClassIssue {
+			name = sp.state.String() + " stall"
+		}
+		ev(chromeEvent{Name: name, Ph: "X", Cat: "stage",
+			Pid: st.core + 1, Tid: sp.thread + 1, Ts: int64(sp.start), Dur: &dur})
+	}
+
+	// Handler-fire instants on the firing stage's track.
+	for _, in := range c.instants {
+		st := c.stages[in.thread]
+		ev(chromeEvent{Name: "handler fire", Ph: "i", S: "t", Cat: "handler",
+			Pid: st.core + 1, Tid: in.thread + 1, Ts: int64(in.at),
+			Args: map[string]any{"pc": in.pc}})
+	}
+
+	// RA in-flight counters from the sampled time-series.
+	for _, row := range c.rows {
+		for j, n := range row.RAInflight {
+			ra := c.ras[j]
+			ev(chromeEvent{Name: "RA " + ra.name + " inflight", Ph: "C",
+				Pid: ra.core + 1, Tid: raTidBase + j, Ts: int64(row.Cycle),
+				Args: map[string]any{"inflight": n}})
+		}
+	}
+
+	return writeChromeEvents(w, events, other)
 }

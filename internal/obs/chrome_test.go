@@ -1,7 +1,7 @@
 package obs_test
 
 // Chrome search-trace export tests, mirroring the sim-level trace checks in
-// internal/telemetry/telemetry_test.go: the JSON must be loadable, every
+// sim_test.go: the JSON must be loadable, every
 // span must live on a named worker track, candidate spans must contain their
 // phase sub-spans, and — the acceptance criterion — per-phase span totals in
 // the trace must reconcile exactly with the Metrics per-phase aggregates.
@@ -30,9 +30,9 @@ type traceFile struct {
 	OtherData map[string]any `json:"otherData"`
 }
 
-func collectAutotune(t *testing.T, par int) *obs.Collector {
+func collectAutotune(t *testing.T, par int) *obs.SearchCollector {
 	t.Helper()
-	col := obs.NewCollector()
+	col := obs.NewSearchCollector()
 	opt := autotuneOpts(par)
 	opt.Observer = col
 	if _, err := core.CompileSource(workloads.BFSSource, opt); err != nil {
@@ -41,7 +41,7 @@ func collectAutotune(t *testing.T, par int) *obs.Collector {
 	return col
 }
 
-func decodeTrace(t *testing.T, col *obs.Collector) *traceFile {
+func decodeTrace(t *testing.T, col *obs.SearchCollector) *traceFile {
 	t.Helper()
 	var buf bytes.Buffer
 	if err := col.WriteChromeTrace(&buf); err != nil {
@@ -163,7 +163,7 @@ func TestTraceMetricsReconcile(t *testing.T) {
 // TestSearchChromeTraceGolden pins the search trace's bytes: fixtureEvents
 // has fixed offsets, so the export is deterministic.
 func TestSearchChromeTraceGolden(t *testing.T) {
-	col := obs.NewCollector()
+	col := obs.NewSearchCollector()
 	for _, e := range fixtureEvents() {
 		col.Observe(e)
 	}

@@ -107,7 +107,7 @@ var phaseOrder = []core.EventKind{
 }
 
 // Aggregate folds an event stream into Metrics. The stream may come from a
-// live Collector or a synthetic fixture; order only matters for Mode and
+// live SearchCollector or a synthetic fixture; order only matters for Mode and
 // TotalMicros (first EvSearchStart / maximum End win).
 func Aggregate(events []core.SearchEvent) *Metrics {
 	m := &Metrics{}

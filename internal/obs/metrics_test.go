@@ -101,7 +101,7 @@ func TestMetricsGolden(t *testing.T) {
 }
 
 func TestTeeFansOut(t *testing.T) {
-	a, b := obs.NewCollector(), obs.NewCollector()
+	a, b := obs.NewSearchCollector(), obs.NewSearchCollector()
 	tee := obs.Tee{a, nil, b}
 	for _, e := range fixtureEvents() {
 		tee.Observe(e)

@@ -67,15 +67,15 @@ func renderResult(res *core.Result) string {
 }
 
 // TestObserverNilBitIdentity pins the zero-overhead contract: at every
-// Parallelism, an autotune with a Collector installed returns exactly the
+// Parallelism, an autotune with a SearchCollector installed returns exactly the
 // result — and writes exactly the journal bytes — of one with Observer nil.
 func TestObserverNilBitIdentity(t *testing.T) {
 	run := func(par int, observe bool) (string, []byte) {
 		opt := autotuneOpts(par)
 		opt.Checkpoint = filepath.Join(t.TempDir(), "journal.jsonl")
-		var col *obs.Collector
+		var col *obs.SearchCollector
 		if observe {
-			col = obs.NewCollector()
+			col = obs.NewSearchCollector()
 			opt.Observer = col
 		}
 		res, err := core.CompileSource(workloads.BFSSource, opt)
@@ -83,7 +83,7 @@ func TestObserverNilBitIdentity(t *testing.T) {
 			t.Fatalf("par %d observe %v: %v", par, observe, err)
 		}
 		if observe && col.Len() == 0 {
-			t.Fatalf("par %d: installed Collector saw no events", par)
+			t.Fatalf("par %d: installed SearchCollector saw no events", par)
 		}
 		jb, err := os.ReadFile(opt.Checkpoint)
 		if err != nil {
@@ -156,7 +156,7 @@ func renderEvents(events []core.SearchEvent) string {
 // search-end last, spans non-negative).
 func TestEventStreamDeterministicSerial(t *testing.T) {
 	run := func() []core.SearchEvent {
-		col := obs.NewCollector()
+		col := obs.NewSearchCollector()
 		opt := autotuneOpts(1)
 		opt.Observer = col
 		if _, err := core.CompileSource(workloads.BFSSource, opt); err != nil {
@@ -201,7 +201,7 @@ func isVerdict(k core.EventKind) bool {
 // whatever the worker interleaving, verdict events arrive strictly in
 // enumeration order and cover every enumerated candidate exactly once.
 func TestVerdictsEnumerationOrdered(t *testing.T) {
-	col := obs.NewCollector()
+	col := obs.NewSearchCollector()
 	opt := autotuneOpts(4)
 	opt.Observer = col
 	if _, err := core.CompileSource(workloads.BFSSource, opt); err != nil {
@@ -230,7 +230,7 @@ func TestVerdictsEnumerationOrdered(t *testing.T) {
 }
 
 // TestSearchEventsAndPoints smoke-tests the Search flow: an installed
-// Collector sees a "search"-mode stream whose verdict count matches the
+// SearchCollector sees a "search"-mode stream whose verdict count matches the
 // returned points, and the points themselves are unchanged by observation.
 func TestSearchEventsAndPoints(t *testing.T) {
 	p, err := workloads.CompileSerial(workloads.BFSSource)
@@ -242,7 +242,7 @@ func TestSearchEventsAndPoints(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	col := obs.NewCollector()
+	col := obs.NewSearchCollector()
 	opt.Observer = col
 	got, err := core.Search(p, opt)
 	if err != nil {
@@ -272,7 +272,7 @@ func TestSearchEventsAndPoints(t *testing.T) {
 // TestStaticCompileEvents: the static flow emits the minimal stream —
 // search-start, a build span, commopt/verify spans, search-end.
 func TestStaticCompileEvents(t *testing.T) {
-	col := obs.NewCollector()
+	col := obs.NewSearchCollector()
 	opt := core.DefaultOptions()
 	opt.Observer = col
 	if _, err := core.CompileSource(workloads.BFSSource, opt); err != nil {

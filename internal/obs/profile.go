@@ -1,4 +1,4 @@
-package telemetry
+package obs
 
 import (
 	"fmt"
@@ -30,6 +30,14 @@ type LineStat struct {
 // Stalls returns the summed stall cycles (everything but issue).
 func (l *LineStat) Stalls() uint64 { return l.Backend + l.Queue + l.Other }
 
+// Label names the line in reports: "line N", or "generated" for line 0.
+func (l *LineStat) Label() string {
+	if l.Line == 0 {
+		return "generated"
+	}
+	return fmt.Sprintf("line %d", l.Line)
+}
+
 // Profile is the source-attributed cycle profile of one run.
 type Profile struct {
 	// Lines is sorted by stall cycles, descending (line number breaks ties).
@@ -43,7 +51,7 @@ type Profile struct {
 }
 
 // Profile aggregates the per-PC attribution into per-source-line statistics.
-func (c *Collector) Profile() *Profile {
+func (c *SimCollector) Profile() *Profile {
 	p := &Profile{}
 	byLine := map[int]*LineStat{}
 	stageSets := map[int]map[string]bool{}
@@ -120,12 +128,8 @@ func (p *Profile) Render(k int, source string) string {
 			break
 		}
 		shown++
-		where := fmt.Sprintf("line %d", l.Line)
-		if l.Line == 0 {
-			where = "generated"
-		}
 		fmt.Fprintf(&sb, "%2d. %-10s %10d stall (%5.1f%%)  queue=%d backend=%d other=%d  issue=%d uops=%d  [%s]\n",
-			shown, where, l.Stalls(), pct(l.Stalls()),
+			shown, l.Label(), l.Stalls(), pct(l.Stalls()),
 			l.Queue, l.Backend, l.Other, l.Issue, l.Uops,
 			strings.Join(l.Stages, ", "))
 		if l.Line > 0 && l.Line <= len(srcLines) {

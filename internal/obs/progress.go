@@ -17,7 +17,7 @@ import (
 // time and the ETA derive from event offsets (the search's own monotonic
 // clock); Progress itself never reads a clock.
 //
-// Safe for concurrent use; install directly or Tee it with a Collector.
+// Safe for concurrent use; install directly or Tee it with a SearchCollector.
 type Progress struct {
 	mu   sync.Mutex
 	w    io.Writer

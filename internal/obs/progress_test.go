@@ -68,10 +68,10 @@ func TestProgressReplaySummary(t *testing.T) {
 }
 
 // TestProgressLiveAutotune smoke-tests Progress against a real search teed
-// with a Collector, asserting the final line agrees with the aggregate.
+// with a SearchCollector, asserting the final line agrees with the aggregate.
 func TestProgressLiveAutotune(t *testing.T) {
 	var buf bytes.Buffer
-	col := obs.NewCollector()
+	col := obs.NewSearchCollector()
 	opt := autotuneOpts(1)
 	opt.Observer = obs.Tee{obs.NewProgress(&buf), col}
 	res, err := core.CompileSource(workloads.BFSSource, opt)

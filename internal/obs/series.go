@@ -1,4 +1,4 @@
-package telemetry
+package obs
 
 import (
 	"encoding/json"
@@ -40,7 +40,7 @@ type Series struct {
 
 // Series exports the collected time-series. The last row covers the final
 // partial window, closed at the run's end cycle.
-func (c *Collector) Series() *Series {
+func (c *SimCollector) Series() *Series {
 	s := &Series{Rows: c.rows}
 	for _, st := range c.stages {
 		s.Stages = append(s.Stages, st.name)

@@ -1,8 +1,10 @@
-package telemetry_test
+package obs_test
 
 import (
 	"bytes"
+	"crypto/sha256"
 	"encoding/json"
+	"fmt"
 	"reflect"
 	"strings"
 	"sync"
@@ -10,9 +12,9 @@ import (
 
 	"phloem/internal/arch"
 	"phloem/internal/core"
+	"phloem/internal/obs"
 	"phloem/internal/pipeline"
 	"phloem/internal/sim"
-	"phloem/internal/telemetry"
 	"phloem/internal/workloads"
 )
 
@@ -68,7 +70,7 @@ func runBFS(t *testing.T, probe sim.Probe, interval uint64) *sim.Stats {
 // timing result — the acceptance bar for "observation only".
 func TestProbeDoesNotPerturbStats(t *testing.T) {
 	bare := runBFS(t, nil, 0)
-	col := telemetry.NewCollector()
+	col := obs.NewSimCollector()
 	observed := runBFS(t, col, 500)
 	if !reflect.DeepEqual(bare, observed) {
 		t.Errorf("probe changed Stats:\nbare:     %+v\nobserved: %+v", bare, observed)
@@ -78,7 +80,7 @@ func TestProbeDoesNotPerturbStats(t *testing.T) {
 // TestProfileReconciles: the profile's cycle totals must equal the run's
 // breakdown exactly — every classified core-cycle is attributed somewhere.
 func TestProfileReconciles(t *testing.T) {
-	col := telemetry.NewCollector()
+	col := obs.NewSimCollector()
 	st := runBFS(t, col, 0)
 	p := col.Profile()
 	if got, want := p.Total, st.TotalBreakdown(); got != want {
@@ -99,8 +101,8 @@ func TestProfileReconciles(t *testing.T) {
 }
 
 func TestProfileRender(t *testing.T) {
-	p := &telemetry.Profile{
-		Lines: []telemetry.LineStat{
+	p := &obs.Profile{
+		Lines: []obs.LineStat{
 			{Line: 3, Queue: 90, Issue: 10, Uops: 40, Stages: []string{"k.stage0"}},
 			{Line: 0, Backend: 5, Issue: 2, Uops: 9, Stages: []string{"k.stage1"}},
 		},
@@ -130,7 +132,7 @@ func TestProfileRender(t *testing.T) {
 // window stats are internally consistent.
 func TestSeriesAccounting(t *testing.T) {
 	const interval = 500
-	col := telemetry.NewCollector()
+	col := obs.NewSimCollector()
 	st := runBFS(t, col, interval)
 	s := col.Series()
 	if len(s.Stages) == 0 || len(s.Queues) == 0 || len(s.RAs) == 0 {
@@ -174,7 +176,7 @@ func TestSeriesAccounting(t *testing.T) {
 }
 
 func TestSeriesExports(t *testing.T) {
-	col := telemetry.NewCollector()
+	col := obs.NewSimCollector()
 	runBFS(t, col, 1000)
 	s := col.Series()
 
@@ -200,7 +202,7 @@ func TestSeriesExports(t *testing.T) {
 	if err := s.WriteJSON(&js); err != nil {
 		t.Fatalf("WriteJSON: %v", err)
 	}
-	var back telemetry.Series
+	var back obs.Series
 	if err := json.Unmarshal(js.Bytes(), &back); err != nil {
 		t.Fatalf("series JSON does not parse: %v", err)
 	}
@@ -212,7 +214,7 @@ func TestSeriesExports(t *testing.T) {
 // TestChromeTraceWellFormed: the export must parse as trace_event JSON with
 // one named track per stage and per RA, and every span within the run.
 func TestChromeTraceWellFormed(t *testing.T) {
-	col := telemetry.NewCollector()
+	col := obs.NewSimCollector()
 	st := runBFS(t, col, 1000)
 	var buf bytes.Buffer
 	if err := col.WriteChromeTrace(&buf); err != nil {
@@ -281,10 +283,10 @@ func TestChromeTraceWellFormed(t *testing.T) {
 }
 
 // TestExportsDeterministic: two identical runs must export byte-identical
-// artifacts — the guard that telemetry is a pure function of the simulation.
+// artifacts — the guard that sim-level telemetry is a pure function of the simulation.
 func TestExportsDeterministic(t *testing.T) {
 	render := func() (string, string, string) {
-		col := telemetry.NewCollector()
+		col := obs.NewSimCollector()
 		runBFS(t, col, 500)
 		var csv, chrome bytes.Buffer
 		if err := col.Series().WriteCSV(&csv); err != nil {
@@ -306,4 +308,29 @@ func TestExportsDeterministic(t *testing.T) {
 	if prof1 != prof2 {
 		t.Error("profile report differs between identical runs")
 	}
+}
+
+// TestSimExportsGolden pins the bytes of every sim-level export of one BFS
+// run (Test[0], interval 5000): the series CSV and the hot-lines report
+// verbatim, the series JSON and the Chrome trace by SHA-256 digest.
+func TestSimExportsGolden(t *testing.T) {
+	col := obs.NewSimCollector()
+	runBFS(t, col, 5000)
+	env, _ := bfsSetup()
+
+	var csv, js, chrome bytes.Buffer
+	if err := col.Series().WriteCSV(&csv); err != nil {
+		t.Fatalf("WriteCSV: %v", err)
+	}
+	if err := col.Series().WriteJSON(&js); err != nil {
+		t.Fatalf("WriteJSON: %v", err)
+	}
+	if err := col.WriteChromeTrace(&chrome); err != nil {
+		t.Fatalf("WriteChromeTrace: %v", err)
+	}
+	golden(t, "bfs_series.csv", csv.Bytes())
+	golden(t, "bfs_profile.txt", []byte(col.Profile().Render(10, env.bench.SerialSource)))
+	digests := fmt.Sprintf("series.json %x\nchrome.json %x\n",
+		sha256.Sum256(js.Bytes()), sha256.Sum256(chrome.Bytes()))
+	golden(t, "bfs_exports.sha256", []byte(digests))
 }

@@ -1,15 +1,4 @@
-// Package telemetry turns timing-simulator events into three artifacts the
-// paper's evaluation is built on: interval time-series (queue occupancy,
-// cycle-breakdown deltas, accelerator load pressure), source-attributed
-// stall profiles ("which line burned the cycles"), and Chrome trace_event
-// JSON for visual stage-overlap inspection in chrome://tracing / Perfetto.
-//
-// A Collector implements sim.Probe. Install it with Machine.Probe before
-// the timing phase; with no probe installed the simulator pays one nil test
-// per hook and produces bit-identical Stats. Everything the Collector
-// records is a pure function of the deterministic simulation, so exports
-// are byte-identical across runs.
-package telemetry
+package obs
 
 import (
 	"phloem/internal/sim"
@@ -101,9 +90,10 @@ type siteCount struct {
 	uops    uint64
 }
 
-// Collector records one timing run. Use one Collector per run; Reset is
-// deliberately absent so stale state cannot leak between candidates.
-type Collector struct {
+// SimCollector records one timing run as a sim.Probe: install it with
+// Machine.Probe before the timing phase. Use one SimCollector per run; Reset
+// is deliberately absent so stale state cannot leak between candidates.
+type SimCollector struct {
 	stages []stageInfo
 	ras    []raInfo
 	queues []string
@@ -133,15 +123,15 @@ type openSpan struct {
 	done  bool
 }
 
-// NewCollector returns an empty collector ready to install as a Probe.
-func NewCollector() *Collector {
-	return &Collector{sites: map[siteKey]*siteCount{}}
+// NewSimCollector returns an empty collector ready to install as a Probe.
+func NewSimCollector() *SimCollector {
+	return &SimCollector{sites: map[siteKey]*siteCount{}}
 }
 
-var _ sim.Probe = (*Collector)(nil)
+var _ sim.Probe = (*SimCollector)(nil)
 
 // BeginTiming implements sim.Probe.
-func (c *Collector) BeginTiming(m *sim.Machine) {
+func (c *SimCollector) BeginTiming(m *sim.Machine) {
 	c.stages = c.stages[:0]
 	for _, st := range m.Stages {
 		c.stages = append(c.stages, stageInfo{
@@ -163,11 +153,8 @@ func (c *Collector) BeginTiming(m *sim.Machine) {
 }
 
 // Sample implements sim.Probe: it closes the current window into a row.
-func (c *Collector) Sample(now uint64, snap *sim.Stats) {
-	c.addRow(now, snap)
-}
-
-func (c *Collector) addRow(now uint64, snap *sim.Stats) {
+func (c *SimCollector) Sample(snap *sim.Stats) {
+	now := snap.Cycles
 	row := SampleRow{Cycle: now, Delta: snap.Delta(c.prev)}
 	for q := range c.qt {
 		mn, mx, avg := c.qt[q].close(now)
@@ -180,13 +167,13 @@ func (c *Collector) addRow(now uint64, snap *sim.Stats) {
 }
 
 // QueueLen implements sim.Probe.
-func (c *Collector) QueueLen(q, ln int, now uint64) {
+func (c *SimCollector) QueueLen(q, ln int, now uint64) {
 	c.qt[q].observe(ln, now)
 }
 
 // ThreadState implements sim.Probe: consecutive identical states extend the
 // open span; a change closes it.
-func (c *Collector) ThreadState(thread int, state sim.StallClass, now uint64) {
+func (c *SimCollector) ThreadState(thread int, state sim.StallClass, now uint64) {
 	o := &c.open[thread]
 	if !o.live {
 		o.state, o.start, o.live = state, now, true
@@ -200,7 +187,7 @@ func (c *Collector) ThreadState(thread int, state sim.StallClass, now uint64) {
 }
 
 // ThreadDone implements sim.Probe.
-func (c *Collector) ThreadDone(thread int, now uint64) {
+func (c *SimCollector) ThreadDone(thread int, now uint64) {
 	o := &c.open[thread]
 	if o.live {
 		c.spans = append(c.spans, span{thread: thread, state: o.state, start: o.start, end: now})
@@ -210,13 +197,13 @@ func (c *Collector) ThreadDone(thread int, now uint64) {
 }
 
 // Issued implements sim.Probe.
-func (c *Collector) Issued(thread, pc int, now uint64) {
+func (c *SimCollector) Issued(thread, pc int) {
 	c.site(thread, pc).uops++
 }
 
 // CoreCycles implements sim.Probe. Unattributable cycles (thread == -1) land
 // in a dedicated bucket so profile totals still reconcile with Stats.
-func (c *Collector) CoreCycles(core int, class sim.StallClass, thread, pc int, weight uint64) {
+func (c *SimCollector) CoreCycles(core int, class sim.StallClass, thread, pc int, weight uint64) {
 	s := c.site(thread, pc)
 	switch class {
 	case sim.ClassIssue:
@@ -230,7 +217,7 @@ func (c *Collector) CoreCycles(core int, class sim.StallClass, thread, pc int, w
 	}
 }
 
-func (c *Collector) site(thread, pc int) *siteCount {
+func (c *SimCollector) site(thread, pc int) *siteCount {
 	k := siteKey{thread: thread, pc: pc}
 	s := c.sites[k]
 	if s == nil {
@@ -241,19 +228,19 @@ func (c *Collector) site(thread, pc int) *siteCount {
 }
 
 // HandlerFire implements sim.Probe.
-func (c *Collector) HandlerFire(thread, pc int, now uint64) {
+func (c *SimCollector) HandlerFire(thread, pc int, now uint64) {
 	c.handlerN++
 	c.instants = append(c.instants, instant{thread: thread, pc: pc, at: now})
 }
 
 // RAInflight implements sim.Probe.
-func (c *Collector) RAInflight(ra, inflight, loads int, now uint64) {
+func (c *SimCollector) RAInflight(ra, inflight int, now uint64) {
 	c.raIn[ra] = inflight
 }
 
 // EndTiming implements sim.Probe: it closes open spans and the final partial
 // sample window.
-func (c *Collector) EndTiming(stats *sim.Stats) {
+func (c *SimCollector) EndTiming(stats *sim.Stats) {
 	c.endCycle = stats.Cycles
 	for i := range c.open {
 		o := &c.open[i]
@@ -263,12 +250,12 @@ func (c *Collector) EndTiming(stats *sim.Stats) {
 		}
 	}
 	// Final partial window (also the only row when sampling is off).
-	c.addRow(stats.Cycles, stats)
+	c.Sample(stats)
 }
 
 // SetMeta stamps a key into the Chrome trace's otherData block, labelling
 // the run that produced the trace (phloemsim stamps the bench and input).
-func (c *Collector) SetMeta(key string, value any) {
+func (c *SimCollector) SetMeta(key string, value any) {
 	if c.meta == nil {
 		c.meta = map[string]any{}
 	}

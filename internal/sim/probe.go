@@ -38,10 +38,10 @@ type Probe interface {
 	// BeginTiming announces the machine being replayed, before cycle 0.
 	BeginTiming(m *Machine)
 	// Sample delivers a cumulative Stats snapshot when the simulated clock
-	// first reaches a Config.TelemetryInterval boundary. Idle fast-forward
-	// can skip several boundaries at once; then a single sample is emitted
-	// at the post-skip cycle.
-	Sample(now uint64, snap *Stats)
+	// first reaches a Config.TelemetryInterval boundary; snap.Cycles is the
+	// sampling cycle. Idle fast-forward can skip several boundaries at once;
+	// then a single sample is emitted at the post-skip cycle.
+	Sample(snap *Stats)
 	// QueueLen reports queue q's occupancy right after a push or pop.
 	QueueLen(q, ln int, now uint64)
 	// ThreadState reports the thread's activity class for cycle now: ClassIssue
@@ -52,7 +52,7 @@ type Probe interface {
 	// ThreadDone marks the thread's stage program as finished.
 	ThreadDone(thread int, now uint64)
 	// Issued reports one issued micro-op and the stage-program PC it came from.
-	Issued(thread, pc int, now uint64)
+	Issued(thread, pc int)
 	// CoreCycles attributes weight observed core-cycles of the given class to
 	// a representative stage-program site. For issue cycles the site is the
 	// first micro-op issued that cycle; for stall cycles it is the oldest
@@ -62,9 +62,9 @@ type Probe interface {
 	// HandlerFire reports a control-value handler activation observed at
 	// fetch on the given thread, with the PC of the firing dequeue.
 	HandlerFire(thread, pc int, now uint64)
-	// RAInflight reports accelerator ra's in-flight window occupancy (loads
-	// of which are pending memory loads) after it changed.
-	RAInflight(ra, inflight, loads int, now uint64)
+	// RAInflight reports accelerator ra's in-flight window occupancy after
+	// it changed.
+	RAInflight(ra, inflight int, now uint64)
 	// EndTiming delivers the final Stats before RunTiming returns (also on
 	// cycle-budget aborts, with the partial stats).
 	EndTiming(stats *Stats)

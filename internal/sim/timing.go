@@ -606,7 +606,7 @@ func (e *timingEngine) emitSample() {
 	snap.Cycles = e.now
 	snap.Cache = e.hier.Stats()
 	snap.PerCore = append([]Breakdown(nil), e.stats.PerCore...)
-	e.probe.Sample(e.now, &snap)
+	e.probe.Sample(&snap)
 }
 
 // attributeStall reports weight stall cycles of the given class on core c to
@@ -1425,7 +1425,7 @@ func (e *timingEngine) tryIssue(t *tThread, en *winEntry) (ok, blockQ, blockMem 
 		t.parked.clear(int(en.nextQ))
 	}
 	if e.probe != nil {
-		e.probe.Issued(t.idx, int(te.PC), e.now)
+		e.probe.Issued(t.idx, int(te.PC))
 		if e.curPC < 0 {
 			e.curThread, e.curPC = t.idx, int(te.PC)
 		}
@@ -1447,10 +1447,9 @@ func (e *timingEngine) tickRA(ra *tRA) bool {
 		return e.tickRASteps(ra)
 	}
 	before := len(ra.inflight) - ra.ifHead
-	beforeLoads := ra.loads
 	moved := e.tickRASteps(ra)
-	if after := len(ra.inflight) - ra.ifHead; after != before || ra.loads != beforeLoads {
-		e.probe.RAInflight(ra.id, after, ra.loads, e.now)
+	if after := len(ra.inflight) - ra.ifHead; after != before {
+		e.probe.RAInflight(ra.id, after, e.now)
 	}
 	return moved
 }

@@ -18,10 +18,10 @@ import (
 	"phloem/internal/fault"
 	"phloem/internal/graph"
 	"phloem/internal/matrix"
+	"phloem/internal/obs"
 	"phloem/internal/pipeline"
 	"phloem/internal/sim"
 	"phloem/internal/taco"
-	"phloem/internal/telemetry"
 	"phloem/internal/workloads"
 )
 
@@ -332,13 +332,13 @@ func TestTimingGolden(t *testing.T) {
 // per core, so the attribution can be checked against Stats.PerCore core by
 // core and not only in total.
 type tallyProbe struct {
-	*telemetry.Collector
+	*obs.SimCollector
 	perCore []sim.Breakdown
 }
 
 func (p *tallyProbe) BeginTiming(m *sim.Machine) {
 	p.perCore = make([]sim.Breakdown, m.Cfg.Cores)
-	p.Collector.BeginTiming(m)
+	p.SimCollector.BeginTiming(m)
 }
 
 func (p *tallyProbe) CoreCycles(core int, class sim.StallClass, thread, pc int, weight uint64) {
@@ -353,7 +353,7 @@ func (p *tallyProbe) CoreCycles(core int, class sim.StallClass, thread, pc int, 
 	default:
 		b.Other += weight
 	}
-	p.Collector.CoreCycles(core, class, thread, pc, weight)
+	p.SimCollector.CoreCycles(core, class, thread, pc, weight)
 }
 
 // TestTimingGoldenProbed replays the golden set with a telemetry collector
@@ -372,7 +372,7 @@ func TestTimingGoldenProbed(t *testing.T) {
 	for _, r := range golden {
 		byName[r.Name] = r.Stats
 	}
-	replayGolden(t, func() sim.Probe { return &tallyProbe{Collector: telemetry.NewCollector()} },
+	replayGolden(t, func() sim.Probe { return &tallyProbe{SimCollector: obs.NewSimCollector()} },
 		func(name string, p sim.Probe, st *sim.Stats) {
 			if !reflect.DeepEqual(st, byName[name]) {
 				t.Errorf("%s: probe-on Stats differ from the probe-off golden", name)
