@@ -79,7 +79,7 @@ func (r *CommOptReport) gated() []gated {
 	return out
 }
 
-func (r *CommOptReport) rerun(cfg Config) (Report, error) { return CommOptPerf(cfg) }
+func (r *CommOptReport) rerun(cfg Config) (Report, error) { return commOptPerf(cfg) }
 
 // commOptLegs enumerates the four configurations in report order.
 var commOptLegs = []struct {
@@ -92,9 +92,9 @@ var commOptLegs = []struct {
 	{"both", commopt.Options{Capacities: true, Multicast: true}},
 }
 
-// CommOptPerf runs the four-leg commopt comparison over the whole suite and
+// commOptPerf runs the four-leg commopt comparison over the whole suite and
 // returns the report.
-func CommOptPerf(cfg Config) (*CommOptReport, error) {
+func commOptPerf(cfg Config) (*CommOptReport, error) {
 	rep := &CommOptReport{Header: newHeader(KindCommOpt, cfg.Scale), QueueDepth: arch.DefaultConfig(1).QueueDepth}
 	cfg.printf("\nQueue-communication optimization: uniform default vs inferred capacities vs multicast fan-out\n")
 	cfg.printf("%-8s %-10s %12s %9s %8s %10s %9s %6s\n",
@@ -154,9 +154,9 @@ func CommOptPerf(cfg Config) (*CommOptReport, error) {
 	return rep, nil
 }
 
-// CommOptJSON runs CommOptPerf and writes the report to path.
+// CommOptJSON runs commOptPerf and writes the report to path.
 func CommOptJSON(cfg Config, path string) error {
-	rep, err := CommOptPerf(cfg)
+	rep, err := commOptPerf(cfg)
 	if err != nil {
 		return err
 	}

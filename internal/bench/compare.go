@@ -44,8 +44,8 @@ func newHeader(kind string, scale workloads.Scale) Header {
 
 func (h Header) header() Header { return h }
 
-// ParseScale maps a report's scale string back to the workloads scale.
-func ParseScale(s string) workloads.Scale {
+// parseScale maps a report's scale string back to the workloads scale.
+func parseScale(s string) workloads.Scale {
 	if s == "full" {
 		return workloads.ScaleFull
 	}
@@ -334,7 +334,7 @@ func Compare(cfg Config, paths []string, opt DiffOptions) ([]DiffFinding, error)
 			return nil, err
 		}
 		runCfg := cfg
-		runCfg.Scale = ParseScale(committed.header().Scale)
+		runCfg.Scale = parseScale(committed.header().Scale)
 		fresh, err := committed.rerun(runCfg)
 		if err != nil {
 			return nil, err

@@ -224,3 +224,20 @@ void k(int* idx, int* data, int n) {
 		t.Errorf("unproven params should not get a proved-safe warning: %v", ws)
 	}
 }
+
+// ModRef returns the MOD and REF access lists of one parameter, in source
+// order (an entry with both flags appears in both lists).
+func (a *Analysis) ModRef(param string) (mods, refs []Access) {
+	for _, ac := range a.Accesses {
+		if ac.Param != param {
+			continue
+		}
+		if ac.Mod {
+			mods = append(mods, ac)
+		}
+		if ac.Ref {
+			refs = append(refs, ac)
+		}
+	}
+	return mods, refs
+}

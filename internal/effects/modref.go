@@ -407,23 +407,6 @@ func (a *Analysis) AliasInfo() *ir.AliasInfo {
 	return ai
 }
 
-// ModRef returns the MOD and REF access lists of one parameter, in source
-// order (an entry with both flags appears in both lists).
-func (a *Analysis) ModRef(param string) (mods, refs []Access) {
-	for _, ac := range a.Accesses {
-		if ac.Param != param {
-			continue
-		}
-		if ac.Mod {
-			mods = append(mods, ac)
-		}
-		if ac.Ref {
-			refs = append(refs, ac)
-		}
-	}
-	return mods, refs
-}
-
 // Dump renders the whole analysis in a stable, sorted, diffable format —
 // the `phloemc -effects` report.
 func (a *Analysis) Dump() string {

@@ -143,9 +143,6 @@ func (a *Array) StoreFloat(i int64, v float64) {
 // It is intended for test setup and result extraction, not simulation.
 func (a *Array) Ints() []int64 { return a.i64 }
 
-// Int32s returns the underlying int32 slice of an I32 array (nil otherwise).
-func (a *Array) Int32s() []int32 { return a.i32 }
-
 // Floats returns the underlying float64 slice of an F64 array (nil otherwise).
 func (a *Array) Floats() []float64 { return a.f64 }
 

@@ -102,11 +102,10 @@ func compareSpaces(t *testing.T, name string, a, b *mem.Space) {
 				}
 			}
 		case mem.I32:
-			xi, yi := x.Int32s(), y.Int32s()
-			for j := range xi {
-				if xi[j] != yi[j] {
+			for j := int64(0); j < int64(x.Len()); j++ {
+				if xi, yi := x.LoadInt(j), y.LoadInt(j); xi != yi {
 					if diffs == 0 {
-						t.Errorf("%s: %s[%d] = %d (sim) vs %d (native)", name, x.Name, j, xi[j], yi[j])
+						t.Errorf("%s: %s[%d] = %d (sim) vs %d (native)", name, x.Name, j, xi, yi)
 					}
 					diffs++
 				}

@@ -19,11 +19,6 @@ type BuildConfig struct {
 	BaseCore int
 }
 
-// DefaultBuildConfig matches the Table III machine.
-func DefaultBuildConfig() BuildConfig {
-	return BuildConfig{MaxRAs: 4, ThreadsPerCore: 4}
-}
-
 // Build constructs a pipeline from a program and the chosen decoupling
 // points (one point list per phase; a phase with an empty list stays on
 // stage 0). This is the "decouple + add queues" transformation plus all the

@@ -42,7 +42,7 @@ void k(int* restrict a, int* restrict x, int* restrict y, int n) {
 		t.Fatalf("expected the y load as a candidate, got %d", len(pts))
 	}
 	_, err = passes.Build(p, [][]*analysis.Candidate{pts}, passes.Default(),
-		passes.DefaultBuildConfig())
+		defaultBuildConfig())
 	if err == nil {
 		t.Fatal("expected a race-rule rejection")
 	}
@@ -71,7 +71,7 @@ func TestPointsOutOfOrderRejected(t *testing.T) {
 	ordered := analysis.OrderPoints(movable[:2])
 	reversed := []*analysis.Candidate{ordered[1], ordered[0]}
 	if _, err := passes.Build(p, [][]*analysis.Candidate{reversed},
-		passes.Default(), passes.DefaultBuildConfig()); err == nil {
+		passes.Default(), defaultBuildConfig()); err == nil {
 		t.Error("out-of-order points should be rejected")
 	}
 }
@@ -91,7 +91,7 @@ func TestRABudgetRespected(t *testing.T) {
 			movable = append(movable, c)
 		}
 	}
-	bc := passes.DefaultBuildConfig()
+	bc := defaultBuildConfig()
 	bc.MaxRAs = 1
 	pipe, err := passes.Build(p, [][]*analysis.Candidate{analysis.OrderPoints(movable)},
 		passes.Default(), bc)
@@ -122,7 +122,7 @@ func TestWrongPhaseCountRejected(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	if _, err := passes.Build(p, nil, passes.Default(), passes.DefaultBuildConfig()); err == nil {
+	if _, err := passes.Build(p, nil, passes.Default(), defaultBuildConfig()); err == nil {
 		t.Error("zero point lists for a one-phase program should be rejected")
 	}
 }

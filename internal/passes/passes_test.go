@@ -11,6 +11,11 @@ import (
 	"phloem/internal/workloads"
 )
 
+// defaultBuildConfig matches the Table III machine.
+func defaultBuildConfig() passes.BuildConfig {
+	return passes.BuildConfig{MaxRAs: 4, ThreadsPerCore: 4}
+}
+
 // buildBFS compiles the BFS source and builds an N-stage pipeline with the
 // top-ranked decoupling points.
 func buildBFS(t *testing.T, stages int, opt passes.Options) *pipeline.Pipeline {
@@ -32,7 +37,7 @@ func buildBFS(t *testing.T, stages int, opt passes.Options) *pipeline.Pipeline {
 		t.Logf("candidate: %s", c)
 	}
 	pts := analysis.OrderPoints(cands[:stages-1])
-	pipe, err := passes.Build(p, [][]*analysis.Candidate{pts}, opt, passes.DefaultBuildConfig())
+	pipe, err := passes.Build(p, [][]*analysis.Candidate{pts}, opt, defaultBuildConfig())
 	if err != nil {
 		t.Fatalf("build: %v", err)
 	}

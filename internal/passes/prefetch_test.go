@@ -48,7 +48,7 @@ func TestRaceRulePinnedLoadGetsPrefetch(t *testing.T) {
 		t.Fatalf("expected the a load and the prefetch-only x load as candidates, got %d", len(pts))
 	}
 	pipe, err := passes.Build(serialProg, [][]*analysis.Candidate{analysis.OrderPoints(pts)},
-		passes.Default(), passes.DefaultBuildConfig())
+		passes.Default(), defaultBuildConfig())
 	if err != nil {
 		t.Fatal(err)
 	}

@@ -26,7 +26,7 @@ func buildBFSWith(t *testing.T, opt passes.Options) *pipeline.Pipeline {
 		}
 	}
 	pipe, err := passes.Build(p, [][]*analysis.Candidate{analysis.OrderPoints(movable)},
-		opt, passes.DefaultBuildConfig())
+		opt, defaultBuildConfig())
 	if err != nil {
 		t.Fatalf("[%s]: %v", opt, err)
 	}

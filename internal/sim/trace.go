@@ -1,10 +1,5 @@
 package sim
 
-import (
-	"fmt"
-	"strings"
-)
-
 // Trace flags recorded by the functional phase for the timing phase.
 const (
 	// FlagTaken marks a conditional branch that was taken.
@@ -63,31 +58,6 @@ type TraceSet struct {
 	// pipeline protocol drains every queue; leftovers indicate an over-send
 	// (and would deadlock bounded timing queues).
 	Leftover []int
-}
-
-// CheckDrained reports over-sent queues: it returns nil when every queue
-// drained, otherwise an error naming each queue (index, name, and leftover
-// token count) in queue order. The machine must be the one that produced
-// the trace set.
-func (ts *TraceSet) CheckDrained(m *Machine) error {
-	var sb strings.Builder
-	for q, n := range ts.Leftover {
-		if n == 0 {
-			continue
-		}
-		if sb.Len() > 0 {
-			sb.WriteString("; ")
-		}
-		name := ""
-		if q < len(m.Queues) {
-			name = m.Queues[q].Name
-		}
-		fmt.Fprintf(&sb, "queue %d (%s): %d leftover token(s)", q, name, n)
-	}
-	if sb.Len() == 0 {
-		return nil
-	}
-	return fmt.Errorf("pipeline did not drain: %s", sb.String())
 }
 
 // addTrace appends one entry to a trace, doubling a full one's capacity

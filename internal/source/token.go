@@ -58,8 +58,8 @@ type Lexer struct {
 	col  int
 }
 
-// NewLexer creates a lexer over src.
-func NewLexer(src string) *Lexer {
+// newLexer creates a lexer over src.
+func newLexer(src string) *Lexer {
 	return &Lexer{src: src, line: 1, col: 1}
 }
 
@@ -215,7 +215,7 @@ func (l *Lexer) Next() (Token, error) {
 
 // LexAll tokenizes the whole input (testing convenience).
 func LexAll(src string) ([]Token, error) {
-	l := NewLexer(src)
+	l := newLexer(src)
 	var out []Token
 	for {
 		t, err := l.Next()

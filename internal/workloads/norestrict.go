@@ -32,8 +32,8 @@ void prd_apply(float* rank, float* delta, float* next_delta, int n) {
 }
 `
 
-// PRDApplyRef is the plain Go reference for one apply sweep.
-func PRDApplyRef(rank, delta, nextDelta []float64) {
+// prdApplyRef is the plain Go reference for one apply sweep.
+func prdApplyRef(rank, delta, nextDelta []float64) {
 	for u := range rank {
 		nd := nextDelta[u]
 		rank[u] += nd
@@ -66,7 +66,7 @@ func PRDApplyVerify(inst *pipeline.Instance, b pipeline.Bindings) error {
 	rank := append([]float64(nil), b.Floats["rank"]...)
 	delta := append([]float64(nil), b.Floats["delta"]...)
 	next := append([]float64(nil), b.Floats["next_delta"]...)
-	PRDApplyRef(rank, delta, next)
+	prdApplyRef(rank, delta, next)
 	for name, want := range map[string][]float64{"rank": rank, "delta": delta, "next_delta": next} {
 		got := inst.Arrays[name].Floats()
 		for i := range want {
@@ -98,8 +98,8 @@ void spmv(int* rows, int* cols, float* restrict vals,
 }
 `
 
-// SpMVRef computes the reference product y = A * x.
-func SpMVRef(a *matrix.CSR, x []float64) []float64 {
+// spmvRef computes the reference product y = A * x.
+func spmvRef(a *matrix.CSR, x []float64) []float64 {
 	y := make([]float64, a.N)
 	for i := 0; i < a.N; i++ {
 		for k := a.Rows[i]; k < a.Rows[i+1]; k++ {
@@ -124,7 +124,7 @@ func SpMVBindings(a *matrix.CSR) pipeline.Bindings {
 
 // SpMVVerify checks y against the Go reference.
 func SpMVVerify(inst *pipeline.Instance, a *matrix.CSR, b pipeline.Bindings) error {
-	want := SpMVRef(a, b.Floats["x"])
+	want := spmvRef(a, b.Floats["x"])
 	got := inst.Arrays["y"].Floats()
 	for i := range want {
 		if math.Abs(got[i]-want[i]) > 1e-9 {

@@ -53,8 +53,8 @@ void spmm(int* restrict arows, int* restrict acols, float* restrict avals,
 }
 `
 
-// SpMMRef computes the dense reference product C = A * B.
-func SpMMRef(a, bt *matrix.CSR) []float64 {
+// spmmRef computes the dense reference product C = A * B.
+func spmmRef(a, bt *matrix.CSR) []float64 {
 	n := a.N
 	out := make([]float64, n*n)
 	for i := 0; i < n; i++ {
@@ -104,7 +104,7 @@ func SpMMBindings(a, bt *matrix.CSR) pipeline.Bindings {
 
 // SpMMVerify checks the product against the reference.
 func SpMMVerify(inst *pipeline.Instance, a, bt *matrix.CSR) error {
-	want := SpMMRef(a, bt)
+	want := spmmRef(a, bt)
 	got := inst.Arrays["out"].Floats()
 	for i := range want {
 		if math.Abs(got[i]-want[i]) > 1e-9*(1+math.Abs(want[i])) {
