@@ -214,7 +214,7 @@ func main() {
 	progress := flag.Bool("progress", false,
 		"with -autotune: live search progress on stderr (measured/remaining/ETA)")
 	searchTrace := flag.String("search-trace", "",
-		"with -autotune: write the search itself as Chrome trace_event JSON (one track per worker, per-candidate phase spans)")
+		"with -autotune: write the search itself as Chrome trace_event JSON (one track per worker, per-candidate phase spans; \"-\" = stdout)")
 	searchStats := flag.Bool("search-stats", false,
 		"with -autotune: print per-phase wall-time and candidate-lifecycle metrics after the search")
 	flag.Parse()

@@ -30,8 +30,8 @@ import (
 	"phloem/internal/core"
 )
 
-// SearchCollector records every search-lifecycle event it observes. It is safe for
-// concurrent use (worker spans arrive from pool goroutines when
+// SearchCollector records every search-lifecycle event it observes. It is
+// safe for concurrent use (worker spans arrive from pool goroutines when
 // core.Options.Parallelism > 1) and never blocks beyond a short mutex hold.
 //
 // A SearchCollector observes exactly one Compile/Search call; aggregate with

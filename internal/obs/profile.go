@@ -56,15 +56,9 @@ func (c *SimCollector) Profile() *Profile {
 	byLine := map[int]*LineStat{}
 	stageSets := map[int]map[string]bool{}
 	for k, s := range c.sites {
-		p.Total.Issue += s.issue
-		p.Total.Backend += s.backend
-		p.Total.Queue += s.queue
-		p.Total.Other += s.other
+		p.Total.Add(s.cycles)
 		if k.thread < 0 {
-			p.Unattributed.Issue += s.issue
-			p.Unattributed.Backend += s.backend
-			p.Unattributed.Queue += s.queue
-			p.Unattributed.Other += s.other
+			p.Unattributed.Add(s.cycles)
 			continue
 		}
 		st := c.stages[k.thread]
@@ -78,10 +72,10 @@ func (c *SimCollector) Profile() *Profile {
 			byLine[line] = ls
 			stageSets[line] = map[string]bool{}
 		}
-		ls.Issue += s.issue
-		ls.Backend += s.backend
-		ls.Queue += s.queue
-		ls.Other += s.other
+		ls.Issue += s.cycles.Issue
+		ls.Backend += s.cycles.Backend
+		ls.Queue += s.cycles.Queue
+		ls.Other += s.cycles.Other
 		ls.Uops += s.uops
 		stageSets[line][st.name] = true
 	}

@@ -1,6 +1,7 @@
 package obs
 
 import (
+	"bufio"
 	"encoding/json"
 	"fmt"
 	"io"
@@ -63,44 +64,29 @@ func (s *Series) WriteJSON(w io.Writer) error {
 // then min/avg/max per queue and in-flight count per RA. Columns are fixed
 // by the machine shape, so rows align across a run.
 func (s *Series) WriteCSV(w io.Writer) error {
-	if _, err := fmt.Fprintf(w, "cycle,dcycles,dissued,dissue,dbackend,dqueue,dother,dl1miss,dmemacc,dempty,dfull,draloads"); err != nil {
-		return err
-	}
+	bw := bufio.NewWriter(w) // keeps the first write error; Flush returns it
+	fmt.Fprint(bw, "cycle,dcycles,dissued,dissue,dbackend,dqueue,dother,dl1miss,dmemacc,dempty,dfull,draloads")
 	for _, q := range s.Queues {
-		if _, err := fmt.Fprintf(w, ",q:%s:min,q:%s:avg,q:%s:max", q, q, q); err != nil {
-			return err
-		}
+		fmt.Fprintf(bw, ",q:%s:min,q:%s:avg,q:%s:max", q, q, q)
 	}
 	for _, ra := range s.RAs {
-		if _, err := fmt.Fprintf(w, ",ra:%s:inflight", ra); err != nil {
-			return err
-		}
+		fmt.Fprintf(bw, ",ra:%s:inflight", ra)
 	}
-	if _, err := fmt.Fprintln(w); err != nil {
-		return err
-	}
+	fmt.Fprintln(bw)
 	for _, r := range s.Rows {
 		tb := r.Delta.TotalBreakdown()
-		if _, err := fmt.Fprintf(w, "%d,%d,%d,%d,%d,%d,%d,%d,%d,%d,%d,%d",
+		fmt.Fprintf(bw, "%d,%d,%d,%d,%d,%d,%d,%d,%d,%d,%d,%d",
 			r.Cycle, r.Delta.Cycles, r.Delta.Issued,
 			tb.Issue, tb.Backend, tb.Queue, tb.Other,
 			r.Delta.Cache.L1Misses, r.Delta.Cache.MemAccesses,
-			r.Delta.QueueEmptyStalls, r.Delta.QueueFullStalls, r.Delta.RALoads); err != nil {
-			return err
-		}
+			r.Delta.QueueEmptyStalls, r.Delta.QueueFullStalls, r.Delta.RALoads)
 		for _, q := range r.Queues {
-			if _, err := fmt.Fprintf(w, ",%d,%.2f,%d", q.Min, q.Avg, q.Max); err != nil {
-				return err
-			}
+			fmt.Fprintf(bw, ",%d,%.2f,%d", q.Min, q.Avg, q.Max)
 		}
 		for _, n := range r.RAInflight {
-			if _, err := fmt.Fprintf(w, ",%d", n); err != nil {
-				return err
-			}
+			fmt.Fprintf(bw, ",%d", n)
 		}
-		if _, err := fmt.Fprintln(w); err != nil {
-			return err
-		}
+		fmt.Fprintln(bw)
 	}
-	return nil
+	return bw.Flush()
 }

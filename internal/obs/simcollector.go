@@ -83,11 +83,8 @@ type siteKey struct {
 
 // siteCount accumulates cycles and micro-ops at one site.
 type siteCount struct {
-	issue   uint64
-	backend uint64
-	queue   uint64
-	other   uint64
-	uops    uint64
+	cycles sim.Breakdown
+	uops   uint64
 }
 
 // SimCollector records one timing run as a sim.Probe: install it with
@@ -120,7 +117,6 @@ type openSpan struct {
 	state sim.StallClass
 	start uint64
 	live  bool
-	done  bool
 }
 
 // NewSimCollector returns an empty collector ready to install as a Probe.
@@ -188,12 +184,15 @@ func (c *SimCollector) ThreadState(thread int, state sim.StallClass, now uint64)
 
 // ThreadDone implements sim.Probe.
 func (c *SimCollector) ThreadDone(thread int, now uint64) {
-	o := &c.open[thread]
-	if o.live {
+	c.closeSpan(thread, now)
+}
+
+// closeSpan ends the thread's open span, if any, at cycle now.
+func (c *SimCollector) closeSpan(thread int, now uint64) {
+	if o := &c.open[thread]; o.live {
 		c.spans = append(c.spans, span{thread: thread, state: o.state, start: o.start, end: now})
 		o.live = false
 	}
-	o.done = true
 }
 
 // Issued implements sim.Probe.
@@ -204,16 +203,16 @@ func (c *SimCollector) Issued(thread, pc int) {
 // CoreCycles implements sim.Probe. Unattributable cycles (thread == -1) land
 // in a dedicated bucket so profile totals still reconcile with Stats.
 func (c *SimCollector) CoreCycles(core int, class sim.StallClass, thread, pc int, weight uint64) {
-	s := c.site(thread, pc)
+	b := &c.site(thread, pc).cycles
 	switch class {
 	case sim.ClassIssue:
-		s.issue += weight
+		b.Issue += weight
 	case sim.ClassBackend:
-		s.backend += weight
+		b.Backend += weight
 	case sim.ClassQueue:
-		s.queue += weight
+		b.Queue += weight
 	default:
-		s.other += weight
+		b.Other += weight
 	}
 }
 
@@ -243,11 +242,7 @@ func (c *SimCollector) RAInflight(ra, inflight int, now uint64) {
 func (c *SimCollector) EndTiming(stats *sim.Stats) {
 	c.endCycle = stats.Cycles
 	for i := range c.open {
-		o := &c.open[i]
-		if o.live {
-			c.spans = append(c.spans, span{thread: i, state: o.state, start: o.start, end: stats.Cycles})
-			o.live = false
-		}
+		c.closeSpan(i, stats.Cycles)
 	}
 	// Final partial window (also the only row when sampling is off).
 	c.Sample(stats)
