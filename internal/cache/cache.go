@@ -48,23 +48,25 @@ func DefaultConfig(cores int) HierarchyConfig {
 	}
 }
 
-// level is one set-associative cache with LRU replacement.
+// level is one set-associative cache with LRU replacement. Its lines live in
+// one flat arena, set s at lines[s*ways : (s+1)*ways].
 type level struct {
-	sets     [][]line
-	setMask  uint64
-	lineBits uint
-	stamp    uint64
-	hits     uint64
-	misses   uint64
+	lines   []line
+	ways    int
+	setMask uint64
+	stamp   uint64
+	hits    uint64
+	misses  uint64
 }
 
+// line is one way. lru is the stamp of its last access; stamps start at 1,
+// so lru == 0 marks an invalid (never filled) way.
 type line struct {
-	tag   uint64
-	valid bool
-	lru   uint64
+	tag uint64
+	lru uint64
 }
 
-func newLevel(cfg Config, lineBytes int) *level {
+func newLevel(cfg Config, lineBytes int) level {
 	nLines := cfg.SizeBytes / lineBytes
 	nSets := nLines / cfg.Ways
 	if nSets < 1 {
@@ -74,40 +76,40 @@ func newLevel(cfg Config, lineBytes int) *level {
 	for nSets&(nSets-1) != 0 {
 		nSets--
 	}
-	lv := &level{
-		sets:    make([][]line, nSets),
+	return level{
+		lines:   make([]line, nSets*cfg.Ways),
+		ways:    cfg.Ways,
 		setMask: uint64(nSets - 1),
 	}
-	// All sets share one backing arena: the autotuner builds a fresh
-	// hierarchy per measured candidate, and a per-set make() here dominated
-	// its allocation counts.
-	arena := make([]line, nSets*cfg.Ways)
-	for i := range lv.sets {
-		lv.sets[i] = arena[i*cfg.Ways : (i+1)*cfg.Ways : (i+1)*cfg.Ways]
-	}
-	for lb := lineBytes; lb > 1; lb >>= 1 {
-		lv.lineBits++
-	}
-	return lv
+}
+
+// reset invalidates every line and zeroes the counters.
+func (lv *level) reset() {
+	clear(lv.lines)
+	lv.stamp, lv.hits, lv.misses = 0, 0, 0
 }
 
 // access looks up lineAddr (already shifted) and returns true on hit.
 // On miss the line is installed, evicting the LRU way.
 func (lv *level) access(lineAddr uint64) bool {
 	lv.stamp++
-	set := lv.sets[lineAddr&lv.setMask]
+	base := int(lineAddr&lv.setMask) * lv.ways
+	set := lv.lines[base : base+lv.ways : base+lv.ways]
 	tag := lineAddr >> 1 // keep full address as tag; cheap and exact
 	for i := range set {
-		if set[i].valid && set[i].tag == tag {
+		if set[i].tag == tag && set[i].lru != 0 {
 			set[i].lru = lv.stamp
 			lv.hits++
 			return true
 		}
 	}
 	lv.misses++
+	// An invalid way has lru 0, below every valid one, so the scan prefers
+	// the first invalid way after way 0 and falls back to way 0 when way 0
+	// is the only one left invalid.
 	victim := 0
 	for i := 1; i < len(set); i++ {
-		if !set[i].valid {
+		if set[i].lru == 0 {
 			victim = i
 			break
 		}
@@ -115,7 +117,7 @@ func (lv *level) access(lineAddr uint64) bool {
 			victim = i
 		}
 	}
-	set[victim] = line{tag: tag, valid: true, lru: lv.stamp}
+	set[victim] = line{tag: tag, lru: lv.stamp}
 	return false
 }
 
@@ -130,9 +132,9 @@ type Stats struct {
 // Hierarchy is the complete memory system for one simulated machine.
 type Hierarchy struct {
 	cfg HierarchyConfig
-	l1  []*level // per core
-	l2  []*level // per core
-	l3  *level   // shared
+	l1  []level // per core
+	l2  []level // per core
+	l3  level   // shared
 	// ctrlFree[i] is the cycle at which memory controller i is next free.
 	ctrlFree []uint64
 	memAcc   uint64
@@ -143,16 +145,29 @@ func NewHierarchy(cfg HierarchyConfig) *Hierarchy {
 	if cfg.Cores < 1 {
 		panic(fmt.Sprintf("cache: invalid core count %d", cfg.Cores))
 	}
-	h := &Hierarchy{cfg: cfg}
-	for i := 0; i < cfg.Cores; i++ {
-		h.l1 = append(h.l1, newLevel(cfg.L1, cfg.LineBytes))
-		h.l2 = append(h.l2, newLevel(cfg.L2, cfg.LineBytes))
+	h := &Hierarchy{cfg: cfg, l1: make([]level, cfg.Cores), l2: make([]level, cfg.Cores)}
+	for i := range h.l1 {
+		h.l1[i] = newLevel(cfg.L1, cfg.LineBytes)
+		h.l2[i] = newLevel(cfg.L2, cfg.LineBytes)
 	}
 	l3 := cfg.L3
 	l3.SizeBytes *= cfg.Cores // the paper's L3 is 2 MB/core, shared
 	h.l3 = newLevel(l3, cfg.LineBytes)
 	h.ctrlFree = make([]uint64, cfg.MemControllers)
 	return h
+}
+
+// Reset returns the hierarchy to the state NewHierarchy built it in: every
+// line invalid, every counter and controller clock zero. A reset hierarchy
+// replays an access stream exactly as a fresh one does.
+func (h *Hierarchy) Reset() {
+	for i := range h.l1 {
+		h.l1[i].reset()
+		h.l2[i].reset()
+	}
+	h.l3.reset()
+	clear(h.ctrlFree)
+	h.memAcc = 0
 }
 
 // Config returns the hierarchy's configuration.

@@ -1,6 +1,9 @@
 package cache
 
-import "testing"
+import (
+	"math/rand"
+	"testing"
+)
 
 func TestHitAfterMiss(t *testing.T) {
 	h := NewHierarchy(DefaultConfig(1))
@@ -79,5 +82,79 @@ func TestMemoryBandwidthQueuing(t *testing.T) {
 	st := h.Stats()
 	if st.MemAccesses != 32 {
 		t.Errorf("expected 32 memory accesses, got %d", st.MemAccesses)
+	}
+}
+
+// accessStream is a seeded random access stream over two cores: addresses
+// within 8 MB, so that every level hits and misses, at non-decreasing cycles
+// bunched closely enough to queue on the memory controllers.
+func accessStream(seed int64, n int) (cores []int, addrs, nows []uint64) {
+	rng := rand.New(rand.NewSource(seed))
+	now := uint64(0)
+	for i := 0; i < n; i++ {
+		now += uint64(rng.Intn(3))
+		cores = append(cores, rng.Intn(2))
+		addrs = append(addrs, uint64(rng.Intn(8<<20)))
+		nows = append(nows, now)
+	}
+	return cores, addrs, nows
+}
+
+// TestResetMatchesFresh: a hierarchy dirtied by one stream and then Reset
+// replays a second stream exactly as a fresh hierarchy does, access for
+// access, and ends with the same Stats.
+func TestResetMatchesFresh(t *testing.T) {
+	cfg := DefaultConfig(2)
+	recycled := NewHierarchy(cfg)
+	cores, addrs, nows := accessStream(1, 200000)
+	for i := range cores {
+		recycled.Access(cores[i], addrs[i], nows[i])
+	}
+	if recycled.Stats() == (Stats{}) {
+		t.Fatal("the dirtying stream left no trace in Stats")
+	}
+	recycled.Reset()
+	if st := recycled.Stats(); st != (Stats{}) {
+		t.Fatalf("Reset left counters behind: %+v", st)
+	}
+	fresh := NewHierarchy(cfg)
+	cores, addrs, nows = accessStream(2, 200000)
+	for i := range cores {
+		fl, fm := fresh.Access(cores[i], addrs[i], nows[i])
+		rl, rm := recycled.Access(cores[i], addrs[i], nows[i])
+		if fl != rl || fm != rm {
+			t.Fatalf("access %d (core %d, addr %#x, cycle %d): fresh (%d, %v), recycled (%d, %v)",
+				i, cores[i], addrs[i], nows[i], fl, fm, rl, rm)
+		}
+	}
+	if f, r := fresh.Stats(), recycled.Stats(); f != r {
+		t.Errorf("final Stats differ:\nfresh    %+v\nrecycled %+v", f, r)
+	}
+}
+
+// TestVictimPrefersWayOne pins the victim scan's order on a set whose ways 0
+// and 1 are both invalid: the miss fills way 1, later misses fill ways 2..n-1,
+// and way 0 is filled last, also after a Reset.
+func TestVictimPrefersWayOne(t *testing.T) {
+	cfg := DefaultConfig(1)
+	h := NewHierarchy(cfg)
+	for round := 0; round < 2; round++ {
+		lv := &h.l1[0]
+		sets := int(lv.setMask) + 1
+		stride := uint64(sets * cfg.LineBytes)
+		for i := 0; i < cfg.L1.Ways; i++ {
+			h.Access(0, uint64(i)*stride, uint64(i))
+			want := i + 1
+			if i == cfg.L1.Ways-1 {
+				want = 0
+			}
+			if got := lv.lines[want]; got.lru == 0 || got.tag != uint64(i*sets)>>1 {
+				t.Fatalf("round %d, miss %d: way %d holds %+v, want the new line", round, i, want, got)
+			}
+			if i < cfg.L1.Ways-1 && lv.lines[0].lru != 0 {
+				t.Fatalf("round %d, miss %d: way 0 filled before the other ways", round, i)
+			}
+		}
+		h.Reset()
 	}
 }

@@ -113,6 +113,7 @@ func (m *Machine) runFunctional(quantum uint64) (ts *TraceSet, err error) {
 	defer recoverMemTrap(func(trap error) { ts, err = nil, trap })
 	e, _ := newEngine(m, "functional", quantum)
 	defer e.storeSlots()
+	defer func() { e.recycle(ts == nil) }()
 
 	for left := len(e.stages); left > 0; {
 		if err := m.checkInterrupt(e.phase, 0); err != nil {
@@ -149,6 +150,24 @@ func (m *Machine) runFunctional(quantum uint64) (ts *TraceSet, err error) {
 		ts.Threads = append(ts.Threads, x.trace)
 	}
 	return ts, nil
+}
+
+// recycle hands the functional run's grown queue rings back to the pools,
+// and its traces too if traces is set: those of a failed run, which never
+// leave the engine.
+func (e *engine) recycle(traces bool) {
+	for q := range e.queues {
+		queueBufs.put(e.queues[q].buf)
+	}
+	if !traces {
+		return
+	}
+	for _, x := range e.stages {
+		stageTraces.put(x.trace)
+	}
+	for _, r := range e.raTrace {
+		raTraces.put(r)
+	}
 }
 
 // drainRAs steps every RA until none can move a token — the functional

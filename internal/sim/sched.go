@@ -93,9 +93,11 @@ func (e *engine) grown(q *queue) bool {
 	if e.quantum == 0 {
 		return false
 	}
-	next := make([]Value, max(512, 2*len(q.buf)))
+	n := max(512, 2*len(q.buf))
+	next := queueBufs.alloc(n)[:n]
 	k := copy(next, q.buf[q.head:])
 	copy(next[k:], q.buf[:q.head])
+	queueBufs.put(q.buf)
 	q.buf, q.head = next, 0
 	return true
 }

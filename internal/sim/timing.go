@@ -3,6 +3,7 @@ package sim
 import (
 	"math"
 	"math/bits"
+	"sync"
 
 	"phloem/internal/arch"
 	"phloem/internal/cache"
@@ -281,6 +282,7 @@ func (e *timingEngine) stalled(t *tThread) bool {
 // the same instance (programs, queues, RAs) that produced the traces.
 func (m *Machine) RunTiming(ts *TraceSet) (*Stats, error) {
 	e := newTimingEngine(m, ts)
+	defer putHierarchy(e.hier)
 	if e.probe != nil {
 		e.probe.BeginTiming(m)
 	}
@@ -311,9 +313,39 @@ func (m *Machine) RunTiming(ts *TraceSet) (*Stats, error) {
 	return &e.stats, nil
 }
 
+// hierPools holds reset cache hierarchies by configuration: every replay
+// needs a cold one, and building one allocates about 0.6 MB of lines per
+// core at the default sizes.
+var (
+	hierMu    sync.Mutex
+	hierPools = map[cache.HierarchyConfig]*sync.Pool{}
+)
+
+func hierarchyPool(cfg cache.HierarchyConfig) *sync.Pool {
+	hierMu.Lock()
+	defer hierMu.Unlock()
+	p := hierPools[cfg]
+	if p == nil {
+		p = &sync.Pool{New: func() any { return cache.NewHierarchy(cfg) }}
+		hierPools[cfg] = p
+	}
+	return p
+}
+
+// getHierarchy returns a cold hierarchy for cfg.
+func getHierarchy(cfg cache.HierarchyConfig) *cache.Hierarchy {
+	return hierarchyPool(cfg).Get().(*cache.Hierarchy)
+}
+
+// putHierarchy resets h and hands it back for the next replay.
+func putHierarchy(h *cache.Hierarchy) {
+	h.Reset()
+	hierarchyPool(h.Config()).Put(h)
+}
+
 // newTimingEngine sets up the replay of ts on m at cycle 0.
 func newTimingEngine(m *Machine, ts *TraceSet) *timingEngine {
-	e := &timingEngine{m: m, hier: cache.NewHierarchy(m.Cfg.Mem)}
+	e := &timingEngine{m: m, hier: getHierarchy(m.Cfg.Mem)}
 	e.byCore = make([][]*tThread, m.Cfg.Cores)
 	e.rasByCore = make([][]*tRA, m.Cfg.Cores)
 	for i, st := range m.Stages {
@@ -573,7 +605,7 @@ func (e *timingEngine) run() error {
 				if !e.coreLive(c) {
 					continue
 				}
-				_, blockQ, blockMem := e.classifyCore(c)
+				blockQ, blockMem := e.classifyCore(c)
 				switch {
 				case blockQ:
 					e.stats.PerCore[c].Queue += delta - 1
@@ -1272,7 +1304,7 @@ func (e *timingEngine) timedWake(t *tThread, from, stop int) uint64 {
 
 // classifyCore recomputes the stall classification without issuing (used when
 // fast-forwarding idle periods).
-func (e *timingEngine) classifyCore(c int) (canIssue, blockQ, blockMem bool) {
+func (e *timingEngine) classifyCore(c int) (blockQ, blockMem bool) {
 	for _, t := range e.byCore[c] {
 		if t.finished {
 			continue
@@ -1286,7 +1318,7 @@ func (e *timingEngine) classifyCore(c int) (canIssue, blockQ, blockMem bool) {
 			blockMem = blockMem || mb
 		}
 	}
-	return false, blockQ, blockMem
+	return blockQ, blockMem
 }
 
 // checkIssue evaluates readiness without side effects.
@@ -1519,7 +1551,7 @@ func (e *timingEngine) tickRASteps(ra *tRA) bool {
 // nextEvent returns the earliest future cycle at which something can happen.
 func (e *timingEngine) nextEvent() uint64 {
 	next := uint64(farFuture)
-	min := func(v uint64) {
+	consider := func(v uint64) {
 		if v > e.now && v < next {
 			next = v
 		}
@@ -1529,7 +1561,7 @@ func (e *timingEngine) nextEvent() uint64 {
 			continue
 		}
 		if t.redirectSeq >= 0 && t.redirectAt < farFuture {
-			min(t.redirectAt)
+			consider(t.redirectAt)
 		}
 		// Everything before scanFrom has issued, so the scan range holds every
 		// unissued entry among the offsets it ends at; the in-flight entries
@@ -1537,29 +1569,29 @@ func (e *timingEngine) nextEvent() uint64 {
 		sc := t.scan(1)
 		for off := 0; off < sc.from+sc.n; off++ {
 			if slot := (t.head + off) & t.winMask; !t.unissued.has(slot) {
-				min(t.win[slot].doneAt)
+				consider(t.win[slot].doneAt)
 			}
 		}
 		// A waiting entry's known operand is an in-flight entry seen above.
 		for rest := sc.unissued.andNot(t.view(t.waiting, sc.from)); !rest.empty(); rest = rest.dropFirst() {
 			en := t.at(sc.from + rest.first())
-			min(en.rdyA)
-			min(en.rdyB)
+			consider(en.rdyA)
+			consider(en.rdyB)
 			if en.qRole == dequeues {
 				if q := &e.queues[en.q]; q.len() > 0 {
-					min(q.headReady())
+					consider(q.headReady())
 				}
 			}
 		}
 	}
 	for _, ra := range e.ras {
 		if ra.ifHead < len(ra.inflight) {
-			min(ra.inflight[ra.ifHead])
+			consider(ra.inflight[ra.ifHead])
 		}
 		if ra.idx < len(ra.events) {
 			q := &e.queues[ra.inQ]
 			if ra.events[ra.idx].Kind == RAConsume && q.len() > 0 {
-				min(q.headReady())
+				consider(q.headReady())
 			}
 		}
 	}
@@ -1567,10 +1599,13 @@ func (e *timingEngine) nextEvent() uint64 {
 }
 
 // Run executes the machine end to end: functional phase then timing phase.
+// The traces never leave Run, so it hands them back to the pools once the
+// replay is over, whatever its outcome.
 func (m *Machine) Run() (*Stats, error) {
 	ts, err := m.RunFunctional()
 	if err != nil {
 		return nil, err
 	}
+	defer ts.recycle()
 	return m.RunTiming(ts)
 }

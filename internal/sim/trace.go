@@ -1,5 +1,10 @@
 package sim
 
+import (
+	"math/bits"
+	"sync"
+)
+
 // Trace flags recorded by the functional phase for the timing phase.
 const (
 	// FlagTaken marks a conditional branch that was taken.
@@ -60,16 +65,80 @@ type TraceSet struct {
 	Leftover []int
 }
 
-// addTrace appends one entry to a trace, doubling a full one's capacity
-// (512 entries at least). Traces reach millions of entries, and append's
-// ~1.25x growth policy for large slices reallocates-and-copies several times
-// more bytes over a run than doubling does; that regrowth was the
-// autotuner's dominant allocation site.
-func addTrace[E any](s []E, e E) []E {
+// The functional phase's growing buffers (traces and unbounded queues) are
+// recycled through capacity-class pools: class k holds buffers of exactly
+// 512<<k elements. Machine.Run hands its traces back after the replay, so a
+// steady stream of runs (the autotuner's candidates) regrows into buffers an
+// earlier run left instead of allocating 16 bytes per dynamic instruction
+// again. A TraceSet that RunFunctional returns belongs to its caller and is
+// never recycled.
+var (
+	stageTraces bufPool[TEntry]
+	raTraces    bufPool[RAEvent]
+	queueBufs   bufPool[Value]
+)
+
+// poolClasses bounds the classes: 512<<39 elements is past any trace cap.
+const poolClasses = 40
+
+// bufPool holds one sync.Pool per capacity class, each storing *[]E.
+type bufPool[E any] [poolClasses]sync.Pool
+
+// bufClass returns the class of capacity c, or -1 if c is not a class
+// capacity.
+func bufClass(c int) int {
+	k := bits.Len(uint(c>>9)) - 1
+	if k < 0 || k >= poolClasses || c != 512<<k {
+		return -1
+	}
+	return k
+}
+
+// alloc returns an empty buffer of capacity n, a recycled one if n is a
+// class capacity and the pool has one.
+func (p *bufPool[E]) alloc(n int) []E {
+	if k := bufClass(n); k >= 0 {
+		if b, ok := p[k].Get().(*[]E); ok {
+			return (*b)[:0]
+		}
+	}
+	return make([]E, 0, n)
+}
+
+// put hands s back for reuse; the caller must not touch it afterwards.
+func (p *bufPool[E]) put(s []E) {
+	if k := bufClass(cap(s)); k >= 0 {
+		s = s[:0]
+		p[k].Put(&s)
+	}
+}
+
+// addTrace appends one entry to a trace. A full trace moves to a buffer of
+// twice its capacity (512 entries at least) and hands its old buffer back to
+// the pool at once. Traces reach millions of entries, and doubling copies
+// fewer bytes over a run than append's ~1.25x growth for large slices does.
+func addTrace[E any](p *bufPool[E], s []E, e E) []E {
 	if len(s) == cap(s) {
-		next := make([]E, len(s), max(512, 2*cap(s)))
-		copy(next, s)
-		s = next
+		s = p.grow(s)
 	}
 	return append(s, e)
+}
+
+// grow moves the full trace s into a buffer of twice its capacity.
+func (p *bufPool[E]) grow(s []E) []E {
+	next := p.alloc(max(512, 2*cap(s)))[:len(s)]
+	copy(next, s)
+	p.put(s)
+	return next
+}
+
+// recycle hands every trace of ts back to the pools. Only the owner of a
+// TraceSet that nothing else references may call it.
+func (ts *TraceSet) recycle() {
+	for _, t := range ts.Threads {
+		stageTraces.put(t)
+	}
+	for _, r := range ts.RA {
+		raTraces.put(r)
+	}
 }
