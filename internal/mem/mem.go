@@ -140,10 +140,12 @@ func (a *Array) StoreFloat(i int64, v float64) {
 }
 
 // Ints returns the underlying int64 slice of an I64 array (nil otherwise).
-// It is intended for test setup and result extraction, not simulation.
+// It is intended for test setup and result extraction, not simulation. For
+// an array made by AliasInts it is the caller's slice.
 func (a *Array) Ints() []int64 { return a.i64 }
 
-// Floats returns the underlying float64 slice of an F64 array (nil otherwise).
+// Floats returns the underlying float64 slice of an F64 array (nil
+// otherwise). For an array made by AliasFloats it is the caller's slice.
 func (a *Array) Floats() []float64 { return a.f64 }
 
 // InBounds reports whether index i is a valid element index.
@@ -168,7 +170,7 @@ func (s *Space) Alloc(name string, kind Kind, n int) *Array {
 	if n < 0 {
 		panic(&Error{Op: "Alloc", Array: name, Detail: fmt.Sprintf("negative length %d", n)})
 	}
-	a := &Array{Name: name, Kind: kind, Base: s.next}
+	a := &Array{Name: name, Kind: kind}
 	switch kind {
 	case I32:
 		a.i32 = make([]int32, n)
@@ -177,7 +179,14 @@ func (s *Space) Alloc(name string, kind Kind, n int) *Array {
 	case F64:
 		a.f64 = make([]float64, n)
 	}
-	bytes := uint64(n) * uint64(kind.Size())
+	return s.place(a, n)
+}
+
+// place gives a, which holds n elements, the next base address and records
+// it.
+func (s *Space) place(a *Array, n int) *Array {
+	a.Base = s.next
+	bytes := uint64(n) * uint64(a.Kind.Size())
 	// Round the next base up to the following cache line so arrays never
 	// share lines (matches how the evaluated workloads lay out their data).
 	s.next += (bytes + LineBytes - 1) / LineBytes * LineBytes
@@ -200,6 +209,18 @@ func (s *Space) AllocFloats(name string, vals []float64) *Array {
 	a := s.Alloc(name, F64, len(vals))
 	copy(a.f64, vals)
 	return a
+}
+
+// AliasInts places an I64 array over vals itself instead of a copy, at the
+// address AllocInts would have given it. It is for arrays no program
+// writes: a store to the array would write vals.
+func (s *Space) AliasInts(name string, vals []int64) *Array {
+	return s.place(&Array{Name: name, Kind: I64, i64: vals}, len(vals))
+}
+
+// AliasFloats is AliasInts for an F64 array.
+func (s *Space) AliasFloats(name string, vals []float64) *Array {
+	return s.place(&Array{Name: name, Kind: F64, f64: vals}, len(vals))
 }
 
 // Arrays returns all allocated arrays in allocation order.

@@ -18,7 +18,8 @@ import (
 // The differential contract: any pipeline the compiler (or a hand author)
 // produces must run on the native backend with bit-identical output memory
 // to the functional simulator and the same executed-instruction count.
-// Bindings are copied at Instantiate, so two instances never share state.
+// Instantiate copies every array a stage writes, so two instances never
+// share state; they share only the arrays no run writes.
 // Both backends are one engine (internal/sim/engine.go), so what this suite
 // compares is its two configurations, not two readings of the ISA: what an
 // opcode means is pinned by the hand-computed expectations in

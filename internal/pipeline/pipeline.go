@@ -114,9 +114,10 @@ func FlattenStage(pl *Pipeline, st *Stage) (*isa.Program, error) {
 	return lower.Flatten(pl.Prog, st.Name, ir.Optimize(pl.Prog, st.Body))
 }
 
-// Bindings supplies concrete data for a pipeline run. Array contents are
-// copied into the simulated address space at Instantiate time; results are
-// read back from the Instance.
+// Bindings supplies concrete data for a pipeline run. Instantiate copies
+// the arrays that some stage stores to or swaps into the simulated address
+// space; every other array is bound to the caller's slice itself, which the
+// run only reads. Results are read back from the Instance.
 type Bindings struct {
 	// Ints maps int-array slot names to initial contents.
 	Ints map[string][]int64
@@ -128,7 +129,10 @@ type Bindings struct {
 	FloatScalars map[string]float64
 }
 
-// Instance is an instantiated pipeline ready to Run.
+// Instance is an instantiated pipeline ready to Run. Its never-written
+// Arrays share storage with the Bindings they were made from, so one set of
+// Bindings can back many instances, also concurrently, as long as nothing
+// writes those slices while the instances live.
 type Instance struct {
 	Machine *sim.Machine
 	Arrays  map[string]*mem.Array
@@ -137,10 +141,15 @@ type Instance struct {
 // Instantiate builds a simulated machine for the pipeline with the given
 // configuration and data bindings.
 func Instantiate(pl *Pipeline, cfg arch.Config, b Bindings) (*Instance, error) {
+	progs, err := flattenStages(pl)
+	if err != nil {
+		return nil, err
+	}
+	written := writtenSlots(progs, len(pl.Prog.Slots))
 	m := sim.NewMachine(cfg)
 	inst := &Instance{Machine: m, Arrays: map[string]*mem.Array{}}
 
-	for _, slot := range pl.Prog.Slots {
+	for i, slot := range pl.Prog.Slots {
 		var a *mem.Array
 		switch slot.Kind {
 		case ir.KFloat:
@@ -148,13 +157,21 @@ func Instantiate(pl *Pipeline, cfg arch.Config, b Bindings) (*Instance, error) {
 			if !ok {
 				return nil, fmt.Errorf("pipeline: no binding for float array %q", slot.Name)
 			}
-			a = m.Space.AllocFloats(slot.Name, data)
+			if written[i] {
+				a = m.Space.AllocFloats(slot.Name, data)
+			} else {
+				a = m.Space.AliasFloats(slot.Name, data)
+			}
 		default:
 			data, ok := b.Ints[slot.Name]
 			if !ok {
 				return nil, fmt.Errorf("pipeline: no binding for int array %q", slot.Name)
 			}
-			a = m.Space.AllocInts(slot.Name, data)
+			if written[i] {
+				a = m.Space.AllocInts(slot.Name, data)
+			} else {
+				a = m.Space.AliasInts(slot.Name, data)
+			}
 		}
 		m.AddSlot(slot.Name, a)
 		inst.Arrays[slot.Name] = a
@@ -190,11 +207,7 @@ func Instantiate(pl *Pipeline, cfg arch.Config, b Bindings) (*Instance, error) {
 		inits = append(inits, sim.RegInit{Reg: isa.Reg(v), Val: val})
 	}
 
-	for _, st := range pl.Stages {
-		prog, err := FlattenStage(pl, st)
-		if err != nil {
-			return nil, fmt.Errorf("pipeline: flatten %s: %w", st.Name, err)
-		}
+	for i, st := range pl.Stages {
 		stInits := inits
 		if len(st.Overrides) > 0 {
 			stInits = append([]sim.RegInit(nil), inits...)
@@ -204,12 +217,49 @@ func Instantiate(pl *Pipeline, cfg arch.Config, b Bindings) (*Instance, error) {
 				}
 			}
 		}
-		m.AddStage(&sim.Stage{Prog: prog, Thread: st.Thread, Init: stInits})
+		m.AddStage(&sim.Stage{Prog: progs[i], Thread: st.Thread, Init: stInits})
 	}
 	if err := m.Validate(); err != nil {
 		return nil, err
 	}
 	return inst, nil
+}
+
+// flattenStages lowers every stage of pl to its flat ISA program.
+func flattenStages(pl *Pipeline) ([]*isa.Program, error) {
+	progs := make([]*isa.Program, len(pl.Stages))
+	for i, st := range pl.Stages {
+		prog, err := FlattenStage(pl, st)
+		if err != nil {
+			return nil, fmt.Errorf("pipeline: flatten %s: %w", st.Name, err)
+		}
+		progs[i] = prog
+	}
+	return progs, nil
+}
+
+// writtenSlots marks each slot that some program stores to or swaps. RAs
+// only read, so they mark nothing; an unmarked slot's array is never
+// written by a run.
+func writtenSlots(progs []*isa.Program, slots int) []bool {
+	written := make([]bool, slots)
+	mark := func(s int) {
+		if s >= 0 && s < slots {
+			written[s] = true
+		}
+	}
+	for _, p := range progs {
+		for i := range p.Instrs {
+			switch in := &p.Instrs[i]; in.Op {
+			case isa.OpStore:
+				mark(in.Slot)
+			case isa.OpSwapSlots:
+				mark(in.Slot)
+				mark(in.Slot2)
+			}
+		}
+	}
+	return written
 }
 
 // Run instantiates and executes the pipeline, returning timing statistics.

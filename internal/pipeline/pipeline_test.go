@@ -2,6 +2,8 @@ package pipeline_test
 
 import (
 	"fmt"
+	"runtime"
+	"strings"
 	"testing"
 
 	"phloem/internal/arch"
@@ -117,5 +119,55 @@ func TestReplicatePerReplicaOverrides(t *testing.T) {
 	}
 	if _, err := pipeline.Replicate(pl, 2, nil, map[string][]int64{"root": {1}}); err == nil {
 		t.Error("wrong-length overrides must error")
+	}
+}
+
+// TestReplicateRejectsWrittenShared: a shared slot is one array for every
+// replica, so one that a stage stores to would be raced on. BFS writes its
+// distances.
+func TestReplicateRejectsWrittenShared(t *testing.T) {
+	res, err := core.CompileSource(workloads.BFSSource, core.DefaultOptions())
+	if err != nil {
+		t.Fatal(err)
+	}
+	_, err = pipeline.Replicate(res.Pipeline, 2, []string{"nodes", "edges", "distances"}, nil)
+	if err == nil || !strings.Contains(err.Error(), `"distances"`) {
+		t.Fatalf("Replicate with distances shared: %v, want an error naming the slot", err)
+	}
+}
+
+// TestInstantiateAllocatesWritten: Instantiate copies only the arrays some
+// stage writes and binds the read-only graph to the caller's slices. BFS on
+// a 100x100 grid writes distances and both fringes; nodes and edges are
+// most of its input bytes.
+func TestInstantiateAllocatesWritten(t *testing.T) {
+	res, err := core.CompileSource(workloads.BFSSource, core.DefaultOptions())
+	if err != nil {
+		t.Fatal(err)
+	}
+	g := graph.Grid("g", 100, 100, 3)
+	b := workloads.BFSBindings(g, 0)
+	written := 0
+	for _, name := range []string{"distances", "cur_fringe", "next_fringe"} {
+		written += 8 * len(b.Ints[name])
+	}
+	limit := uint64(written + 64<<10)
+	var before, after runtime.MemStats
+	runtime.ReadMemStats(&before)
+	inst, err := pipeline.Instantiate(res.Pipeline, arch.DefaultConfig(1), b)
+	runtime.ReadMemStats(&after)
+	if err != nil {
+		t.Fatal(err)
+	}
+	alloc := after.TotalAlloc - before.TotalAlloc
+	t.Logf("Instantiate allocated %d bytes; written arrays %d, read-only %d", alloc, written, 8*(len(g.Nodes)+len(g.Edges)))
+	if alloc >= limit {
+		t.Errorf("Instantiate allocated %d bytes, not under %d (written arrays plus 64 KiB)", alloc, limit)
+	}
+	if &inst.Arrays["edges"].Ints()[0] != &g.Edges[0] {
+		t.Error("edges, which no stage writes, was copied")
+	}
+	if &inst.Arrays["distances"].Ints()[0] == &b.Ints["distances"][0] {
+		t.Error("distances, which BFS writes, shares the caller's slice")
 	}
 }

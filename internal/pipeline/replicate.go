@@ -10,9 +10,11 @@ import (
 // Replicate builds an R-replica pipeline from a single-core pipeline
 // (Sec. IV-C): replica r's stages run on core r, with private copies of the
 // queues and reference accelerators. Slots named in shared stay bound to one
-// array (e.g., the input graph); all other slots are privatized per replica
-// (slot "cur_fringe" becomes "r0.cur_fringe", ...). Scalar parameters listed
-// in perReplica get per-replica override values (e.g., a replica id).
+// array (e.g., the input graph) and must be read-only: Replicate rejects a
+// shared slot that some stage stores to or swaps. All other slots are
+// privatized per replica (slot "cur_fringe" becomes "r0.cur_fringe", ...).
+// Scalar parameters listed in perReplica get per-replica override values
+// (e.g., a replica id).
 //
 // This realizes the paper's `#pragma replicate`: the caller (or the
 // replicate_arguments() analogue in the bench harness) decides which data
@@ -33,6 +35,18 @@ func Replicate(pl *Pipeline, replicas int, shared []string,
 	}
 
 	src := pl.Prog
+	if len(shared) > 0 {
+		progs, err := flattenStages(pl)
+		if err != nil {
+			return nil, err
+		}
+		written := writtenSlots(progs, len(src.Slots))
+		for i, s := range src.Slots {
+			if sharedSet[s.Name] && written[i] {
+				return nil, fmt.Errorf("pipeline: shared slot %q is written by a stage; replicas would race on it", s.Name)
+			}
+		}
+	}
 	out := &Pipeline{
 		Prog: &ir.Prog{
 			Name:         src.Name + "-x" + fmt.Sprint(replicas),

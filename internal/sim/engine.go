@@ -58,6 +58,12 @@ type engine struct {
 	// halted), and raTrace their micro-event traces.
 	ras     []task
 	raTrace [][]RAEvent
+	// stageBufs and raBufs supply the trace buffers of a run that hands
+	// them back to the free lists (Machine.Run). Both are nil for traces
+	// that go to RunFunctional's caller: those never touch the lists, so
+	// a process that only collects traces keeps no buffers after them.
+	stageBufs *bufPool[TEntry]
+	raBufs    *bufPool[RAEvent]
 
 	// counted gates the RA quiesce counters. OpSwapSlots waits until no RA
 	// holds a token; where every RA runs on the swapper's goroutine (the
@@ -101,17 +107,22 @@ type engine struct {
 // (out-of-bounds accesses, division by zero, protocol violations) — classify
 // with errors.Is against ErrDeadlock/ErrTraceLimit/ErrTrap.
 func (m *Machine) RunFunctional() (*TraceSet, error) {
-	return m.runFunctional(funcQuantum)
+	return m.runFunctional(funcQuantum, false)
 }
 
 // runFunctional is RunFunctional with the turn length as a parameter, for
-// the test that asks whether traces depend on it.
-func (m *Machine) runFunctional(quantum uint64) (ts *TraceSet, err error) {
+// the test that asks whether traces depend on it. With recycled set the
+// traces come from the free lists, and the caller must hand a returned
+// TraceSet back with recycle.
+func (m *Machine) runFunctional(quantum uint64, recycled bool) (ts *TraceSet, err error) {
 	if err := m.Validate(); err != nil {
 		return nil, err
 	}
 	defer recoverMemTrap(func(trap error) { ts, err = nil, trap })
 	e, _ := newEngine(m, "functional", quantum)
+	if recycled {
+		e.stageBufs, e.raBufs = &stageTraces, &raTraces
+	}
 	defer e.storeSlots()
 	defer func() { e.recycle(ts == nil) }()
 
@@ -152,9 +163,9 @@ func (m *Machine) runFunctional(quantum uint64) (ts *TraceSet, err error) {
 	return ts, nil
 }
 
-// recycle hands the functional run's grown queue rings back to the pools,
-// and its traces too if traces is set: those of a failed run, which never
-// leave the engine.
+// recycle hands the functional run's grown queue rings back to the free
+// lists, and its traces too if traces is set and they came from the lists:
+// those of a failed run, which never leave the engine.
 func (e *engine) recycle(traces bool) {
 	for q := range e.queues {
 		queueBufs.put(e.queues[q].buf)
@@ -163,10 +174,10 @@ func (e *engine) recycle(traces bool) {
 		return
 	}
 	for _, x := range e.stages {
-		stageTraces.put(x.trace)
+		e.stageBufs.put(x.trace)
 	}
 	for _, r := range e.raTrace {
-		raTraces.put(r)
+		e.raBufs.put(r)
 	}
 }
 

@@ -3,5 +3,5 @@ package sim
 // RunFunctionalQuantum is RunFunctional with another turn length, for
 // TestTraceScheduleIndependent.
 func (m *Machine) RunFunctionalQuantum(quantum uint64) (*TraceSet, error) {
-	return m.runFunctional(quantum)
+	return m.runFunctional(quantum, false)
 }

@@ -170,7 +170,7 @@ func (r *raExec) note(kind uint8, arr *mem.Array, idx int64) {
 	if kind == RALoad {
 		ev.Addr = arr.Addr(idx)
 	}
-	r.e.raTrace[r.idx] = addTrace(&raTraces, r.e.raTrace[r.idx], ev)
+	r.e.raTrace[r.idx] = addTrace(r.e.raBufs, r.e.raTrace[r.idx], ev)
 }
 
 func (r *raExec) trap(msg string) status {

@@ -7,9 +7,11 @@ import (
 	"hash/fnv"
 	"reflect"
 	"runtime"
-	"runtime/debug"
+	"slices"
 	"sync"
 	"testing"
+
+	"phloem/internal/cache"
 )
 
 // traceHash hashes every stage and RA trace entry of ts.
@@ -37,13 +39,12 @@ func traceHash(ts *TraceSet) uint64 {
 }
 
 // TestRunTraceOwnership: a TraceSet that RunFunctional returned belongs to
-// its caller. Many Runs of other machines on four goroutines, with the GC off
-// so that the pools stay warm, must neither write into it nor share a buffer
-// or a cache hierarchy between two runs: the caller's traces keep their hash
-// and replay to the same Stats, and every concurrent run's Stats equal those
-// of the same run done alone.
+// its caller. Many Runs of other machines on four goroutines, drawing on the
+// same free lists, must neither write into it nor share a buffer or a cache
+// hierarchy between two runs: the caller's traces keep their hash and replay
+// to the same Stats, and every concurrent run's Stats equal those of the
+// same run done alone.
 func TestRunTraceOwnership(t *testing.T) {
-	defer debug.SetGCPercent(debug.SetGCPercent(-1))
 	a, bv := introData(t, 3000)
 	owner, _ := introPipeline(a, bv)
 	ts, err := owner.RunFunctional()
@@ -106,18 +107,12 @@ func TestRunTraceOwnership(t *testing.T) {
 	}
 }
 
-// TestRunRecyclesBuffers: once one Run has warmed the pools, a Run of a fresh
-// instance of the same machine takes its traces, queue rings and cache
-// hierarchy from them, and allocates under an eighth of its trace bytes. A
-// Run that fails on its trace limit in between hands back what it took. The
-// test runs on one P: a sync.Pool keeps one item per P where no other P can
-// take it, so a goroutine that moves between Ps misses some buffers.
+// TestRunRecyclesBuffers: once one Run has warmed the free lists, a Run of
+// a fresh instance of the same machine takes its traces, queue rings and
+// cache hierarchy from them, and allocates under an eighth of its trace
+// bytes. A Run that fails on its trace limit in between hands back what it
+// took, and garbage collections between the runs empty nothing.
 func TestRunRecyclesBuffers(t *testing.T) {
-	if raceEnabled {
-		t.Skip("sync.Pool drops Puts at random under the race detector")
-	}
-	defer debug.SetGCPercent(debug.SetGCPercent(-1))
-	defer runtime.GOMAXPROCS(runtime.GOMAXPROCS(1))
 	a, bv := introData(t, 20000)
 	m, _ := introPipeline(a, bv)
 	ts, err := m.RunFunctional()
@@ -142,6 +137,14 @@ func TestRunRecyclesBuffers(t *testing.T) {
 	if _, err := limited.Run(); !errors.Is(err, ErrTraceLimit) {
 		t.Fatalf("a Run with half the trace it needs: %v, want %v", err, ErrTraceLimit)
 	}
+	runtime.GC()
+	runtime.GC()
+	hiers := hierarchyPool(m.Cfg.Mem)
+	held := append([]*cache.Hierarchy(nil), hiers.items...)
+	if len(held) == 0 {
+		t.Fatal("no cache hierarchy was handed back")
+	}
+
 	fresh, _ := introPipeline(a, bv)
 	var before, after runtime.MemStats
 	runtime.ReadMemStats(&before)
@@ -154,4 +157,37 @@ func TestRunRecyclesBuffers(t *testing.T) {
 	if alloc >= traceBytes/8 {
 		t.Errorf("Run allocated %d bytes, not under 1/8 of its %d trace bytes", alloc, traceBytes)
 	}
+	if !slices.Equal(hiers.items, held) {
+		t.Errorf("Run did not replay on a recycled cache hierarchy: the free list held %v, now %v", held, hiers.items)
+	}
+}
+
+// TestRecycleSkipsCallerTraces: the buffers of a TraceSet that
+// RunFunctional hands to its caller neither come from the trace free lists
+// nor go back to them, so a process that only collects traces (a functional
+// oracle) keeps nothing in the lists, and a caller's traces never drain
+// what Run recycles.
+func TestRecycleSkipsCallerTraces(t *testing.T) {
+	a, bv := introData(t, 20000)
+	warm, _ := introPipeline(a, bv)
+	if _, err := warm.Run(); err != nil {
+		t.Fatal(err)
+	}
+	before := traceListLens()
+	m, _ := introPipeline(a, bv)
+	if _, err := m.RunFunctional(); err != nil {
+		t.Fatal(err)
+	}
+	if after := traceListLens(); after != before {
+		t.Errorf("RunFunctional changed the trace free lists:\n%v\n%v", before, after)
+	}
+}
+
+// traceListLens returns the length of every stage and RA trace free list.
+func traceListLens() (n [2][poolClasses]int) {
+	for k := range n[0] {
+		n[0][k] = len(stageTraces[k].items)
+		n[1][k] = len(raTraces[k].items)
+	}
+	return n
 }

@@ -499,7 +499,7 @@ func (x *stageExec) flag(traced bool, f uint8) {
 //
 //go:noinline
 func (x *stageExec) record(pc int) {
-	x.trace = addTrace(&stageTraces, x.trace, TEntry{Addr: x.addr, PC: int32(pc), Flags: x.flags})
+	x.trace = addTrace(x.e.stageBufs, x.trace, TEntry{Addr: x.addr, PC: int32(pc), Flags: x.flags})
 	x.addr, x.flags = 0, 0
 }
 

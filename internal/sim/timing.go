@@ -318,15 +318,15 @@ func (m *Machine) RunTiming(ts *TraceSet) (*Stats, error) {
 // core at the default sizes.
 var (
 	hierMu    sync.Mutex
-	hierPools = map[cache.HierarchyConfig]*sync.Pool{}
+	hierPools = map[cache.HierarchyConfig]*freeList[*cache.Hierarchy]{}
 )
 
-func hierarchyPool(cfg cache.HierarchyConfig) *sync.Pool {
+func hierarchyPool(cfg cache.HierarchyConfig) *freeList[*cache.Hierarchy] {
 	hierMu.Lock()
 	defer hierMu.Unlock()
 	p := hierPools[cfg]
 	if p == nil {
-		p = &sync.Pool{New: func() any { return cache.NewHierarchy(cfg) }}
+		p = &freeList[*cache.Hierarchy]{}
 		hierPools[cfg] = p
 	}
 	return p
@@ -334,13 +334,16 @@ func hierarchyPool(cfg cache.HierarchyConfig) *sync.Pool {
 
 // getHierarchy returns a cold hierarchy for cfg.
 func getHierarchy(cfg cache.HierarchyConfig) *cache.Hierarchy {
-	return hierarchyPool(cfg).Get().(*cache.Hierarchy)
+	if h, ok := hierarchyPool(cfg).get(); ok {
+		return h
+	}
+	return cache.NewHierarchy(cfg)
 }
 
 // putHierarchy resets h and hands it back for the next replay.
 func putHierarchy(h *cache.Hierarchy) {
 	h.Reset()
-	hierarchyPool(h.Config()).Put(h)
+	hierarchyPool(h.Config()).put(h)
 }
 
 // newTimingEngine sets up the replay of ts on m at cycle 0.
@@ -1599,10 +1602,10 @@ func (e *timingEngine) nextEvent() uint64 {
 }
 
 // Run executes the machine end to end: functional phase then timing phase.
-// The traces never leave Run, so it hands them back to the pools once the
-// replay is over, whatever its outcome.
+// The traces never leave Run, so it hands them back to the free lists once
+// the replay is over, whatever its outcome.
 func (m *Machine) Run() (*Stats, error) {
-	ts, err := m.RunFunctional()
+	ts, err := m.runFunctional(funcQuantum, true)
 	if err != nil {
 		return nil, err
 	}

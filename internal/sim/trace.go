@@ -66,12 +66,15 @@ type TraceSet struct {
 }
 
 // The functional phase's growing buffers (traces and unbounded queues) are
-// recycled through capacity-class pools: class k holds buffers of exactly
-// 512<<k elements. Machine.Run hands its traces back after the replay, so a
-// steady stream of runs (the autotuner's candidates) regrows into buffers an
-// earlier run left instead of allocating 16 bytes per dynamic instruction
-// again. A TraceSet that RunFunctional returns belongs to its caller and is
-// never recycled.
+// recycled through capacity-class free lists: class k holds buffers of
+// exactly 512<<k elements. Machine.Run hands its traces back after the
+// replay, so a steady stream of runs (the autotuner's candidates) regrows
+// into buffers an earlier run left instead of allocating 16 bytes per
+// dynamic instruction again. A TraceSet that RunFunctional returns belongs
+// to its caller, and its buffers neither come from the lists nor go back
+// to them: a process that only collects traces (a functional oracle before
+// native runs) would otherwise keep about twice its largest traces for
+// good.
 var (
 	stageTraces bufPool[TEntry]
 	raTraces    bufPool[RAEvent]
@@ -81,8 +84,45 @@ var (
 // poolClasses bounds the classes: 512<<39 elements is past any trace cap.
 const poolClasses = 40
 
-// bufPool holds one sync.Pool per capacity class, each storing *[]E.
-type bufPool[E any] [poolClasses]sync.Pool
+// freeCap caps every free list. A buffer is only made when its list is
+// empty, so a list keeps at most the peak number of its buffers in use at
+// once, and never more than freeCap of them.
+const freeCap = 8
+
+// freeList is a mutex-guarded stack of recycled items. Unlike a sync.Pool
+// it survives garbage collection, so what a run allocates does not depend
+// on when the collector last ran.
+type freeList[T any] struct {
+	mu    sync.Mutex
+	items []T
+}
+
+// get pops an item; ok is false when the list is empty.
+func (l *freeList[T]) get() (x T, ok bool) {
+	l.mu.Lock()
+	if n := len(l.items); n > 0 {
+		// Clear the slot: a buffer the caller drops must not stay
+		// reachable through the list.
+		x, ok = l.items[n-1], true
+		var zero T
+		l.items[n-1] = zero
+		l.items = l.items[:n-1]
+	}
+	l.mu.Unlock()
+	return x, ok
+}
+
+// put pushes x, or drops it for the collector when the list is full.
+func (l *freeList[T]) put(x T) {
+	l.mu.Lock()
+	if len(l.items) < freeCap {
+		l.items = append(l.items, x)
+	}
+	l.mu.Unlock()
+}
+
+// bufPool holds one free list per capacity class.
+type bufPool[E any] [poolClasses]freeList[[]E]
 
 // bufClass returns the class of capacity c, or -1 if c is not a class
 // capacity.
@@ -95,27 +135,27 @@ func bufClass(c int) int {
 }
 
 // alloc returns an empty buffer of capacity n, a recycled one if n is a
-// class capacity and the pool has one.
+// class capacity and its list has one. A nil pool always allocates.
 func (p *bufPool[E]) alloc(n int) []E {
-	if k := bufClass(n); k >= 0 {
-		if b, ok := p[k].Get().(*[]E); ok {
-			return (*b)[:0]
+	if k := bufClass(n); p != nil && k >= 0 {
+		if b, ok := p[k].get(); ok {
+			return b[:0]
 		}
 	}
 	return make([]E, 0, n)
 }
 
-// put hands s back for reuse; the caller must not touch it afterwards.
+// put hands s back for reuse; the caller must not touch it afterwards. A
+// nil pool drops s for the collector.
 func (p *bufPool[E]) put(s []E) {
-	if k := bufClass(cap(s)); k >= 0 {
-		s = s[:0]
-		p[k].Put(&s)
+	if k := bufClass(cap(s)); p != nil && k >= 0 {
+		p[k].put(s[:0])
 	}
 }
 
 // addTrace appends one entry to a trace. A full trace moves to a buffer of
 // twice its capacity (512 entries at least) and hands its old buffer back to
-// the pool at once. Traces reach millions of entries, and doubling copies
+// its free list at once. Traces reach millions of entries, and doubling copies
 // fewer bytes over a run than append's ~1.25x growth for large slices does.
 func addTrace[E any](p *bufPool[E], s []E, e E) []E {
 	if len(s) == cap(s) {
@@ -132,7 +172,7 @@ func (p *bufPool[E]) grow(s []E) []E {
 	return next
 }
 
-// recycle hands every trace of ts back to the pools. Only the owner of a
+// recycle hands every trace of ts back to the free lists. Only the owner of a
 // TraceSet that nothing else references may call it.
 func (ts *TraceSet) recycle() {
 	for _, t := range ts.Threads {
