@@ -20,8 +20,8 @@
 // With -commopt it compiles the kernel, applies the static
 // queue-communication optimization pass (internal/commopt), and prints its
 // plan: per-queue class, burst, commitment floor, before/after capacity,
-// and predicted occupancy, plus any multicast fan-out rewrites. The
-// printed pipeline below the plan reflects the applied assignments.
+// and predicted occupancy. The printed pipeline below the plan reflects the
+// applied assignments.
 //
 // Exit codes: 0 clean (warnings allowed), 1 compile or verifier errors,
 // 2 usage errors, 4 search cancelled by -timeout (the partial best-so-far
@@ -198,7 +198,7 @@ func main() {
 	costDump := flag.Bool("cost", false,
 		"print the static cost model's report (bottleneck, per-entity estimates, queue capacity plan)")
 	commOpt := flag.Bool("commopt", false,
-		"apply the static queue-communication optimization pass and print its capacity/fan-out plan")
+		"apply the static queue-communication optimization pass and print its capacity plan")
 	autotuneBench := flag.String("autotune", "",
 		"run the profile-guided search for a built-in benchmark (e.g. BFS) instead of compiling a kernel file")
 	parallel := flag.Int("j", 0,
@@ -347,8 +347,7 @@ func main() {
 		return
 	}
 	if *commOpt {
-		plan, err := commopt.Apply(res.Pipeline, arch.DefaultConfig(1),
-			commopt.Options{Capacities: true, Multicast: true})
+		plan, err := commopt.Apply(res.Pipeline, arch.DefaultConfig(1))
 		if err != nil {
 			fmt.Fprintln(os.Stderr, "phloemc:", err)
 			os.Exit(1)

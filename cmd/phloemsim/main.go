@@ -18,7 +18,7 @@
 //
 // With -commopt the compiled pipeline additionally runs through the static
 // queue-communication optimization pass (internal/commopt) before
-// simulation. The pass's capacity/fan-out plan is printed, and after the
+// simulation. The pass's capacity plan is printed, and after the
 // run a per-queue table compares the statically predicted maximum
 // occupancy against the occupancy the simulator actually observed.
 //
@@ -252,8 +252,7 @@ func run() int {
 	}
 	var plan2 *commopt.Plan
 	if *commOpt {
-		plan2, err = commopt.Apply(res.Pipeline, arch.DefaultConfig(1),
-			commopt.Options{Capacities: true, Multicast: true})
+		plan2, err = commopt.Apply(res.Pipeline, arch.DefaultConfig(1))
 		if err != nil {
 			return fail(err)
 		}

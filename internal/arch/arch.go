@@ -185,22 +185,12 @@ func (q QueueSpec) Capacity(defaultDepth int) int {
 	return defaultDepth
 }
 
-// FanOut declares a hardware multicast: every data value enqueued to Src is
-// also delivered to each queue in Dst, in the same order. Control-tagged
-// entries are not duplicated — Dst queues carry a pure data stream. The
-// commopt pass emits these to replace duplicate producer-side sends of the
-// same value stream with a single send.
+// FanOut names a queue multicast: Src's data values also delivered to each
+// queue in Dst. The machine implements none, so Pipeline.FanOuts is always
+// empty and Instantiate rejects a pipeline that lists one.
 type FanOut struct {
 	Src int
 	Dst []int
-}
-
-func (f FanOut) String() string {
-	s := fmt.Sprintf("fanout q%d ->", f.Src)
-	for _, d := range f.Dst {
-		s += fmt.Sprintf(" q%d", d)
-	}
-	return s
 }
 
 // ThreadID identifies one hardware thread.

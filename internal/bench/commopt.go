@@ -1,15 +1,14 @@
 package bench
 
 // The queue-communication optimization benchmark: every suite benchmark is
-// compiled once per leg and simulated on its largest test input under four
+// compiled once per leg and simulated on its largest test input under two
 // commopt configurations — the uniform machine default (every queue at the
-// architectural capacity), inferred per-queue capacities only, the multicast
-// fan-out rewrite only, and both together. Each leg reports total cycles and
-// queue-full stalls with deltas against the default leg, plus how many
-// capacities the pass assigned and how many fan-out edges it created.
-// Functional results are verified on every leg, so the report doubles as an
-// end-to-end correctness check of the rewrites. `phloembench -exp commopt`
-// writes the report to BENCH_commopt.json.
+// architectural capacity; the pass only analyzes) and inferred per-queue
+// capacities. Each leg reports total cycles and queue-full stalls with
+// deltas against the default leg, plus how many capacities the pass
+// assigned. Functional results are verified on every leg, so the report
+// doubles as an end-to-end correctness check of the assignment.
+// `phloembench -exp commopt` writes the report to BENCH_commopt.json.
 
 import (
 	"fmt"
@@ -17,12 +16,13 @@ import (
 	"phloem/internal/arch"
 	"phloem/internal/commopt"
 	"phloem/internal/core"
+	"phloem/internal/pipeline"
 	"phloem/internal/workloads"
 )
 
 // CommOptLeg is one configuration's measurement for one benchmark.
 type CommOptLeg struct {
-	Name   string `json:"name"` // default|caps|multicast|both
+	Name   string `json:"name"` // default|caps
 	Cycles uint64 `json:"cycles"`
 	// FullStalls counts producer cycles lost to a full queue.
 	FullStalls uint64 `json:"queue_full_stalls"`
@@ -31,20 +31,18 @@ type CommOptLeg struct {
 	CyclesPct float64 `json:"cycles_pct"`
 	// FullDelta is the queue-full-stall delta vs the default leg.
 	FullDelta int64 `json:"full_stalls_delta"`
-	// Assigned counts queues whose capacity the pass set; FanOuts counts
-	// fan-out edges the multicast rewrite created.
+	// Assigned counts queues whose capacity the pass set.
 	Assigned int `json:"assigned"`
-	FanOuts  int `json:"fanouts"`
 }
 
-// CommOptRow is one benchmark's four-leg comparison.
+// CommOptRow is one benchmark's two-leg comparison.
 type CommOptRow struct {
 	Name   string       `json:"name"`
 	Input  string       `json:"input"`
 	Queues int          `json:"queues"`
 	Legs   []CommOptLeg `json:"legs"`
-	// Improved reports whether any non-default leg beat the default on
-	// cycles or queue-full stalls without regressing the other.
+	// Improved reports whether the caps leg beat the default on cycles or
+	// queue-full stalls without regressing the other.
 	Improved bool `json:"improved"`
 }
 
@@ -53,13 +51,13 @@ type CommOptReport struct {
 	Header
 	QueueDepth int          `json:"default_queue_depth"`
 	Benchmarks []CommOptRow `json:"benchmarks"`
-	// ImprovedFamilies counts benchmarks where an optimized leg improved on
-	// the uniform default.
+	// ImprovedFamilies counts benchmarks where the caps leg improved on the
+	// uniform default.
 	ImprovedFamilies int `json:"improved_families"`
 }
 
 // gated lists the default depth, improved-family count, and per leg the
-// cycles, queue-full stalls, assigned capacities and fan-outs.
+// cycles, queue-full stalls and assigned capacities.
 func (r *CommOptReport) gated() []gated {
 	out := []gated{
 		countOf("", "default_queue_depth", r.QueueDepth),
@@ -68,12 +66,11 @@ func (r *CommOptReport) gated() []gated {
 	for _, b := range r.Benchmarks {
 		out = append(out, countOf(b.Name, "queues", b.Queues))
 		for _, l := range b.Legs {
-			key := l.Name + "." // e.g. "both.cycles"
+			key := l.Name + "." // e.g. "caps.cycles"
 			out = append(out,
 				cyclesOf(b.Name, key+"cycles", l.Cycles),
 				cyclesOf(b.Name, key+"queue_full_stalls", l.FullStalls),
-				countOf(b.Name, key+"assigned", l.Assigned),
-				countOf(b.Name, key+"fanouts", l.FanOuts))
+				countOf(b.Name, key+"assigned", l.Assigned))
 		}
 	}
 	return out
@@ -81,24 +78,23 @@ func (r *CommOptReport) gated() []gated {
 
 func (r *CommOptReport) rerun(cfg Config) (Report, error) { return commOptPerf(cfg) }
 
-// commOptLegs enumerates the four configurations in report order.
+// commOptLegs enumerates the two configurations in report order: the
+// default leg only analyzes, the caps leg applies.
 var commOptLegs = []struct {
 	name string
-	opt  commopt.Options
+	run  func(*pipeline.Pipeline, arch.Config) (*commopt.Plan, error)
 }{
-	{"default", commopt.Options{}},
-	{"caps", commopt.Options{Capacities: true}},
-	{"multicast", commopt.Options{Multicast: true}},
-	{"both", commopt.Options{Capacities: true, Multicast: true}},
+	{"default", commopt.Analyze},
+	{"caps", commopt.Apply},
 }
 
-// commOptPerf runs the four-leg commopt comparison over the whole suite and
+// commOptPerf runs the two-leg commopt comparison over the whole suite and
 // returns the report.
 func commOptPerf(cfg Config) (*CommOptReport, error) {
 	rep := &CommOptReport{Header: newHeader(KindCommOpt, cfg.Scale), QueueDepth: arch.DefaultConfig(1).QueueDepth}
-	cfg.printf("\nQueue-communication optimization: uniform default vs inferred capacities vs multicast fan-out\n")
-	cfg.printf("%-8s %-10s %12s %9s %8s %10s %9s %6s\n",
-		"bench", "leg", "cycles", "delta", "full", "delta", "assigned", "fanout")
+	cfg.printf("\nQueue-communication optimization: uniform default vs inferred capacities\n")
+	cfg.printf("%-8s %-10s %12s %9s %8s %10s %9s\n",
+		"bench", "leg", "cycles", "delta", "full", "delta", "assigned")
 	for _, bench := range workloads.Benchmarks(cfg.Scale) {
 		prog, err := workloads.CompileSerial(bench.SerialSource)
 		if err != nil {
@@ -112,7 +108,7 @@ func commOptPerf(cfg Config) (*CommOptReport, error) {
 			if err != nil {
 				return nil, fmt.Errorf("%s: %w", bench.Name, err)
 			}
-			plan, err := commopt.Apply(res.Pipeline, arch.DefaultConfig(1), leg.opt)
+			plan, err := leg.run(res.Pipeline, arch.DefaultConfig(1))
 			if err != nil {
 				return nil, fmt.Errorf("%s (%s): %w", bench.Name, leg.name, err)
 			}
@@ -120,10 +116,9 @@ func commOptPerf(cfg Config) (*CommOptReport, error) {
 			if err != nil {
 				return nil, fmt.Errorf("%s (%s): %w", bench.Name, leg.name, err)
 			}
-			l := CommOptLeg{Name: leg.name, Cycles: st.Cycles, FullStalls: st.QueueFullStalls,
-				FanOuts: len(plan.FanOuts)}
-			for _, q := range plan.Queues {
-				if q.Assigned && leg.opt.Capacities {
+			l := CommOptLeg{Name: leg.name, Cycles: st.Cycles, FullStalls: st.QueueFullStalls}
+			for _, q := range res.Pipeline.Queues {
+				if q.DepthByPass {
 					l.Assigned++
 				}
 			}
@@ -134,8 +129,8 @@ func commOptPerf(cfg Config) (*CommOptReport, error) {
 			l.CyclesPct = 100 * (float64(l.Cycles) - float64(base.Cycles)) / float64(base.Cycles)
 			l.FullDelta = int64(l.FullStalls) - int64(base.FullStalls)
 			row.Legs = append(row.Legs, l)
-			cfg.printf("%-8s %-10s %12d %+8.3f%% %8d %+10d %9d %6d\n",
-				row.Name, l.Name, l.Cycles, l.CyclesPct, l.FullStalls, l.FullDelta, l.Assigned, l.FanOuts)
+			cfg.printf("%-8s %-10s %12d %+8.3f%% %8d %+10d %9d\n",
+				row.Name, l.Name, l.Cycles, l.CyclesPct, l.FullStalls, l.FullDelta, l.Assigned)
 		}
 		for _, l := range row.Legs[1:] {
 			better := l.Cycles < base.Cycles || l.FullStalls < base.FullStalls
@@ -149,7 +144,7 @@ func commOptPerf(cfg Config) (*CommOptReport, error) {
 		}
 		rep.Benchmarks = append(rep.Benchmarks, row)
 	}
-	cfg.printf("improved families: %d/%d (an optimized leg beat the uniform default on cycles or full stalls)\n",
+	cfg.printf("improved families: %d/%d (the caps leg beat the uniform default on cycles or full stalls)\n",
 		rep.ImprovedFamilies, len(rep.Benchmarks))
 	return rep, nil
 }

@@ -34,7 +34,7 @@ func commoptFixture() *CommOptReport {
 			{Name: "BFS", Input: "road-usa", Queues: 6, Improved: true,
 				Legs: []CommOptLeg{
 					{Name: "default", Cycles: 100000, FullStalls: 500},
-					{Name: "both", Cycles: 95000, FullStalls: 10, Assigned: 3, FanOuts: 1},
+					{Name: "caps", Cycles: 95000, FullStalls: 10, Assigned: 3},
 				}},
 		},
 	}
@@ -177,14 +177,14 @@ func TestDiffCommOpt(t *testing.T) {
 		t.Errorf("identical commopt reports regressed: %+v", r)
 	}
 	worse := commoptFixture()
-	worse.Benchmarks[0].Legs[1].Cycles = 120000  // +26% on the "both" leg
+	worse.Benchmarks[0].Legs[1].Cycles = 120000  // +26% on the "caps" leg
 	worse.Benchmarks[0].Legs[1].FullStalls = 400 // was 10: +3900%
 	r := Regressions(Diff(commoptFixture(), worse, DefaultDiffOptions()))
 	if len(r) != 2 {
-		t.Fatalf("want 2 regressions (both.cycles, both.queue_full_stalls), got %+v", r)
+		t.Fatalf("want 2 regressions (caps.cycles, caps.queue_full_stalls), got %+v", r)
 	}
 	for _, x := range r {
-		if !strings.HasPrefix(x.Metric, "both.") {
+		if !strings.HasPrefix(x.Metric, "caps.") {
 			t.Errorf("regression on unexpected metric %q", x.Metric)
 		}
 	}

@@ -1,6 +1,6 @@
 // Package commopt is the static queue-communication optimization pass. It
 // runs after the pipelining passes, over the same post-pass stage programs
-// the simulator executes, and does three things:
+// the simulator executes, and does two things:
 //
 //  1. Token-flow/occupancy analysis: it extends the cost model's per-queue
 //     traffic plan (tokens/unit, burst) with producer/consumer rate matching,
@@ -25,15 +25,6 @@
 //     the forward chain) its consumer can always eventually drain, so the
 //     assignment cannot introduce a capacity-induced deadlock relative to
 //     the default configuration.
-//  3. Multicast/fan-out rewrite: producer stages that enqueue the same value
-//     to several consumer queues back-to-back (SpMM's feedback broadcast,
-//     frame+RA item sends) are rewritten to a single send plus an
-//     arch.FanOut spec; the hardware duplicates the data stream. The
-//     recompute-vs-send decision folds into cost-model pricing: the fan-out
-//     writes the same number of physical queue entries (energy is
-//     unchanged), but each eliminated software send saves its issue slot, so
-//     the priced saving is QueueOp cycles per duplicated token and the
-//     rewrite is applied whenever duplicate sites exist.
 //
 // The pass is wired behind core.Options.CommOpt (default off; compiled
 // output is bit-identical when off) and verified by rules Q4 (capacity-cycle
@@ -46,18 +37,8 @@ import (
 
 	"phloem/internal/arch"
 	"phloem/internal/costmodel"
-	"phloem/internal/isa"
 	"phloem/internal/pipeline"
 )
-
-// Options selects which optimizations Apply performs. Analysis always runs
-// in full; the flags gate only the mutations.
-type Options struct {
-	// Capacities writes inferred per-queue depths into the pipeline.
-	Capacities bool
-	// Multicast rewrites duplicate sends into fan-out queue specs.
-	Multicast bool
-}
 
 // QueuePlan is the analysis result and decision for one queue.
 type QueuePlan struct {
@@ -111,60 +92,32 @@ type QueuePlan struct {
 	EstOcc float64
 }
 
-// FanOutPlan records one applied (or planned) multicast rewrite.
-type FanOutPlan struct {
-	Src, Dst int
-	SrcName  string
-	DstName  string
-	Stage    string
-	// Sites is the number of duplicate send statements the rewrite removes.
-	Sites int
-	// Tokens is the duplicated data traffic (tokens per kernel unit).
-	Tokens float64
-	// Saved is the cost-model priced saving: QueueOp issue cycles per unit
-	// no longer spent on the eliminated sends.
-	Saved float64
-}
-
 // Plan is the full analysis/optimization result for one pipeline.
 type Plan struct {
 	Pipeline string
 	// Default is the machine default queue capacity the plan is relative to.
 	Default int
 	Queues  []QueuePlan
-	FanOuts []FanOutPlan
 }
 
 // Analyze computes the plan without mutating the pipeline: the returned
-// depths and fan-outs are what Apply with both options would do.
+// depths are what Apply would write.
 func Analyze(pl *pipeline.Pipeline, cfg arch.Config) (*Plan, error) {
-	return run(clonePipeline(pl), cfg, Options{Capacities: true, Multicast: true})
+	cp := *pl
+	cp.Queues = append([]pipeline.Queue(nil), pl.Queues...)
+	return Apply(&cp, cfg)
 }
 
-// Apply analyzes the pipeline and applies the selected optimizations in
-// place: the multicast rewrite first (it changes the traffic plan), then
-// capacity inference over the rewritten pipeline.
-func Apply(pl *pipeline.Pipeline, cfg arch.Config, opt Options) (*Plan, error) {
-	return run(pl, cfg, opt)
-}
-
-func run(pl *pipeline.Pipeline, cfg arch.Config, opt Options) (*Plan, error) {
+// Apply analyzes the pipeline and writes the inferred capacities into its
+// queues in place.
+func Apply(pl *pipeline.Pipeline, cfg arch.Config) (*Plan, error) {
 	plan := &Plan{Pipeline: pl.Prog.Name, Default: cfg.QueueDepth}
-	if opt.Multicast {
-		if err := rewriteMulticast(pl, cfg, plan); err != nil {
-			return nil, err
-		}
-	}
 
 	// Flatten once; the cost model, the rate/floor analysis, and the cycle
 	// check all look at the same programs the simulator would run.
-	progs := make([]*isa.Program, len(pl.Stages))
-	for i, st := range pl.Stages {
-		prog, err := pipeline.FlattenStage(pl, st)
-		if err != nil {
-			return nil, fmt.Errorf("commopt: flatten %s: %w", st.Name, err)
-		}
-		progs[i] = prog
+	progs, err := pipeline.FlattenStages(pl)
+	if err != nil {
+		return nil, fmt.Errorf("commopt: %w", err)
 	}
 	rep := costmodel.AnalyzeFlat(pl, cfg, progs)
 	g := buildGraph(pl, progs)
@@ -200,10 +153,8 @@ func run(pl *pipeline.Pipeline, cfg arch.Config, opt Options) (*Plan, error) {
 			if d < p.Before {
 				p.After = d
 				p.Assigned = true
-				if opt.Capacities {
-					pl.Queues[qp.ID].Depth = d
-					pl.Queues[qp.ID].DepthByPass = true
-				}
+				pl.Queues[qp.ID].Depth = d
+				pl.Queues[qp.ID].DepthByPass = true
 			}
 		}
 		p.MaxOcc = p.After
@@ -257,8 +208,8 @@ func effDepth(depth int, cfg arch.Config) int {
 
 // Check is the plan's self-verification (rule Q4's obligations, also the
 // fuzz target's invariants): every capacity in [1, QueueDepth], assigned
-// capacities at or above both commitment floors, backward (feedback) and
-// user-set queues untouched, and fan-out specs chain-free.
+// capacities at or above both commitment floors, and backward (feedback) and
+// user-set queues untouched.
 func (p *Plan) Check(cfg arch.Config) error {
 	for _, q := range p.Queues {
 		if q.After < 1 || q.After > cfg.QueueDepth {
@@ -277,39 +228,5 @@ func (p *Plan) Check(cfg arch.Config) error {
 			return fmt.Errorf("q%d(%s): pass overrode a user-set depth", q.ID, q.Name)
 		}
 	}
-	src := map[int]bool{}
-	dst := map[int]bool{}
-	for _, f := range p.FanOuts {
-		if f.Src == f.Dst {
-			return fmt.Errorf("fanout q%d -> q%d: self-loop", f.Src, f.Dst)
-		}
-		if dst[f.Dst] {
-			return fmt.Errorf("fanout q%d -> q%d: destination fanned twice", f.Src, f.Dst)
-		}
-		src[f.Src], dst[f.Dst] = true, true
-	}
-	for q := range src {
-		if dst[q] {
-			return fmt.Errorf("fanout chain through q%d", q)
-		}
-	}
 	return nil
-}
-
-// clonePipeline deep-copies the parts of a pipeline the pass mutates, so
-// Analyze can plan without touching the caller's pipeline.
-func clonePipeline(pl *pipeline.Pipeline) *pipeline.Pipeline {
-	cp := *pl
-	cp.Stages = make([]*pipeline.Stage, len(pl.Stages))
-	for i, st := range pl.Stages {
-		c := *st
-		c.Body = cloneStmts(st.Body)
-		cp.Stages[i] = &c
-	}
-	cp.Queues = append([]pipeline.Queue(nil), pl.Queues...)
-	cp.FanOuts = make([]arch.FanOut, 0, len(pl.FanOuts))
-	for _, f := range pl.FanOuts {
-		cp.FanOuts = append(cp.FanOuts, arch.FanOut{Src: f.Src, Dst: append([]int(nil), f.Dst...)})
-	}
-	return &cp
 }

@@ -76,8 +76,7 @@ void phases(int* restrict a, int* restrict b, int n) {
 		for q, spec := range pl.Queues {
 			userDepths[q] = spec.Depth
 		}
-		plan, err := commopt.Apply(pl, cfg,
-			commopt.Options{Capacities: true, Multicast: true})
+		plan, err := commopt.Apply(pl, cfg)
 		if err != nil {
 			t.Fatalf("apply failed on compiled pipeline: %v\nsource:\n%s", err, src)
 		}
@@ -105,8 +104,7 @@ void phases(int* restrict a, int* restrict b, int n) {
 		if err != nil {
 			t.Fatalf("source compiled once but not twice: %v", err)
 		}
-		plan2, err := commopt.Apply(res2.Pipeline, cfg,
-			commopt.Options{Capacities: true, Multicast: true})
+		plan2, err := commopt.Apply(res2.Pipeline, cfg)
 		if err != nil {
 			t.Fatalf("apply succeeded once but not twice: %v", err)
 		}

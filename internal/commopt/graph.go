@@ -3,7 +3,6 @@ package commopt
 import (
 	"phloem/internal/arch"
 	"phloem/internal/costmodel"
-	"phloem/internal/ir"
 	"phloem/internal/isa"
 	"phloem/internal/pipeline"
 )
@@ -12,8 +11,7 @@ import (
 // number the software stages first, then the RAs (the same scheme as
 // internal/verify). Every queue q contributes forward edges prod(q)->cons(q)
 // (tokens flow downstream) and a backpressure edge cons(q)->prod(q) (a full
-// queue blocks its producers). Fan-out destinations inherit the source's
-// producers: the hardware writes them from the same enqueue.
+// queue blocks its producers).
 type graph struct {
 	numEnts   int
 	producers [][]int // queue -> producing entities
@@ -55,19 +53,6 @@ func buildGraph(pl *pipeline.Pipeline, progs []*isa.Program) *graph {
 		}
 		if ra.OutQ >= 0 && ra.OutQ < len(pl.Queues) {
 			g.producers[ra.OutQ] = addOnce(g.producers[ra.OutQ], ent)
-		}
-	}
-	for _, f := range pl.FanOuts {
-		if f.Src < 0 || f.Src >= len(pl.Queues) {
-			continue
-		}
-		for _, d := range f.Dst {
-			if d < 0 || d >= len(pl.Queues) {
-				continue
-			}
-			for _, p := range g.producers[f.Src] {
-				g.producers[d] = addOnce(g.producers[d], p)
-			}
 		}
 	}
 	g.edges = make([][]gedge, g.numEnts)
@@ -354,29 +339,4 @@ func groupFloors(pl *pipeline.Pipeline, progs []*isa.Program) []int {
 		}
 	}
 	return floors
-}
-
-// cloneStmts deep-copies the block structure of a statement list (If/Loop
-// nodes and their child lists); leaf statements are shared, which is safe
-// because the multicast rewrite only deletes list elements, never mutates
-// statements in place.
-func cloneStmts(body []ir.Stmt) []ir.Stmt {
-	out := make([]ir.Stmt, 0, len(body))
-	for _, s := range body {
-		switch s := s.(type) {
-		case *ir.If:
-			c := *s
-			c.Then = cloneStmts(s.Then)
-			c.Else = cloneStmts(s.Else)
-			out = append(out, &c)
-		case *ir.Loop:
-			c := *s
-			c.Pre = cloneStmts(s.Pre)
-			c.Body = cloneStmts(s.Body)
-			out = append(out, &c)
-		default:
-			out = append(out, s)
-		}
-	}
-	return out
 }

@@ -2,14 +2,14 @@ package commopt_test
 
 // Reconciliation of the static occupancy prediction against the simulator:
 // for every benchmark family plus a Taco kernel, the pipeline is optimized
-// (capacities + multicast), simulated with the telemetry probe attached,
+// (capacities applied), simulated with the telemetry probe attached,
 // and the plan's per-queue predicted maximum occupancy is checked against
 // what the machine actually observed. Predicted is an upper bound, so
 //
 //	observed max <= MaxOcc   and   observed time-weighted mean <= MaxOcc
 //
 // for every queue, on every family. Functional verification runs on each
-// leg, so this also proves the applied rewrites preserve results.
+// leg, so this also proves the applied capacities preserve results.
 
 import (
 	"testing"
@@ -28,7 +28,7 @@ import (
 // telemetry, verifies the result, and checks every queue's observed
 // occupancy against the plan's prediction.
 func reconcile(t *testing.T, name string, src string, bind pipeline.Bindings,
-	verify func(*pipeline.Instance) error) *commopt.Plan {
+	verify func(*pipeline.Instance) error) {
 	t.Helper()
 	prog, err := workloads.CompileSerial(src)
 	if err != nil {
@@ -38,8 +38,7 @@ func reconcile(t *testing.T, name string, src string, bind pipeline.Bindings,
 	if err != nil {
 		t.Fatalf("%s: compile: %v", name, err)
 	}
-	plan, err := commopt.Apply(res.Pipeline, arch.DefaultConfig(1),
-		commopt.Options{Capacities: true, Multicast: true})
+	plan, err := commopt.Apply(res.Pipeline, arch.DefaultConfig(1))
 	if err != nil {
 		t.Fatalf("%s: apply: %v", name, err)
 	}
@@ -81,7 +80,6 @@ func reconcile(t *testing.T, name string, src string, bind pipeline.Bindings,
 				name, q.ID, q.Name, obsAvg[q.ID], q.MaxOcc)
 		}
 	}
-	return plan
 }
 
 func TestOccupancyReconciliation(t *testing.T) {
@@ -101,28 +99,4 @@ func TestOccupancyReconciliation(t *testing.T) {
 		reconcile(t, "taco_spmv", src, taco.Bindings(taco.SpMV, m, 7),
 			func(inst *pipeline.Instance) error { return taco.Verify(taco.SpMV, m, 7, inst) })
 	})
-}
-
-// TestMulticastRewrite pins the one multicast site in the suite: SpMM's
-// stage2 enqueues the same value to both ka feedback queues back to back,
-// and the rewrite must collapse it to a single send behind a fan-out edge
-// while preserving functional results (checked by reconcile above; here the
-// rewrite's shape is asserted).
-func TestMulticastRewrite(t *testing.T) {
-	wl, err := workloads.ByName(workloads.ScaleTest, "SpMM")
-	if err != nil {
-		t.Fatal(err)
-	}
-	in := wl.Test[len(wl.Test)-1]
-	plan := reconcile(t, "SpMM", wl.SerialSource, in.Bind(), in.Verify)
-	if len(plan.FanOuts) != 1 {
-		t.Fatalf("expected 1 fan-out edge on SpMM, got %d", len(plan.FanOuts))
-	}
-	f := plan.FanOuts[0]
-	if f.Src == f.Dst {
-		t.Errorf("fan-out is a self-loop: q%d -> q%d", f.Src, f.Dst)
-	}
-	if f.Saved <= 0 || f.Tokens <= 0 {
-		t.Errorf("fan-out pricing degenerate: %.1f tokens, %.1f saved", f.Tokens, f.Saved)
-	}
 }

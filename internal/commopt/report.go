@@ -6,8 +6,7 @@ import (
 )
 
 // String renders the plan as the before/after capacity and occupancy table
-// phloemc/phloemsim print. Output is deterministic: queues in id order,
-// fan-outs in apply order.
+// phloemc/phloemsim print. Output is deterministic: queues in id order.
 func (p *Plan) String() string {
 	var sb strings.Builder
 	fmt.Fprintf(&sb, "commopt plan for %s (default depth %d)\n", p.Pipeline, p.Default)
@@ -28,15 +27,10 @@ func (p *Plan) String() string {
 		fmt.Fprintf(&sb, "  q%-2d %-14s %-8s %7.1f %6d %6d %6d %7d %7.1f  %s\n",
 			q.ID, q.Name, q.Class, q.Burst, floor, q.Before, q.After, q.MaxOcc, q.EstOcc, note)
 	}
-	for _, f := range p.FanOuts {
-		fmt.Fprintf(&sb, "  fanout q%d(%s) -> q%d(%s) in %s: %d sites, %.1f tokens/unit, %.1f cyc/unit saved\n",
-			f.Src, f.SrcName, f.Dst, f.DstName, f.Stage, f.Sites, f.Tokens, f.Saved)
-	}
 	return sb.String()
 }
 
-// Summary is a one-line digest for logs: how many queues were assigned and
-// how many sends were fanned out.
+// Summary is a one-line digest for logs: how many queues were assigned.
 func (p *Plan) Summary() string {
 	assigned := 0
 	for _, q := range p.Queues {
@@ -44,5 +38,5 @@ func (p *Plan) Summary() string {
 			assigned++
 		}
 	}
-	return fmt.Sprintf("commopt: %d/%d queue capacities assigned, %d fan-out edges", assigned, len(p.Queues), len(p.FanOuts))
+	return fmt.Sprintf("commopt: %d/%d queue capacities assigned", assigned, len(p.Queues))
 }

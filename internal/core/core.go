@@ -79,8 +79,7 @@ type Options struct {
 	// CommOpt enables the static queue-communication optimization pass
 	// (internal/commopt) on every built pipeline, including each autotune
 	// candidate: inferred per-queue capacities are applied (never touching
-	// explicit author depths, never exceeding Machine.QueueDepth) and
-	// duplicate multicast sends are rewritten into hardware fan-out specs.
+	// explicit author depths, never exceeding Machine.QueueDepth).
 	// Off by default; compiled output is bit-identical when off.
 	CommOpt bool
 	// SkipVerify disables the static pipeline verifier that otherwise
@@ -379,7 +378,7 @@ func buildStatic(p *ir.Prog, phases []*analysis.Phase, cands [][]*analysis.Candi
 func finishPipeline(pipe *pipeline.Pipeline, opt Options) error {
 	if opt.CommOpt {
 		t0 := opt.obsw.now()
-		if _, err := commopt.Apply(pipe, opt.Machine, commopt.Options{Capacities: true, Multicast: true}); err != nil {
+		if _, err := commopt.Apply(pipe, opt.Machine); err != nil {
 			return fmt.Errorf("core: commopt %q: %w", pipe.Prog.Name, err)
 		}
 		opt.obsw.span(opt.obsEvent(EvCommOpt), t0)

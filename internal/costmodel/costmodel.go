@@ -144,13 +144,9 @@ type Report struct {
 
 // Analyze flattens every stage and models the pipeline under cfg.
 func Analyze(pl *pipeline.Pipeline, cfg arch.Config) (*Report, error) {
-	progs := make([]*isa.Program, len(pl.Stages))
-	for i, st := range pl.Stages {
-		prog, err := pipeline.FlattenStage(pl, st)
-		if err != nil {
-			return nil, fmt.Errorf("costmodel: flatten %s: %w", st.Name, err)
-		}
-		progs[i] = prog
+	progs, err := pipeline.FlattenStages(pl)
+	if err != nil {
+		return nil, fmt.Errorf("costmodel: %w", err)
 	}
 	return AnalyzeFlat(pl, cfg, progs), nil
 }

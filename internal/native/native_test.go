@@ -573,60 +573,3 @@ func TestCommOptPipelinesNeverDeadlockNatively(t *testing.T) {
 		t.Error("commopt assigned no capacities on any family; the deadlock-freedom claim was not exercised")
 	}
 }
-
-// TestFanOutAllOrNothing: a data enqueue into a fan-out source delivers to
-// the source and every destination, or — while any of them is full — to
-// none. The producer multicasts three values into "src" (depth 4) and
-// "dup" (depth 1). With the dup consumer stuck on a queue nobody feeds,
-// the second enqueue can never complete: it must be reported blocked on
-// the full destination, and the src consumer must have seen one value
-// only. With the dup consumer draining, the run must match the
-// functional engine.
-func TestFanOutAllOrNothing(t *testing.T) {
-	build := func(stuck bool) *sim.Machine {
-		m := sim.NewMachine(arch.DefaultConfig(1))
-		out := m.Space.Alloc("out", mem.I64, 6)
-		so := m.AddSlot("out", out)
-		m.Queues = append(m.Queues,
-			arch.QueueSpec{Name: "src", Depth: 4},
-			arch.QueueSpec{Name: "dup", Depth: 1},
-			arch.QueueSpec{Name: "never_fed"})
-		m.FanOuts = []arch.FanOut{{Src: 0, Dst: []int{1}}}
-
-		p := isa.NewBuilder("producer")
-		for v := int64(1); v <= 3; v++ {
-			p.Enq(0, p.Const(v*10))
-		}
-		p.Halt()
-		m.AddStage(&sim.Stage{Prog: p.MustBuild(), Thread: thread(0)})
-
-		mk := func(name string, q int, base int64, tid int) {
-			b := isa.NewBuilder(name)
-			if stuck && q == 1 {
-				b.Deq(2)
-			}
-			for i := int64(0); i < 3; i++ {
-				b.Store(so, b.Const(base+i), b.Deq(q))
-			}
-			b.Halt()
-			m.AddStage(&sim.Stage{Prog: b.MustBuild(), Thread: thread(tid)})
-		}
-		mk("a", 0, 0, 1)
-		mk("b", 1, 3, 2)
-		return m
-	}
-	diffMachines(t, "fanout-drained", func() *sim.Machine { return build(false) })
-
-	m := build(true)
-	_, err := native.Run(m, native.Options{})
-	if !errors.Is(err, sim.ErrDeadlock) {
-		t.Fatalf("stuck fan-out destination: got %v, want ErrDeadlock", err)
-	}
-	checkBlocked(t, m, err, "producer", "enq-full", isa.OpEnq, 1, 1)
-	if w := stageWait(t, err, "a"); w.State != "deq-empty" || w.Queue.Q != 0 || w.Queue.Len != 0 {
-		t.Errorf("src must not have received the blocked value, a is %v", w)
-	}
-	if got := m.Slots[0].Ints(); got[0] != 10 || got[1] != 0 {
-		t.Errorf("src consumer stored %v, want only the first value", got[:3])
-	}
-}

@@ -45,9 +45,9 @@ type Pipeline struct {
 	Stages []*Stage
 	Queues []Queue
 	RAs    []arch.RASpec
-	// FanOuts lists hardware multicast specs: data values enqueued to Src
-	// are also delivered to every Dst queue. Emitted by the commopt
-	// multicast rewrite; empty for all other pipelines.
+	// FanOuts is always empty: the machine has no multicast, and
+	// Instantiate rejects a pipeline that lists one. The benchmark harness
+	// still reads the field, which ROADMAP schedules for deletion.
 	FanOuts []arch.FanOut
 	// Description summarizes how the pipeline was derived (for reports).
 	Description string
@@ -90,9 +90,6 @@ func (pl *Pipeline) Describe() string {
 	}
 	for _, ra := range pl.RAs {
 		fmt.Fprintf(&sb, "  %s\n", ra.String())
-	}
-	for _, f := range pl.FanOuts {
-		fmt.Fprintf(&sb, "  %s\n", f.String())
 	}
 	return sb.String()
 }
@@ -141,7 +138,10 @@ type Instance struct {
 // Instantiate builds a simulated machine for the pipeline with the given
 // configuration and data bindings.
 func Instantiate(pl *Pipeline, cfg arch.Config, b Bindings) (*Instance, error) {
-	progs, err := flattenStages(pl)
+	if err := pl.noFanOuts(); err != nil {
+		return nil, err
+	}
+	progs, err := FlattenStages(pl)
 	if err != nil {
 		return nil, err
 	}
@@ -178,9 +178,6 @@ func Instantiate(pl *Pipeline, cfg arch.Config, b Bindings) (*Instance, error) {
 	}
 	for _, q := range pl.Queues {
 		m.Queues = append(m.Queues, arch.QueueSpec{Name: q.Name, Depth: q.Depth, DepthByPass: q.DepthByPass})
-	}
-	for _, f := range pl.FanOuts {
-		m.FanOuts = append(m.FanOuts, arch.FanOut{Src: f.Src, Dst: append([]int(nil), f.Dst...)})
 	}
 	for _, ra := range pl.RAs {
 		m.AddRA(ra)
@@ -225,8 +222,18 @@ func Instantiate(pl *Pipeline, cfg arch.Config, b Bindings) (*Instance, error) {
 	return inst, nil
 }
 
-// flattenStages lowers every stage of pl to its flat ISA program.
-func flattenStages(pl *Pipeline) ([]*isa.Program, error) {
+// noFanOuts rejects a hand-built pipeline that lists fan-outs rather than
+// dropping them: the machine has no multicast.
+func (pl *Pipeline) noFanOuts() error {
+	if len(pl.FanOuts) > 0 {
+		return fmt.Errorf("pipeline: %s lists %d fan-outs; the machine has no multicast", pl.Prog.Name, len(pl.FanOuts))
+	}
+	return nil
+}
+
+// FlattenStages lowers every stage of pl to its flat ISA program, in stage
+// order, the way Instantiate does.
+func FlattenStages(pl *Pipeline) ([]*isa.Program, error) {
 	progs := make([]*isa.Program, len(pl.Stages))
 	for i, st := range pl.Stages {
 		prog, err := FlattenStage(pl, st)

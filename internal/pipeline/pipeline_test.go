@@ -136,6 +136,24 @@ func TestReplicateRejectsWrittenShared(t *testing.T) {
 	}
 }
 
+// TestFanOutsRejected: the machine has no multicast, so a hand-built
+// pipeline that lists a fan-out is refused by Instantiate and Replicate
+// rather than run without it.
+func TestFanOutsRejected(t *testing.T) {
+	res, err := core.CompileSource(workloads.BFSSource, core.DefaultOptions())
+	if err != nil {
+		t.Fatal(err)
+	}
+	pl := res.Pipeline
+	pl.FanOuts = []arch.FanOut{{Src: 0, Dst: []int{1}}}
+	if _, err := pipeline.Instantiate(pl, arch.DefaultConfig(1), workloads.BFSBindings(graph.Grid("g", 4, 4, 1), 0)); err == nil || !strings.Contains(err.Error(), "fan-out") {
+		t.Errorf("Instantiate with a fan-out: %v, want a fan-out error", err)
+	}
+	if _, err := pipeline.Replicate(pl, 2, []string{"nodes", "edges"}, nil); err == nil || !strings.Contains(err.Error(), "fan-out") {
+		t.Errorf("Replicate with a fan-out: %v, want a fan-out error", err)
+	}
+}
+
 // TestInstantiateAllocatesWritten: Instantiate copies only the arrays some
 // stage writes and binds the read-only graph to the caller's slices. BFS on
 // a 100x100 grid writes distances and both fringes; nodes and edges are

@@ -24,6 +24,9 @@ func Replicate(pl *Pipeline, replicas int, shared []string,
 	if replicas < 1 {
 		return nil, fmt.Errorf("pipeline: replicas must be >= 1")
 	}
+	if err := pl.noFanOuts(); err != nil {
+		return nil, err
+	}
 	sharedSet := map[string]bool{}
 	for _, s := range shared {
 		sharedSet[s] = true
@@ -36,7 +39,7 @@ func Replicate(pl *Pipeline, replicas int, shared []string,
 
 	src := pl.Prog
 	if len(shared) > 0 {
-		progs, err := flattenStages(pl)
+		progs, err := FlattenStages(pl)
 		if err != nil {
 			return nil, err
 		}
@@ -83,13 +86,6 @@ func Replicate(pl *Pipeline, replicas int, shared []string,
 		qBase := len(out.Queues)
 		for _, q := range pl.Queues {
 			out.Queues = append(out.Queues, Queue{Name: fmt.Sprintf("r%d.%s", r, q.Name), Depth: q.Depth, DepthByPass: q.DepthByPass})
-		}
-		for _, f := range pl.FanOuts {
-			c := arch.FanOut{Src: f.Src + qBase}
-			for _, d := range f.Dst {
-				c.Dst = append(c.Dst, d+qBase)
-			}
-			out.FanOuts = append(out.FanOuts, c)
 		}
 		for _, ra := range pl.RAs {
 			c := ra

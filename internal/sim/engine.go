@@ -49,9 +49,6 @@ type engine struct {
 	// slots is the machine-wide array-slot table; OpSwapSlots exchanges
 	// two entries atomically, loads are single atomic pointer reads.
 	slots []atomic.Pointer[mem.Array]
-	// fan maps a queue id to the fan-out destinations every data enqueue
-	// into it is duplicated to (nil for ordinary queues).
-	fan [][]int
 
 	stages []*stageExec
 	// ras is the RAs as the functional scheduler steps them (nil once
@@ -265,12 +262,6 @@ func newEngine(m *Machine, phase string, quantum uint64) (*engine, [][]task) {
 	for i, a := range m.Slots {
 		e.slots[i].Store(a)
 	}
-	if len(m.FanOuts) > 0 {
-		e.fan = make([][]int, len(m.Queues))
-		for _, f := range m.FanOuts {
-			e.fan[f.Src] = f.Dst
-		}
-	}
 	if quantum != 0 && len(m.RAs) > 0 {
 		e.raTrace = make([][]RAEvent, len(m.RAs))
 	}
@@ -302,21 +293,15 @@ func newEngine(m *Machine, phase string, quantum uint64) (*engine, [][]task) {
 	}
 
 	// Static producer census. Every way a token can enter a queue is
-	// statically known: a stage enqueue, its fan-out duplication, or an RA
-	// output. Each producer retires on clean exit; a queue with none left
-	// is closed, which is how an RA learns its input can never be fed again.
+	// statically known: a stage enqueue or an RA output. Each producer
+	// retires on clean exit; a queue with none left is closed, which is how
+	// an RA learns its input can never be fed again.
 	hasSwaps := false
 	for _, st := range m.Stages {
 		u := st.Prog.QueueUse()
 		hasSwaps = hasSwaps || u.HasSwap
 		x := newStageExec(e, st, u)
 		for _, q := range u.Produces {
-			x.prodQ = append(x.prodQ, q)
-			if e.fan != nil {
-				x.prodQ = append(x.prodQ, e.fan[q]...)
-			}
-		}
-		for _, q := range x.prodQ {
 			e.queues[q].prod++
 			touch(q, st.Thread.Core)
 		}
@@ -335,18 +320,6 @@ func newEngine(m *Machine, phase string, quantum uint64) (*engine, [][]task) {
 		e.ras = append(e.ras, r)
 		place(spec.Core, r)
 	}
-	// A fanned enqueue is all-or-nothing over its whole group, so the
-	// group is shared as soon as one member is.
-	for _, f := range m.FanOuts {
-		shared := e.queues[f.Src].shared
-		for _, d := range f.Dst {
-			shared = shared || e.queues[d].shared
-		}
-		e.queues[f.Src].shared = shared
-		for _, d := range f.Dst {
-			e.queues[d].shared = shared
-		}
-	}
 	e.cores = len(cores)
 	if e.counted = hasSwaps && quantum == 0 && e.cores > 1; e.counted {
 		e.raIdx = make([]int, len(m.Queues))
@@ -361,7 +334,7 @@ func newEngine(m *Machine, phase string, quantum uint64) (*engine, [][]task) {
 	}
 	for qi := range e.queues {
 		q := &e.queues[qi]
-		q.direct = !q.shared && (e.fan == nil || e.fan[qi] == nil) && (!e.counted || e.raIdx[qi] < 0)
+		q.direct = !q.shared && (!e.counted || e.raIdx[qi] < 0)
 	}
 	// Bursts (ra.go) are untraced and fill a direct ring. An INDIRECT run
 	// also reads an unshared input under one slot read, which is sound only

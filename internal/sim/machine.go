@@ -55,13 +55,6 @@ type Machine struct {
 	RAs    []arch.RASpec
 	Stages []*Stage
 
-	// FanOuts lists hardware multicast specs: every data value (OpEnq)
-	// pushed to Src is also delivered to each Dst queue in the same order.
-	// Control-tagged entries (OpEnqCtrl/OpEnqCtrlV) are not duplicated.
-	// In the timing phase a fanned enqueue needs space in Src and all Dsts
-	// before it issues, and counts one physical queue write per queue.
-	FanOuts []arch.FanOut
-
 	// MaxTraceEntries caps functional-trace growth (guards against runaway
 	// or livelocked programs). Zero means the default of 64M entries;
 	// exceeding the cap fails the run with *TraceLimitError.
@@ -141,7 +134,6 @@ func (m *Machine) Validate() error {
 	}
 	seen := map[arch.ThreadID]bool{}
 	consumers := make(map[int][]string) // queue -> consumer names
-	producers := make(map[int][]string)
 	for _, st := range m.Stages {
 		if st.Prog == nil {
 			return fmt.Errorf("sim: stage without program")
@@ -158,11 +150,8 @@ func (m *Machine) Validate() error {
 		}
 		seen[t] = true
 		for _, in := range st.Prog.Instrs {
-			switch in.Op {
-			case isa.OpDeq, isa.OpPeek:
+			if in.Op == isa.OpDeq || in.Op == isa.OpPeek {
 				addOnce(consumers, in.Q, st.Prog.Name)
-			case isa.OpEnq, isa.OpEnqCtrl, isa.OpEnqCtrlV:
-				addOnce(producers, in.Q, st.Prog.Name)
 			}
 		}
 	}
@@ -174,62 +163,13 @@ func (m *Machine) Validate() error {
 			return fmt.Errorf("sim: RA %q has invalid slot %d", ra.Name, ra.Slot)
 		}
 		addOnce(consumers, ra.InQ, "ra:"+ra.Name)
-		addOnce(producers, ra.OutQ, "ra:"+ra.Name)
 	}
+	// One consumer per queue; several producers are allowed (replica
+	// distribution).
 	for q := range m.Queues {
 		if n := len(consumers[q]); n > 1 {
 			return fmt.Errorf("sim: queue %d (%s) has %d consumers (%v); exactly one is required",
 				q, m.Queues[q].Name, n, consumers[q])
-		}
-	}
-	_ = producers // multiple producers are allowed (replica distribution)
-
-	// Fan-out specs: endpoints in range, no duplicate roles, no chains, and
-	// no RA output queues (RA deliveries bypass the enqueue path that fans).
-	raOut := map[int]string{}
-	for _, ra := range m.RAs {
-		raOut[ra.OutQ] = ra.Name
-	}
-	srcSeen := map[int]bool{}
-	dstSeen := map[int]bool{}
-	for _, f := range m.FanOuts {
-		if f.Src < 0 || f.Src >= len(m.Queues) {
-			return fmt.Errorf("sim: fanout src q%d out of range", f.Src)
-		}
-		if len(f.Dst) == 0 {
-			return fmt.Errorf("sim: fanout from q%d has no destinations", f.Src)
-		}
-		if srcSeen[f.Src] {
-			return fmt.Errorf("sim: queue %d is the source of two fanouts", f.Src)
-		}
-		srcSeen[f.Src] = true
-		if name, ok := raOut[f.Src]; ok {
-			return fmt.Errorf("sim: fanout src q%d is the output of RA %q", f.Src, name)
-		}
-		for _, d := range f.Dst {
-			if d < 0 || d >= len(m.Queues) {
-				return fmt.Errorf("sim: fanout dst q%d out of range", d)
-			}
-			if d == f.Src {
-				return fmt.Errorf("sim: fanout from q%d to itself", d)
-			}
-			if dstSeen[d] {
-				return fmt.Errorf("sim: queue %d is the destination of two fanouts", d)
-			}
-			dstSeen[d] = true
-			if name, ok := raOut[d]; ok {
-				return fmt.Errorf("sim: fanout dst q%d is the output of RA %q", d, name)
-			}
-		}
-	}
-	for _, f := range m.FanOuts {
-		if dstSeen[f.Src] {
-			return fmt.Errorf("sim: queue %d is both a fanout source and destination (chains are not allowed)", f.Src)
-		}
-		for _, d := range f.Dst {
-			if srcSeen[d] {
-				return fmt.Errorf("sim: queue %d is both a fanout destination and source (chains are not allowed)", d)
-			}
 		}
 	}
 	return nil

@@ -178,12 +178,11 @@ func (r *raExec) trap(msg string) status {
 	return failed
 }
 
-// send delivers v into the output queue if it has room. RA output queues
-// never fan out (validated); a chained downstream RA's sent counter is
-// bumped on delivery, before this RA's done counter, preserving the
-// quiesce invariant across RA chains.
+// send delivers v into the output queue if it has room. A chained
+// downstream RA's sent counter is bumped on delivery, before this RA's
+// done counter, preserving the quiesce invariant across RA chains.
 func (r *raExec) send(v Value) bool {
-	if !r.e.queues[r.spec.OutQ].tryPush(v) && r.e.enq(r.spec.OutQ, v, false) >= 0 {
+	if !r.e.queues[r.spec.OutQ].tryPush(v) && !r.e.enq(r.spec.OutQ, v) {
 		return false
 	}
 	r.moved++

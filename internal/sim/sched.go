@@ -26,19 +26,19 @@ type task interface {
 type queue struct {
 	buf     []Value
 	head, n int
-	// prod counts live producers (stages, fan-out duplication, RA
-	// outputs); a queue with none left is closed.
+	// prod counts live producers (stages and RA outputs); a queue with
+	// none left is closed.
 	prod   int
 	shared bool
-	// direct: an enqueue is a plain put — the queue is not shared, not a
-	// fan-out source, and feeds no RA whose sent counter a swap watches.
+	// direct: an enqueue is a plain put — the queue is not shared and
+	// feeds no RA whose sent counter a swap watches.
 	direct bool
 }
 
 // The ring fast path. Stage queue ops and the RA step try these first;
 // they are small enough to inline into those loops, and engine.enq and
-// engine.take (a shared, fanned-out, RA-counted or full ring) are called
-// only when these decline. Both paths move tokens with put and get, so
+// engine.take (a shared, RA-counted or full ring) are called only when
+// these decline. Both paths move tokens with put and get, so
 // there is one ring and one push/pop rule.
 
 // tryPush appends v if the queue is direct and has room.
@@ -102,39 +102,18 @@ func (e *engine) grown(q *queue) bool {
 	return true
 }
 
-// enq delivers v into queue qi and, for a data enqueue, into every fan-out
-// destination — into all of them or none, like the timing model. It
-// returns the id of a queue that is full, or -1 once delivered.
-func (e *engine) enq(qi int, v Value, data bool) int {
+// enq delivers v into queue qi and reports whether it did; it does not
+// when the queue is full. When the queue feeds an RA and swaps are counted,
+// the RA's sent counter is bumped so quiescence covers tokens still queued.
+func (e *engine) enq(qi int, v Value) bool {
 	q := &e.queues[qi]
 	if q.shared {
 		e.mu.Lock()
 		defer e.mu.Unlock()
 	}
-	var dst []int
-	if data && e.fan != nil {
-		dst = e.fan[qi]
-	}
 	if q.n == len(q.buf) && !e.grown(q) {
-		return qi
+		return false
 	}
-	for _, d := range dst {
-		if dq := &e.queues[d]; dq.n == len(dq.buf) && !e.grown(dq) {
-			return d
-		}
-	}
-	e.push(qi, v)
-	for _, d := range dst {
-		e.push(d, v)
-	}
-	return -1
-}
-
-// push appends v to queue qi, which has room. When the queue feeds an RA
-// and swaps are counted, the RA's sent counter is bumped so quiescence
-// covers tokens still queued.
-func (e *engine) push(qi int, v Value) {
-	q := &e.queues[qi]
 	if e.counted {
 		if ra := e.raIdx[qi]; ra >= 0 {
 			e.raSent[ra].Add(1)
@@ -144,6 +123,7 @@ func (e *engine) push(qi int, v Value) {
 	if q.shared {
 		e.event()
 	}
+	return true
 }
 
 // take reads the next token of queue qi, consuming it if pop is set. ok is

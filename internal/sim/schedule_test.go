@@ -4,6 +4,7 @@ import (
 	"slices"
 	"testing"
 
+	"phloem/internal/core"
 	"phloem/internal/graph"
 	"phloem/internal/isa"
 	"phloem/internal/matrix"
@@ -38,19 +39,19 @@ func TestTraceScheduleIndependent(t *testing.T) {
 	var cases []kase
 	for _, b := range workloads.Benchmarks(workloads.ScaleTest) {
 		cases = append(cases, kase{name: b.Name, build: func(t *testing.T) *pipeline.Instance {
-			return instantiate(t, compileStatic(t, b.SerialSource, false), 1, b.Test[0].Bind())
+			return instantiate(t, compileStatic(t, b.SerialSource), 1, b.Test[0].Bind())
 		}})
 	}
 	cases = append(cases,
 		kase{name: "PRDApply", build: func(t *testing.T) *pipeline.Instance {
-			return instantiate(t, compileStatic(t, workloads.PRDApplySource, false), 1, workloads.PRDApplyBindings(64, 7))
+			return instantiate(t, compileStatic(t, workloads.PRDApplySource), 1, workloads.PRDApplyBindings(64, 7))
 		}},
 		kase{name: "taco-spmv", build: func(t *testing.T) *pipeline.Instance {
 			src, err := taco.Emit(taco.SpMV)
 			if err != nil {
 				t.Fatal(err)
 			}
-			return instantiate(t, compileStatic(t, src, false), 1, taco.Bindings(taco.SpMV, matrix.Scattered("s", 48, 5, 2), 7))
+			return instantiate(t, compileStatic(t, src), 1, taco.Bindings(taco.SpMV, matrix.Scattered("s", 48, 5, 2), 7))
 		}},
 		kase{name: "CC/data-parallel", racy: true, build: func(t *testing.T) *pipeline.Instance {
 			dp, err := workloads.BuildDataParallel(workloads.CCDPSource, 4, 4)
@@ -107,6 +108,26 @@ func TestTraceScheduleIndependent(t *testing.T) {
 		}
 		if c.racy && !differs {
 			t.Errorf("%s: traces no longer depend on the schedule; the comment above and DESIGN.md §5 name it as the kernel where they do", c.name)
+		}
+	}
+}
+
+// TestSingleCoreQueuesDirect: on one core nothing is shared and no swap is
+// counted, so every queue of a compiled pipeline, commopt capacities
+// included, takes the native engine's ring fast path.
+func TestSingleCoreQueuesDirect(t *testing.T) {
+	opt := core.DefaultOptions()
+	opt.CommOpt = true
+	for _, b := range workloads.Benchmarks(workloads.ScaleTest) {
+		res, err := core.CompileSource(b.SerialSource, opt)
+		if err != nil {
+			t.Fatalf("%s: %v", b.Name, err)
+		}
+		m := instantiate(t, res.Pipeline, 1, b.Test[0].Bind()).Machine
+		for q, direct := range m.DirectQueues() {
+			if !direct {
+				t.Errorf("%s: q%d (%s) is off the ring fast path", b.Name, q, m.Queues[q].Name)
+			}
 		}
 	}
 }

@@ -93,8 +93,8 @@ func predecode(p *isa.Program, fuse bool) []instr {
 type stageExec struct {
 	e  *engine
 	st *Stage
-	// prodQ lists every queue this stage produces into, with fan-out
-	// destinations expanded, mirroring the engine's producer census.
+	// prodQ lists every queue this stage produces into: its entries in the
+	// engine's producer census.
 	prodQ []int
 
 	code []instr
@@ -124,7 +124,7 @@ type stageExec struct {
 }
 
 func newStageExec(e *engine, st *Stage, use isa.QueueUse) *stageExec {
-	x := &stageExec{e: e, st: st, code: predecode(st.Prog, e.quantum == 0), regs: make([]Value, st.Prog.NumRegs)}
+	x := &stageExec{e: e, st: st, prodQ: use.Produces, code: predecode(st.Prog, e.quantum == 0), regs: make([]Value, st.Prog.NumRegs)}
 	for _, ri := range st.Init {
 		x.regs[ri.Reg] = ri.Val
 	}
@@ -317,8 +317,8 @@ run:
 
 		case isa.OpEnq:
 			if !e.queues[in.b].tryPush(regs[in.a]) {
-				if full := e.enq(int(in.b), regs[in.a], true); full >= 0 {
-					x.block(wEnq, full)
+				if !e.enq(int(in.b), regs[in.a]) {
+					x.block(wEnq, int(in.b))
 					break run
 				}
 			}
@@ -328,8 +328,8 @@ run:
 				v.Bits = regs[in.a].Bits
 			}
 			if !e.queues[in.b].tryPush(v) {
-				if full := e.enq(int(in.b), v, false); full >= 0 {
-					x.block(wEnq, full)
+				if !e.enq(int(in.b), v) {
+					x.block(wEnq, int(in.b))
 					break run
 				}
 			}

@@ -224,10 +224,6 @@ type timingEngine struct {
 	qConsumer  []*tThread
 	qProducers [][]*tThread
 
-	// fan[q] lists the fan-out destinations a data enqueue into q is
-	// duplicated to (nil for ordinary queues, nil slice when no fanouts).
-	fan [][]int
-
 	// mshrs[core] holds the completion times of outstanding L1 misses.
 	mshrs [][]uint64
 
@@ -400,12 +396,6 @@ func newTimingEngine(m *Machine, ts *TraceSet) *timingEngine {
 	for q := range e.queues {
 		e.queues[q].cap = m.queueCap(q)
 	}
-	if len(m.FanOuts) > 0 {
-		e.fan = make([][]int, len(m.Queues))
-		for _, f := range m.FanOuts {
-			e.fan[f.Src] = f.Dst
-		}
-	}
 	e.ctrlN = make([]uint64, len(m.Queues))
 	for i, spec := range m.RAs {
 		ra := &tRA{
@@ -434,23 +424,6 @@ func newTimingEngine(m *Machine, ts *TraceSet) *timingEngine {
 				}
 				if !dup {
 					e.qProducers[in.Q] = append(e.qProducers[in.Q], t)
-				}
-			}
-		}
-	}
-	// A fanned enqueue blocks on its destinations too, so draining a dst
-	// must wake the src's producers.
-	for _, f := range m.FanOuts {
-		for _, d := range f.Dst {
-			for _, p := range e.qProducers[f.Src] {
-				dup := false
-				for _, q := range e.qProducers[d] {
-					if q == p {
-						dup = true
-					}
-				}
-				if !dup {
-					e.qProducers[d] = append(e.qProducers[d], p)
 				}
 			}
 		}
@@ -790,8 +763,7 @@ func (e *timingEngine) wakeConsumer(q int) {
 }
 
 // wakeProducers reports a pop on q to its producer threads, unparking an
-// enqueue parked on a full queue (a fan-out source's producers are among a
-// destination's).
+// enqueue parked on a full queue.
 func (e *timingEngine) wakeProducers(q int) {
 	for _, t := range e.qProducers[q] {
 		t.dirty = true
@@ -1355,15 +1327,6 @@ func (e *timingEngine) checkIssue(t *tThread, en *winEntry) (ready, blockQ, bloc
 			if q.len() >= q.cap {
 				return false, true, false
 			}
-			// A fanned data enqueue writes every destination in the same
-			// cycle, so it needs space in all of them (all-or-nothing).
-			if en.op == isa.OpEnq && e.fan != nil {
-				for _, d := range e.fan[en.q] {
-					if dq := &e.queues[d]; dq.len() >= dq.cap {
-						return false, true, false
-					}
-				}
-			}
 		} else if q.len() == 0 || q.headReady() > e.now {
 			return false, true, false
 		}
@@ -1406,19 +1369,6 @@ func (e *timingEngine) tryIssue(t *tThread, en *winEntry) (ok, blockQ, blockMem 
 		done = e.now + 1
 		if e.probe != nil {
 			e.probe.QueueLen(qi, e.queues[qi].len(), e.now)
-		}
-		if e.fan != nil {
-			// Duplicate the value into each fan-out destination: one issue
-			// slot, but one physical queue write (and one energy event) per
-			// destination.
-			for _, d := range e.fan[qi] {
-				e.queues[d].push(e.now + 1)
-				e.wakeConsumer(d)
-				e.queueOps++
-				if e.probe != nil {
-					e.probe.QueueLen(d, e.queues[d].len(), e.now)
-				}
-			}
 		}
 	case isa.OpEnqCtrl, isa.OpEnqCtrlV:
 		// Control values may be delivered late under fault injection; the

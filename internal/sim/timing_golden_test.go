@@ -65,11 +65,9 @@ type goldenRecord struct {
 	Stats *sim.Stats
 }
 
-func compileStatic(t *testing.T, src string, commOpt bool) *pipeline.Pipeline {
+func compileStatic(t *testing.T, src string) *pipeline.Pipeline {
 	t.Helper()
-	opt := core.DefaultOptions()
-	opt.CommOpt = commOpt
-	res, err := core.CompileSource(src, opt)
+	res, err := core.CompileSource(src, core.DefaultOptions())
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -124,7 +122,7 @@ func goldenCases() []goldenCase {
 		}
 		cases = append(cases,
 			goldenCase{name: b.Name + "/pipe", build: func(t *testing.T) *pipeline.Instance {
-				return instantiate(t, compileStatic(t, b.SerialSource, false), 1, bind())
+				return instantiate(t, compileStatic(t, b.SerialSource), 1, bind())
 			}},
 			goldenCase{name: b.Name + "/serial", build: func(t *testing.T) *pipeline.Instance {
 				return instantiate(t, compileSerial(t, b.SerialSource), 1, bind())
@@ -133,28 +131,19 @@ func goldenCases() []goldenCase {
 	m := matrix.PowerLawRows("golden", 120, 5, 7)
 	g := graph.PowerLaw("golden", 300, 3, 5)
 	bfs := func(t *testing.T) *pipeline.Instance {
-		return instantiate(t, compileStatic(t, workloads.BFSSource, false), 1, workloads.BFSBindings(g, 0))
+		return instantiate(t, compileStatic(t, workloads.BFSSource), 1, workloads.BFSBindings(g, 0))
 	}
 	cases = append(cases,
 		goldenCase{name: "PRDApply/pipe", build: func(t *testing.T) *pipeline.Instance {
-			return instantiate(t, compileStatic(t, workloads.PRDApplySource, false), 1, workloads.PRDApplyBindings(2000, 3))
+			return instantiate(t, compileStatic(t, workloads.PRDApplySource), 1, workloads.PRDApplyBindings(2000, 3))
 		}},
 		goldenCase{name: "taco-spmv/pipe", build: func(t *testing.T) *pipeline.Instance {
 			src, err := taco.Emit(taco.SpMV)
 			if err != nil {
 				t.Fatal(err)
 			}
-			return instantiate(t, compileStatic(t, src, false), 1, taco.Bindings(taco.SpMV, m, 5))
+			return instantiate(t, compileStatic(t, src), 1, taco.Bindings(taco.SpMV, m, 5))
 		}},
-		// SpMM with commopt on carries the compiled multicast fan-out.
-		goldenCase{name: "SpMM/commopt-fanout", configs: []string{"default", "win16"},
-			build: func(t *testing.T) *pipeline.Instance {
-				pl := compileStatic(t, workloads.SpMMSource, true)
-				if len(pl.FanOuts) == 0 {
-					t.Fatal("SpMM commopt pipeline has no fan-out")
-				}
-				return instantiate(t, pl, 1, spmm())
-			}},
 		// Data-parallel CC: four SMT threads on one core meeting at barriers.
 		goldenCase{name: "CC/data-parallel", configs: []string{"default", "win16", "issue2"},
 			build: func(t *testing.T) *pipeline.Instance {
@@ -172,7 +161,7 @@ func goldenCases() []goldenCase {
 		goldenCase{name: "BFS/replicated-x2", configs: []string{"default", "win16"},
 			build: func(t *testing.T) *pipeline.Instance {
 				const R = 2
-				repl, err := pipeline.Replicate(compileStatic(t, workloads.BFSSource, false), R, []string{"nodes", "edges"}, nil)
+				repl, err := pipeline.Replicate(compileStatic(t, workloads.BFSSource), R, []string{"nodes", "edges"}, nil)
 				if err != nil {
 					t.Fatal(err)
 				}

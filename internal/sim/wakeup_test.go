@@ -302,15 +302,13 @@ func TestQueueOpsParkInOrder(t *testing.T) {
 }
 
 // stagesEngine builds a machine with one stage per core over queues of
-// depth 1 (queue i named q<i>), fanned out as given, runs the functional
-// phase and returns a timing engine at cycle 0 with nothing fetched.
-func stagesEngine(t *testing.T, queues int, fan []arch.FanOut, stages ...func(b *isa.Builder)) *timingEngine {
+// depth 1 (queue i named q<i>), runs the functional phase and returns a timing engine at cycle 0 with nothing fetched.
+func stagesEngine(t *testing.T, queues int, stages ...func(b *isa.Builder)) *timingEngine {
 	t.Helper()
 	m := NewMachine(arch.DefaultConfig(len(stages)))
 	for i := 0; i < queues; i++ {
 		m.Queues[m.AddQueue(fmt.Sprintf("q%d", i))].Depth = 1
 	}
-	m.FanOuts = fan
 	for c, build := range stages {
 		b := isa.NewBuilder(fmt.Sprintf("s%d", c))
 		build(b)
@@ -390,7 +388,7 @@ func TestExactScanWakesAtEarliestOperand(t *testing.T) {
 // is unparked by a push whose token is visible only next cycle; it does not
 // park again on that token but waits for its known time and then issues.
 func TestParkedDequeueUnparkedByLatePush(t *testing.T) {
-	e := stagesEngine(t, 1, nil,
+	e := stagesEngine(t, 1,
 		func(b *isa.Builder) {
 			b.Enq(0, b.Const(7)) // seq 1
 			b.Halt()
@@ -417,48 +415,6 @@ func TestParkedDequeueUnparkedByLatePush(t *testing.T) {
 	e.now = 2
 	if n, _, _, _ := e.issueCore(1); n != 1 || !cons.win[0].issued {
 		t.Fatal("cycle 2: the dequeue issues once the token is visible")
-	}
-}
-
-// TestParkedFanOutEnqueueUnparkedByDestinationPop: a fanned enqueue that
-// parks on a full destination is unparked by a pop on that destination.
-func TestParkedFanOutEnqueueUnparkedByDestinationPop(t *testing.T) {
-	e := stagesEngine(t, 2, []arch.FanOut{{Src: 0, Dst: []int{1}}},
-		func(b *isa.Builder) {
-			v := b.Const(7)
-			b.Enq(0, v) // seq 1
-			b.Enq(0, v) // seq 2
-			b.Halt()
-		},
-		func(b *isa.Builder) {
-			b.Deq(0)
-			b.Deq(0)
-			b.Halt()
-		},
-		func(b *isa.Builder) {
-			b.Deq(1)
-			b.Deq(1)
-			b.Halt()
-		})
-	prod, src, dst := e.threads[0], e.threads[1], e.threads[2]
-	for _, th := range e.threads {
-		e.fetch(th)
-	}
-	issue(t, e, prod, 0)
-	e.now = 1
-	issue(t, e, prod, 1)
-	e.now = 2
-	issue(t, e, src, 0) // the source has room again; the destination is full
-	if _, _, full, _ := e.issueCore(0); !full || prod.qPark != 2<<1|1 || !prod.parked.has(2) {
-		t.Fatal("cycle 2: the second enqueue parks on the full destination")
-	}
-	e.now = 3
-	issue(t, e, dst, 0)
-	if prod.qPark != noLink || prod.parked.has(2) || !prod.dirty {
-		t.Fatal("the destination's pop must unpark the fanned enqueue")
-	}
-	if n, _, _, _ := e.issueCore(0); n != 1 || !prod.win[2].issued {
-		t.Fatal("cycle 3: the fanned enqueue issues")
 	}
 }
 

@@ -87,23 +87,6 @@ func (m *model) checkQueueKinds() {
 			}
 		}
 	}
-	// A fan-out destination carries duplicates of the source's data stream,
-	// so it inherits the source's producer-side kinds.
-	for _, f := range m.pl.FanOuts {
-		if f.Src < 0 || f.Src >= len(prodKinds) {
-			continue
-		}
-		for _, d := range f.Dst {
-			if d < 0 || d >= len(prodKinds) {
-				continue
-			}
-			for k, s := range prodKinds[f.Src].seen {
-				if s {
-					prodKinds[d].seen[k] = true
-				}
-			}
-		}
-	}
 	for _, ra := range m.pl.RAs {
 		// An RA streams elements of its base array into OutQ, and interprets
 		// InQ values as indices (INDIRECT) or [start,end) bounds (SCAN) —

@@ -230,23 +230,6 @@ func buildModel(pl *pipeline.Pipeline) *model {
 			m.producers[ra.OutQ] = addEntity(m.producers[ra.OutQ], ent)
 		}
 	}
-	// Fan-out destinations are produced into by whoever enqueues the source:
-	// the hardware duplicates every data value. Without these edges L3 would
-	// flag rewritten destinations as never-produced and Q3 would miss
-	// must-block dependencies through them.
-	for _, f := range pl.FanOuts {
-		if f.Src < 0 || f.Src >= len(pl.Queues) {
-			continue
-		}
-		for _, d := range f.Dst {
-			if d < 0 || d >= len(pl.Queues) {
-				continue
-			}
-			for _, p := range m.producers[f.Src] {
-				m.producers[d] = addEntity(m.producers[d], p)
-			}
-		}
-	}
 	return m
 }
 

@@ -4,7 +4,6 @@ import (
 	"fmt"
 
 	"phloem/internal/arch"
-	"phloem/internal/ir"
 	"phloem/internal/pipeline"
 )
 
@@ -249,5 +248,3 @@ func dpScalars(b pipeline.Bindings, threads int) pipeline.Bindings {
 	out.Scalars["nthreads"] = int64(threads)
 	return out
 }
-
-var _ = ir.KInt // keep ir imported for future manual-variant builders
