@@ -322,29 +322,6 @@ func TestPhloemcAutotuneTopK(t *testing.T) {
 	}
 }
 
-// TestPhloemsimFaultsList asserts `-faults list` enumerates both fault
-// families — the timing plans and the search-layer chaos plans — each with a
-// one-line description, and exits 0 without running anything.
-func TestPhloemsimFaultsList(t *testing.T) {
-	out := run(t, "phloemsim", "-faults", "list")
-	for _, want := range []string{
-		"timing-fault plans",
-		"min-queues", "cap every architectural queue at depth 1",
-		"kitchen-sink",
-		"seed-N",
-		"search-fault plans",
-		"search-panic", "search-sabotage", "search-cancel", "search-storm",
-		"search-seed-N",
-	} {
-		if !strings.Contains(out, want) {
-			t.Errorf("-faults list missing %q:\n%s", want, out)
-		}
-	}
-	if strings.Contains(out, "speedup") {
-		t.Errorf("-faults list should not run a simulation:\n%s", out)
-	}
-}
-
 // TestPhloemcCheckpointResume drives the interrupt/resume surface end to
 // end: a checkpointed run leaves a journal, and a -resume run replays every
 // measurement and reproduces the search result byte-identically.
@@ -450,9 +427,6 @@ func TestPhloemsimExitCodes(t *testing.T) {
 		return ee.ExitCode(), string(out)
 	}
 
-	if code, out := exitCode("-bench", "BFS", "-input", "road-ny", "-faults", "kitchen-sink"); code != 0 {
-		t.Errorf("faulted run should still succeed (results are timing-independent), exit %d:\n%s", code, out)
-	}
 	if code, out := exitCode("-bench", "BFS", "-input", "road-ny", "-cycle-budget", "1000"); code != 2 {
 		t.Errorf("budget abort: exit %d, want 2:\n%s", code, out)
 	}
@@ -466,8 +440,8 @@ func TestPhloemsimExitCodes(t *testing.T) {
 	if code, out := exitCode("-bench", "BFS", "-input", "road-ny", "-inject", "trap"); code != 3 {
 		t.Errorf("trap: exit %d, want 3:\n%s", code, out)
 	}
-	if code, _ := exitCode("-bench", "BFS", "-faults", "no-such-plan"); code != 1 {
-		t.Errorf("unknown fault plan: exit %d, want 1", code)
+	if code, _ := exitCode("-bench", "BFS", "-inject", "no-such-mode"); code != 1 {
+		t.Errorf("unknown -inject mode: exit %d, want 1", code)
 	}
 }
 
@@ -690,13 +664,6 @@ func TestPhloembenchTelemetry(t *testing.T) {
 		if !strings.Contains(out, want) {
 			t.Errorf("telemetry summary missing %q:\n%s", want, out)
 		}
-	}
-}
-
-func TestPhloembenchChaos(t *testing.T) {
-	out := run(t, "phloembench", "-exp", "chaos", "-chaos-seeds", "0")
-	if !strings.Contains(out, "all results identical") {
-		t.Errorf("chaos output:\n%s", out)
 	}
 }
 

@@ -26,10 +26,9 @@ import (
 
 func main() {
 	exp := flag.String("exp", "all",
-		"experiment: table3|table4|table5|fig6|fig9|fig10|fig11|fig12|fig13|fig14|ablations|chaos|telemetry|search|interrupt|commopt|native|compare|all")
+		"experiment: table3|table4|table5|fig6|fig9|fig10|fig11|fig12|fig13|fig14|ablations|telemetry|search|interrupt|commopt|native|compare|all")
 	scale := flag.String("scale", "test", "input scale: test|full")
 	verbose := flag.Bool("v", false, "print per-input rows")
-	chaosSeeds := flag.Int("chaos-seeds", 4, "seeded fault plans to add to the chaos sweep (beyond the named plans)")
 	parallel := flag.Int("j", 0,
 		"autotune/search worker parallelism (0 = GOMAXPROCS, 1 = serial; results are identical for every value)")
 	searchOut := flag.String("search-out", "BENCH_search.json",
@@ -107,8 +106,6 @@ func main() {
 			return bench.Fig14(cfg)
 		case "ablations":
 			return bench.Ablations(cfg)
-		case "chaos":
-			return bench.Chaos(cfg, *chaosSeeds)
 		case "interrupt":
 			return bench.InterruptResume(cfg)
 		case "telemetry":

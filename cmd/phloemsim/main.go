@@ -5,8 +5,6 @@
 // Usage:
 //
 //	phloemsim -bench BFS -input road
-//	phloemsim -faults list                      # list fault plans and stop
-//	phloemsim -bench BFS -faults kitchen-sink   # chaos plan, results must match
 //	phloemsim -bench BFS -cycle-budget 1000     # guardrail demo, exits 2
 //	phloemsim -bench BFS -timeout 100ms         # per-run wall-clock bound, exits 4
 //	phloemsim -bench BFS -inject deadlock       # guardrail demo, exits 1
@@ -24,11 +22,11 @@
 //
 // With -backend native both legs execute on the native backend
 // (internal/native): one goroutine per simulated core, its stages and RAs
-// as resumable tasks, one bounded ring per queue. There is no cycle model, so the summary reports wall time,
-// and the simulator-only flags (-telemetry, -profile, -chrome-trace,
-// -faults, -cycle-budget) are rejected. -commopt still applies (its
-// capacities size the native queues), but the occupancy table needs the
-// simulator's probe and is skipped.
+// as resumable tasks, one bounded ring per queue. There is no cycle model,
+// so the summary reports wall time, and the simulator-only flags
+// (-telemetry, -profile, -chrome-trace, -cycle-budget) are rejected.
+// -commopt still applies (its capacities size the native queues), but the
+// occupancy table needs the simulator's probe and is skipped.
 //
 // Exit codes: 0 success, 1 compile failure/deadlock/any other error,
 // 2 cycle or trace budget exceeded, 3 functional trap, 4 wall-clock
@@ -50,7 +48,6 @@ import (
 	"phloem/internal/arch"
 	"phloem/internal/commopt"
 	"phloem/internal/core"
-	"phloem/internal/fault"
 	"phloem/internal/ir"
 	"phloem/internal/native"
 	"phloem/internal/obs"
@@ -78,21 +75,6 @@ func exitCode(err error) int {
 	}
 }
 
-// listFaults prints every named fault plan (timing and search layer) with
-// its description, plus the seeded-plan syntax.
-func listFaults() {
-	fmt.Println("timing-fault plans (phloemsim -faults <name>):")
-	for _, p := range fault.Named() {
-		fmt.Printf("  %-16s %s\n", p.Name, p.Desc)
-	}
-	fmt.Println("  seed-N           pseudo-random perturbation mix expanded from seed N")
-	fmt.Println("search-fault plans (chaos-testing the autotune search layer):")
-	for _, p := range fault.NamedSearch() {
-		fmt.Printf("  %-16s %s\n", p.Name, p.Desc)
-	}
-	fmt.Println("  search-seed-N    pseudo-random search-fault mix expanded from seed N")
-}
-
 // injectDeadlock adds a dequeue from a fresh queue no stage feeds, so the
 // pipeline blocks forever and the simulator's deadlock guardrail fires.
 func injectDeadlock(pl *pipeline.Pipeline) {
@@ -117,7 +99,6 @@ func run() int {
 	cycleBudget := flag.Uint64("cycle-budget", 0, "abort any run past this many cycles (exit code 2)")
 	traceLimit := flag.Int("trace-limit", 0, "abort any run past this many executed instructions (exit code 2; works on both backends)")
 	timeout := flag.Duration("timeout", 0, "abort a run past this wall-clock duration, bounding the serial and pipelined runs each on its own (exit code 4)")
-	faultPlan := flag.String("faults", "", "timing-fault plan: a named plan or seed-N (results must still match); 'list' prints all plans")
 	inject := flag.String("inject", "", "sabotage the pipeline to demo guardrails: deadlock|trap")
 	seriesOut := flag.String("telemetry", "", "write the pipelined run's interval time-series to this file (.csv, else JSON; \"-\" = stdout)")
 	profile := flag.Bool("profile", false, "print the pipelined run's source-annotated hot-lines stall profile")
@@ -135,11 +116,6 @@ func run() int {
 		return exitCode(err)
 	}
 
-	if *faultPlan == "list" {
-		listFaults()
-		return 0
-	}
-
 	backend := *backendName
 	switch backend {
 	case "sim":
@@ -150,7 +126,6 @@ func run() int {
 			"-telemetry":    *seriesOut != "",
 			"-profile":      *profile,
 			"-chrome-trace": *chromeOut != "",
-			"-faults":       *faultPlan != "",
 			"-cycle-budget": *cycleBudget != 0,
 		} {
 			if set {
@@ -177,13 +152,6 @@ func run() int {
 			return fail(fmt.Errorf("unknown input %q", *inputName))
 		}
 	}
-	var plan fault.Plan
-	if *faultPlan != "" {
-		if plan, err = fault.ByName(*faultPlan); err != nil {
-			return fail(err)
-		}
-		fmt.Printf("fault plan: %s\n", plan)
-	}
 	opt := core.DefaultOptions()
 	switch *inject {
 	case "":
@@ -206,7 +174,6 @@ func run() int {
 		if err != nil {
 			return 0, 0, fmt.Errorf("%s: %w", name, err)
 		}
-		plan.Apply(inst.Machine)
 		inst.Machine.Cfg.CycleBudget = *cycleBudget
 		if *traceLimit > 0 {
 			inst.Machine.MaxTraceEntries = *traceLimit

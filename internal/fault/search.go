@@ -1,11 +1,9 @@
-package fault
-
-// Search-layer fault plans: where Plan perturbs the *simulated machine's*
-// timing, SearchPlan attacks the autotune *search itself* — seeded panics
-// inside candidate builds, verifier-rejected pipeline sabotage, and
-// mid-flight cancellation — to test that the candidate search always
-// terminates, classifies every lost candidate on Result.Skips, and stays
-// deterministic under any Options.Parallelism.
+// Package fault provides seeded, deterministic fault plans that attack the
+// autotune search itself: seeded panics inside candidate builds,
+// verifier-rejected pipeline sabotage, and mid-flight cancellation. They
+// test that the candidate search always terminates, classifies every lost
+// candidate on Result.Skips, and stays deterministic under any
+// Options.Parallelism.
 //
 // Injection sites are keyed by a hash of the candidate pipeline's structural
 // description, not by call order: with Parallelism > 1 the PostBuild hook
@@ -13,6 +11,7 @@ package fault
 // counter would inject into different candidates run to run. Hashing the
 // candidate identity makes the afflicted set a pure function of (plan,
 // candidate), independent of scheduling.
+package fault
 
 import (
 	"context"
@@ -167,4 +166,13 @@ func NewSearch(seed uint64) SearchPlan {
 		SabotageOneIn: 2 + int(next()%4),
 		CancelAfter:   3 + int32(next()%8),
 	}
+}
+
+// splitmix64 is the standard SplitMix64 PRNG step.
+func splitmix64(s *uint64) uint64 {
+	*s += 0x9e3779b97f4a7c15
+	z := *s
+	z = (z ^ (z >> 30)) * 0xbf58476d1ce4e5b9
+	z = (z ^ (z >> 27)) * 0x94d049bb133111eb
+	return z ^ (z >> 31)
 }

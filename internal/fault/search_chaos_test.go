@@ -160,9 +160,4 @@ func TestSearchPlanDeterminism(t *testing.T) {
 			t.Errorf("plan %s has no description", p.Name)
 		}
 	}
-	for _, p := range fault.Named() {
-		if p.Desc == "" {
-			t.Errorf("timing plan %s has no description", p.Name)
-		}
-	}
 }

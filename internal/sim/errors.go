@@ -9,8 +9,9 @@ import (
 )
 
 // Structured simulation errors. Every way a simulation can fail maps to one
-// of five sentinel classes so callers (the autotuner, the CLI tools, chaos
-// tests) can classify failures with errors.Is without string matching:
+// of five sentinel classes so callers (the autotuner, the CLI tools, the
+// search-fault tests) can classify failures with errors.Is without string
+// matching:
 //
 //	ErrDeadlock    — no thread or RA can make progress (carries a wait-for
 //	                 snapshot naming who blocks on what)

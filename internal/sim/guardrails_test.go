@@ -234,54 +234,3 @@ func TestMemPanicRecovered(t *testing.T) {
 	a := m.Space.Alloc("f", mem.F64, 1)
 	a.LoadInt(0)
 }
-
-// TestFaultHooksChangeTimingOnly drives the fault hooks directly: injected
-// latencies and stalls must change cycle counts but never results.
-func TestFaultHooksChangeTimingOnly(t *testing.T) {
-	a, bv := introData(t, 1500)
-	run := func(f *TimingFaults) (int64, uint64) {
-		m := NewMachine(arch.DefaultConfig(1))
-		arrA := m.Space.AllocInts("A", a)
-		arrB := m.Space.AllocInts("B", bv)
-		arrOut := m.Space.Alloc("out", mem.I64, 1)
-		sa := m.AddSlot("A", arrA)
-		sb := m.AddSlot("B", arrB)
-		so := m.AddSlot("out", arrOut)
-		m.AddStage(&Stage{
-			Prog:   buildIntroSerial(int64(len(a)), sa, sb, so),
-			Thread: arch.ThreadID{Core: 0, Thread: 0},
-		})
-		m.Faults = f
-		st, err := m.Run()
-		if err != nil {
-			t.Fatalf("run: %v", err)
-		}
-		return arrOut.Ints()[0], st.Cycles
-	}
-	baseVal, baseCycles := run(nil)
-	slowVal, slowCycles := run(&TimingFaults{
-		MemLatency:  func(n uint64) uint64 { return 50 },
-		ThreadStall: func(core, slot int, now uint64) bool { return now%8 < 3 },
-	})
-	if slowVal != baseVal {
-		t.Errorf("faults changed functional result: %d vs %d", slowVal, baseVal)
-	}
-	if slowCycles <= baseCycles {
-		t.Errorf("faults did not slow the run: %d vs %d cycles", slowCycles, baseCycles)
-	}
-}
-
-func TestFaultCapClamping(t *testing.T) {
-	m := NewMachine(arch.DefaultConfig(1))
-	m.AddQueue("q")
-	m.Faults = &TimingFaults{
-		QueueDepth:    func(q, d int) int { return 0 },    // clamped up to 1
-		RAOutstanding: func(ra, n int) int { return 100 }, // may not grow
-	}
-	if got := m.queueCap(0); got != 1 {
-		t.Errorf("queueCap = %d, want clamp to 1", got)
-	}
-	if got := m.raWindow(0); got != m.Cfg.RAOutstanding {
-		t.Errorf("raWindow = %d, want unchanged %d", got, m.Cfg.RAOutstanding)
-	}
-}

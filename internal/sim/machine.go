@@ -41,7 +41,10 @@ type Stage struct {
 }
 
 // Machine is a complete simulation instance: configuration, memory image,
-// array slots, queues, reference accelerators, and stage programs.
+// array slots, queues, reference accelerators, and stage programs. Probe is
+// its one hook into the timing engine, and it only observes: a run that
+// stresses the queue protocols shrinks real parameters, a queue's Depth or
+// Cfg.RAOutstanding.
 type Machine struct {
 	Cfg   arch.Config
 	Space *mem.Space
@@ -59,11 +62,6 @@ type Machine struct {
 	// or livelocked programs). Zero means the default of 64M entries;
 	// exceeding the cap fails the run with *TraceLimitError.
 	MaxTraceEntries int
-
-	// Faults, when non-nil, injects deterministic timing-only perturbations
-	// into the timing phase (see TimingFaults). Functional results are
-	// unaffected by construction.
-	Faults *TimingFaults
 
 	// Probe, when non-nil, observes timing-phase events (see Probe). A nil
 	// probe costs one pointer test per instrumentation point and leaves

@@ -173,27 +173,35 @@ type tThread struct {
 	lastMB bool
 }
 
+// tQueue is a timing queue as counts. Every push becomes visible to the
+// consumer the cycle after it, so the tokens not yet visible are exactly the
+// ones pushed this cycle, and they sit at the tail.
 type tQueue struct {
-	ready []uint64 // readyAt per token, FIFO
-	head  int
-	cap   int
+	n, cap  int
+	fresh   int // tokens pushed in cycle freshAt
+	freshAt uint64
 }
 
-func (q *tQueue) len() int { return len(q.ready) - q.head }
-func (q *tQueue) push(at uint64) {
-	q.ready = append(q.ready, at)
-}
-func (q *tQueue) pop() {
-	q.head++
-	// Occupancy is bounded by cap, so compacting once the dead prefix
-	// exceeds it keeps the buffer at a few times the queue capacity
-	// (amortized O(1) per token) instead of growing toward 8K entries.
-	if q.head > q.cap && q.head*2 > len(q.ready) {
-		q.ready = append(q.ready[:0], q.ready[q.head:]...)
-		q.head = 0
+func (q *tQueue) len() int { return q.n }
+func (q *tQueue) push(now uint64) {
+	if q.freshAt != now {
+		q.freshAt, q.fresh = now, 0
 	}
+	q.fresh++
+	q.n++
 }
-func (q *tQueue) headReady() uint64 { return q.ready[q.head] }
+func (q *tQueue) pop() { q.n-- }
+
+// headVisible reports whether the head token can be dequeued at now.
+func (q *tQueue) headVisible(now uint64) bool {
+	return q.n > 0 && (q.freshAt != now || q.n > q.fresh)
+}
+
+// headNext reports whether the queue holds tokens that all become visible
+// next cycle.
+func (q *tQueue) headNext(now uint64) bool {
+	return q.n > 0 && q.freshAt == now && q.n == q.fresh
+}
 
 type tRA struct {
 	id          int // index into Machine.RAs (probe identity)
@@ -230,10 +238,6 @@ type timingEngine struct {
 	stats    Stats
 	queueOps uint64
 	raEvents uint64
-	// memN numbers memory accesses for the MemLatency fault hook; ctrlN
-	// numbers control-value enqueues per queue for CtrlDelay.
-	memN  uint64
-	ctrlN []uint64
 
 	// probe observation state. probe is nil when no telemetry is installed;
 	// every hook site tests it once. sampleEvery/sampleAt drive interval
@@ -244,34 +248,6 @@ type timingEngine struct {
 	sampleAt    uint64
 	curThread   int
 	curPC       int
-}
-
-// extraMemLatency consults the MemLatency fault hook for the next access.
-func (e *timingEngine) extraMemLatency() uint64 {
-	f := e.m.Faults
-	if f == nil || f.MemLatency == nil {
-		return 0
-	}
-	d := f.MemLatency(e.memN)
-	e.memN++
-	return d
-}
-
-// ctrlDelay consults the CtrlDelay fault hook for a control enqueue on q.
-func (e *timingEngine) ctrlDelay(q int) uint64 {
-	f := e.m.Faults
-	if f == nil || f.CtrlDelay == nil {
-		return 0
-	}
-	d := f.CtrlDelay(q, e.ctrlN[q])
-	e.ctrlN[q]++
-	return d
-}
-
-// stalled consults the ThreadStall fault hook for thread t at e.now.
-func (e *timingEngine) stalled(t *tThread) bool {
-	f := e.m.Faults
-	return f != nil && f.ThreadStall != nil && f.ThreadStall(t.core, t.slot, e.now)
 }
 
 // RunTiming replays traces and returns timing statistics. The Machine must be
@@ -394,14 +370,13 @@ func newTimingEngine(m *Machine, ts *TraceSet) *timingEngine {
 	}
 	e.queues = make([]tQueue, len(m.Queues))
 	for q := range e.queues {
-		e.queues[q].cap = m.queueCap(q)
+		e.queues[q].cap = m.queueDepth(q)
 	}
-	e.ctrlN = make([]uint64, len(m.Queues))
 	for i, spec := range m.RAs {
 		ra := &tRA{
 			id:   i,
 			core: spec.Core, events: ts.RA[i], inQ: spec.InQ, outQ: spec.OutQ,
-			outstanding: m.raWindow(i),
+			outstanding: max(m.Cfg.RAOutstanding, 1),
 		}
 		e.ras = append(e.ras, ra)
 		e.rasByCore[spec.Core] = append(e.rasByCore[spec.Core], ra)
@@ -1072,15 +1047,6 @@ func (e *timingEngine) issueCore(c int) (issued int, blockEmpty, blockFull, bloc
 		if budget == 0 {
 			continue
 		}
-		if e.stalled(t) {
-			// Barred from issuing this cycle; stay dirty so the thread
-			// rescans as soon as the stall window ends.
-			t.dirty = true
-			if e.probe != nil {
-				e.probe.ThreadState(t.idx, ClassOther, e.now)
-			}
-			continue
-		}
 		if !t.dirty && e.now < t.wakeAt {
 			blockEmpty = blockEmpty || t.lastQE
 			blockFull = blockFull || t.lastQF
@@ -1144,7 +1110,7 @@ func (e *timingEngine) issueCore(c int) (issued int, blockEmpty, blockFull, bloc
 				t.qPark = int32(slot<<1 | 1)
 			case qb && e.queues[en.q].len() == 0:
 				// An empty queue: nothing but a push changes this. A token
-				// not yet visible has a time, which entryWake took.
+				// pushed this cycle shows next cycle, which entryWake took.
 				t.qPark = int32(slot << 1)
 			case qb:
 				tQE = true
@@ -1244,12 +1210,8 @@ func (e *timingEngine) entryWake(t *tThread, en *winEntry) uint64 {
 	if d := en.rdyB; d > e.now && d < w {
 		w = d
 	}
-	if en.qRole == dequeues {
-		if q := &e.queues[en.q]; q.len() > 0 {
-			if r := q.headReady(); r > e.now && r < w {
-				w = r
-			}
-		}
+	if en.qRole == dequeues && e.queues[en.q].headNext(e.now) {
+		w = min(w, e.now+1)
 	}
 	if en.op == isa.OpLoad && len(e.mshrs[t.core]) >= e.m.Cfg.MSHRs && e.m.Cfg.MSHRs > 0 {
 		for _, c := range e.mshrs[t.core] {
@@ -1327,7 +1289,7 @@ func (e *timingEngine) checkIssue(t *tThread, en *winEntry) (ready, blockQ, bloc
 			if q.len() >= q.cap {
 				return false, true, false
 			}
-		} else if q.len() == 0 || q.headReady() > e.now {
+		} else if !q.headVisible(e.now) {
 			return false, true, false
 		}
 	}
@@ -1346,7 +1308,6 @@ func (e *timingEngine) tryIssue(t *tThread, en *winEntry) (ok, blockQ, blockMem 
 	switch en.op {
 	case isa.OpLoad:
 		lat, missed := e.hier.Access(t.core, te.Addr, e.now)
-		lat += e.extraMemLatency()
 		done = e.now + lat
 		if missed {
 			e.mshrs[t.core] = append(e.mshrs[t.core], done)
@@ -1362,19 +1323,8 @@ func (e *timingEngine) tryIssue(t *tThread, en *winEntry) (ok, blockQ, blockMem 
 			e.hier.Access(t.core, te.Addr, e.now)
 		}
 		done = e.now + 1
-	case isa.OpEnq:
-		e.queues[qi].push(e.now + 1)
-		e.wakeConsumer(qi)
-		e.queueOps++
-		done = e.now + 1
-		if e.probe != nil {
-			e.probe.QueueLen(qi, e.queues[qi].len(), e.now)
-		}
-	case isa.OpEnqCtrl, isa.OpEnqCtrlV:
-		// Control values may be delivered late under fault injection; the
-		// token sits in the queue but is not visible to the consumer until
-		// its readyAt cycle, which delays everything FIFO-behind it too.
-		e.queues[qi].push(e.now + 1 + e.ctrlDelay(qi))
+	case isa.OpEnq, isa.OpEnqCtrl, isa.OpEnqCtrlV:
+		e.queues[qi].push(e.now)
 		e.wakeConsumer(qi)
 		e.queueOps++
 		done = e.now + 1
@@ -1444,7 +1394,7 @@ func (e *timingEngine) tickRASteps(ra *tRA) bool {
 	// Deliver completed tokens in order.
 	outq := &e.queues[ra.outQ]
 	for ra.ifHead < len(ra.inflight) && ra.inflight[ra.ifHead] <= e.now && outq.len() < outq.cap {
-		outq.push(e.now + 1)
+		outq.push(e.now)
 		e.wakeConsumer(ra.outQ)
 		if e.probe != nil {
 			e.probe.QueueLen(ra.outQ, outq.len(), e.now)
@@ -1468,7 +1418,7 @@ func (e *timingEngine) tickRASteps(ra *tRA) bool {
 		ev := ra.events[ra.idx]
 		switch ev.Kind {
 		case RAConsume:
-			if inq.len() == 0 || inq.headReady() > e.now {
+			if !inq.headVisible(e.now) {
 				return moved
 			}
 			inq.pop()
@@ -1481,7 +1431,6 @@ func (e *timingEngine) tickRASteps(ra *tRA) bool {
 				return moved
 			}
 			lat, _ := e.hier.Access(ra.core, ev.Addr, e.now)
-			lat += e.extraMemLatency()
 			ra.inflight = append(ra.inflight, e.now+lat)
 			ra.loads++
 			loadsStarted++
@@ -1530,10 +1479,8 @@ func (e *timingEngine) nextEvent() uint64 {
 			en := t.at(sc.from + rest.first())
 			consider(en.rdyA)
 			consider(en.rdyB)
-			if en.qRole == dequeues {
-				if q := &e.queues[en.q]; q.len() > 0 {
-					consider(q.headReady())
-				}
+			if en.qRole == dequeues && e.queues[en.q].headNext(e.now) {
+				consider(e.now + 1)
 			}
 		}
 	}
@@ -1541,11 +1488,8 @@ func (e *timingEngine) nextEvent() uint64 {
 		if ra.ifHead < len(ra.inflight) {
 			consider(ra.inflight[ra.ifHead])
 		}
-		if ra.idx < len(ra.events) {
-			q := &e.queues[ra.inQ]
-			if ra.events[ra.idx].Kind == RAConsume && q.len() > 0 {
-				consider(q.headReady())
-			}
+		if ra.idx < len(ra.events) && ra.events[ra.idx].Kind == RAConsume && e.queues[ra.inQ].headNext(e.now) {
+			consider(e.now + 1)
 		}
 	}
 	return next

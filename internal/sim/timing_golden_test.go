@@ -15,7 +15,6 @@ import (
 
 	"phloem/internal/arch"
 	"phloem/internal/core"
-	"phloem/internal/fault"
 	"phloem/internal/graph"
 	"phloem/internal/matrix"
 	"phloem/internal/obs"
@@ -52,7 +51,7 @@ type goldenCase struct {
 	build func(t *testing.T) *pipeline.Instance
 	// configs restricts the case to a subset of goldenConfigs (nil: all).
 	configs []string
-	// prep adjusts the machine before each replay (fault plans, budgets).
+	// prep adjusts the machine before each replay (capacities, budgets).
 	prep func(m *sim.Machine)
 	// partial marks a case whose replay must abort with partial Stats.
 	partial bool
@@ -178,18 +177,11 @@ func goldenCases() []goldenCase {
 				return instantiate(t, repl, R, b)
 			}},
 	)
-	// Fault plans: every timing hook at once, and the three that reach into
-	// the issue scan (ThreadStall), load completion (MemLatency) and queue
-	// token visibility (CtrlDelay) on their own.
-	for _, name := range []string{"kitchen-sink", "smt-stall", "mem-spikes", "ctrl-delay"} {
-		plan, err := fault.ByName(name)
-		if err != nil {
-			panic(err)
-		}
-		cases = append(cases, goldenCase{name: "BFS/fault-" + name, configs: []string{"default", "win16"},
-			build: bfs, prep: func(m *sim.Machine) { plan.Apply(m) }})
-	}
 	cases = append(cases,
+		// Every queue and RA window at depth 1: a producer parks on a full
+		// queue at nearly every push.
+		goldenCase{name: "BFS/depth1", configs: []string{"default", "win16"},
+			build: bfs, prep: minimumCapacity},
 		goldenCase{name: "BFS/budget-abort", configs: []string{"default", "win16"}, partial: true,
 			build: bfs, prep: func(m *sim.Machine) { m.Cfg.CycleBudget = 5000 }},
 		goldenCase{name: "BFS/cancel-mid-run", configs: []string{"default", "win16"}, partial: true,
@@ -233,7 +225,7 @@ func replayGolden(t *testing.T, probe func() sim.Probe, check func(name string, 
 				continue
 			}
 			name := gc.name + "@" + cfg.name
-			m.Cfg, m.Faults, m.Ctx, m.Probe = base, nil, nil, nil
+			m.Cfg, m.Ctx, m.Probe = base, nil, nil
 			cfg.mod(&m.Cfg)
 			if gc.prep != nil {
 				gc.prep(m)
