@@ -36,8 +36,9 @@ func runDiff(t *testing.T, name string, pl *pipeline.Pipeline, bind pipeline.Bin
 }
 
 // runDiffOn is runDiff on a machine of the given configuration. It proves
-// that results do not depend on what separates the configurations: bounded
-// vs growable rings, one goroutine per core vs one in all, traced vs not.
+// that results do not depend on what separates the configurations: one
+// goroutine per core vs one in all, run-until-blocked vs functional turns,
+// traced vs not.
 func runDiffOn(t *testing.T, name string, pl *pipeline.Pipeline, cfg arch.Config, bind pipeline.Bindings) *pipeline.Instance {
 	t.Helper()
 

@@ -3,23 +3,20 @@ package native_test
 // FuzzNativeDiff feeds arbitrary source strings through the full compile
 // flow and, whenever a pipeline builds, runs it on both the functional
 // simulator and the native backend from synthesized bindings — the two
-// configurations of one engine, so this fuzzes queue bounds, task placement
-// and turn policy rather than opcode semantics. The oracle:
-// when both succeed the output memory must match bitwise and the executed
-// instruction counts must be equal; when the functional run fails, the
-// native run must fail in the same sentinel class (trap/deadlock/limit) —
-// except that a functional trace-limit may surface natively as a deadlock,
-// because a livelocked producer can block on a bounded queue before it
-// reaches the instruction cap (the documented capacity divergence).
-// Trap messages are compared only when a single stage exists; with
-// concurrent stages the first trap to fire is scheduling-dependent.
+// configurations of one engine, so this fuzzes task placement, turn policy
+// and tracing rather than opcode semantics or queue bounds, which the two
+// share. The oracle has no exemption: both runs must reach the same
+// verdict class (match, trap, deadlock or trace limit) at every depth.
+// When both succeed, the output memory must match bitwise and the executed
+// instruction counts must be equal; on a deadlock, the wait-for snapshots
+// must be equal apart from their phase. Trap messages are
+// compared only when a single stage exists; with concurrent stages the
+// first trap to fire is scheduling-dependent.
 // A nonzero depth shrinks the machine's default queue capacity (to
-// 1 + depth%24) so that rings fill mid-burst and RAs resume often. Below
-// the capacities the compiler sizes for, a native run may deadlock behind
-// a full ring (backpressured) where the functional run, whose rings grow,
-// succeeded or went on to trap: the same divergence, accepted at depth > 0
-// only. Every other verdict must still agree, and the RA seeds must reach
-// the verdict they were added for, never that exemption.
+// 1 + depth%24) so that rings fill mid-burst and RAs resume often; a
+// capacity below the one the compiler sized for may deadlock a pipeline,
+// and then must deadlock it the same way in both configurations. The seeds
+// with a wanted verdict must reach it in both.
 //
 // Runs as a plain unit test over the seed corpus in `go test`; explore with
 //
@@ -76,20 +73,20 @@ func synthBindings(pl *pipeline.Pipeline) pipeline.Bindings {
 	return b
 }
 
-// backpressured reports whether err is a native deadlock with a queue at
-// capacity: a block the functional configuration's growing rings never
-// have.
-func backpressured(err error) bool {
-	var de *sim.DeadlockError
-	if !errors.As(err, &de) {
-		return false
+// verdictOf names err's sentinel class: "match" for no error, "trap",
+// "deadlock" or "limit", and "" for any other error.
+func verdictOf(err error) string {
+	switch {
+	case err == nil:
+		return "match"
+	case errors.Is(err, sim.ErrTrap):
+		return "trap"
+	case errors.Is(err, sim.ErrDeadlock):
+		return "deadlock"
+	case errors.Is(err, sim.ErrTraceLimit):
+		return "limit"
 	}
-	for _, q := range de.Snapshot.Queues {
-		if q.Cap > 0 && q.Len == q.Cap {
-			return true
-		}
-	}
-	return false
+	return ""
 }
 
 // relaySource is BFS's shape at the synthesized bindings' scale: every
@@ -118,6 +115,34 @@ void relay(int* restrict nodes, int* restrict edges, int* restrict dist,
     swap(cur, next);
     size = nsize;
     level = level + 1;
+  }
+}`
+
+// fringeSource is corpus entry acc11c1aec68329a, laid out: a BFS skeleton
+// whose fringe never empties, so its next_fringe store runs past the 32
+// synthesized elements and traps. It pins the swap's reader scope: two of
+// its RAs never read the swapped fringes and have full output rings that
+// only the swapping stage drains, so a swap that waited for them would
+// deadlock before the trap.
+const fringeSource = `void A00(int* nodes, int* restrict edges, int restrict0000000000,
+         int* restrict cur_fringe, int*restrict next_fringe) {
+  int cur_size =01;
+  int next_size =00;
+  int A00000000=00;
+  while (cur_size ) {
+    for (int i =00; i < cur_size; i = i +01) {
+      int v = cur_fringe[0];
+      int edge_start = nodes[0];
+      int edge_end = nodes[00+01];
+      for (int e = edge_start; e < edge_end; e = e +01) {
+        int ngh = edges[e];
+        {
+          next_fringe[next_size] = ngh;
+          next_size = next_size +01;
+        }
+      }
+    }
+    swap(cur_fringe, next_fringe);
   }
 }`
 
@@ -170,13 +195,14 @@ void div(int* restrict a, int* restrict b, int n) {
 	// RAs (SCAN, INDIRECT, chained) behind a double-buffered fringe whose
 	// swap must wait for them, at the default capacity and at tiny ones.
 	// relay runs to completion and must match; BFS on the synthesized
-	// bindings traps on an out-of-bounds index in an INDIRECT RA mid-run.
+	// bindings traps on an out-of-bounds index in an INDIRECT RA mid-run,
+	// and fringeSource on its fringe store.
 	type seed struct {
 		src   string
 		depth uint8
 	}
 	want := map[seed]string{}
-	for _, s := range []struct{ src, verdict string }{{relaySource, "match"}, {workloads.BFSSource, "trap"}} {
+	for _, s := range []struct{ src, verdict string }{{relaySource, "match"}, {workloads.BFSSource, "trap"}, {fringeSource, "trap"}} {
 		for _, depth := range []uint8{0, 1, 2, 3} {
 			f.Add(s.src, depth)
 			want[seed{s.src, depth}] = s.verdict
@@ -212,15 +238,16 @@ void div(int* restrict a, int* restrict b, int n) {
 			natInst.Machine.MaxTraceEntries = 1 << 20
 			st, natErr := native.Run(natInst.Machine, native.Options{})
 
-			var verdict string
-			switch {
-			case depth > 0 && (simErr == nil || errors.Is(simErr, sim.ErrTrap)) && backpressured(natErr):
-				verdict = "backpressured"
-			case simErr == nil:
-				verdict = "match"
-				if natErr != nil {
-					t.Fatalf("functional succeeded, native failed: %v\nsource:\n%s", natErr, src)
-				}
+			verdict := verdictOf(simErr)
+			if verdict == "" {
+				t.Fatalf("unexpected functional error class: %v\nsource:\n%s", simErr, src)
+			}
+			if nv := verdictOf(natErr); nv != verdict {
+				t.Fatalf("verdicts differ at depth %d (commOpt %v): functional %s, native %s\nfunctional: %v\nnative: %v\nsource:\n%s",
+					depth, commOpt, verdict, nv, simErr, natErr, src)
+			}
+			switch verdict {
+			case "match":
 				if st.Instructions != ts.Instructions {
 					t.Fatalf("instruction counts diverge: native %d, functional %d\nsource:\n%s",
 						st.Instructions, ts.Instructions, src)
@@ -229,27 +256,16 @@ void div(int* restrict a, int* restrict b, int n) {
 				if t.Failed() {
 					t.Fatalf("memory diverged\nsource:\n%s", src)
 				}
-			case errors.Is(simErr, sim.ErrTrap):
-				verdict = "trap"
-				if !errors.Is(natErr, sim.ErrTrap) {
-					t.Fatalf("functional trapped (%v), native: %v\nsource:\n%s", simErr, natErr, src)
-				}
+			case "trap":
 				if len(pl.Stages) == 1 && len(pl.RAs) == 0 && simErr.Error() != natErr.Error() {
 					t.Fatalf("single-stage trap messages differ:\n  functional: %v\n  native:     %v\nsource:\n%s",
 						simErr, natErr, src)
 				}
-			case errors.Is(simErr, sim.ErrDeadlock):
-				verdict = "deadlock"
-				if !errors.Is(natErr, sim.ErrDeadlock) {
-					t.Fatalf("functional deadlocked (%v), native: %v\nsource:\n%s", simErr, natErr, src)
+			case "deadlock":
+				if !sameSnapshot(simErr, natErr) {
+					t.Fatalf("deadlock snapshots differ at depth %d (commOpt %v):\n  functional: %v\n  native:     %v\nsource:\n%s",
+						depth, commOpt, simErr, natErr, src)
 				}
-			case errors.Is(simErr, sim.ErrTraceLimit):
-				verdict = "limit"
-				if !errors.Is(natErr, sim.ErrTraceLimit) && !errors.Is(natErr, sim.ErrDeadlock) {
-					t.Fatalf("functional hit trace limit, native: %v\nsource:\n%s", natErr, src)
-				}
-			default:
-				t.Fatalf("unexpected functional error class: %v\nsource:\n%s", simErr, src)
 			}
 			if w, ok := want[seed{src, depth}]; ok && verdict != w {
 				t.Fatalf("seed at depth %d (commOpt %v) reached %q, want %q\nfunctional: %v\nnative: %v\nsource:\n%s",

@@ -11,12 +11,11 @@
 // goroutine; only replicated pipelines (one replica per core) start
 // goroutines.
 //
-// Opcode, RA, barrier and trap semantics are the functional simulator's
-// because they are the same code. The one difference in outcome is queue
-// capacity: a pipeline that overfills a queue nobody drains backpressures
-// and deadlocks here (and in the timing phase) where the functional phase
-// reports leftovers; the commopt Q4 capacity argument is what makes
-// compiler-sized pipelines safe (DESIGN.md §16). Failures are the
+// Opcode, RA, barrier, trap and queue semantics are the functional
+// simulator's because they are the same code: both bound every ring at its
+// capacity, so a pipeline that overfills a queue nobody drains deadlocks
+// in either (and in the timing phase); the commopt Q4 capacity argument is
+// what makes compiler-sized pipelines safe (DESIGN.md §16). Failures are the
 // simulator's sentinel errors (sim.ErrDeadlock, sim.ErrTrap,
 // sim.ErrTraceLimit, sim.ErrCancelled). Machine.Ctx is the one way to stop
 // a run early: cancel it, or give it a deadline.

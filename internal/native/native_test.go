@@ -4,6 +4,7 @@ import (
 	"context"
 	"errors"
 	"fmt"
+	"reflect"
 	"strings"
 	"testing"
 	"time"
@@ -64,6 +65,18 @@ func stageWait(t *testing.T, err error, stage string) sim.StageWait {
 	}
 	t.Fatalf("stage %q not in snapshot: %v", stage, err)
 	return sim.StageWait{}
+}
+
+// sameSnapshot reports whether two deadlock errors carry the same wait-for
+// snapshot apart from the phase that took it.
+func sameSnapshot(a, b error) bool {
+	var da, db *sim.DeadlockError
+	if !errors.As(a, &da) || !errors.As(b, &db) {
+		return false
+	}
+	sa := *da.Snapshot
+	sa.Phase = db.Snapshot.Phase
+	return reflect.DeepEqual(&sa, db.Snapshot)
 }
 
 // checkBlocked requires the named stage to be reported blocked in the
@@ -151,9 +164,8 @@ func TestHandlerOnlyStage(t *testing.T) {
 
 // TestOverSentQueue: tokens left in a queue nobody consumes. Within the
 // queue's capacity both backends finish and report the same leftovers;
-// past the capacity the native backend (bounded queues, like the timing
-// model) backpressure-deadlocks where the unbounded functional phase only
-// reports leftovers — the documented divergence.
+// past it both block on the full queue (every ring is bounded, as in the
+// timing model) and report the same deadlock.
 func TestOverSentQueue(t *testing.T) {
 	build := func(tokens int64) func() *sim.Machine {
 		return func() *sim.Machine {
@@ -176,23 +188,23 @@ func TestOverSentQueue(t *testing.T) {
 	}
 	diffMachines(t, "oversend-within-cap", build(4))
 
-	// Past capacity: functional succeeds with 12 leftovers, native blocks
-	// on the full queue with no consumer, which is a deadlock at once.
-	ts, err := build(12)().RunFunctional()
-	if err != nil {
-		t.Fatalf("functional oversend: %v", err)
-	}
-	if ts.Leftover[0] != 12 {
-		t.Fatalf("functional leftover = %d, want 12", ts.Leftover[0])
+	// Past capacity: the producer blocks on the full queue with no
+	// consumer, which is a deadlock at once on both backends.
+	_, ferr := build(12)().RunFunctional()
+	if !errors.Is(ferr, sim.ErrDeadlock) {
+		t.Fatalf("functional oversend past capacity: got %v, want ErrDeadlock", ferr)
 	}
 	m := build(12)()
-	_, err = native.Run(m, native.Options{})
+	_, err := native.Run(m, native.Options{})
 	if !errors.Is(err, sim.ErrDeadlock) {
 		t.Fatalf("native oversend past capacity: got %v, want ErrDeadlock", err)
 	}
 	checkBlocked(t, m, err, "producer", "enq-full", isa.OpEnq, 0, 0)
 	if w := stageWait(t, err, "producer"); w.Queue.Len != 8 || w.Queue.Cap != 8 {
 		t.Errorf("sink should be reported full at 8/8, got %v", w.Queue)
+	}
+	if !sameSnapshot(ferr, err) {
+		t.Errorf("deadlock snapshots differ:\n  functional: %v\n  native:     %v", ferr, err)
 	}
 }
 

@@ -3,6 +3,7 @@ package sim
 import (
 	"errors"
 	"math"
+	"reflect"
 	"testing"
 
 	"phloem/internal/mem"
@@ -24,12 +25,14 @@ func errClass(err error) string {
 // bothEngines runs the machine build makes on both configurations of the
 // execution engine — RunFunctional and RunNative, each on its own copy —
 // and requires one verdict: on success the same instruction count,
-// leftovers and memory; on failure the same error class and, for a trap,
-// the same message (the machines here never fill a queue and have one
-// trap site, so no schedule can change which trap fires). It returns the
-// functional copy and its result for the test's own expectations: those
-// hand-computed values, not the other configuration, are the oracle for
-// what an opcode means.
+// leftovers and memory; on failure the same error class, for a trap the
+// same message (the machines here have one trap site, so no schedule can
+// change which trap fires), and for a deadlock the same wait-for snapshot
+// apart from its phase (both bound every ring at its capacity, and a
+// deadlocked single-producer network has one blocked state). It returns
+// the functional copy and its result for the test's own expectations:
+// those hand-computed values, not the other configuration, are the oracle
+// for what an opcode means.
 func bothEngines(t *testing.T, build func() *Machine) (*Machine, *TraceSet, error) {
 	t.Helper()
 	fm := build()
@@ -43,6 +46,10 @@ func bothEngines(t *testing.T, build func() *Machine) (*Machine, *TraceSet, erro
 	case errors.Is(ferr, ErrTrap):
 		if ferr.Error() != nerr.Error() {
 			t.Errorf("trap messages differ:\n  functional: %v\n  native:     %v", ferr, nerr)
+		}
+	case errors.Is(ferr, ErrDeadlock):
+		if !sameSnapshot(ferr, nerr) {
+			t.Errorf("deadlock snapshots differ:\n  functional: %v\n  native:     %v", ferr, nerr)
 		}
 	case ferr == nil:
 		if instrs != ts.Instructions {
@@ -70,6 +77,18 @@ func bothEngines(t *testing.T, build func() *Machine) (*Machine, *TraceSet, erro
 		}
 	}
 	return fm, ts, ferr
+}
+
+// sameSnapshot reports whether two deadlock errors carry the same wait-for
+// snapshot apart from the phase that took it.
+func sameSnapshot(a, b error) bool {
+	var da, db *DeadlockError
+	if !errors.As(a, &da) || !errors.As(b, &db) {
+		return false
+	}
+	sa := *da.Snapshot
+	sa.Phase = db.Snapshot.Phase
+	return reflect.DeepEqual(&sa, db.Snapshot)
 }
 
 // runBoth is bothEngines for a machine that must succeed, followed by the

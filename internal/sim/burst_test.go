@@ -367,3 +367,70 @@ func TestSwapQuiescesScanRA(t *testing.T) {
 		t.Fatalf("recorded %v: the swap landed mid-range", got)
 	}
 }
+
+// swapPastBusyRA: a swapper queues three lookups for an INDIRECT RA over
+// tbl whose output ring holds one token, swaps the slot named swapped with
+// y, and only then takes the results and reads x. At the swap the RA holds
+// at least two tokens that only the swapper can free, so the swap can
+// proceed only if it need not wait for that RA: swapped is "x", which no RA
+// reads. The RA runs on raCore of a machine with cores cores, the swapper
+// on core 0.
+func swapPastBusyRA(cores, raCore int, swapped string) func() *Machine {
+	return func() *Machine {
+		m := NewMachine(arch.DefaultConfig(cores))
+		st := m.AddSlot("tbl", m.Space.AllocInts("tbl", []int64{10, 11, 12}))
+		sx := m.AddSlot("x", m.Space.AllocInts("x", []int64{1}))
+		sy := m.AddSlot("y", m.Space.AllocInts("y", []int64{2}))
+		so := m.AddSlot("res", m.Space.Alloc("res", mem.I64, 4))
+		idx, val := m.AddQueue("idx"), m.AddQueue("val")
+		m.Queues[val].Depth = 1
+		m.AddRA(arch.RASpec{Name: "look", Mode: arch.RAIndirect, Slot: st, InQ: idx, OutQ: val, Core: raCore})
+		s := isa.NewBuilder("swapper")
+		enqAll(s, idx, ints(0, 1, 2)...)
+		s.SwapSlots(m.SlotIndex(swapped), sy)
+		for i := range int64(3) {
+			s.Store(so, s.Const(i), s.Deq(val))
+		}
+		zero := s.Const(0)
+		s.Store(so, s.Const(3), s.Load(sx, zero))
+		s.Halt()
+		m.AddStage(&Stage{Prog: s.MustBuild(), Thread: arch.ThreadID{}})
+		return m
+	}
+}
+
+// TestSwapQuiescesOnlyReaders: a swap waits only for the RAs that can see
+// it, so swapping two slots no RA reads proceeds while an RA on another
+// slot holds tokens — in both configurations, and on two cores, where the
+// swap is counted.
+func TestSwapQuiescesOnlyReaders(t *testing.T) {
+	want := []int64{10, 11, 12, 2}
+	recorded(t, swapPastBusyRA(1, 0, "x"), want)
+	build := swapPastBusyRA(2, 1, "x")
+	if e, _ := newEngine(build(), "native", 0); !e.counted {
+		t.Fatal("two cores: want the swap counted")
+	}
+	for range 20 {
+		recorded(t, build, want)
+	}
+}
+
+// TestSwapWaitDeadlock: a swapper that swaps the slot its RA reads while
+// the RA holds tokens, and only afterwards drains the RA's full output
+// ring, waits for a quiescence that never comes. Both configurations
+// report it with the swapper in swap-wait at the swap.
+func TestSwapWaitDeadlock(t *testing.T) {
+	build := swapPastBusyRA(1, 0, "tbl")
+	_, _, err := bothEngines(t, build)
+	var de *DeadlockError
+	if !errors.As(err, &de) {
+		t.Fatalf("got %v, want a deadlock", err)
+	}
+	swap := slices.IndexFunc(build().Stages[0].Prog.Instrs, func(in isa.Instr) bool { return in.Op == isa.OpSwapSlots })
+	if s := de.Snapshot.Stages; len(s) != 1 || s[0].State != "swap-wait" || s[0].PC != int32(swap) {
+		t.Errorf("want the swapper alone, in swap-wait at pc %d:\n%s", swap, de.Snapshot)
+	}
+	if !strings.Contains(err.Error(), "swapper on c0.t0: swap-wait pc=") {
+		t.Errorf("error text lacks the swap wait: %v", err)
+	}
+}

@@ -1,6 +1,7 @@
 package sim
 
 import (
+	"errors"
 	"fmt"
 	"strings"
 	"testing"
@@ -79,35 +80,39 @@ func TestCheckDrainedCleanPipeline(t *testing.T) {
 	}
 }
 
-// TestLeftoverBeyondCapacity: in the functional configuration a full ring
-// doubles instead of refusing — the ring fast path declines and the engine
-// grows it — so a producer can over-send far past the queue's capacity and
-// the surplus surfaces as Leftover.
+// TestLeftoverBeyondCapacity: a full ring refuses the enqueue in both
+// configurations, so a producer that over-sends past its queue's capacity
+// to a consumer that takes one token blocks on the full ring, and the run
+// deadlocks instead of reporting the surplus as Leftover.
 func TestLeftoverBeyondCapacity(t *testing.T) {
-	m := NewMachine(arch.DefaultConfig(1))
-	m.Queues = append(m.Queues, arch.QueueSpec{Name: "overfed", Depth: 2})
-	{
-		b := isa.NewBuilder("prod")
-		i, n := b.Const(0), b.Const(100)
-		b.Label("loop")
-		b.Enq(0, i)
-		b.OpImmTo(i, isa.OpIAddImm, i, 1)
-		b.Br(b.Op2(isa.OpICmpLT, i, n), "loop")
-		b.Halt()
-		m.AddStage(&Stage{Prog: b.MustBuild(), Thread: arch.ThreadID{Core: 0, Thread: 0}})
+	_, _, err := bothEngines(t, func() *Machine {
+		m := NewMachine(arch.DefaultConfig(1))
+		m.Queues = append(m.Queues, arch.QueueSpec{Name: "overfed", Depth: 2})
+		{
+			b := isa.NewBuilder("prod")
+			i, n := b.Const(0), b.Const(100)
+			b.Label("loop")
+			b.Enq(0, i)
+			b.OpImmTo(i, isa.OpIAddImm, i, 1)
+			b.Br(b.Op2(isa.OpICmpLT, i, n), "loop")
+			b.Halt()
+			m.AddStage(&Stage{Prog: b.MustBuild(), Thread: arch.ThreadID{Core: 0, Thread: 0}})
+		}
+		{
+			b := isa.NewBuilder("cons")
+			b.Deq(0)
+			b.Halt()
+			m.AddStage(&Stage{Prog: b.MustBuild(), Thread: arch.ThreadID{Core: 0, Thread: 1}})
+		}
+		return m
+	})
+	var de *DeadlockError
+	if !errors.As(err, &de) {
+		t.Fatalf("got %v, want a deadlock", err)
 	}
-	{
-		b := isa.NewBuilder("cons")
-		b.Deq(0)
-		b.Halt()
-		m.AddStage(&Stage{Prog: b.MustBuild(), Thread: arch.ThreadID{Core: 0, Thread: 1}})
-	}
-	ts, err := m.RunFunctional()
-	if err != nil {
-		t.Fatal(err)
-	}
-	if ts.Leftover[0] != 99 {
-		t.Errorf("Leftover = %v, want [99]", ts.Leftover)
+	if s := de.Snapshot.Stages; len(s) != 1 || s[0].Stage != "prod" || s[0].State != "enq-full" ||
+		s[0].Queue.Len != 2 || s[0].Queue.Cap != 2 {
+		t.Errorf("want prod alone, enq-full at 2/2:\n%s", de.Snapshot)
 	}
 }
 

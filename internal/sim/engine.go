@@ -14,17 +14,19 @@ import (
 // is one opcode evaluator (stage.go), one RA step (ra.go), one ring, barrier
 // rule, producer census and deadlock snapshot (sched.go). It has two fixed
 // configurations, chosen by the entry point called and by nothing else
-// (DESIGN.md §5 has the table). RunFunctional: every task on the caller's
-// goroutine, rings that double when full, stages in machine order for
-// funcQuantum instructions a turn with the RAs drained after every turn and
-// the barrier opened between rounds, a trace per stage and per RA.
-// RunNative: one goroutine per simulated core, rings bounded at
-// QueueSpec.Capacity, each task run until it blocks, no trace.
+// (DESIGN.md §5 has the table). Both bound every ring at
+// QueueSpec.Capacity, so a full ring refuses an enqueue in either.
+// RunFunctional: every task on the caller's goroutine, stages in machine
+// order for funcQuantum instructions a turn with the RAs drained after
+// every turn and the barrier opened between rounds, a trace per stage and
+// per RA. RunNative: one goroutine per simulated core, each task run until
+// it blocks, no trace.
 //
 // The functional turn policy is part of what a trace means wherever tasks
 // race (a queue with several producers; the data-parallel baselines' label
-// updates); decoupled pipelines do not depend on it
-// (TestTraceScheduleIndependent).
+// updates); decoupled pipelines depend neither on it
+// (TestTraceScheduleIndependent) nor on the queue capacities
+// (TestTraceCapacityIndependent).
 
 const (
 	// funcQuantum is how many instructions a stage runs per functional turn.
@@ -40,8 +42,7 @@ type engine struct {
 
 	// The configuration: phase names it in snapshots and errors, and
 	// quantum is the functional turn length in instructions. Nonzero, it
-	// also means that traces are kept and that a full ring doubles instead
-	// of refusing; zero is the native configuration.
+	// also means that traces are kept; zero is the native configuration.
 	phase   string
 	quantum uint64
 
@@ -62,14 +63,15 @@ type engine struct {
 	stageBufs *bufPool[TEntry]
 	raBufs    *bufPool[RAEvent]
 
-	// counted gates the RA quiesce counters. OpSwapSlots waits until no RA
-	// holds a token; where every RA runs on the swapper's goroutine (the
-	// functional configuration, a native machine on one core) rasQuiet
-	// reads that off the rings, so only a multi-core native machine with
-	// swaps pays for counters: raIdx maps a queue id to the RA consuming it
-	// (-1 if none), whose sent counter producers bump on delivery. swapWait
-	// counts stages blocked in OpSwapSlots, so an RA on another core knows
-	// to announce its progress.
+	// OpSwapSlots waits until no RA that can see the swap holds a token.
+	// raIdx, kept where a stage swaps, maps a queue id to the RA consuming
+	// it (-1 if none), which is how rasQuiet follows an RA chain. counted
+	// gates the RA quiesce counters: where every RA runs on the swapper's
+	// goroutine (the functional configuration, a native machine on one
+	// core) rasQuiet reads quiescence off the rings, so only a multi-core
+	// native machine with swaps pays for counters, a sent counter per RA
+	// that producers bump on delivery. swapWait counts stages blocked in
+	// OpSwapSlots, so an RA on another core knows to announce its progress.
 	counted  bool
 	raIdx    []int
 	raSent   []atomic.Uint64
@@ -121,7 +123,11 @@ func (m *Machine) runFunctional(quantum uint64, recycled bool) (ts *TraceSet, er
 		e.stageBufs, e.raBufs = &stageTraces, &raTraces
 	}
 	defer e.storeSlots()
-	defer func() { e.recycle(ts == nil) }()
+	defer func() {
+		if ts == nil {
+			e.recycle()
+		}
+	}()
 
 	for left := len(e.stages); left > 0; {
 		if err := m.checkInterrupt(e.phase, 0); err != nil {
@@ -160,16 +166,9 @@ func (m *Machine) runFunctional(quantum uint64, recycled bool) (ts *TraceSet, er
 	return ts, nil
 }
 
-// recycle hands the functional run's grown queue rings back to the free
-// lists, and its traces too if traces is set and they came from the lists:
-// those of a failed run, which never leave the engine.
-func (e *engine) recycle(traces bool) {
-	for q := range e.queues {
-		queueBufs.put(e.queues[q].buf)
-	}
-	if !traces {
-		return
-	}
+// recycle hands a failed functional run's traces back to the free lists if
+// they came from them: those traces never leave the engine.
+func (e *engine) recycle() {
 	for _, x := range e.stages {
 		e.stageBufs.put(x.trace)
 	}
@@ -321,7 +320,7 @@ func newEngine(m *Machine, phase string, quantum uint64) (*engine, [][]task) {
 		place(spec.Core, r)
 	}
 	e.cores = len(cores)
-	if e.counted = hasSwaps && quantum == 0 && e.cores > 1; e.counted {
+	if hasSwaps && len(m.RAs) > 0 {
 		e.raIdx = make([]int, len(m.Queues))
 		for q := range e.raIdx {
 			e.raIdx[q] = -1
@@ -329,6 +328,8 @@ func newEngine(m *Machine, phase string, quantum uint64) (*engine, [][]task) {
 		for i := range m.RAs {
 			e.raIdx[m.RAs[i].InQ] = i
 		}
+	}
+	if e.counted = e.raIdx != nil && quantum == 0 && e.cores > 1; e.counted {
 		e.raSent = make([]atomic.Uint64, len(m.RAs))
 		e.raDone = make([]atomic.Uint64, len(m.RAs))
 	}
@@ -423,36 +424,50 @@ func (e *engine) bumpInstrs(n uint64) {
 	}
 }
 
-// rasQuiet reports whether every RA has fully processed every token sent
-// toward it. OpSwapSlots waits for it so in-flight accelerator work
-// observes pre-swap bindings. An RA holds a token while one sits in its
-// input ring or while a SCAN range streams (its end token stays unfinished
-// until the range is out), so on the swapper's own goroutine the rings and
-// scanning flags say it directly (an RA the functional scheduler dropped
-// has halted: its input is closed and drained). Counted (an RA may run on
+// rasQuiet reports whether every RA that can see a swap of slots a and b
+// (sees) has fully processed every token sent toward it. OpSwapSlots waits
+// for it so in-flight accelerator work observes pre-swap bindings; any
+// other RA may stay busy, as it must when its full output ring only the
+// swapper drains. An RA holds a token while one sits in its input ring or
+// while a SCAN range streams (its end token stays unfinished until the
+// range is out), so on the swapper's own goroutine the rings and scanning
+// flags say it directly (an RA the functional scheduler dropped has
+// halted: its input is closed and drained). Counted (an RA may run on
 // another core while the swapper looks), sent counters are bumped on
 // delivery, done counters after processing, and an RA feeding another RA
 // bumps the downstream sent before its own done — so while any token is in
-// flight at least one pair disagrees. Out of line: the swap is rare, and
-// its loops inlined would crowd the evaluator loop's registers.
+// flight toward a watched RA at least one watched pair disagrees. Out of
+// line: the swap is rare, and its loops inlined would crowd the evaluator
+// loop's registers.
 //
 //go:noinline
-func (e *engine) rasQuiet() bool {
-	if e.counted {
-		for i := range e.raSent {
+func (e *engine) rasQuiet(a, b int) bool {
+	for i, t := range e.ras {
+		if !e.sees(i, a, b) {
+			continue
+		}
+		if e.counted {
 			if e.raSent[i].Load() != e.raDone[i].Load() {
 				return false
 			}
-		}
-		return true
-	}
-	for _, t := range e.ras {
-		if t == nil {
-			continue
-		}
-		if r := t.(*raExec); e.queues[r.spec.InQ].n != 0 || r.scanning {
+		} else if r, ok := t.(*raExec); ok && (e.queues[r.spec.InQ].n != 0 || r.scanning) {
 			return false
 		}
 	}
 	return true
+}
+
+// sees reports whether RA i reads slot a or b, or feeds, through a chain of
+// RAs, one that does: a token it holds would reach that RA after the swap.
+// A queue has one consumer, so the chain is a path; the walk stops after
+// len(ras) steps in case RAs feed each other in a cycle.
+func (e *engine) sees(i, a, b int) bool {
+	for n := len(e.ras); n > 0 && i >= 0; n-- {
+		spec := &e.m.RAs[i]
+		if spec.Slot == a || spec.Slot == b {
+			return true
+		}
+		i = e.raIdx[spec.OutQ]
+	}
+	return false
 }

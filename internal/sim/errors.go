@@ -39,14 +39,11 @@ type QueueWait struct {
 	Q    int
 	Name string
 	Len  int
-	Cap  int // 0 in functional snapshots (queues grow there)
+	Cap  int // the ring's capacity, the same in every phase
 }
 
 func (q QueueWait) String() string {
-	if q.Cap > 0 {
-		return fmt.Sprintf("q%d(%s) %d/%d", q.Q, q.Name, q.Len, q.Cap)
-	}
-	return fmt.Sprintf("q%d(%s) len=%d", q.Q, q.Name, q.Len)
+	return fmt.Sprintf("q%d(%s) %d/%d", q.Q, q.Name, q.Len, q.Cap)
 }
 
 // StageWait is one unfinished stage in a wait-for snapshot.
@@ -54,7 +51,8 @@ type StageWait struct {
 	Stage  string
 	Thread arch.ThreadID
 	// State classifies the block: "deq-empty", "enq-full", "barrier",
-	// "mem", "window-empty", "in-flight", or "other".
+	// "swap-wait" (an OpSwapSlots waiting for the RAs that can see the
+	// swap to quiesce), "mem", "window-empty", "in-flight", or "other".
 	State string
 	// Queue is the queue the stage blocks on (nil unless State is a queue
 	// state).

@@ -23,16 +23,16 @@ func countedLoop(b *isa.Builder, n int64, body func()) {
 	b.Label("done")
 }
 
-// timingDeadlockMachine builds a pipeline that completes functionally
-// (queues are unbounded there) but deadlocks in the timing phase: the
-// producer enqueues n tokens to q1 before signalling q2, while the consumer
-// waits on q2 before draining q1. With n above the queue capacity, the
-// producer blocks on q1-full and the consumer on q2-empty — a cyclic wait
-// only bounded queues can create.
-func timingDeadlockMachine(n int64) *Machine {
+// timingDeadlockMachine builds a pipeline whose producer enqueues n tokens
+// to q1 ("data", of capacity depth, or the default at 0) before signalling
+// q2, while the consumer waits on q2 before draining q1. With n above q1's
+// capacity, the producer blocks on q1-full and the consumer on q2-empty — a
+// cyclic wait only bounded queues can create.
+func timingDeadlockMachine(n int64, depth int) *Machine {
 	m := NewMachine(arch.DefaultConfig(1))
 	q1 := m.AddQueue("data")
 	q2 := m.AddQueue("go")
+	m.Queues[q1].Depth = depth
 
 	p := isa.NewBuilder("producer")
 	one := p.Const(1)
@@ -50,10 +50,27 @@ func timingDeadlockMachine(n int64) *Machine {
 	return m
 }
 
+// TestTimingDeadlockSnapshot: every phase bounds its queues at their
+// capacity, so the machine deadlocks functionally, and the timing phase
+// only meets this deadlock when it replays a trace recorded where "data"
+// was deep enough for all 100 tokens.
 func TestTimingDeadlockSnapshot(t *testing.T) {
-	m := timingDeadlockMachine(100) // QueueDepth is 24 < 100
-	m.Cfg.IdleLimit = 5000          // fail fast (satellite: lowered idle limit in tests)
-	_, err := m.Run()
+	_, err := timingDeadlockMachine(100, 0).Run() // QueueDepth is 24 < 100
+	var fde *DeadlockError
+	if !errors.As(err, &fde) || fde.Snapshot.Phase != "functional" {
+		t.Fatalf("Run at the default capacity: got %v, want a functional deadlock", err)
+	}
+	if q := fde.Snapshot.Queues[0]; q.Name != "data" || q.Len != 24 || q.Cap != 24 {
+		t.Errorf("functional snapshot has %v, want data at 24/24", q)
+	}
+
+	ts, err := timingDeadlockMachine(100, 128).RunFunctional()
+	if err != nil {
+		t.Fatal(err)
+	}
+	m := timingDeadlockMachine(100, 0)
+	m.Cfg.IdleLimit = 5000 // fail fast
+	_, err = m.RunTiming(ts)
 	if err == nil {
 		t.Fatal("expected timing deadlock")
 	}

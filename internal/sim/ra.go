@@ -50,9 +50,9 @@ func (r *raExec) move() status {
 	in, out := &e.queues[spec.InQ], &e.queues[spec.OutQ]
 	for {
 		if r.scanning {
-			// No swap can intervene while a range streams (the RA is not
-			// quiet until its end token is finished), so this is the array
-			// the range was checked against.
+			// No swap of this RA's slot can intervene while a range streams
+			// (the RA is not quiet until its end token is finished), so
+			// this is the array the range was checked against.
 			arr := e.slots[spec.Slot].Load()
 			if r.burstScan {
 				r.scanBurst(arr, out)

@@ -19,10 +19,10 @@ type task interface {
 	step() (st status, worked bool)
 }
 
-// queue is one architectural queue: a ring that starts at its capacity and,
-// in the functional configuration, doubles instead of filling. A queue used
-// from one core only is touched by that core's goroutine alone; a shared
-// one only with engine.mu held.
+// queue is one architectural queue: a ring of exactly its capacity in both
+// configurations, so a full ring refuses the enqueue. A queue used from one
+// core only is touched by that core's goroutine alone; a shared one only
+// with engine.mu held.
 type queue struct {
 	buf     []Value
 	head, n int
@@ -87,21 +87,6 @@ func (q *queue) get() Value {
 	return v
 }
 
-// grown doubles the full ring q where the configuration lets rings grow,
-// and reports whether it did.
-func (e *engine) grown(q *queue) bool {
-	if e.quantum == 0 {
-		return false
-	}
-	n := max(512, 2*len(q.buf))
-	next := queueBufs.alloc(n)[:n]
-	k := copy(next, q.buf[q.head:])
-	copy(next[k:], q.buf[:q.head])
-	queueBufs.put(q.buf)
-	q.buf, q.head = next, 0
-	return true
-}
-
 // enq delivers v into queue qi and reports whether it did; it does not
 // when the queue is full. When the queue feeds an RA and swaps are counted,
 // the RA's sent counter is bumped so quiescence covers tokens still queued.
@@ -111,7 +96,7 @@ func (e *engine) enq(qi int, v Value) bool {
 		e.mu.Lock()
 		defer e.mu.Unlock()
 	}
-	if q.n == len(q.buf) && !e.grown(q) {
+	if q.n == len(q.buf) {
 		return false
 	}
 	if e.counted {
@@ -280,11 +265,7 @@ func (e *engine) waitEvent(seen uint64) bool {
 func (e *engine) snapshot() *WaitForSnapshot {
 	s := &WaitForSnapshot{Phase: e.phase}
 	queueWait := func(q int) *QueueWait {
-		w := &QueueWait{Q: q, Name: e.m.Queues[q].Name, Len: e.queues[q].n}
-		if e.quantum == 0 {
-			w.Cap = len(e.queues[q].buf)
-		}
-		return w
+		return &QueueWait{Q: q, Name: e.m.Queues[q].Name, Len: e.queues[q].n, Cap: len(e.queues[q].buf)}
 	}
 	for _, x := range e.stages {
 		if x.state == wHalted {
@@ -306,6 +287,8 @@ func (e *engine) snapshot() *WaitForSnapshot {
 			w.Queue = queueWait(x.waitQ)
 		case wBarrier:
 			w.State = "barrier"
+		case wSwap:
+			w.State = "swap-wait"
 		default:
 			w.State = "other"
 		}

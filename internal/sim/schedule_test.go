@@ -1,6 +1,7 @@
 package sim_test
 
 import (
+	"reflect"
 	"slices"
 	"testing"
 
@@ -108,6 +109,60 @@ func TestTraceScheduleIndependent(t *testing.T) {
 		}
 		if c.racy && !differs {
 			t.Errorf("%s: traces no longer depend on the schedule; the comment above and DESIGN.md §5 name it as the kernel where they do", c.name)
+		}
+	}
+}
+
+// TestTraceCapacityIndependent: the functional configuration bounds every
+// ring at its queue's capacity, which is sound only if a decoupled
+// pipeline's traces do not depend on that capacity: a bounded FIFO network
+// computes the same streams at any capacity at which it completes. Each
+// family's first test input and Taco SpMV run at a default queue depth of
+// 1, 2 and the machine's own, and their trace digests, instruction counts
+// and leftovers must be identical.
+func TestTraceCapacityIndependent(t *testing.T) {
+	type kase struct {
+		name  string
+		build func(t *testing.T) *pipeline.Instance
+	}
+	var cases []kase
+	for _, b := range workloads.Benchmarks(workloads.ScaleTest) {
+		cases = append(cases, kase{b.Name, func(t *testing.T) *pipeline.Instance {
+			return instantiate(t, compileStatic(t, b.SerialSource), 1, b.Test[0].Bind())
+		}})
+	}
+	cases = append(cases, kase{"taco-spmv", func(t *testing.T) *pipeline.Instance {
+		src, err := taco.Emit(taco.SpMV)
+		if err != nil {
+			t.Fatal(err)
+		}
+		return instantiate(t, compileStatic(t, src), 1, taco.Bindings(taco.SpMV, matrix.Scattered("s", 48, 5, 2), 7))
+	}})
+
+	for _, c := range cases {
+		run := func(depth int) traceRecord {
+			m := c.build(t).Machine
+			if depth > 0 {
+				m.Cfg.QueueDepth = depth
+			}
+			ts, err := m.RunFunctional()
+			if err != nil {
+				t.Fatalf("%s: queue depth %d: %v", c.name, depth, err)
+			}
+			rec := traceRecord{Instructions: ts.Instructions, Leftover: ts.Leftover}
+			for _, tr := range ts.Threads {
+				rec.Threads = append(rec.Threads, digestThread(tr))
+			}
+			for _, tr := range ts.RA {
+				rec.RA = append(rec.RA, digestRA(tr))
+			}
+			return rec
+		}
+		base := run(0)
+		for _, depth := range []int{1, 2} {
+			if got := run(depth); !reflect.DeepEqual(got, base) {
+				t.Errorf("%s: queue depth %d: traces differ from the default depth's\n got  %+v\n want %+v", c.name, depth, got, base)
+			}
 		}
 	}
 }

@@ -414,12 +414,12 @@ run:
 			pc = nextPC
 			continue
 		case isa.OpSwapSlots:
-			// Quiesce RAs first so in-flight accelerator work observes the
-			// pre-swap bindings (hardware would quiesce the RA). Announcing
-			// the wait before looking means an RA on another core that
-			// finishes later sees it and wakes this core; the functional
-			// configuration's RAs run on this goroutine, so it drains them
-			// here instead.
+			// Quiesce the RAs that can see the swap first, so their
+			// in-flight work observes the pre-swap bindings (hardware would
+			// quiesce them). Announcing the wait before looking means an RA
+			// on another core that finishes later sees it and wakes this
+			// core; the functional configuration's RAs run on this
+			// goroutine, so it drains them here instead.
 			if x.state != wSwap {
 				x.state = wSwap
 				e.swapWait.Add(1)
@@ -430,7 +430,7 @@ run:
 					break run
 				}
 			}
-			if !e.rasQuiet() {
+			if !e.rasQuiet(int(in.k), int(in.b)) {
 				break run
 			}
 			x.state = wRunning

@@ -59,16 +59,16 @@ type TraceSet struct {
 	RA [][]RAEvent
 	// Instructions is the total dynamic instruction count across threads.
 	Instructions uint64
-	// Leftover[q] counts tokens still in queue q at program end. A correct
-	// pipeline protocol drains every queue; leftovers indicate an over-send
-	// (and would deadlock bounded timing queues).
+	// Leftover[q] counts tokens still in queue q at program end, at most its
+	// capacity: a producer that over-sends past it blocks on the full ring
+	// and the run deadlocks instead. A correct pipeline protocol drains
+	// every queue; leftovers indicate an over-send.
 	Leftover []int
 }
 
-// The functional phase's growing buffers (traces and unbounded queues) are
-// recycled through capacity-class free lists: class k holds buffers of
-// exactly 512<<k elements. Machine.Run hands its traces back after the
-// replay, so a steady stream of runs (the autotuner's candidates) regrows
+// The functional phase's traces are recycled through capacity-class free
+// lists: class k holds buffers of exactly 512<<k elements. Machine.Run
+// hands its traces back after the replay, so a steady stream of runs (the autotuner's candidates) regrows
 // into buffers an earlier run left instead of allocating 16 bytes per
 // dynamic instruction again. A TraceSet that RunFunctional returns belongs
 // to its caller, and its buffers neither come from the lists nor go back
@@ -78,7 +78,6 @@ type TraceSet struct {
 var (
 	stageTraces bufPool[TEntry]
 	raTraces    bufPool[RAEvent]
-	queueBufs   bufPool[Value]
 )
 
 // poolClasses bounds the classes: 512<<39 elements is past any trace cap.
