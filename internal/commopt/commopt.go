@@ -103,6 +103,10 @@ type Plan struct {
 // Analyze computes the plan without mutating the pipeline: the returned
 // depths are what Apply would write.
 func Analyze(pl *pipeline.Pipeline, cfg arch.Config) (*Plan, error) {
+	// Lower pl before copying it, so that the copy shares its programs.
+	if _, err := pipeline.FlattenStages(pl); err != nil {
+		return nil, fmt.Errorf("commopt: %w", err)
+	}
 	cp := *pl
 	cp.Queues = append([]pipeline.Queue(nil), pl.Queues...)
 	return Apply(&cp, cfg)

@@ -7,6 +7,7 @@ package pipeline
 import (
 	"fmt"
 	"strings"
+	"sync"
 
 	"phloem/internal/arch"
 	"phloem/internal/ir"
@@ -51,6 +52,10 @@ type Pipeline struct {
 	FanOuts []arch.FanOut
 	// Description summarizes how the pipeline was derived (for reports).
 	Description string
+
+	// flat is the stages lowered once (FlattenStages). A pointer, so that a
+	// copy of the Pipeline shares it and copying stays legal.
+	flat *flatMemo
 }
 
 // NewSerial wraps an IR program as a single-stage "pipeline" (the serial
@@ -105,8 +110,8 @@ func (pl *Pipeline) DumpStages() string {
 }
 
 // FlattenStage lowers one stage to its flat ISA program exactly the way
-// Instantiate does (optimize then flatten). The static verifier uses this so
-// that it analyzes the same programs the simulator would run.
+// Instantiate does (optimize then flatten), afresh on every call.
+// FlattenStages returns the same programs lowered once per pipeline.
 func FlattenStage(pl *Pipeline, st *Stage) (*isa.Program, error) {
 	return lower.Flatten(pl.Prog, st.Name, ir.Optimize(pl.Prog, st.Body))
 }
@@ -141,11 +146,10 @@ func Instantiate(pl *Pipeline, cfg arch.Config, b Bindings) (*Instance, error) {
 	if err := pl.noFanOuts(); err != nil {
 		return nil, err
 	}
-	progs, err := FlattenStages(pl)
+	progs, written, err := pl.flattened()
 	if err != nil {
 		return nil, err
 	}
-	written := writtenSlots(progs, len(pl.Prog.Slots))
 	m := sim.NewMachine(cfg)
 	inst := &Instance{Machine: m, Arrays: map[string]*mem.Array{}}
 
@@ -231,18 +235,108 @@ func (pl *Pipeline) noFanOuts() error {
 	return nil
 }
 
-// FlattenStages lowers every stage of pl to its flat ISA program, in stage
-// order, the way Instantiate does.
+// FlattenStages returns every stage of pl lowered to its flat ISA program,
+// in stage order, the way Instantiate does. A pipeline is lowered once and
+// every later call, Instantiate's included, returns the same programs, so
+// callers must change neither the slice nor the programs. On an error the
+// slice is still returned, nil where a stage does not lower.
+//
+// A pipeline's stages are frozen once read: the lowering depends on
+// Prog, Stages and each stage's Name and Body, and a writer must not change
+// them in place after any reader has flattened the pipeline. Replacing a
+// stage, appending to or dropping stages, or giving a stage a new Body
+// slice is detected, and the pipeline is lowered again.
 func FlattenStages(pl *Pipeline) ([]*isa.Program, error) {
-	progs := make([]*isa.Program, len(pl.Stages))
-	for i, st := range pl.Stages {
-		prog, err := FlattenStage(pl, st)
-		if err != nil {
-			return nil, fmt.Errorf("pipeline: flatten %s: %w", st.Name, err)
-		}
-		progs[i] = prog
+	progs, _, err := pl.flattened()
+	return progs, err
+}
+
+// flatMemo is a pipeline's stages lowered once: each stage's program or the
+// error it fails with, and the slots the programs write. key and prog record
+// what the lowering read, so that a stale memo is recognised.
+type flatMemo struct {
+	mu      sync.Mutex
+	prog    *ir.Prog
+	nvars   int
+	nslots  int
+	key     []stageKey
+	progs   []*isa.Program
+	errs    []error
+	written []bool
+}
+
+// stageKey is what lowering one stage reads of it: the stage, its name, and
+// its body slice.
+type stageKey struct {
+	st   *Stage
+	name string
+	body *ir.Stmt // &Body[0]; nil for an empty body
+	n    int
+}
+
+func keyOf(st *Stage) stageKey {
+	k := stageKey{st: st, name: st.Name, n: len(st.Body)}
+	if k.n > 0 {
+		k.body = &st.Body[0]
 	}
-	return progs, nil
+	return k
+}
+
+// memoMu guards the allocation of every pipeline's memo; each memo guards
+// its own contents.
+var memoMu sync.Mutex
+
+// flattened returns pl's stage programs and written slots, lowering the
+// stages first if they never were or have changed since. The error is the
+// first stage's that does not lower.
+func (pl *Pipeline) flattened() (progs []*isa.Program, written []bool, err error) {
+	memoMu.Lock()
+	if pl.flat == nil {
+		pl.flat = &flatMemo{}
+	}
+	fl := pl.flat
+	memoMu.Unlock()
+
+	fl.mu.Lock()
+	defer fl.mu.Unlock()
+	if !fl.current(pl) {
+		fl.lower(pl)
+	}
+	for i, e := range fl.errs {
+		if e != nil {
+			err = fmt.Errorf("pipeline: flatten %s: %w", fl.key[i].name, e)
+			break
+		}
+	}
+	return fl.progs, fl.written, err
+}
+
+// current reports whether the memo was lowered from pl's present stages.
+func (fl *flatMemo) current(pl *Pipeline) bool {
+	if fl.key == nil || fl.prog != pl.Prog || fl.nvars != len(pl.Prog.Vars) ||
+		fl.nslots != len(pl.Prog.Slots) || len(fl.key) != len(pl.Stages) {
+		return false
+	}
+	for i, st := range pl.Stages {
+		if fl.key[i] != keyOf(st) {
+			return false
+		}
+	}
+	return true
+}
+
+// lower fills the memo from pl's stages.
+func (fl *flatMemo) lower(pl *Pipeline) {
+	n := len(pl.Stages)
+	fl.prog, fl.nvars, fl.nslots = pl.Prog, len(pl.Prog.Vars), len(pl.Prog.Slots)
+	fl.key = make([]stageKey, n)
+	fl.progs = make([]*isa.Program, n)
+	fl.errs = make([]error, n)
+	for i, st := range pl.Stages {
+		fl.key[i] = keyOf(st)
+		fl.progs[i], fl.errs[i] = FlattenStage(pl, st)
+	}
+	fl.written = writtenSlots(fl.progs, fl.nslots)
 }
 
 // writtenSlots marks each slot that some program stores to or swaps. RAs
@@ -256,6 +350,9 @@ func writtenSlots(progs []*isa.Program, slots int) []bool {
 		}
 	}
 	for _, p := range progs {
+		if p == nil {
+			continue
+		}
 		for i := range p.Instrs {
 			switch in := &p.Instrs[i]; in.Op {
 			case isa.OpStore:

@@ -157,7 +157,9 @@ func TestFanOutsRejected(t *testing.T) {
 // TestInstantiateAllocatesWritten: Instantiate copies only the arrays some
 // stage writes and binds the read-only graph to the caller's slices. BFS on
 // a 100x100 grid writes distances and both fringes; nodes and edges are
-// most of its input bytes.
+// most of its input bytes. The compile already lowered the pipeline, so
+// Instantiate flattens nothing: beyond the written arrays it builds only
+// the machine (about 9 KB).
 func TestInstantiateAllocatesWritten(t *testing.T) {
 	res, err := core.CompileSource(workloads.BFSSource, core.DefaultOptions())
 	if err != nil {
@@ -169,7 +171,7 @@ func TestInstantiateAllocatesWritten(t *testing.T) {
 	for _, name := range []string{"distances", "cur_fringe", "next_fringe"} {
 		written += 8 * len(b.Ints[name])
 	}
-	limit := uint64(written + 64<<10)
+	limit := uint64(written + 16<<10)
 	var before, after runtime.MemStats
 	runtime.ReadMemStats(&before)
 	inst, err := pipeline.Instantiate(res.Pipeline, arch.DefaultConfig(1), b)
@@ -180,7 +182,7 @@ func TestInstantiateAllocatesWritten(t *testing.T) {
 	alloc := after.TotalAlloc - before.TotalAlloc
 	t.Logf("Instantiate allocated %d bytes; written arrays %d, read-only %d", alloc, written, 8*(len(g.Nodes)+len(g.Edges)))
 	if alloc >= limit {
-		t.Errorf("Instantiate allocated %d bytes, not under %d (written arrays plus 64 KiB)", alloc, limit)
+		t.Errorf("Instantiate allocated %d bytes, not under %d (written arrays plus 16 KiB)", alloc, limit)
 	}
 	if &inst.Arrays["edges"].Ints()[0] != &g.Edges[0] {
 		t.Error("edges, which no stage writes, was copied")

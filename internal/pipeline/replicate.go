@@ -39,11 +39,10 @@ func Replicate(pl *Pipeline, replicas int, shared []string,
 
 	src := pl.Prog
 	if len(shared) > 0 {
-		progs, err := FlattenStages(pl)
+		_, written, err := pl.flattened()
 		if err != nil {
 			return nil, err
 		}
-		written := writtenSlots(progs, len(src.Slots))
 		for i, s := range src.Slots {
 			if sharedSet[s.Name] && written[i] {
 				return nil, fmt.Errorf("pipeline: shared slot %q is written by a stage; replicas would race on it", s.Name)

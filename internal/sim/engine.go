@@ -51,11 +51,18 @@ type engine struct {
 	// two entries atomically, loads are single atomic pointer reads.
 	slots []atomic.Pointer[mem.Array]
 
+	// mem holds the queue rings, register files, decoded programs and
+	// handler tables, all of which die with the run (release).
+	mem *runMem
+
 	stages []*stageExec
 	// ras is the RAs as the functional scheduler steps them (nil once
 	// halted), and raTrace their micro-event traces.
 	ras     []task
 	raTrace [][]RAEvent
+	// raMark holds every RA's input and output ring lengths before the
+	// functional turn in progress (markRAs, rasFed).
+	raMark []int
 	// stageBufs and raBufs supply the trace buffers of a run that hands
 	// them back to the free lists (Machine.Run). Both are nil for traces
 	// that go to RunFunctional's caller: those never touch the lists, so
@@ -119,6 +126,7 @@ func (m *Machine) runFunctional(quantum uint64, recycled bool) (ts *TraceSet, er
 	}
 	defer recoverMemTrap(func(trap error) { ts, err = nil, trap })
 	e, _ := newEngine(m, "functional", quantum)
+	defer e.release()
 	if recycled {
 		e.stageBufs, e.raBufs = &stageTraces, &raTraces
 	}
@@ -138,6 +146,7 @@ func (m *Machine) runFunctional(quantum uint64, recycled bool) (ts *TraceSet, er
 			if x.state == wHalted {
 				continue
 			}
+			e.markRAs()
 			st, worked := x.step()
 			switch st {
 			case failed:
@@ -145,11 +154,15 @@ func (m *Machine) runFunctional(quantum uint64, recycled bool) (ts *TraceSet, er
 			case halted:
 				left--
 			}
+			progress = progress || worked
+			if st != halted && !e.rasFed() {
+				continue // the RAs stand where the last drain left them
+			}
 			moved, ok := e.drainRAs()
 			if !ok {
 				return nil, e.failure
 			}
-			progress = progress || worked || moved
+			progress = progress || moved
 		}
 		if !e.releaseBarrier() && !progress {
 			return nil, &DeadlockError{Snapshot: e.snapshot()}
@@ -177,9 +190,43 @@ func (e *engine) recycle() {
 	}
 }
 
+// markRAs records every RA's ring lengths before a functional stage turn.
+func (e *engine) markRAs() {
+	for i := range e.m.RAs {
+		spec := &e.m.RAs[i]
+		e.raMark[2*i], e.raMark[2*i+1] = e.queues[spec.InQ].n, e.queues[spec.OutQ].n
+	}
+}
+
+// rasFed reports whether the stage turn since markRAs pushed into an RA's
+// input ring or popped from an RA's output ring. Otherwise no RA can move
+// that could not before the turn, and a drain would find nothing to do: no
+// RA runs during a stage turn and an RA is its input's one consumer, so an
+// input ring only grows then, and an RA needs only its input's head and its
+// output's free room. A halting stage can close an RA's input and is
+// drained after regardless.
+func (e *engine) rasFed() bool {
+	for i := range e.m.RAs {
+		spec := &e.m.RAs[i]
+		if e.queues[spec.InQ].n > e.raMark[2*i] || e.queues[spec.OutQ].n < e.raMark[2*i+1] {
+			return true
+		}
+	}
+	return false
+}
+
+// swapDrain is the functional configuration's RA turn inside a stage turn,
+// before a slot swap. It marks the rings afresh, so that rasFed judges only
+// what the rest of the turn does. ok is false when an RA trapped.
+func (e *engine) swapDrain() (ok bool) {
+	_, ok = e.drainRAs()
+	e.markRAs()
+	return ok
+}
+
 // drainRAs steps every RA until none can move a token — the functional
-// configuration's RA turn, taken after every stage turn and before a slot
-// swap. ok is false when an RA trapped.
+// configuration's RA turn, taken after every stage turn that fed an RA or
+// halted, and before a slot swap. ok is false when an RA trapped.
 func (e *engine) drainRAs() (moved, ok bool) {
 	for {
 		_, progress := round(e.ras)
@@ -219,6 +266,9 @@ func (m *Machine) RunNative() (instructions uint64, leftover []int, err error) {
 	wg.Wait()
 	disarm()
 	e.storeSlots()
+	// Not deferred: a panic on this goroutine must not recycle what the
+	// other cores may still be running on.
+	e.release()
 
 	if e.failure != nil {
 		return 0, nil, e.failure
@@ -253,9 +303,10 @@ func newEngine(m *Machine, phase string, quantum uint64) (*engine, [][]task) {
 	if e.cap == 0 {
 		e.cap = 64 << 20
 	}
+	e.mem = getRunMem(m)
 	e.queues = make([]queue, len(m.Queues))
 	for q := range m.Queues {
-		e.queues[q].buf = make([]Value, m.queueDepth(q))
+		e.queues[q].buf = e.mem.carveValues(m.queueDepth(q))
 	}
 	e.slots = make([]atomic.Pointer[mem.Array], len(m.Slots))
 	for i, a := range m.Slots {
@@ -263,6 +314,7 @@ func newEngine(m *Machine, phase string, quantum uint64) (*engine, [][]task) {
 	}
 	if quantum != 0 && len(m.RAs) > 0 {
 		e.raTrace = make([][]RAEvent, len(m.RAs))
+		e.raMark = e.mem.carveInts(2 * len(m.RAs))
 	}
 
 	var cores [][]task
@@ -346,6 +398,78 @@ func newEngine(m *Machine, phase string, quantum uint64) (*engine, [][]task) {
 		r.burstIndirect = r.burstScan && r.spec.Mode == arch.RAIndirect && !e.counted && !e.queues[r.spec.InQ].shared
 	}
 	return e, cores
+}
+
+// runMem is the memory one run of the engine borrows: every queue ring and
+// register file, carved from values, every decoded program from code, and
+// every handler table from ints. A run takes one from runMems and hands it
+// back when it ends, so a warm run allocates none of it. Nothing a run
+// returns points into it.
+type runMem struct {
+	values []Value
+	code   []instr
+	ints   []int
+	// nv, nc and ni are how much of each buffer is carved.
+	nv, nc, ni int
+}
+
+// runMems holds the memory of finished runs (at most freeCap of them).
+var runMems freeList[*runMem]
+
+// valuePad separates the rings and register files carved from one buffer
+// by two cache lines, so that no two of them share a line: natively, cores
+// write them from different goroutines.
+const valuePad = 8
+
+// getRunMem returns zeroed memory enough for one run of m.
+func getRunMem(m *Machine) *runMem {
+	rm, ok := runMems.get()
+	if !ok {
+		rm = new(runMem)
+	}
+	nv, nc, ni := valuePad, 0, 0
+	for q := range m.Queues {
+		nv += m.queueDepth(q) + valuePad
+	}
+	for _, st := range m.Stages {
+		nv += st.Prog.NumRegs + valuePad
+		nc += len(st.Prog.Instrs) + 1
+		ni += len(m.Queues)
+	}
+	ni += 2 * len(m.RAs)
+	rm.values = cleared(rm.values, nv)
+	rm.code = cleared(rm.code, nc)
+	rm.ints = cleared(rm.ints, ni)
+	rm.nv, rm.nc, rm.ni = valuePad, 0, 0
+	return rm
+}
+
+// carveValues returns the next n values, with a pad after them.
+func (rm *runMem) carveValues(n int) []Value {
+	s := rm.values[rm.nv : rm.nv+n : rm.nv+n]
+	rm.nv += n + valuePad
+	return s
+}
+
+// carveCode returns the next n instructions' room.
+func (rm *runMem) carveCode(n int) []instr {
+	s := rm.code[rm.nc : rm.nc+n : rm.nc+n]
+	rm.nc += n
+	return s
+}
+
+// carveInts returns the next n ints.
+func (rm *runMem) carveInts(n int) []int {
+	s := rm.ints[rm.ni : rm.ni+n : rm.ni+n]
+	rm.ni += n
+	return s
+}
+
+// release hands the run's memory back for the next run. Only a run whose
+// tasks have all stopped may call it.
+func (e *engine) release() {
+	runMems.put(e.mem)
+	e.mem = nil
 }
 
 // executed counts stage instructions (Halt and Barrier included, RA

@@ -489,7 +489,7 @@ func TestPredecode(t *testing.T) {
 	b.Halt()
 	p := b.MustBuild()
 
-	fused := predecode(p, true)
+	fused := predecode(nil, p, true)
 	want := map[int]isa.Op{2: opLTBr, 3: isa.OpBr, 4: opGEBr, 5: isa.OpBrZ, 6: isa.OpICmpEQ, 8: isa.OpFCmpLT, 10: isa.OpHalt, 11: opEnd}
 	for pc, op := range want {
 		if fused[pc].op != op {
@@ -499,7 +499,7 @@ func TestPredecode(t *testing.T) {
 	if !fused[2].takenOn || fused[4].takenOn || fused[2].k != 2 || fused[4].k != 2 {
 		t.Errorf("fused pairs: %+v %+v", fused[2], fused[4])
 	}
-	for pc, in := range predecode(p, false) {
+	for pc, in := range predecode(nil, p, false) {
 		if in.op >= opEQBr {
 			t.Errorf("traced decode fused pc %d", pc)
 		}

@@ -47,16 +47,16 @@ const (
 	opGEBr
 )
 
-// predecode turns p into the evaluator's form, with the opEnd sentinel
-// appended. With fuse set, every ICmp immediately followed by a Br or BrZ
-// on the compare's destination becomes one fused op at the compare's pc:
-// it writes the compare's register, counts two instructions, and goes to
-// the branch target when the compare gave takenOn (true for Br, false for
-// BrZ). The branch stays as it was at pc+1, so a jump straight to it is
+// predecode turns p into the evaluator's form in buf, grown if it is too
+// short, with the opEnd sentinel appended. With fuse set, every ICmp
+// immediately followed by a Br or BrZ on the compare's destination becomes
+// one fused op at the compare's pc: it writes the compare's register,
+// counts two instructions, and goes to the branch target when the compare
+// gave takenOn (true for Br, false for BrZ). The branch stays as it was at pc+1, so a jump straight to it is
 // unaffected. The traced configuration does not fuse: a trace entry, and
 // a turn boundary, belong to each instruction of the pair.
-func predecode(p *isa.Program, fuse bool) []instr {
-	code := make([]instr, len(p.Instrs)+1)
+func predecode(buf []instr, p *isa.Program, fuse bool) []instr {
+	code := cleared(buf, len(p.Instrs)+1)
 	for pc := range p.Instrs {
 		in := &p.Instrs[pc]
 		d := instr{op: in.Op, dst: in.Dst, a: in.A, b: in.B, k: in.Imm}
@@ -123,13 +123,17 @@ type stageExec struct {
 	barGen       uint64
 }
 
+// newStageExec sets stage st up at its first instruction, with its code,
+// register file and handler table carved from the run's memory.
 func newStageExec(e *engine, st *Stage, use isa.QueueUse) *stageExec {
-	x := &stageExec{e: e, st: st, prodQ: use.Produces, code: predecode(st.Prog, e.quantum == 0), regs: make([]Value, st.Prog.NumRegs)}
+	x := &stageExec{e: e, st: st, prodQ: use.Produces}
+	x.code = predecode(e.mem.carveCode(len(st.Prog.Instrs)+1), st.Prog, e.quantum == 0)
+	x.regs = e.mem.carveValues(st.Prog.NumRegs)
 	for _, ri := range st.Init {
 		x.regs[ri.Reg] = ri.Val
 	}
 	if use.HasHandler {
-		x.handler = make([]int, len(e.queues))
+		x.handler = e.mem.carveInts(len(e.queues))
 		for i := range x.handler {
 			x.handler[i] = -1
 		}
@@ -424,11 +428,9 @@ run:
 				x.state = wSwap
 				e.swapWait.Add(1)
 			}
-			if e.quantum != 0 {
-				if _, ok := e.drainRAs(); !ok {
-					st = failed
-					break run
-				}
+			if e.quantum != 0 && !e.swapDrain() {
+				st = failed
+				break run
 			}
 			if !e.rasQuiet(int(in.k), int(in.b)) {
 				break run

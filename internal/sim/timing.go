@@ -53,8 +53,9 @@ const (
 	dequeues       // Deq, Peek
 )
 
-func decode(p *isa.Program) []decoded {
-	out := make([]decoded, len(p.Instrs))
+// decode fills buf, grown if it is too short, with p's decoded table.
+func decode(buf []decoded, p *isa.Program) []decoded {
+	out := cleared(buf, len(p.Instrs))
 	for i := range p.Instrs {
 		in := &p.Instrs[i]
 		d := &out[i]
@@ -131,6 +132,9 @@ type tThread struct {
 	// unissued older queue op or, as qPark, on an empty or full queue.
 	unissued, waiting, parked slotSet
 
+	// sets backs unissued, waiting and parked.
+	sets []uint64
+
 	// due lists the timed entries as at<<dueShift | slot; they leave
 	// waiting once now reaches at. nextDue is the smallest at (farFuture:
 	// none). An entry joins once, when its last operand gets a time, so the
@@ -143,6 +147,8 @@ type tThread struct {
 	// empty one (noLink: none). The queue's next pop or push unparks it.
 	qPark int32
 
+	// links backs regWriter and storeHead.
+	links     []int32
 	regWriter []int32 // last fetched writer seq per register (-1: none live)
 	// storeHead[h] is the newest fetched store whose address hashes to h;
 	// older stores of the bucket chain through winEntry.depSeq. Only stores
@@ -254,7 +260,7 @@ type timingEngine struct {
 // the same instance (programs, queues, RAs) that produced the traces.
 func (m *Machine) RunTiming(ts *TraceSet) (*Stats, error) {
 	e := newTimingEngine(m, ts)
-	defer putHierarchy(e.hier)
+	defer e.release()
 	if e.probe != nil {
 		e.probe.BeginTiming(m)
 	}
@@ -270,19 +276,23 @@ func (m *Machine) RunTiming(ts *TraceSet) (*Stats, error) {
 			partial = &te.Stats
 		}
 		if partial != nil {
-			e.finishStats()
-			*partial = &e.stats
-			if e.probe != nil {
-				e.probe.EndTiming(&e.stats)
-			}
+			*partial = e.result()
 		}
 		return nil, err
 	}
+	return e.result(), nil
+}
+
+// result returns the replay's statistics, in memory of their own: nothing
+// in them points into what release recycles.
+func (e *timingEngine) result() *Stats {
 	e.finishStats()
+	st := new(Stats)
+	*st = e.stats
 	if e.probe != nil {
-		e.probe.EndTiming(&e.stats)
+		e.probe.EndTiming(st)
 	}
-	return &e.stats, nil
+	return st
 }
 
 // hierPools holds reset cache hierarchies by configuration: every replay
@@ -318,48 +328,80 @@ func putHierarchy(h *cache.Hierarchy) {
 	hierarchyPool(h.Config()).put(h)
 }
 
+// threadList recycles replay threads with their window, bitsets, due list,
+// link tables, predictor and decoded table: every replay needs them cold,
+// and a replay's cost in bytes would otherwise be mostly these.
+var threadList freeList[*tThread]
+
+// newThread returns replay thread idx for stage st, replaying trace on a
+// window of winSize (a power of two) entries, in exactly the state of a
+// thread built from nothing, on memory an earlier replay handed back if the
+// free list has some.
+func newThread(idx int, st *Stage, trace []TEntry, winSize int) *tThread {
+	t, ok := threadList.get()
+	if !ok {
+		t = new(tThread)
+	}
+	words := slotSetWords(winSize)
+	shift := uint(bits.TrailingZeros(uint(winSize)))
+	nregs := st.Prog.NumRegs
+	*t = tThread{
+		idx:         idx,
+		core:        st.Thread.Core,
+		slot:        st.Thread.Thread,
+		dec:         decode(t.dec, st.Prog),
+		trace:       trace,
+		name:        st.Prog.Name,
+		win:         cleared(t.win, winSize),
+		winMask:     winSize - 1,
+		sets:        cleared(t.sets, 3*words),
+		due:         t.due[:0],
+		dueShift:    shift,
+		nextDue:     farFuture,
+		qPark:       noLink,
+		links:       cleared(t.links, nregs+winSize),
+		storeShift:  64 - shift,
+		lastQOp:     -1,
+		redirectSeq: -1,
+		predTable:   cleared(t.predTable, 1<<predBits),
+	}
+	if cap(t.due) < winSize {
+		t.due = make([]uint64, 0, winSize)
+	}
+	t.unissued = slotSet{t.sets[:words], winSize}
+	t.waiting = slotSet{t.sets[words : 2*words], winSize}
+	t.parked = slotSet{t.sets[2*words : 3*words], winSize}
+	// regWriter and storeHead share links; at most winSize stores are in
+	// flight, so winSize buckets keep the chains near length one.
+	for j := range t.links {
+		t.links[j] = -1
+	}
+	t.regWriter, t.storeHead = t.links[:nregs], t.links[nregs:]
+	return t
+}
+
+// release hands the replay's cache hierarchy and threads back for the next
+// one. The statistics, errors and snapshots a replay returns are copies, so
+// nothing its caller keeps points into them.
+func (e *timingEngine) release() {
+	putHierarchy(e.hier)
+	for _, t := range e.threads {
+		t.trace = nil // the caller's, or a buffer back on a trace free list
+		threadList.put(t)
+	}
+}
+
 // newTimingEngine sets up the replay of ts on m at cycle 0.
 func newTimingEngine(m *Machine, ts *TraceSet) *timingEngine {
 	e := &timingEngine{m: m, hier: getHierarchy(m.Cfg.Mem)}
 	e.byCore = make([][]*tThread, m.Cfg.Cores)
 	e.rasByCore = make([][]*tRA, m.Cfg.Cores)
+	winSize := 1
+	for winSize < m.Cfg.WindowSize {
+		winSize <<= 1
+	}
 	for i, st := range m.Stages {
-		winSize := 1
-		for winSize < m.Cfg.WindowSize {
-			winSize <<= 1
-		}
-		words := slotSetWords(winSize)
-		sets := make([]uint64, 3*words+winSize) // and the due list
-		shift := uint(bits.TrailingZeros(uint(winSize)))
-		// regWriter and storeHead share one allocation; at most winSize stores
-		// are in flight, so winSize buckets keep the chains near length one.
-		links := make([]int32, st.Prog.NumRegs+winSize)
-		for j := range links {
-			links[j] = -1
-		}
-		t := &tThread{
-			idx:         i,
-			core:        st.Thread.Core,
-			slot:        st.Thread.Thread,
-			dec:         decode(st.Prog),
-			trace:       ts.Threads[i],
-			name:        st.Prog.Name,
-			win:         make([]winEntry, winSize),
-			winMask:     winSize - 1,
-			unissued:    slotSet{sets[:words], winSize},
-			waiting:     slotSet{sets[words : 2*words], winSize},
-			parked:      slotSet{sets[2*words : 3*words], winSize},
-			due:         sets[3*words : 3*words : 3*words+winSize],
-			dueShift:    shift,
-			nextDue:     farFuture,
-			qPark:       noLink,
-			regWriter:   links[:st.Prog.NumRegs],
-			storeHead:   links[st.Prog.NumRegs:],
-			storeShift:  64 - shift,
-			lastQOp:     -1,
-			redirectSeq: -1,
-			predTable:   make([]uint8, 1<<predBits),
-		}
+		t := newThread(i, st, ts.Threads[i], winSize)
 		if len(t.trace) == 0 {
 			t.finished = true
 		} else {

@@ -68,11 +68,13 @@ type TraceSet struct {
 
 // The functional phase's traces are recycled through capacity-class free
 // lists: class k holds buffers of exactly 512<<k elements. Machine.Run
-// hands its traces back after the replay, so a steady stream of runs (the autotuner's candidates) regrows
-// into buffers an earlier run left instead of allocating 16 bytes per
-// dynamic instruction again. A TraceSet that RunFunctional returns belongs
-// to its caller, and its buffers neither come from the lists nor go back
-// to them: a process that only collects traces (a functional oracle before
+// hands its traces back after the replay. A trace starts in a buffer of
+// 512 entries and, once it outgrows that, moves to the largest buffer
+// listed, so a steady stream of runs (the autotuner's candidates) writes
+// into buffers earlier runs left, without regrowing each trace through the
+// classes or allocating 16 bytes per dynamic instruction again. A TraceSet
+// that RunFunctional returns belongs to its caller, and its buffers neither
+// come from the lists nor go back to them: a process that only collects traces (a functional oracle before
 // native runs) would otherwise keep about twice its largest traces for
 // good.
 var (
@@ -120,6 +122,17 @@ func (l *freeList[T]) put(x T) {
 	l.mu.Unlock()
 }
 
+// cleared returns buf zeroed at length n, allocating if it is too short:
+// how a recycled buffer is made ready for its next run.
+func cleared[E any](buf []E, n int) []E {
+	if cap(buf) < n {
+		return make([]E, n)
+	}
+	buf = buf[:n]
+	clear(buf)
+	return buf
+}
+
 // bufPool holds one free list per capacity class.
 type bufPool[E any] [poolClasses]freeList[[]E]
 
@@ -133,12 +146,21 @@ func bufClass(c int) int {
 	return k
 }
 
-// alloc returns an empty buffer of capacity n, a recycled one if n is a
-// class capacity and its list has one. A nil pool always allocates.
+// alloc returns an empty buffer of capacity at least n, a class capacity:
+// the largest buffer listed if that holds n, or else a new one of capacity
+// n. A trace's first buffer (n is 512) is always a 512-entry one, so that a
+// short trace never takes the large buffer a long one of the same run will
+// need. A nil pool always allocates.
 func (p *bufPool[E]) alloc(n int) []E {
-	if k := bufClass(n); p != nil && k >= 0 {
-		if b, ok := p[k].get(); ok {
-			return b[:0]
+	if p != nil {
+		top := poolClasses - 1
+		if n == 512 {
+			top = 0
+		}
+		for k := top; k >= 0 && 512<<k >= n; k-- {
+			if b, ok := p[k].get(); ok {
+				return b[:0]
+			}
 		}
 	}
 	return make([]E, 0, n)
@@ -153,9 +175,10 @@ func (p *bufPool[E]) put(s []E) {
 }
 
 // addTrace appends one entry to a trace. A full trace moves to a buffer of
-// twice its capacity (512 entries at least) and hands its old buffer back to
-// its free list at once. Traces reach millions of entries, and doubling copies
-// fewer bytes over a run than append's ~1.25x growth for large slices does.
+// at least twice its capacity (512 entries at first) and hands its old
+// buffer back to its free list at once. Traces reach millions of entries,
+// and doubling copies fewer bytes over a run than append's ~1.25x growth for
+// large slices does; a warm run's trace seldom moves at all.
 func addTrace[E any](p *bufPool[E], s []E, e E) []E {
 	if len(s) == cap(s) {
 		s = p.grow(s)
@@ -163,7 +186,7 @@ func addTrace[E any](p *bufPool[E], s []E, e E) []E {
 	return append(s, e)
 }
 
-// grow moves the full trace s into a buffer of twice its capacity.
+// grow moves the full trace s into a buffer of at least twice its capacity.
 func (p *bufPool[E]) grow(s []E) []E {
 	next := p.alloc(max(512, 2*cap(s)))[:len(s)]
 	copy(next, s)

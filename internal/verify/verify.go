@@ -201,9 +201,11 @@ func buildModel(pl *pipeline.Pipeline) *model {
 		producers: make([][]int, len(pl.Queues)),
 		consumers: make([][]int, len(pl.Queues)),
 	}
+	progs, _ := pipeline.FlattenStages(pl) // nil where a stage does not lower
 	for i, st := range pl.Stages {
-		prog, err := pipeline.FlattenStage(pl, st)
-		if err != nil {
+		prog := progs[i]
+		if prog == nil {
+			_, err := pipeline.FlattenStage(pl, st)
 			m.diag("D0", SevError, st.Name, -1, -1, "stage does not lower: %v", err)
 			continue
 		}
