@@ -103,10 +103,6 @@ type Plan struct {
 // Analyze computes the plan without mutating the pipeline: the returned
 // depths are what Apply would write.
 func Analyze(pl *pipeline.Pipeline, cfg arch.Config) (*Plan, error) {
-	// Lower pl before copying it, so that the copy shares its programs.
-	if _, err := pipeline.FlattenStages(pl); err != nil {
-		return nil, fmt.Errorf("commopt: %w", err)
-	}
 	cp := *pl
 	cp.Queues = append([]pipeline.Queue(nil), pl.Queues...)
 	return Apply(&cp, cfg)
@@ -117,8 +113,8 @@ func Analyze(pl *pipeline.Pipeline, cfg arch.Config) (*Plan, error) {
 func Apply(pl *pipeline.Pipeline, cfg arch.Config) (*Plan, error) {
 	plan := &Plan{Pipeline: pl.Prog.Name, Default: cfg.QueueDepth}
 
-	// Flatten once; the cost model, the rate/floor analysis, and the cycle
-	// check all look at the same programs the simulator would run.
+	// The cost model, the rate/floor analysis, and the cycle check all look
+	// at the stage programs the simulator would run.
 	progs, err := pipeline.FlattenStages(pl)
 	if err != nil {
 		return nil, fmt.Errorf("commopt: %w", err)

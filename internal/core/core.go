@@ -372,10 +372,12 @@ func buildStatic(p *ir.Prog, phases []*analysis.Phase, cands [][]*analysis.Candi
 	return &Result{Pipeline: pipe, Prog: p, ReplicateRequested: p.Replicate}, nil
 }
 
-// finishPipeline runs the communication optimization pass (when enabled),
-// applies the PostBuild hook, and, unless SkipVerify is set, rejects
-// pipelines the static verifier finds broken.
+// finishPipeline lowers the pipeline's stages, runs the communication
+// optimization pass (when enabled), applies the PostBuild hook and lowers
+// again after it, and, unless SkipVerify is set, rejects pipelines the
+// static verifier finds broken.
 func finishPipeline(pipe *pipeline.Pipeline, opt Options) error {
+	pipeline.Lower(pipe)
 	if opt.CommOpt {
 		t0 := opt.obsw.now()
 		if _, err := commopt.Apply(pipe, opt.Machine); err != nil {
@@ -385,6 +387,7 @@ func finishPipeline(pipe *pipeline.Pipeline, opt Options) error {
 	}
 	if opt.PostBuild != nil {
 		opt.PostBuild(pipe)
+		pipeline.Lower(pipe)
 	}
 	if opt.SkipVerify {
 		return nil
@@ -425,7 +428,7 @@ func autotune(p *ir.Prog, phases []*analysis.Phase, cands [][]*analysis.Candidat
 	if err != nil {
 		return nil, err
 	}
-	res := &Result{Pipeline: pipeline.NewSerial(p), Prog: p, Searched: 1, TrainCycles: r.serial,
+	res := &Result{Prog: p, Searched: 1, TrainCycles: r.serial,
 		ReplicateRequested: p.Replicate, Enumerated: len(r.tasks),
 		Pruned: r.pruned, RankMillis: r.rankMS, Replayed: r.replayed,
 		Cancelled: r.cancelled != nil, CancelCause: r.cancelled}
@@ -459,6 +462,9 @@ func autotune(p *ir.Prog, phases []*analysis.Phase, cands [][]*analysis.Candidat
 				res.TrainCycles, res.Pipeline = f.cycles, f.pipe
 			}
 		}
+	}
+	if res.Pipeline == nil {
+		res.Pipeline = pipeline.NewSerial(p) // no candidate beat the serial program
 	}
 	return res, nil
 }

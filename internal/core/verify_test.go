@@ -6,6 +6,7 @@ package core_test
 // its demonstration mode.
 
 import (
+	"errors"
 	"strings"
 	"testing"
 
@@ -21,15 +22,30 @@ import (
 // dispatch treats unknown codes as stream end, so the code would silently
 // truncate the stream mid-flight (rule C2).
 func injectRogueCode(pl *pipeline.Pipeline) {
+	if st, i, rogue := rogueSite(pl); st != nil {
+		st.Body = append(st.Body[:i:i], append([]ir.Stmt{rogue}, st.Body[i:]...)...)
+	}
+}
+
+// overwriteRogueCode overwrites that first control enqueue in place with
+// injectRogueCode's rogue one, keeping the stage's Body slice.
+func overwriteRogueCode(pl *pipeline.Pipeline) {
+	if st, i, rogue := rogueSite(pl); st != nil {
+		st.Body[i] = rogue
+	}
+}
+
+// rogueSite finds the first control enqueue of pl, and returns its stage,
+// its index in the stage's Body and the rogue enq_ctrl for its queue.
+func rogueSite(pl *pipeline.Pipeline) (*pipeline.Stage, int, ir.Stmt) {
 	for _, st := range pl.Stages {
 		for i, s := range st.Body {
 			if ec, ok := s.(*ir.EnqCtrl); ok {
-				rogue := &ir.EnqCtrl{Q: ec.Q, Code: arch.CtrlUser + 7}
-				st.Body = append(st.Body[:i:i], append([]ir.Stmt{rogue}, st.Body[i:]...)...)
-				return
+				return st, i, &ir.EnqCtrl{Q: ec.Q, Code: arch.CtrlUser + 7}
 			}
 		}
 	}
+	return nil, 0, nil
 }
 
 func TestCompileRejectsInjectedProtocolViolation(t *testing.T) {
@@ -41,6 +57,21 @@ func TestCompileRejectsInjectedProtocolViolation(t *testing.T) {
 	}
 	if !strings.Contains(err.Error(), "static verification") {
 		t.Fatalf("error should come from the verifier, got: %v", err)
+	}
+}
+
+// TestVerifySeesInPlaceEdit: a PostBuild hook that overwrites a statement
+// of a stage's Body in place is verified like one that replaces the Body,
+// also when commopt has already read the stages' programs.
+func TestVerifySeesInPlaceEdit(t *testing.T) {
+	for _, on := range []bool{false, true} {
+		opt := core.DefaultOptions()
+		opt.CommOpt = on
+		opt.PostBuild = overwriteRogueCode
+		_, err := core.CompileSource(workloads.BFSSource, opt)
+		if !errors.Is(err, core.ErrVerify) {
+			t.Errorf("commopt=%v: an in-place rogue enq_ctrl compiled with error %v, want %v", on, err, core.ErrVerify)
+		}
 	}
 }
 

@@ -142,7 +142,9 @@ type Report struct {
 	Queues     []QueuePlan
 }
 
-// Analyze flattens every stage and models the pipeline under cfg.
+// Analyze models the pipeline under cfg over the stage programs
+// pipeline.FlattenStages returns: the ones Lower stored, or fresh lowerings
+// of stages that carry none.
 func Analyze(pl *pipeline.Pipeline, cfg arch.Config) (*Report, error) {
 	progs, err := pipeline.FlattenStages(pl)
 	if err != nil {

@@ -10,15 +10,16 @@ import (
 	"phloem/internal/core"
 	"phloem/internal/graph"
 	"phloem/internal/ir"
+	"phloem/internal/lower"
 	"phloem/internal/pipeline"
 	"phloem/internal/taco"
 	"phloem/internal/workloads"
 )
 
-// memoPipelines returns every pipeline of the five families (static with
+// builtPipelines returns every pipeline of the five families (static with
 // commopt off and on, serial, manual, data-parallel, replicated) and Taco
 // SpMV's static pipeline with commopt off and on, each named.
-func memoPipelines(t *testing.T) map[string]*pipeline.Pipeline {
+func builtPipelines(t *testing.T) map[string]*pipeline.Pipeline {
 	t.Helper()
 	pls := map[string]*pipeline.Pipeline{}
 	static := func(name, src string) {
@@ -59,7 +60,8 @@ func memoPipelines(t *testing.T) map[string]*pipeline.Pipeline {
 	return pls
 }
 
-// checkFresh fails unless FlattenStages returns, for every stage of pl,
+// checkFresh fails unless every stage of pl carries a program (FlattenStage
+// returns the same one twice) and FlattenStages returns, for every stage,
 // what lowering the stage afresh gives.
 func checkFresh(t *testing.T, name string, pl *pipeline.Pipeline) {
 	t.Helper()
@@ -71,53 +73,87 @@ func checkFresh(t *testing.T, name string, pl *pipeline.Pipeline) {
 		t.Fatalf("%s: %d programs for %d stages", name, len(progs), len(pl.Stages))
 	}
 	for i, st := range pl.Stages {
-		fresh, err := pipeline.FlattenStage(pl, st)
+		fresh, err := lower.Flatten(pl.Prog, st.Name, ir.Optimize(pl.Prog, st.Body))
 		if err != nil {
 			t.Fatalf("%s: %v", name, err)
 		}
 		if !reflect.DeepEqual(progs[i], fresh) {
-			t.Errorf("%s: stage %s: the memoized program differs from a fresh lowering", name, st.Name)
+			t.Errorf("%s: stage %s: the carried program differs from a fresh lowering", name, st.Name)
+		}
+		if again, _ := pipeline.FlattenStage(pl, st); again != progs[i] {
+			t.Errorf("%s: stage %s carries no program", name, st.Name)
 		}
 	}
 }
 
-// TestFlattenMemoMatchesFresh: a pipeline is lowered once, and what every
-// reader (Instantiate, verify, costmodel, commopt, Replicate) gets from the
-// memo equals lowering each stage afresh. A stage replaced, renamed, added
-// or dropped, or given a new Body slice, is lowered again.
-func TestFlattenMemoMatchesFresh(t *testing.T) {
-	pls := memoPipelines(t)
+// TestLoweredMatchesFresh: every builder lowers the pipelines it returns,
+// and what every reader (Instantiate, verify, costmodel, commopt,
+// Replicate) gets equals lowering each stage afresh. An edit to the stages
+// takes effect at the next Lower: a new Body slice, a renamed, dropped or
+// added stage, and a statement of a Body overwritten in place.
+func TestLoweredMatchesFresh(t *testing.T) {
+	pls := builtPipelines(t)
 	for name, pl := range pls {
 		checkFresh(t, name, pl)
-		first, _ := pipeline.FlattenStages(pl)
-		again, _ := pipeline.FlattenStages(pl)
-		for i := range first {
-			if first[i] != again[i] {
-				t.Errorf("%s: stage %d was lowered twice", name, i)
-			}
-		}
 	}
 
 	pl := pls["BFS/static/commopt=false"]
-	before, _ := pipeline.FlattenStages(pl)
 	st := pl.Stages[0]
 	st.Body = append([]ir.Stmt(nil), st.Body...)
-	after, _ := pipeline.FlattenStages(pl)
-	if after[0] == before[0] {
-		t.Error("a stage given a new Body slice kept its old program")
-	}
+	pipeline.Lower(pl)
 	checkFresh(t, "BFS with a new body", pl)
 	st.Name += ".renamed"
+	pipeline.Lower(pl)
 	checkFresh(t, "BFS with a renamed stage", pl)
 	pl.Stages = pl.Stages[1:]
+	pipeline.Lower(pl)
 	checkFresh(t, "BFS without its first stage", pl)
 	pl.Stages = append(pl.Stages, &pipeline.Stage{Name: "copy", Body: pl.Stages[0].Body, Thread: arch.ThreadID{Core: 0, Thread: 3}})
+	pipeline.Lower(pl)
 	checkFresh(t, "BFS with a stage added", pl)
+
+	st = pl.Stages[0]
+	before, _ := pipeline.FlattenStage(pl, st)
+	for i, s := range st.Body {
+		if a, ok := s.(*ir.Assign); ok {
+			st.Body[i] = &ir.Assign{Dst: a.Dst, Src: &ir.RvalUn{Op: ir.OpMov, A: ir.C(12345)}}
+			break
+		}
+	}
+	pipeline.Lower(pl)
+	checkFresh(t, "BFS with a statement overwritten in place", pl)
+	if after, _ := pipeline.FlattenStage(pl, st); reflect.DeepEqual(after, before) {
+		t.Error("a statement overwritten in place left the stage's program as it was")
+	}
+}
+
+// TestDataParallelWorkersShareLowering: the workers of a data-parallel
+// pipeline share one Body, so Lower lowers it once; each worker's program
+// is a copy under its own name over worker 0's instructions.
+func TestDataParallelWorkersShareLowering(t *testing.T) {
+	for _, b := range workloads.Benchmarks(workloads.ScaleTest) {
+		pl, err := workloads.BuildDataParallel(b.DPSource, 4, 2)
+		if err != nil {
+			t.Fatal(err)
+		}
+		progs, err := pipeline.FlattenStages(pl)
+		if err != nil {
+			t.Fatal(err)
+		}
+		for i, p := range progs {
+			if p.Name != pl.Stages[i].Name {
+				t.Errorf("%s: worker %d's program is named %q, want %q", b.Name, i, p.Name, pl.Stages[i].Name)
+			}
+			if i > 0 && &p.Instrs[0] != &progs[0].Instrs[0] {
+				t.Errorf("%s: worker %d was lowered apart from worker 0", b.Name, i)
+			}
+		}
+	}
 }
 
 // TestConcurrentInstantiate: four goroutines instantiating one pipeline at
-// once, before and after anything has lowered it, all get its one set of
-// programs. Run under -race.
+// once all run the programs its stages carry, and none of them lowers
+// anything. Run under -race.
 func TestConcurrentInstantiate(t *testing.T) {
 	res, err := core.CompileSource(workloads.BFSSource, core.DefaultOptions())
 	if err != nil {

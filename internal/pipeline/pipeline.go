@@ -7,7 +7,6 @@ package pipeline
 import (
 	"fmt"
 	"strings"
-	"sync"
 
 	"phloem/internal/arch"
 	"phloem/internal/ir"
@@ -25,6 +24,10 @@ type Stage struct {
 	// Overrides replaces scalar parameter values for this stage (e.g., a
 	// data-parallel worker's thread id, a replica's partition base).
 	Overrides map[string]int64
+
+	// program is Body lowered by the last Lower; nil before it, or when the
+	// stage does not lower.
+	program *isa.Program
 }
 
 // Queue declares one architectural queue used by the pipeline.
@@ -52,16 +55,12 @@ type Pipeline struct {
 	FanOuts []arch.FanOut
 	// Description summarizes how the pipeline was derived (for reports).
 	Description string
-
-	// flat is the stages lowered once (FlattenStages). A pointer, so that a
-	// copy of the Pipeline shares it and copying stays legal.
-	flat *flatMemo
 }
 
 // NewSerial wraps an IR program as a single-stage "pipeline" (the serial
-// baseline configuration).
+// baseline configuration), lowered.
 func NewSerial(p *ir.Prog) *Pipeline {
-	return &Pipeline{
+	pl := &Pipeline{
 		Prog: p,
 		Stages: []*Stage{{
 			Name:   p.Name + ".serial",
@@ -70,6 +69,8 @@ func NewSerial(p *ir.Prog) *Pipeline {
 		}},
 		Description: "serial (1 stage)",
 	}
+	Lower(pl)
+	return pl
 }
 
 // AddQueue appends a queue and returns its id.
@@ -109,11 +110,57 @@ func (pl *Pipeline) DumpStages() string {
 	return sb.String()
 }
 
-// FlattenStage lowers one stage to its flat ISA program exactly the way
-// Instantiate does (optimize then flatten), afresh on every call.
-// FlattenStages returns the same programs lowered once per pipeline.
+// Lower lowers every stage of pl afresh (optimize then flatten) and stores
+// the program on the stage, nil where a stage does not lower; the readers
+// report that error. Call it once a pipeline's stages are final: an edit to
+// a stage takes effect at the next Lower. Stages that share one Body slice
+// (data-parallel workers) share one lowering, each under its own Name.
+func Lower(pl *Pipeline) {
+	for i, st := range pl.Stages {
+		st.program = nil
+		for _, prev := range pl.Stages[:i] {
+			if prev.program != nil && sameBody(prev.Body, st.Body) {
+				c := *prev.program
+				c.Name = st.Name
+				st.program = &c
+				break
+			}
+		}
+		if prog, err := FlattenStage(pl, st); err == nil {
+			st.program = prog
+		}
+	}
+}
+
+// sameBody reports whether a and b are one non-empty slice.
+func sameBody(a, b []ir.Stmt) bool {
+	return len(a) > 0 && len(a) == len(b) && &a[0] == &b[0]
+}
+
+// FlattenStage returns st's flat ISA program, the one Instantiate runs: the
+// program the last Lower stored on the stage, or, for a stage that has none
+// or did not lower, the stage lowered afresh (not stored). Callers must not
+// change the program.
 func FlattenStage(pl *Pipeline, st *Stage) (*isa.Program, error) {
+	if st.program != nil {
+		return st.program, nil
+	}
 	return lower.Flatten(pl.Prog, st.Name, ir.Optimize(pl.Prog, st.Body))
+}
+
+// FlattenStages returns FlattenStage of every stage of pl, in stage order.
+// On an error the slice is still returned, nil where a stage does not lower,
+// and the error is the first such stage's.
+func FlattenStages(pl *Pipeline) ([]*isa.Program, error) {
+	progs := make([]*isa.Program, len(pl.Stages))
+	var first error
+	for i, st := range pl.Stages {
+		var err error
+		if progs[i], err = FlattenStage(pl, st); err != nil && first == nil {
+			first = fmt.Errorf("pipeline: flatten %s: %w", st.Name, err)
+		}
+	}
+	return progs, first
 }
 
 // Bindings supplies concrete data for a pipeline run. Instantiate copies
@@ -146,10 +193,11 @@ func Instantiate(pl *Pipeline, cfg arch.Config, b Bindings) (*Instance, error) {
 	if err := pl.noFanOuts(); err != nil {
 		return nil, err
 	}
-	progs, written, err := pl.flattened()
+	progs, err := FlattenStages(pl)
 	if err != nil {
 		return nil, err
 	}
+	written := writtenSlots(progs, len(pl.Prog.Slots))
 	m := sim.NewMachine(cfg)
 	inst := &Instance{Machine: m, Arrays: map[string]*mem.Array{}}
 
@@ -233,110 +281,6 @@ func (pl *Pipeline) noFanOuts() error {
 		return fmt.Errorf("pipeline: %s lists %d fan-outs; the machine has no multicast", pl.Prog.Name, len(pl.FanOuts))
 	}
 	return nil
-}
-
-// FlattenStages returns every stage of pl lowered to its flat ISA program,
-// in stage order, the way Instantiate does. A pipeline is lowered once and
-// every later call, Instantiate's included, returns the same programs, so
-// callers must change neither the slice nor the programs. On an error the
-// slice is still returned, nil where a stage does not lower.
-//
-// A pipeline's stages are frozen once read: the lowering depends on
-// Prog, Stages and each stage's Name and Body, and a writer must not change
-// them in place after any reader has flattened the pipeline. Replacing a
-// stage, appending to or dropping stages, or giving a stage a new Body
-// slice is detected, and the pipeline is lowered again.
-func FlattenStages(pl *Pipeline) ([]*isa.Program, error) {
-	progs, _, err := pl.flattened()
-	return progs, err
-}
-
-// flatMemo is a pipeline's stages lowered once: each stage's program or the
-// error it fails with, and the slots the programs write. key and prog record
-// what the lowering read, so that a stale memo is recognised.
-type flatMemo struct {
-	mu      sync.Mutex
-	prog    *ir.Prog
-	nvars   int
-	nslots  int
-	key     []stageKey
-	progs   []*isa.Program
-	errs    []error
-	written []bool
-}
-
-// stageKey is what lowering one stage reads of it: the stage, its name, and
-// its body slice.
-type stageKey struct {
-	st   *Stage
-	name string
-	body *ir.Stmt // &Body[0]; nil for an empty body
-	n    int
-}
-
-func keyOf(st *Stage) stageKey {
-	k := stageKey{st: st, name: st.Name, n: len(st.Body)}
-	if k.n > 0 {
-		k.body = &st.Body[0]
-	}
-	return k
-}
-
-// memoMu guards the allocation of every pipeline's memo; each memo guards
-// its own contents.
-var memoMu sync.Mutex
-
-// flattened returns pl's stage programs and written slots, lowering the
-// stages first if they never were or have changed since. The error is the
-// first stage's that does not lower.
-func (pl *Pipeline) flattened() (progs []*isa.Program, written []bool, err error) {
-	memoMu.Lock()
-	if pl.flat == nil {
-		pl.flat = &flatMemo{}
-	}
-	fl := pl.flat
-	memoMu.Unlock()
-
-	fl.mu.Lock()
-	defer fl.mu.Unlock()
-	if !fl.current(pl) {
-		fl.lower(pl)
-	}
-	for i, e := range fl.errs {
-		if e != nil {
-			err = fmt.Errorf("pipeline: flatten %s: %w", fl.key[i].name, e)
-			break
-		}
-	}
-	return fl.progs, fl.written, err
-}
-
-// current reports whether the memo was lowered from pl's present stages.
-func (fl *flatMemo) current(pl *Pipeline) bool {
-	if fl.key == nil || fl.prog != pl.Prog || fl.nvars != len(pl.Prog.Vars) ||
-		fl.nslots != len(pl.Prog.Slots) || len(fl.key) != len(pl.Stages) {
-		return false
-	}
-	for i, st := range pl.Stages {
-		if fl.key[i] != keyOf(st) {
-			return false
-		}
-	}
-	return true
-}
-
-// lower fills the memo from pl's stages.
-func (fl *flatMemo) lower(pl *Pipeline) {
-	n := len(pl.Stages)
-	fl.prog, fl.nvars, fl.nslots = pl.Prog, len(pl.Prog.Vars), len(pl.Prog.Slots)
-	fl.key = make([]stageKey, n)
-	fl.progs = make([]*isa.Program, n)
-	fl.errs = make([]error, n)
-	for i, st := range pl.Stages {
-		fl.key[i] = keyOf(st)
-		fl.progs[i], fl.errs[i] = FlattenStage(pl, st)
-	}
-	fl.written = writtenSlots(fl.progs, fl.nslots)
 }
 
 // writtenSlots marks each slot that some program stores to or swaps. RAs

@@ -14,7 +14,7 @@ import (
 // shared slot that some stage stores to or swaps. All other slots are
 // privatized per replica (slot "cur_fringe" becomes "r0.cur_fringe", ...).
 // Scalar parameters listed in perReplica get per-replica override values
-// (e.g., a replica id).
+// (e.g., a replica id). The replicated pipeline comes back lowered.
 //
 // This realizes the paper's `#pragma replicate`: the caller (or the
 // replicate_arguments() analogue in the bench harness) decides which data
@@ -39,10 +39,11 @@ func Replicate(pl *Pipeline, replicas int, shared []string,
 
 	src := pl.Prog
 	if len(shared) > 0 {
-		_, written, err := pl.flattened()
+		progs, err := FlattenStages(pl)
 		if err != nil {
 			return nil, err
 		}
+		written := writtenSlots(progs, len(src.Slots))
 		for i, s := range src.Slots {
 			if sharedSet[s.Name] && written[i] {
 				return nil, fmt.Errorf("pipeline: shared slot %q is written by a stage; replicas would race on it", s.Name)
@@ -111,6 +112,7 @@ func Replicate(pl *Pipeline, replicas int, shared []string,
 			})
 		}
 	}
+	Lower(out)
 	return out, nil
 }
 

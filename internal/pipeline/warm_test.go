@@ -12,13 +12,13 @@ import (
 	"phloem/internal/workloads"
 )
 
-// TestWarmRunAllocatesWritten: once two runs have warmed the free lists and
-// the pipeline's flat programs, an Instantiate + Run allocates the arrays
-// its program writes and at most 16 KiB more. The machine, its traces, the
-// engines' rings, register files, decoded programs and replay threads, and
-// the cache hierarchy all come back from earlier runs. BFS on
-// PowerLaw(800,6) and SpMM on Banded(48,12,24), each as the static pipeline
-// and as the serial baseline.
+// TestWarmRunAllocatesWritten: once two runs have warmed the free lists, an
+// Instantiate + Run of a lowered pipeline allocates the arrays its program
+// writes and at most 16 KiB more. The machine, its traces, the engines'
+// rings, register files, decoded programs and replay threads, and the cache
+// hierarchy all come back from earlier runs. BFS on PowerLaw(800,6) and
+// SpMM on Banded(48,12,24), each as the static pipeline and as the serial
+// baseline.
 func TestWarmRunAllocatesWritten(t *testing.T) {
 	g := graph.PowerLaw("g", 800, 6, 1)
 	a := matrix.Banded("a", 48, 12, 24, 1)

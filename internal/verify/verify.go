@@ -201,11 +201,9 @@ func buildModel(pl *pipeline.Pipeline) *model {
 		producers: make([][]int, len(pl.Queues)),
 		consumers: make([][]int, len(pl.Queues)),
 	}
-	progs, _ := pipeline.FlattenStages(pl) // nil where a stage does not lower
 	for i, st := range pl.Stages {
-		prog := progs[i]
-		if prog == nil {
-			_, err := pipeline.FlattenStage(pl, st)
+		prog, err := pipeline.FlattenStage(pl, st)
+		if err != nil {
 			m.diag("D0", SevError, st.Name, -1, -1, "stage does not lower: %v", err)
 			continue
 		}

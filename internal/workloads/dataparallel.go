@@ -234,6 +234,7 @@ func BuildDataParallel(src string, threads, threadsPerCore int) (*pipeline.Pipel
 			Overrides: map[string]int64{"tid": int64(t)},
 		})
 	}
+	pipeline.Lower(pipe)
 	return pipe, nil
 }
 

@@ -166,6 +166,7 @@ func ManualBFS() (*pipeline.Pipeline, error) {
 			Thread: arch.ThreadID{Core: 0, Thread: 1},
 		})
 	}
+	pipeline.Lower(pipe)
 	return pipe, nil
 }
 
@@ -337,5 +338,6 @@ func ManualSpMM() (*pipeline.Pipeline, error) {
 			Thread: arch.ThreadID{Core: 0, Thread: 1},
 		})
 	}
+	pipeline.Lower(pipe)
 	return pipe, nil
 }
