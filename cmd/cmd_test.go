@@ -10,10 +10,18 @@ import (
 	"os/exec"
 	"path/filepath"
 	"strings"
+	"sync"
 	"testing"
 )
 
-var binDir string
+var (
+	binDir string
+	// srcs lists the non-test Go files the four CLIs are built from.
+	srcs     []string
+	readSrcs sync.Once
+)
+
+var tools = []string{"phloemc", "phloemsim", "phloembench", "tacoc"}
 
 func TestMain(m *testing.M) {
 	dir, err := os.MkdirTemp("", "phloem-cmds")
@@ -21,20 +29,45 @@ func TestMain(m *testing.M) {
 		panic(err)
 	}
 	binDir = dir
-	for _, tool := range []string{"phloemc", "phloemsim", "phloembench", "tacoc"} {
+	for _, tool := range tools {
 		cmd := exec.Command("go", "build", "-o", filepath.Join(dir, tool), "phloem/cmd/"+tool)
 		if out, err := cmd.CombinedOutput(); err != nil {
 			panic(tool + ": " + string(out))
 		}
 	}
+	args := []string{"list", "-deps", "-f", `{{if not .Standard}}{{$d := .Dir}}{{range .GoFiles}}{{$d}}/{{.}}{{"\n"}}{{end}}{{end}}`}
+	for _, tool := range tools {
+		args = append(args, "phloem/cmd/"+tool)
+	}
+	out, err := exec.Command("go", args...).Output()
+	if err != nil {
+		panic("go list: " + err.Error())
+	}
+	srcs = strings.Split(strings.TrimSpace(string(out)), "\n")
 	code := m.Run()
 	os.RemoveAll(dir)
 	os.Exit(code)
 }
 
+// bin returns the path of a built CLI. The first call reads every source
+// file the CLIs are built from: go test caches a result against the files
+// the test process opened (from m.Run on), and the CLIs are built by a child
+// process it does not watch, so without these reads an edit under internal/
+// or cmd/ would be answered with a stale cached pass.
+func bin(tool string) string {
+	readSrcs.Do(func() {
+		for _, f := range srcs {
+			if _, err := os.ReadFile(f); err != nil {
+				panic(err)
+			}
+		}
+	})
+	return filepath.Join(binDir, tool)
+}
+
 func run(t *testing.T, tool string, args ...string) string {
 	t.Helper()
-	out, err := exec.Command(filepath.Join(binDir, tool), args...).CombinedOutput()
+	out, err := exec.Command(bin(tool), args...).CombinedOutput()
 	if err != nil {
 		t.Fatalf("%s %v: %v\n%s", tool, args, err, out)
 	}
@@ -94,7 +127,7 @@ void k(int* restrict a, int* restrict b, int* restrict out, int n) {
 	}
 	// With an injected protocol violation, lint must report the rule and
 	// exit non-zero.
-	cmd := exec.Command(filepath.Join(binDir, "phloemc"), "-lint", "-lint-inject", f)
+	cmd := exec.Command(bin("phloemc"), "-lint", "-lint-inject", f)
 	broken, err := cmd.CombinedOutput()
 	if err == nil {
 		t.Fatalf("-lint-inject should exit non-zero:\n%s", broken)
@@ -110,7 +143,7 @@ void k(int* restrict a, int* restrict b, int* restrict out, int n) {
 func TestPhloemcLintExitCodes(t *testing.T) {
 	exitCode := func(args ...string) (int, string) {
 		t.Helper()
-		cmd := exec.Command(filepath.Join(binDir, "phloemc"), args...)
+		cmd := exec.Command(bin("phloemc"), args...)
 		out, err := cmd.CombinedOutput()
 		if err == nil {
 			return 0, string(out)
@@ -208,7 +241,7 @@ void k(int* idx, int* data, int n) {
   }
 }
 `), 0o644)
-	cmd := exec.Command(filepath.Join(binDir, "phloemc"), "-effects", aliased)
+	cmd := exec.Command(bin("phloemc"), "-effects", aliased)
 	broken, err := cmd.CombinedOutput()
 	if err == nil {
 		t.Fatalf("-effects on a may-alias kernel should exit non-zero:\n%s", broken)
@@ -221,7 +254,7 @@ void k(int* idx, int* data, int n) {
 func TestPhloemcRejectsBadInput(t *testing.T) {
 	f := filepath.Join(t.TempDir(), "bad.c")
 	os.WriteFile(f, []byte("void k(int n) { undefined_thing; }"), 0o644)
-	cmd := exec.Command(filepath.Join(binDir, "phloemc"), f)
+	cmd := exec.Command(bin("phloemc"), f)
 	if err := cmd.Run(); err == nil {
 		t.Error("phloemc should fail on a bad kernel")
 	}
@@ -254,14 +287,14 @@ func TestPhloemcAutotune(t *testing.T) {
 	}
 
 	// A kernel argument alongside -autotune is a usage error (exit 2).
-	cmd := exec.Command(filepath.Join(binDir, "phloemc"), "-autotune", "BFS", "extra.c")
+	cmd := exec.Command(bin("phloemc"), "-autotune", "BFS", "extra.c")
 	out, err := cmd.CombinedOutput()
 	var ee *exec.ExitError
 	if !errors.As(err, &ee) || ee.ExitCode() != 2 {
 		t.Errorf("-autotune with a kernel argument should exit 2: %v\n%s", err, out)
 	}
 	// An unknown benchmark is a runtime error (exit 1).
-	cmd = exec.Command(filepath.Join(binDir, "phloemc"), "-autotune", "no-such-bench")
+	cmd = exec.Command(bin("phloemc"), "-autotune", "no-such-bench")
 	out, err = cmd.CombinedOutput()
 	if !errors.As(err, &ee) || ee.ExitCode() != 1 {
 		t.Errorf("-autotune with an unknown benchmark should exit 1: %v\n%s", err, out)
@@ -300,7 +333,7 @@ void k(int* restrict a, int* restrict b, int* restrict out, int n) {
 	// A bad kernel still exits 1.
 	bad := filepath.Join(t.TempDir(), "bad.c")
 	os.WriteFile(bad, []byte("void k(int n) { undefined_thing; }"), 0o644)
-	cmd := exec.Command(filepath.Join(binDir, "phloemc"), "-cost", bad)
+	cmd := exec.Command(bin("phloemc"), "-cost", bad)
 	if err := cmd.Run(); err == nil {
 		t.Error("-cost on a bad kernel should exit non-zero")
 	}
@@ -351,7 +384,7 @@ func TestPhloemcCheckpointResume(t *testing.T) {
 			first, resumed)
 	}
 	// -resume without -checkpoint is a usage error.
-	cmd := exec.Command(filepath.Join(binDir, "phloemc"), "-autotune", "BFS", "-resume")
+	cmd := exec.Command(bin("phloemc"), "-autotune", "BFS", "-resume")
 	out, err := cmd.CombinedOutput()
 	var ee *exec.ExitError
 	if !errors.As(err, &ee) || ee.ExitCode() != 2 {
@@ -364,7 +397,7 @@ func TestPhloemcCheckpointResume(t *testing.T) {
 func TestTimeoutExitCodes(t *testing.T) {
 	exitCode := func(tool string, args ...string) (int, string) {
 		t.Helper()
-		cmd := exec.Command(filepath.Join(binDir, tool), args...)
+		cmd := exec.Command(bin(tool), args...)
 		out, err := cmd.CombinedOutput()
 		if err == nil {
 			return 0, string(out)
@@ -415,7 +448,7 @@ func TestPhloemsimRunsBFS(t *testing.T) {
 func TestPhloemsimExitCodes(t *testing.T) {
 	exitCode := func(args ...string) (int, string) {
 		t.Helper()
-		cmd := exec.Command(filepath.Join(binDir, "phloemsim"), args...)
+		cmd := exec.Command(bin("phloemsim"), args...)
 		out, err := cmd.CombinedOutput()
 		if err == nil {
 			return 0, string(out)
@@ -453,7 +486,7 @@ func TestPhloemsimExitCodes(t *testing.T) {
 func TestPhloemsimNativeBackend(t *testing.T) {
 	exitCode := func(args ...string) (int, string) {
 		t.Helper()
-		cmd := exec.Command(filepath.Join(binDir, "phloemsim"), args...)
+		cmd := exec.Command(bin("phloemsim"), args...)
 		out, err := cmd.CombinedOutput()
 		if err == nil {
 			return 0, string(out)
@@ -551,7 +584,7 @@ func TestPhloembenchBenchdiffNative(t *testing.T) {
 
 	exitCode := func(args ...string) (int, string) {
 		t.Helper()
-		out, err := exec.Command(filepath.Join(binDir, "phloembench"), args...).CombinedOutput()
+		out, err := exec.Command(bin("phloembench"), args...).CombinedOutput()
 		if err == nil {
 			return 0, string(out)
 		}
@@ -689,7 +722,7 @@ func TestPhloembenchTables(t *testing.T) {
 // none of that output appears.
 func TestPhloemcSearchObservability(t *testing.T) {
 	trace := filepath.Join(t.TempDir(), "search.json")
-	cmd := exec.Command(filepath.Join(binDir, "phloemc"),
+	cmd := exec.Command(bin("phloemc"),
 		"-autotune", "BFS", "-j", "4", "-topk", "5",
 		"-progress", "-search-stats", "-search-trace", trace)
 	var stdout, stderr bytes.Buffer
@@ -797,7 +830,7 @@ func TestPhloembenchBenchdiff(t *testing.T) {
 
 	exitCode := func(args ...string) (int, string) {
 		t.Helper()
-		out, err := exec.Command(filepath.Join(binDir, "phloembench"), args...).CombinedOutput()
+		out, err := exec.Command(bin("phloembench"), args...).CombinedOutput()
 		if err == nil {
 			return 0, string(out)
 		}

@@ -289,7 +289,7 @@ func CompileSource(src string, opt Options) (*Result, error) {
 	if err := eff.Err(); err != nil {
 		return nil, fmt.Errorf("core: effects: %w", err)
 	}
-	p, err := lower.FromAST(fn)
+	p, err := lower.FromAnalysis(fn, eff)
 	if err != nil {
 		return nil, fmt.Errorf("core: lower: %w", err)
 	}
@@ -393,11 +393,11 @@ func finishPipeline(pipe *pipeline.Pipeline, opt Options) error {
 		return nil
 	}
 	t0 := opt.obsw.now()
-	rep := verify.Check(pipe)
+	errs := verify.CheckErrors(pipe)
 	opt.obsw.span(opt.obsEvent(EvVerify), t0)
-	if rep.HasErrors() {
+	if len(errs) > 0 {
 		msg := ""
-		for _, d := range rep.Errors() {
+		for _, d := range errs {
 			msg += "\n  " + d.String()
 		}
 		return fmt.Errorf("core: pipeline %q %w:%s", pipe.Prog.Name, ErrVerify, msg)

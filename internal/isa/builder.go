@@ -48,6 +48,19 @@ func (b *Builder) Label(name string) {
 // program with all-zero lines.
 func (b *Builder) SetLine(line int32) { b.line = line }
 
+// Grow makes room for n more instructions, so that emitting them does not
+// reallocate the program.
+func (b *Builder) Grow(n int) {
+	if n <= cap(b.instrs)-len(b.instrs) {
+		return
+	}
+	instrs := make([]Instr, len(b.instrs), len(b.instrs)+n)
+	copy(instrs, b.instrs)
+	lines := make([]int32, len(b.lines), len(b.lines)+n)
+	copy(lines, b.lines)
+	b.instrs, b.lines = instrs, lines
+}
+
 func (b *Builder) emit(in Instr) {
 	b.instrs = append(b.instrs, in)
 	b.lines = append(b.lines, b.line)

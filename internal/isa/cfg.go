@@ -49,11 +49,10 @@ func (p *Program) CFG() [][]int {
 }
 
 // Reachable returns the set of instructions reachable from the entry point
-// along CFG edges.
-func (p *Program) Reachable() []bool {
-	succs := p.CFG()
-	seen := make([]bool, len(p.Instrs))
-	if len(p.Instrs) == 0 {
+// along the edges of succs, a program's CFG.
+func Reachable(succs [][]int) []bool {
+	seen := make([]bool, len(succs))
+	if len(succs) == 0 {
 		return seen
 	}
 	stack := []int{0}

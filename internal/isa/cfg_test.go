@@ -54,7 +54,7 @@ func TestReachable(t *testing.T) {
 	b.Label("end") //
 	b.Halt()       // 2
 	p := b.MustBuild()
-	got := p.Reachable()
+	got := Reachable(p.CFG())
 	want := []bool{true, false, true}
 	if !reflect.DeepEqual(got, want) {
 		t.Fatalf("reachable %v, want %v", got, want)

@@ -19,9 +19,15 @@ import (
 // memory-effects verdicts ride along on Prog.Alias so the race rule and the
 // static verifier reason about proven aliasing rather than assuming it.
 func FromAST(fn *source.Function) (*ir.Prog, error) {
+	return FromAnalysis(fn, effects.Analyze(fn))
+}
+
+// FromAnalysis is FromAST for a caller that already ran the effects
+// analysis of fn: eff must be effects.Analyze(fn).
+func FromAnalysis(fn *source.Function, eff *effects.Analysis) (*ir.Prog, error) {
 	lw := &astLowerer{
 		p: &ir.Prog{Name: fn.Name, Replicate: fn.Pragmas.Replicate, Distribute: fn.Pragmas.Distribute,
-			Alias: effects.Analyze(fn).AliasInfo()},
+			Alias: eff.AliasInfo()},
 		scopes: []map[string]binding{{}},
 	}
 	for _, prm := range fn.Params {

@@ -2,6 +2,7 @@ package lower
 
 import (
 	"fmt"
+	"strconv"
 
 	"phloem/internal/ir"
 	"phloem/internal/isa"
@@ -53,7 +54,7 @@ type flattener struct {
 
 func (f *flattener) newLabel(prefix string) string {
 	f.labelN++
-	return fmt.Sprintf(".%s%d", prefix, f.labelN)
+	return "." + prefix + strconv.Itoa(f.labelN)
 }
 
 // constReg returns the hoisted register for a constant.
@@ -86,66 +87,91 @@ func immFoldable(op ir.BinOp, float bool) bool {
 	return false
 }
 
-// hoistConsts walks the statements and emits one Const per distinct
-// register-needing constant.
+// hoistConsts emits one Const per distinct register-needing constant of
+// body, in the order the statements first use them, after growing the
+// builder by the whole program's length.
 func (f *flattener) hoistConsts(body []ir.Stmt) {
-	need := func(o ir.Operand) {
-		if !o.IsConst {
+	var sc constScan
+	sc.list(body)
+	f.b.Grow(len(sc.imms) + sc.instrs + 1) // + the epilogue halt
+	for _, imm := range sc.imms {
+		f.consts[imm] = f.b.Const(imm)
+	}
+}
+
+// constScan collects the constants a body needs in registers, without
+// duplicates, and counts the instructions the body flattens to.
+type constScan struct {
+	imms   []int64
+	instrs int
+}
+
+func (sc *constScan) need(o ir.Operand) {
+	if !o.IsConst {
+		return
+	}
+	for _, imm := range sc.imms {
+		if imm == o.Imm {
 			return
 		}
-		if _, ok := f.consts[o.Imm]; ok {
-			return
-		}
-		f.consts[o.Imm] = f.b.Const(o.Imm)
 	}
-	var walkRval func(r ir.Rval)
-	walkRval = func(r ir.Rval) {
-		switch r := r.(type) {
-		case *ir.RvalBin:
-			need(r.A)
-			if !(r.B.IsConst && immFoldable(r.Op, r.Float)) {
-				need(r.B)
-			}
-		case *ir.RvalUn:
-			need(r.A)
-			// Some unary forms expand using a constant register.
-			switch {
-			case r.Op == ir.OpNeg && !r.Float:
-				need(ir.C(0))
-			case r.Op == ir.OpNot:
-				need(ir.C(0))
-			case r.Op == ir.OpBNot:
-				need(ir.C(-1))
-			}
-		case *ir.RvalLoad:
-			need(r.Idx)
+	sc.imms = append(sc.imms, o.Imm)
+}
+
+func (sc *constScan) rval(r ir.Rval) {
+	switch r := r.(type) {
+	case *ir.RvalBin:
+		sc.need(r.A)
+		if !(r.B.IsConst && immFoldable(r.Op, r.Float)) {
+			sc.need(r.B)
+		}
+	case *ir.RvalUn:
+		sc.need(r.A)
+		// Some unary forms expand using a constant register.
+		switch {
+		case r.Op == ir.OpNeg && !r.Float:
+			sc.need(ir.C(0))
+		case r.Op == ir.OpNot:
+			sc.need(ir.C(0))
+		case r.Op == ir.OpBNot:
+			sc.need(ir.C(-1))
+		}
+	case *ir.RvalLoad:
+		sc.need(r.Idx)
+	}
+}
+
+func (sc *constScan) list(list []ir.Stmt) {
+	for _, s := range list {
+		switch s := s.(type) {
+		case *ir.Assign:
+			sc.rval(s.Src)
+		case *ir.Store:
+			sc.need(s.Idx)
+			sc.need(s.Val)
+		case *ir.Prefetch:
+			sc.need(s.Idx)
+		case *ir.If:
+			sc.need(s.Cond)
+			sc.list(s.Then)
+			sc.list(s.Else)
+			// The branch, and the jump over a non-empty else.
+			sc.instrs += 2
+		case *ir.Loop:
+			sc.list(s.Pre)
+			sc.need(s.Cond)
+			sc.list(s.Body)
+			// The exit branch and the back edge.
+			sc.instrs += 2
+		case *ir.Enq:
+			sc.need(s.Val)
+		}
+		switch s.(type) {
+		case *ir.If, *ir.Loop, *ir.DecoupleMark, *ir.Label:
+		default:
+			sc.instrs++
 		}
 	}
-	var walk func(list []ir.Stmt)
-	walk = func(list []ir.Stmt) {
-		for _, s := range list {
-			switch s := s.(type) {
-			case *ir.Assign:
-				walkRval(s.Src)
-			case *ir.Store:
-				need(s.Idx)
-				need(s.Val)
-			case *ir.Prefetch:
-				need(s.Idx)
-			case *ir.If:
-				need(s.Cond)
-				walk(s.Then)
-				walk(s.Else)
-			case *ir.Loop:
-				walk(s.Pre)
-				need(s.Cond)
-				walk(s.Body)
-			case *ir.Enq:
-				need(s.Val)
-			}
-		}
-	}
-	walk(body)
 }
 
 func (f *flattener) stmts(list []ir.Stmt) error {

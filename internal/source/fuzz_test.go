@@ -15,23 +15,23 @@ import (
 	"testing"
 )
 
-func FuzzParse(f *testing.F) {
-	seeds := []string{
-		"",
-		"void",
-		"#pragma phloem",
-		"void k() {}",
-		"void k(int n) { int x = n; }",
-		"void k(int* restrict a, int n) { a[0] = n; }",
-		"void k(int* a, int n) { for (int i = 0; i < n; i = i + 1) { a[i] = i; } }",
-		`#pragma phloem
+// fuzzSeeds is FuzzParse's seed corpus.
+var fuzzSeeds = []string{
+	"",
+	"void",
+	"#pragma phloem",
+	"void k() {}",
+	"void k(int n) { int x = n; }",
+	"void k(int* restrict a, int n) { a[0] = n; }",
+	"void k(int* a, int n) { for (int i = 0; i < n; i = i + 1) { a[i] = i; } }",
+	`#pragma phloem
 void k(int* restrict a, float* restrict f, int n, float s) {
   for (int i = 0; i < n; i = i + 1) {
     f[i] = f[i] * s;
     a[i] = a[i] + 1;
   }
 }`,
-		`#pragma phloem
+	`#pragma phloem
 void bfs(int* restrict nodes, int* restrict edges, int* restrict distances,
          int* restrict cur_fringe, int* restrict next_fringe,
          int root, int n) {
@@ -59,7 +59,7 @@ void bfs(int* restrict nodes, int* restrict edges, int* restrict distances,
     cur_dist = cur_dist + 1;
   }
 }`,
-		`#pragma phloem
+	`#pragma phloem
 void spmv(int* rows, int* cols, float* restrict vals,
           float* restrict x, float* restrict y, int n) {
   for (int i = 0; i < n; i = i + 1) {
@@ -72,16 +72,18 @@ void spmv(int* rows, int* cols, float* restrict vals,
     y[i] = acc;
   }
 }`,
-		"void k(int n) { while (1) { } }",
-		"void k(int* restrict a) { swap(a, a); }",
-		"void k(int n) { if (n) { } else { } }",
-		"void k(float f) { float g = -f; }",
-		"/* comment */ void k(int n) {}",
-		"void k(int n) { int x = (n << 2) % 3; }",
-		"\x00\x01\x02",
-		"void k(int n) { int x = ((((((((n))))))))); }",
-	}
-	for _, s := range seeds {
+	"void k(int n) { while (1) { } }",
+	"void k(int* restrict a) { swap(a, a); }",
+	"void k(int n) { if (n) { } else { } }",
+	"void k(float f) { float g = -f; }",
+	"/* comment */ void k(int n) {}",
+	"void k(int n) { int x = (n << 2) % 3; }",
+	"\x00\x01\x02",
+	"void k(int n) { int x = ((((((((n))))))))); }",
+}
+
+func FuzzParse(f *testing.F) {
+	for _, s := range fuzzSeeds {
 		f.Add(s)
 	}
 	f.Fuzz(func(t *testing.T, src string) {

@@ -5,46 +5,67 @@ import (
 	"strings"
 )
 
-// Parser is a recursive-descent parser for the C subset.
+// Parser is a recursive-descent parser for the C subset. It pulls tokens
+// from the lexer as it goes: the grammar needs two tokens of lookahead and
+// never backtracks, so the token stream is never materialised.
 type Parser struct {
-	toks []Token
-	pos  int
-	// pendingDecouple is set when a `#pragma decouple` was just seen.
-	pendingDecouple bool
+	lex Lexer
+	// look holds the next two tokens (peek, peek2). At the end of input,
+	// and after a lexical error, every further token is EOF.
+	look [2]Token
+	// lexErr is the first lexical error; it wins over any parse error,
+	// wherever in the file either occurs.
+	lexErr error
 }
 
 // Parse parses a translation unit containing exactly one function.
 func Parse(src string) (*Function, error) {
-	toks, err := LexAll(src)
-	if err != nil {
-		return nil, err
-	}
-	p := &Parser{toks: toks}
+	p := &Parser{lex: *newLexer(src)}
+	p.look[0] = p.lexNext()
+	p.look[1] = p.lexNext()
 	fn, err := p.parseFunction()
+	if err == nil {
+		if t := p.peek(); t.Kind != TokEOF {
+			err = errf(t.Line, "unexpected %s after function body (one function per unit)", t)
+		}
+	}
+	if err != nil {
+		// A lexical error later in the file outranks this parse error.
+		for p.lexErr == nil && p.look[1].Kind != TokEOF {
+			p.look[1] = p.lexNext()
+		}
+	}
+	if p.lexErr != nil {
+		return nil, p.lexErr
+	}
 	if err != nil {
 		return nil, err
-	}
-	if t := p.peek(); t.Kind != TokEOF {
-		return nil, errf(t.Line, "unexpected %s after function body (one function per unit)", t)
 	}
 	return fn, nil
 }
 
-func (p *Parser) peek() Token  { return p.toks[p.pos] }
-func (p *Parser) peek2() Token { return p.toks[min(p.pos+1, len(p.toks)-1)] }
-func (p *Parser) next() Token {
-	t := p.toks[p.pos]
-	if p.pos < len(p.toks)-1 {
-		p.pos++
+// lexNext pulls the next token from the lexer. After a lexical error it
+// lexes no further and returns EOF.
+func (p *Parser) lexNext() Token {
+	if p.lexErr == nil {
+		t, err := p.lex.Next()
+		if err == nil {
+			return t
+		}
+		p.lexErr = err
 	}
-	return t
+	return Token{Kind: TokEOF, Line: p.lex.line, Col: p.lex.col}
 }
 
-func min(a, b int) int {
-	if a < b {
-		return a
+func (p *Parser) peek() Token  { return p.look[0] }
+func (p *Parser) peek2() Token { return p.look[1] }
+func (p *Parser) next() Token {
+	t := p.look[0]
+	if t.Kind != TokEOF {
+		p.look[0] = p.look[1]
+		p.look[1] = p.lexNext()
 	}
-	return b
+	return t
 }
 
 func (p *Parser) expectPunct(s string) (Token, error) {

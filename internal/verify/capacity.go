@@ -35,15 +35,22 @@ import (
 	"phloem/internal/isa"
 )
 
-// checkCapacity runs the static throughput model over the pipeline (reusing
-// the stage programs flattened by buildModel) and flags undersized queues
-// and unsound pass assignments.
+// checkCapacity flags unsound pass assignments and, with costWarnings, runs
+// the static throughput model over the pipeline (reusing the stage programs
+// flattened by buildModel) to flag undersized queues.
 //
 //	W1: an author's Depth override is below the recommended capacity.
 //	W2: a pass-assigned Depth is below the recommended capacity.
 //	Q4: a pass-assigned Depth violates the deadlock-safety premises.
-func (m *model) checkCapacity() {
+func (m *model) checkCapacity(costWarnings bool) {
 	cfg := arch.DefaultConfig(1)
+	if costWarnings {
+		m.checkRecommended(cfg)
+	}
+	m.checkAssignedCapacities(cfg)
+}
+
+func (m *model) checkRecommended(cfg arch.Config) {
 	rep := costmodel.AnalyzeFlat(m.pl, cfg, m.progs)
 	for _, q := range rep.Queues {
 		if q.Depth > 0 && q.Depth < q.Recommended {
@@ -58,7 +65,6 @@ func (m *model) checkCapacity() {
 			}
 		}
 	}
-	m.checkAssignedCapacities(cfg)
 }
 
 func (m *model) checkAssignedCapacities(cfg arch.Config) {

@@ -30,13 +30,13 @@ func (m *model) checkDataflow() {
 		if m.progs[i] == nil {
 			continue
 		}
-		m.checkStageDataflow(st.Name, m.progs[i])
+		m.checkStageDataflow(i, st.Name, m.progs[i])
 	}
 }
 
-func (m *model) checkStageDataflow(name string, prog *isa.Program) {
+func (m *model) checkStageDataflow(i int, name string, prog *isa.Program) {
 	vars := m.pl.Prog.Vars
-	reach := prog.Reachable()
+	reach := isa.Reachable(m.succs[i])
 	defs := make([]int, prog.NumRegs)
 	for _, in := range prog.Instrs {
 		if d := in.Writes(); d != isa.NoReg {
@@ -154,14 +154,10 @@ func (m *model) checkStageDataflow(name string, prog *isa.Program) {
 		pc = end + 1
 	}
 
-	qo := collectQueueOps(prog)
-	peeked := map[int]bool{}
-	for q := range qo.peek {
-		peeked[q] = true
-	}
-	for _, q := range sortedKeys(peeked) {
-		if len(qo.deq[q]) == 0 {
-			m.diag("D6", SevWarning, name, q, qo.peek[q][0],
+	qo := m.ops[i]
+	for q, pcs := range qo.peek {
+		if len(pcs) > 0 && len(qo.deq[q]) == 0 {
+			m.diag("D6", SevWarning, name, q, pcs[0],
 				"queue is peeked but never dequeued in this stage")
 		}
 	}

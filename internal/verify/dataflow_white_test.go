@@ -17,7 +17,9 @@ func modelFor(prog *isa.Program, numQueues int) *model {
 		pl.AddQueue("q")
 	}
 	pl.Stages = []*pipeline.Stage{{Name: prog.Name}}
-	return &model{pl: pl, rep: &Report{Pipeline: "white"}, progs: []*isa.Program{prog}}
+	m := newModel(pl)
+	m.addStage(0, prog)
+	return m
 }
 
 func TestD6PeekWithoutDeq(t *testing.T) {

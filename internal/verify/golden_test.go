@@ -13,6 +13,7 @@ import (
 	"fmt"
 	"os"
 	"path/filepath"
+	"reflect"
 	"strings"
 	"testing"
 
@@ -232,5 +233,30 @@ func TestGoldenDiagnostics(t *testing.T) {
 	}
 	if got != string(want) {
 		t.Errorf("diagnostics differ from %s (run with -update after intentional changes)\n--- got ---\n%s--- want ---\n%s", path, got, want)
+	}
+}
+
+// TestCheckErrorsMatchesCheck pins CheckErrors, which skips the cost model's
+// warning-only rules, to the errors of the full report: one fixture per
+// rule, plus undersized queues that draw W1 and W2 (the latter beside a Q4
+// error).
+func TestCheckErrorsMatchesCheck(t *testing.T) {
+	w1 := cleanPipe()
+	w1.pipe.Queues[0].Depth = 1
+	w2 := cleanPipe()
+	w2.pipe.Queues[0].Depth = 1
+	w2.pipe.Queues[0].DepthByPass = true
+	for _, f := range append(goldenFixtures(), w1, w2) {
+		rep := verify.Check(f.pipe)
+		got := verify.CheckErrors(f.pipe)
+		if want := rep.Errors(); !reflect.DeepEqual(got, want) {
+			t.Errorf("%s: CheckErrors = %v, want %v", f.p.Name, got, want)
+		}
+	}
+	for _, c := range []struct {
+		f    *fx
+		rule string
+	}{{w1, "W1"}, {w2, "W2"}} {
+		requireRule(t, verify.Check(c.f.pipe), c.rule, verify.SevWarning)
 	}
 }

@@ -34,20 +34,21 @@ func (m *model) checkProtocol() {
 		if prog == nil {
 			continue
 		}
-		qo := collectQueueOps(prog)
+		qo := m.ops[i]
 		fromQ := regQueueSources(prog)
-		consts := constRegs(prog)
+		consts := m.consts[i]
 
-		consumed := map[int]bool{}
-		for q := range qo.deq {
-			consumed[q] = true
+		handledCount := 0
+		for _, pcs := range qo.handler {
+			if len(pcs) > 0 {
+				handledCount++
+			}
 		}
-		for q := range qo.peek {
-			consumed[q] = true
-		}
-		handledCount := len(qo.handler)
 
-		for _, q := range sortedKeys(consumed) {
+		for q := range m.pl.Queues {
+			if len(qo.deq[q]) == 0 && len(qo.peek[q]) == 0 {
+				continue
+			}
 			s := sent[q]
 			if !s.unknown && len(s.codes) == 0 {
 				continue // pure data queue: no protocol to check
@@ -196,7 +197,7 @@ func (m *model) sentCodes() []codeSet {
 		if prog == nil {
 			continue
 		}
-		consts := constRegs(prog)
+		consts := m.consts[i]
 		for _, in := range prog.Instrs {
 			switch in.Op {
 			case isa.OpEnqCtrl:
@@ -295,15 +296,6 @@ func hasQueue(list []int, q int) bool {
 		}
 	}
 	return false
-}
-
-func sortedKeys(set map[int]bool) []int {
-	out := make([]int, 0, len(set))
-	for k := range set {
-		out = append(out, k)
-	}
-	sort.Ints(out)
-	return out
 }
 
 func sortedCodes(set map[int64]struct{}) []int64 {

@@ -43,7 +43,7 @@ func (m *model) checkTopology() {
 		if m.progs[i] == nil {
 			continue
 		}
-		qo := collectQueueOps(m.progs[i])
+		qo := m.ops[i]
 		for q := range m.pl.Queues {
 			if len(qo.enq[q]) > 0 && (len(qo.deq[q]) > 0 || len(qo.peek[q]) > 0) {
 				m.diag("Q2", SevWarning, st.Name, q, qo.enq[q][0],
@@ -66,12 +66,12 @@ func (m *model) checkStartupDeadlock() {
 		if prog == nil {
 			continue
 		}
-		qo := collectQueueOps(prog)
+		qo := m.ops[i]
 		for q := range m.pl.Queues {
 			if len(qo.deq[q]) == 0 && len(qo.peek[q]) == 0 {
 				continue
 			}
-			if stageMustBlockOn(prog, q) {
+			if stageMustBlockOn(prog, m.succs[i], q) {
 				for _, p := range m.producers[q] {
 					edges[i] = append(edges[i], qedge{to: p, q: q})
 				}
@@ -158,12 +158,11 @@ func (m *model) cycleMessage(root int, stack []qedge, closing qedge) string {
 // stageMustBlockOn reports whether every execution path from the stage entry
 // reaches a deq/peek of q before any enqueue (to any queue) or halt. When
 // true, the stage cannot contribute a single value to the pipeline until q's
-// producer runs.
-func stageMustBlockOn(prog *isa.Program, q int) bool {
+// producer runs. succs is prog.CFG().
+func stageMustBlockOn(prog *isa.Program, succs [][]int, q int) bool {
 	if len(prog.Instrs) == 0 {
 		return false
 	}
-	succs := prog.CFG()
 	seen := make([]bool, len(prog.Instrs))
 	work := []int{0}
 	seen[0] = true

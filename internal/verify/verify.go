@@ -135,13 +135,23 @@ func (r *Report) String() string {
 // effects, capacity) — so two runs over the same pipeline render
 // byte-identical output.
 func Check(pl *pipeline.Pipeline) *Report {
+	return check(pl, true)
+}
+
+// CheckErrors returns Check(pl).Errors() without running the static cost
+// model, whose rules (W1, W2) can only warn.
+func CheckErrors(pl *pipeline.Pipeline) []Diag {
+	return check(pl, false).Errors()
+}
+
+func check(pl *pipeline.Pipeline, costWarnings bool) *Report {
 	m := buildModel(pl)
 	m.checkTopology()
 	m.checkProtocol()
 	m.checkDataflow()
 	m.checkLiveness()
 	m.checkEffects()
-	m.checkCapacity()
+	m.checkCapacity(costWarnings)
 	sort.SliceStable(m.rep.Diags, func(i, j int) bool {
 		a, b := m.rep.Diags[i], m.rep.Diags[j]
 		if a.Stage != b.Stage {
@@ -170,6 +180,13 @@ type model struct {
 	// structural validation failed (the stage is then skipped by the other
 	// analyses, which already have a D0 error to explain why).
 	progs []*isa.Program
+	// ops, succs and consts are what several analyses read of each stage
+	// program, computed once by addStage: its queue operations, its
+	// control-flow successors (isa.Program.CFG) and its constant
+	// registers. Each is empty where progs is nil.
+	ops    []queueOps
+	succs  [][][]int
+	consts []map[isa.Reg]int64
 
 	producers [][]int // queue id -> entity ids that enqueue into it
 	consumers [][]int // queue id -> entity ids that dequeue/peek/handle it
@@ -194,13 +211,7 @@ func (m *model) diag(rule string, sev Severity, stage string, q, pc int, format 
 }
 
 func buildModel(pl *pipeline.Pipeline) *model {
-	m := &model{
-		pl:        pl,
-		rep:       &Report{Pipeline: pl.Prog.Name},
-		progs:     make([]*isa.Program, len(pl.Stages)),
-		producers: make([][]int, len(pl.Queues)),
-		consumers: make([][]int, len(pl.Queues)),
-	}
+	m := newModel(pl)
 	for i, st := range pl.Stages {
 		prog, err := pipeline.FlattenStage(pl, st)
 		if err != nil {
@@ -211,15 +222,7 @@ func buildModel(pl *pipeline.Pipeline) *model {
 			m.diag("D0", SevError, st.Name, -1, -1, "structurally invalid program: %v", err)
 			continue
 		}
-		m.progs[i] = prog
-		for _, in := range prog.Instrs {
-			switch in.Op {
-			case isa.OpEnq, isa.OpEnqCtrl, isa.OpEnqCtrlV:
-				m.producers[in.Q] = addEntity(m.producers[in.Q], i)
-			case isa.OpDeq, isa.OpPeek, isa.OpSetHandler:
-				m.consumers[in.Q] = addEntity(m.consumers[in.Q], i)
-			}
-		}
+		m.addStage(i, prog)
 	}
 	for r, ra := range pl.RAs {
 		ent := len(pl.Stages) + r
@@ -233,6 +236,35 @@ func buildModel(pl *pipeline.Pipeline) *model {
 	return m
 }
 
+// newModel returns the model of pl with no stage program added yet.
+func newModel(pl *pipeline.Pipeline) *model {
+	return &model{
+		pl:        pl,
+		rep:       &Report{Pipeline: pl.Prog.Name},
+		progs:     make([]*isa.Program, len(pl.Stages)),
+		ops:       make([]queueOps, len(pl.Stages)),
+		succs:     make([][][]int, len(pl.Stages)),
+		consts:    make([]map[isa.Reg]int64, len(pl.Stages)),
+		producers: make([][]int, len(pl.Queues)),
+		consumers: make([][]int, len(pl.Queues)),
+	}
+}
+
+// addStage records stage i's validated program and what the analyses read
+// of it. Stages are added in index order, before any RA.
+func (m *model) addStage(i int, prog *isa.Program) {
+	qo := collectQueueOps(prog, len(m.pl.Queues))
+	m.progs[i], m.ops[i], m.succs[i], m.consts[i] = prog, qo, prog.CFG(), constRegs(prog)
+	for q := range m.pl.Queues {
+		if len(qo.enq[q]) > 0 {
+			m.producers[q] = append(m.producers[q], i)
+		}
+		if len(qo.deq[q]) > 0 || len(qo.peek[q]) > 0 || len(qo.handler[q]) > 0 {
+			m.consumers[q] = append(m.consumers[q], i)
+		}
+	}
+}
+
 func addEntity(list []int, ent int) []int {
 	for _, e := range list {
 		if e == ent {
@@ -242,19 +274,24 @@ func addEntity(list []int, ent int) []int {
 	return append(list, ent)
 }
 
-// queueOps collects, for one stage program, the pcs of queue operations per
+// queueOps is, for one stage program, the pcs of its queue operations per
 // queue id, split by role.
 type queueOps struct {
-	enq     map[int][]int // Enq/EnqCtrl/EnqCtrlV
-	deq     map[int][]int // Deq
-	peek    map[int][]int // Peek
-	handler map[int][]int // SetHandler
+	enq     [][]int // Enq/EnqCtrl/EnqCtrlV
+	deq     [][]int // Deq
+	peek    [][]int // Peek
+	handler [][]int // SetHandler
 }
 
-func collectQueueOps(prog *isa.Program) queueOps {
+// collectQueueOps takes the census of a validated program, whose queue ids
+// are all below numQueues.
+func collectQueueOps(prog *isa.Program, numQueues int) queueOps {
+	all := make([][]int, 4*numQueues)
 	qo := queueOps{
-		enq: map[int][]int{}, deq: map[int][]int{},
-		peek: map[int][]int{}, handler: map[int][]int{},
+		enq:     all[:numQueues:numQueues],
+		deq:     all[numQueues : 2*numQueues : 2*numQueues],
+		peek:    all[2*numQueues : 3*numQueues : 3*numQueues],
+		handler: all[3*numQueues:],
 	}
 	for pc, in := range prog.Instrs {
 		switch in.Op {
