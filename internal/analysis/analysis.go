@@ -345,14 +345,18 @@ type AffineDef struct {
 // v = base + const, its affine description. Used by the recompute pass and
 // the nearby-access grouping.
 func FindAffineDefs(list []ir.Stmt) map[ir.Var]AffineDef {
-	counts := map[ir.Var]int{}
+	// counts[v] is v's number of definitions, up to 2; variables are dense.
+	var counts []uint8
 	defs := map[ir.Var]AffineDef{}
 	var walk func(body []ir.Stmt)
 	walk = func(body []ir.Stmt) {
 		for _, s := range body {
 			switch s := s.(type) {
 			case *ir.Assign:
-				counts[s.Dst]++
+				if n := int(s.Dst) + 1; n > len(counts) {
+					counts = append(counts, make([]uint8, n-len(counts))...)
+				}
+				counts[s.Dst] = min(counts[s.Dst]+1, 2)
 				if bin, ok := s.Src.(*ir.RvalBin); ok && bin.Op == ir.OpAdd && !bin.Float {
 					if !bin.A.IsConst && bin.B.IsConst && bin.A.Var != s.Dst {
 						defs[s.Dst] = AffineDef{Base: bin.A.Var, Offset: bin.B.Imm}
@@ -372,8 +376,8 @@ func FindAffineDefs(list []ir.Stmt) map[ir.Var]AffineDef {
 		}
 	}
 	walk(list)
-	for v, n := range counts {
-		if n != 1 {
+	for v := range defs {
+		if counts[v] != 1 {
 			delete(defs, v)
 		}
 	}

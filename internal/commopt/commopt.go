@@ -98,6 +98,10 @@ type Plan struct {
 	// Default is the machine default queue capacity the plan is relative to.
 	Default int
 	Queues  []QueuePlan
+	// Predicted is the cost model's cycle estimate the plan was made from
+	// (costmodel.Report.Predicted): queue capacities do not enter it, so it
+	// holds for the pipeline before and after Apply.
+	Predicted uint64
 }
 
 // Analyze computes the plan without mutating the pipeline: the returned
@@ -120,6 +124,7 @@ func Apply(pl *pipeline.Pipeline, cfg arch.Config) (*Plan, error) {
 		return nil, fmt.Errorf("commopt: %w", err)
 	}
 	rep := costmodel.AnalyzeFlat(pl, cfg, progs)
+	plan.Predicted = rep.Predicted
 	g := buildGraph(pl, progs)
 	gFloors := groupFloors(pl, progs)
 	sFloors := siteFloors(pl, progs)

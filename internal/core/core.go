@@ -365,7 +365,7 @@ func buildStatic(p *ir.Prog, phases []*analysis.Phase, cands [][]*analysis.Candi
 		return nil, err
 	}
 	opt.obsw.span(opt.obsEvent(EvBuild), t0)
-	if err := finishPipeline(pipe, opt); err != nil {
+	if _, _, err := finishPipeline(pipe, opt, &verify.Scratch{}); err != nil {
 		return nil, err
 	}
 	opt.obsw.instant(SearchEvent{Kind: EvSearchEnd, Seq: -1, Phase: -1, Mode: "static"})
@@ -375,14 +375,18 @@ func buildStatic(p *ir.Prog, phases []*analysis.Phase, cands [][]*analysis.Candi
 // finishPipeline lowers the pipeline's stages, runs the communication
 // optimization pass (when enabled), applies the PostBuild hook and lowers
 // again after it, and, unless SkipVerify is set, rejects pipelines the
-// static verifier finds broken.
-func finishPipeline(pipe *pipeline.Pipeline, opt Options) error {
+// static verifier finds broken, checking in vs. When commopt priced the
+// final pipeline on its way (no PostBuild edit came after it), priced is
+// set and predicted holds the cost model's estimate.
+func finishPipeline(pipe *pipeline.Pipeline, opt Options, vs *verify.Scratch) (predicted uint64, priced bool, err error) {
 	pipeline.Lower(pipe)
 	if opt.CommOpt {
 		t0 := opt.obsw.now()
-		if _, err := commopt.Apply(pipe, opt.Machine); err != nil {
-			return fmt.Errorf("core: commopt %q: %w", pipe.Prog.Name, err)
+		plan, err := commopt.Apply(pipe, opt.Machine)
+		if err != nil {
+			return 0, false, fmt.Errorf("core: commopt %q: %w", pipe.Prog.Name, err)
 		}
+		predicted, priced = plan.Predicted, opt.PostBuild == nil
 		opt.obsw.span(opt.obsEvent(EvCommOpt), t0)
 	}
 	if opt.PostBuild != nil {
@@ -390,19 +394,19 @@ func finishPipeline(pipe *pipeline.Pipeline, opt Options) error {
 		pipeline.Lower(pipe)
 	}
 	if opt.SkipVerify {
-		return nil
+		return predicted, priced, nil
 	}
 	t0 := opt.obsw.now()
-	errs := verify.CheckErrors(pipe)
+	errs := vs.CheckErrors(pipe)
 	opt.obsw.span(opt.obsEvent(EvVerify), t0)
 	if len(errs) > 0 {
 		msg := ""
 		for _, d := range errs {
 			msg += "\n  " + d.String()
 		}
-		return fmt.Errorf("core: pipeline %q %w:%s", pipe.Prog.Name, ErrVerify, msg)
+		return 0, false, fmt.Errorf("core: pipeline %q %w:%s", pipe.Prog.Name, ErrVerify, msg)
 	}
-	return nil
+	return predicted, priced, nil
 }
 
 // autotune enumerates candidate point subsets per phase (from the
@@ -481,23 +485,31 @@ func emitEnumerated(opt Options, tasks []*candTask) {
 	}
 }
 
-// buildCandidate builds and verifies one candidate pipeline under panic
-// recovery, returning a structured skip on any failure.
-func buildCandidate(p *ir.Prog, phase int, subset []int, points [][]*analysis.Candidate,
-	opt Options) (pipe *pipeline.Pipeline, skip *CandidateSkip) {
+// build builds, verifies and prices the task's candidate pipeline under
+// panic recovery, on a private clone of p, with a search worker's scratch.
+// It records the cost model's estimate on the task (predOK stays false when
+// the model cannot price the pipeline): the one pricing of a candidate,
+// taken from commopt when that already made it.
+func (t *candTask) build(p *ir.Prog, opt Options, sc *scratch) (pipe *pipeline.Pipeline, skip *CandidateSkip) {
 	defer func() {
 		if r := recover(); r != nil {
 			pipe = nil
-			skip = &CandidateSkip{Phase: phase, Subset: subset, Reason: SkipPanic, Err: &panicError{val: r}}
+			skip = &CandidateSkip{Phase: t.phase, Subset: t.subset, Reason: SkipPanic, Err: &panicError{val: r}}
 		}
 	}()
-	pipe, err := passes.Build(p, points, opt.Passes, buildCfg(opt))
+	pipe, err := sc.build.Build(cloneProg(p), t.points, opt.Passes, buildCfg(opt))
 	if err != nil {
-		return nil, &CandidateSkip{Phase: phase, Subset: subset, Reason: SkipBuild, Err: err}
+		return nil, &CandidateSkip{Phase: t.phase, Subset: t.subset, Reason: SkipBuild, Err: err}
 	}
-	if err := finishPipeline(pipe, opt); err != nil {
-		return nil, &CandidateSkip{Phase: phase, Subset: subset, Reason: SkipVerifier, Err: err}
+	pred, priced, err := finishPipeline(pipe, opt, &sc.verify)
+	if err != nil {
+		return nil, &CandidateSkip{Phase: t.phase, Subset: t.subset, Reason: SkipVerifier, Err: err}
 	}
+	if !priced {
+		pred, err = sc.cost.Predict(pipe, opt.Machine)
+		priced = err == nil
+	}
+	t.predCycles, t.predOK = pred, priced
 	return pipe, nil
 }
 

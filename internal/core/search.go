@@ -56,8 +56,10 @@ import (
 	"phloem/internal/analysis"
 	"phloem/internal/costmodel"
 	"phloem/internal/ir"
+	"phloem/internal/passes"
 	"phloem/internal/pipeline"
 	"phloem/internal/sim"
+	"phloem/internal/verify"
 )
 
 // searchRun is what one search leaves for its front door to report: every
@@ -97,9 +99,8 @@ func search(p *ir.Prog, phases []*analysis.Phase, cands [][]*analysis.Candidate,
 		opt.MaxCandidates, opt.MaxThreads)
 	emitEnumerated(opt, tasks.tasks)
 	r := &searchRun{tasks: tasks.tasks, serial: serial}
-	r.pruned, r.rankMS = rankAndPrune(p, opt, r.tasks)
-
 	s := newSearcher(p, opt, candidateBudget(serial, opt.BudgetFactor), best, jr)
+	r.pruned, r.rankMS = rankAndPrune(p, opt, r.tasks, &s.scratch[0])
 	r.finals = s.run(r.tasks)
 	r.replayed = jr.replayCount()
 	if opt.Ctx != nil {
@@ -244,6 +245,19 @@ type searcher struct {
 	// journal, when non-nil, replays previously recorded measurements and
 	// records new ones (Options.Checkpoint/Resume).
 	journal *journal
+	// scratch[w] is worker w's working memory (worker 0 is the calling
+	// goroutine: the rank phase and the head start).
+	scratch []scratch
+}
+
+// scratch is what one search worker reuses from candidate to candidate: the
+// pass pipeline's, the verifier's and the cost model's working memory.
+// Nothing in it outlives a candidate's build, and nothing is looked up in it
+// by a candidate's identity: each build passes its pipeline explicitly.
+type scratch struct {
+	build  passes.Scratch
+	verify verify.Scratch
+	cost   costmodel.Scratch
 }
 
 func newSearcher(p *ir.Prog, opt Options, base Budget, initialBest uint64, jr *journal) *searcher {
@@ -255,6 +269,7 @@ func newSearcher(p *ir.Prog, opt Options, base Budget, initialBest uint64, jr *j
 		tighten: opt.BudgetFactor >= 0 && !opt.Exhaustive,
 		best:    initialBest,
 		journal: jr,
+		scratch: make([]scratch, opt.parallelism()+1),
 	}
 	s.bound.Store(s.exactBound())
 	return s
@@ -288,8 +303,13 @@ func (s *searcher) runTask(t *candTask, worker int) *candOutcome {
 	}
 	pipe, skip := t.pipe, t.buildSkip
 	if pipe == nil && skip == nil {
+		// No rank phase built this task: build and price it here, so
+		// prediction error stays auditable next to the measured cycles.
+		// Writing the task is race-free — exactly one worker owns an
+		// unranked task, and the channel send below orders the write
+		// before the merger reads.
 		t0 := opt.obsw.now()
-		pipe, skip = buildCandidate(cloneProg(s.p), t.phase, t.subset, t.points, opt)
+		pipe, skip = t.build(s.p, opt, &s.scratch[worker])
 		e := opt.obsEvent(EvBuild)
 		if skip != nil {
 			e.Err = skip.Err
@@ -301,15 +321,6 @@ func (s *searcher) runTask(t *candTask, worker int) *candOutcome {
 		return o
 	}
 	o.pipe = pipe
-	if !t.predOK {
-		// No rank phase ran for this task: price it here so prediction
-		// error stays auditable next to the measured cycles. Writing the
-		// task is race-free — exactly one worker owns an unranked task, and
-		// the channel send below orders the write before the merger reads.
-		if rep, err := costmodel.Analyze(pipe, opt.Machine); err == nil {
-			t.predCycles, t.predOK = rep.Predicted, true
-		}
-	}
 	if e, ok := s.journal.lookup(t.fp); ok {
 		// A previous run already finalized this candidate's measurement;
 		// replay the verdict instead of simulating.
@@ -585,7 +596,7 @@ func assignRanks(unique []*candTask) []*candTask {
 // Runs on one goroutine before the worker pool, so prune decisions — and
 // therefore search results — are identical for every Options.Parallelism.
 // The prebuilt pipelines are kept on the tasks and reused by runTask.
-func rankAndPrune(p *ir.Prog, opt Options, tasks []*candTask) (pruned int, millis int64) {
+func rankAndPrune(p *ir.Prog, opt Options, tasks []*candTask, sc *scratch) (pruned int, millis int64) {
 	if opt.TopK <= 0 || opt.Exhaustive || len(tasks) == 0 {
 		return 0, 0
 	}
@@ -604,18 +615,12 @@ func rankAndPrune(p *ir.Prog, opt Options, tasks []*candTask) (pruned int, milli
 	for _, t := range unique {
 		opt.obsC = obsCand{seq: t.seq, phase: t.phase, subset: t.subset, fp: t.fp}
 		t0 := opt.obsw.now()
-		t.pipe, t.buildSkip = buildCandidate(cloneProg(p), t.phase, t.subset, t.points, opt)
+		t.pipe, t.buildSkip = t.build(p, opt, sc)
 		e := opt.obsEvent(EvBuild)
 		if t.buildSkip != nil {
 			e.Err = t.buildSkip.Err
 		}
 		opt.obsw.span(e, t0)
-		if t.buildSkip != nil {
-			continue
-		}
-		if rep, err := costmodel.Analyze(t.pipe, opt.Machine); err == nil {
-			t.predCycles, t.predOK = rep.Predicted, true
-		}
 	}
 	order := assignRanks(unique)
 	if opt.TopK >= len(unique) {

@@ -158,8 +158,51 @@ func Analyze(pl *pipeline.Pipeline, cfg arch.Config) (*Report, error) {
 // The verifier uses this entry point to reuse the programs it has already
 // flattened for its other rule families.
 func AnalyzeFlat(pl *pipeline.Pipeline, cfg arch.Config, progs []*isa.Program) *Report {
-	m := newModel(pl, cfg, DefaultParams(), progs)
+	var m model
+	m.reset(pl, cfg, DefaultParams(), progs)
 	return m.run()
+}
+
+// Scratch is the cost model's working memory: the per-pipeline model, its
+// token and price tables and its per-stage structure. A search worker keeps
+// one and prices every candidate it builds in it, so a warm prediction
+// allocates little. The zero value is ready; a Scratch serves one Predict at
+// a time.
+type Scratch struct {
+	m     model
+	progs []*isa.Program
+}
+
+// Predict returns what Analyze(pl, cfg) reports as Predicted, computed in s
+// without building the report.
+func (s *Scratch) Predict(pl *pipeline.Pipeline, cfg arch.Config) (uint64, error) {
+	s.progs = s.progs[:0]
+	for _, st := range pl.Stages {
+		prog, err := pipeline.FlattenStage(pl, st)
+		if err != nil {
+			return 0, fmt.Errorf("costmodel: pipeline: flatten %s: %w", st.Name, err)
+		}
+		s.progs = append(s.progs, prog)
+	}
+	m := &s.m
+	m.reset(pl, cfg, DefaultParams(), s.progs)
+	m.solve()
+	m.price()
+	// The bottleneck's cycles, compared as run compares them.
+	best := 0.0
+	for _, c := range m.costs {
+		if c.cycles > best {
+			best = c.cycles
+		}
+	}
+	for _, instrs := range m.coreInstrs {
+		if c := instrs / float64(m.cfg.IssueWidth); c > best {
+			best = c
+		}
+	}
+	predicted := uint64(math.Round(best + m.par.FillPerStage*float64(pl.TotalStages())))
+	m.drop()
+	return predicted, nil
 }
 
 // model carries the per-pipeline analysis state.
@@ -169,14 +212,27 @@ type model struct {
 	par   Params
 	progs []*isa.Program
 
-	// data/ctrl hold the current fixed-point token counts per queue.
-	data, ctrl []float64
+	// data/ctrl hold the current fixed-point token counts per queue, and
+	// nextData/nextCtrl the round in progress.
+	data, ctrl         []float64
+	nextData, nextCtrl []float64
 	// expansion is instructions-per-IR-statement for each stage.
 	expansion []float64
 	// prefetched marks array slots warmed by a Prefetch in any stage.
 	prefetched map[int]bool
-	// stageInfo caches per-stage structure.
+	// stages holds the per-stage structure, index-aligned with pl.Stages;
+	// infos backs it.
 	stages []*stageInfo
+	infos  []stageInfo
+	// costs prices every stage, then every RA (price); coreInstrs sums
+	// the stages' dynamic instructions per core, 0 up to the highest core
+	// a stage runs on.
+	costs      []entityWalk
+	coreInstrs []float64
+	// loops backs the walkers' stacks of enclosing induction variables,
+	// and nested their stacks of the regions of labeled nested lists.
+	loops  []ir.Var
+	nested []region
 }
 
 // stageInfo is the per-stage structural decomposition: the top-level body
@@ -209,19 +265,24 @@ const (
 	regionDone                       // executes once
 )
 
-func newModel(pl *pipeline.Pipeline, cfg arch.Config, par Params, progs []*isa.Program) *model {
-	m := &model{
-		pl:         pl,
-		cfg:        cfg,
-		par:        par,
-		progs:      progs,
-		data:       make([]float64, len(pl.Queues)),
-		ctrl:       make([]float64, len(pl.Queues)),
-		expansion:  make([]float64, len(pl.Stages)),
-		prefetched: map[int]bool{},
+// reset makes m the model of pl, reusing the tables an earlier model left.
+func (m *model) reset(pl *pipeline.Pipeline, cfg arch.Config, par Params, progs []*isa.Program) {
+	m.pl, m.cfg, m.par, m.progs = pl, cfg, par, progs
+	m.data = zeroed(m.data, len(pl.Queues))
+	m.ctrl = zeroed(m.ctrl, len(pl.Queues))
+	m.expansion = zeroed(m.expansion, len(pl.Stages))
+	if m.prefetched == nil {
+		m.prefetched = map[int]bool{}
 	}
+	clear(m.prefetched)
+	if cap(m.infos) < len(pl.Stages) {
+		m.infos = append(m.infos[:cap(m.infos)], make([]stageInfo, len(pl.Stages)-cap(m.infos))...)
+	}
+	m.infos = m.infos[:len(pl.Stages)]
+	m.stages = m.stages[:0]
 	for i, st := range pl.Stages {
-		si := m.buildStageInfo(st)
+		si := &m.infos[i]
+		m.buildStageInfo(si, st)
 		m.stages = append(m.stages, si)
 		stmts := countStmts(st.Body)
 		if stmts == 0 {
@@ -233,47 +294,71 @@ func newModel(pl *pipeline.Pipeline, cfg arch.Config, par Params, progs []*isa.P
 		}
 		markPrefetched(st.Body, m.prefetched)
 	}
-	return m
 }
 
-// buildStageInfo splits the stage body into regions and classifies each.
-func (m *model) buildStageInfo(st *pipeline.Stage) *stageInfo {
-	si := &stageInfo{
-		st:       st,
-		handlerQ: map[string]int{},
-		probeQ:   -1,
-		affine:   analysis.FindAffineDefs(st.Body),
-		counted:  map[ir.Var]bool{},
+// drop clears what m points into, so that a Scratch does not keep the last
+// pipeline it priced reachable.
+func (m *model) drop() {
+	m.pl, m.progs = nil, nil
+	for i := range m.infos {
+		si := &m.infos[i]
+		si.st, si.affine = nil, nil
+		clear(si.regions)
+		si.regions = si.regions[:0]
 	}
+	clear(m.stages)
+	m.stages = m.stages[:0]
+}
+
+// zeroed returns s zeroed at length n, reusing its array when it is large
+// enough.
+func zeroed(s []float64, n int) []float64 {
+	if cap(s) < n {
+		return make([]float64, n)
+	}
+	s = s[:n]
+	clear(s)
+	return s
+}
+
+// buildStageInfo fills si with the stage's regions, classified, and its
+// handler registry, counted loops and affine defs.
+func (m *model) buildStageInfo(si *stageInfo, st *pipeline.Stage) {
+	if si.handlerQ == nil {
+		si.handlerQ, si.counted = map[string]int{}, map[ir.Var]bool{}
+	}
+	clear(si.handlerQ)
+	clear(si.counted)
+	si.st, si.probeQ = st, -1
+	si.affine = analysis.FindAffineDefs(st.Body)
 	collectCounted(st.Body, si.counted)
 	collectHandlers(st.Body, si.handlerQ)
-	si.regions = m.splitRegions(si, st.Body)
-	return si
+	si.regions = m.splitRegions(si, st.Body, si.regions[:0])
 }
 
-// splitRegions cuts a statement list at its top-level labels and classifies
-// each region. Single-phase consumers carry the probe/dispatch machinery at
-// the top of the stage body; multi-phase kernels nest it inside the mirrored
-// outer-iteration loop, so the walker calls this again on loop bodies.
-func (m *model) splitRegions(si *stageInfo, body []ir.Stmt) []region {
-	var regions []region
-	cur := region{}
-	flush := func() {
-		if cur.label != "" || len(cur.body) > 0 {
-			regions = append(regions, cur)
+// splitRegions cuts a statement list at its top-level labels, appends each
+// region to regions, classified, and returns the result. A region's body
+// is a subslice of body. Single-phase consumers carry the probe/dispatch
+// machinery at the top of the stage body; multi-phase kernels nest it
+// inside the mirrored outer-iteration loop, so the walker calls this again
+// on loop bodies.
+func (m *model) splitRegions(si *stageInfo, body []ir.Stmt, regions []region) []region {
+	first := len(regions)
+	start, label := 0, ""
+	flush := func(end int) {
+		if label != "" || end > start {
+			regions = append(regions, region{label: label, body: body[start:end:end]})
 		}
 	}
-	for _, s := range body {
+	for i, s := range body {
 		if l, ok := s.(*ir.Label); ok {
-			flush()
-			cur = region{label: l.Name}
-			continue
+			flush(i)
+			start, label = i+1, l.Name
 		}
-		cur.body = append(cur.body, s)
 	}
-	flush()
+	flush(len(body))
 
-	for i := range regions {
+	for i := first; i < len(regions); i++ {
 		r := &regions[i]
 		r.q = -1
 		switch {
@@ -293,7 +378,7 @@ func (m *model) splitRegions(si *stageInfo, body []ir.Stmt) []region {
 	}
 	// Dispatch regions run once per control token of the queue they serve:
 	// the handler registration if present, otherwise the stage's probe queue.
-	for i := range regions {
+	for i := first; i < len(regions); i++ {
 		r := &regions[i]
 		if r.kind != regionDispatch {
 			continue
@@ -307,16 +392,15 @@ func (m *model) splitRegions(si *stageInfo, body []ir.Stmt) []region {
 	return regions
 }
 
-// run iterates token propagation to a fixed point, then prices every entity
-// against the final token counts.
-func (m *model) run() *Report {
+// solve iterates token propagation to a fixed point.
+func (m *model) solve() {
 	rounds := len(m.pl.Stages) + len(m.pl.RAs) + 4
 	if rounds > 24 {
 		rounds = 24
 	}
 	for it := 0; it < rounds; it++ {
-		nd := make([]float64, len(m.data))
-		nc := make([]float64, len(m.ctrl))
+		nd := zeroed(m.nextData, len(m.data))
+		nc := zeroed(m.nextCtrl, len(m.ctrl))
 		for _, si := range m.stages {
 			m.walkStage(si, nd, nc, nil, nil)
 		}
@@ -327,48 +411,68 @@ func (m *model) run() *Report {
 			}
 		}
 		if equalF(nd, m.data) && equalF(nc, m.ctrl) {
+			m.nextData, m.nextCtrl = nd, nc
 			break
 		}
-		m.data, m.ctrl = nd, nc
+		m.data, m.ctrl, m.nextData, m.nextCtrl = nd, nc, m.data, m.ctrl
 	}
+}
+
+// price prices every stage and RA against the final token counts into
+// m.costs and sums each core's stage instructions into m.coreInstrs.
+func (m *model) price() {
+	m.costs = m.costs[:0]
+	maxCore := -1
+	for _, si := range m.stages {
+		maxCore = max(maxCore, si.st.Thread.Core)
+	}
+	m.coreInstrs = zeroed(m.coreInstrs, maxCore+1)
+	for _, si := range m.stages {
+		cost := entityWalk{}
+		m.walkStage(si, nil, nil, &cost, nil)
+		cost.cycles += cost.instrs * m.issueCPI()
+		m.costs = append(m.costs, cost)
+		if c := si.st.Thread.Core; c >= 0 {
+			m.coreInstrs[c] += cost.instrs
+		}
+	}
+	for _, ra := range m.pl.RAs {
+		m.costs = append(m.costs, entityWalk{cycles: m.raCost(ra)})
+	}
+}
+
+// run iterates token propagation to a fixed point, then prices every entity
+// against the final token counts.
+func (m *model) run() *Report {
+	m.solve()
+	m.price()
 
 	rep := &Report{
 		Pipeline:    m.pl.Prog.Name,
 		Description: m.pl.Description,
 	}
-	coreCost := map[int]float64{}
-	for _, si := range m.stages {
-		cost := &entityWalk{}
-		m.walkStage(si, nil, nil, cost, nil)
-		cost.cycles += cost.instrs * m.issueCPI()
+	for i, si := range m.stages {
 		rep.Entities = append(rep.Entities, EntityCost{
 			Name:   "stage " + si.st.Name,
 			Core:   si.st.Thread.Core,
-			Cycles: cost.cycles,
-			Instrs: cost.instrs,
+			Cycles: m.costs[i].cycles,
+			Instrs: m.costs[i].instrs,
 		})
-		coreCost[si.st.Thread.Core] += cost.instrs
 	}
-	for _, ra := range m.pl.RAs {
+	for i, ra := range m.pl.RAs {
 		rep.Entities = append(rep.Entities, EntityCost{
 			Name:   "RA " + ra.Name,
 			IsRA:   true,
 			Core:   ra.Core,
-			Cycles: m.raCost(ra),
+			Cycles: m.costs[len(m.stages)+i].cycles,
 		})
 	}
 
 	// Per-core issue bound: total dynamic instructions over issue width.
-	maxCore := -1
-	for _, si := range m.stages {
-		if si.st.Thread.Core > maxCore {
-			maxCore = si.st.Thread.Core
-		}
-	}
-	for c := 0; c <= maxCore; c++ {
+	for c, instrs := range m.coreInstrs {
 		rep.Cores = append(rep.Cores, CoreLoad{
 			Core:   c,
-			Cycles: coreCost[c] / float64(m.cfg.IssueWidth),
+			Cycles: instrs / float64(m.cfg.IssueWidth),
 		})
 	}
 
@@ -513,7 +617,7 @@ func (m *model) walkStage(si *stageInfo, data, ctrl []float64, cost *entityWalk,
 			continue
 		}
 		w := &walker{m: m, si: si, data: data, ctrl: ctrl, cost: cost, burst: burst, exp: exp}
-		w.stmts(r.body, rate, nil)
+		w.stmts(r.body, rate, m.loops[:0])
 	}
 }
 
@@ -566,13 +670,21 @@ func (w *walker) walkList(body []ir.Stmt, rate float64, loops []ir.Var) {
 		w.stmts(body, rate, loops)
 		return
 	}
-	for _, r := range w.m.splitRegions(w.si, body) {
-		rr := w.m.regionRate(r, rate)
+	// The regions sit on m.nested above those of enclosing lists; nested
+	// lists push theirs above and pop them before returning.
+	m := w.m
+	base := len(m.nested)
+	m.nested = m.splitRegions(w.si, body, m.nested)
+	for i := base; i < len(m.nested); i++ {
+		r := m.nested[i]
+		rr := m.regionRate(r, rate)
 		if rr <= 0 {
 			continue
 		}
 		w.stmts(r.body, rr, loops)
 	}
+	clear(m.nested[base:])
+	m.nested = m.nested[:base]
 }
 
 // stmts walks a body executing rate times. loops is the stack of enclosing
@@ -648,12 +760,17 @@ func (w *walker) stmts(body []ir.Stmt, rate float64, loops []ir.Var) {
 			w.stmts(s.Else, br, loops)
 		case *ir.Loop:
 			trip := w.tripOf(s, rate)
-			inner := loops
-			if s.Counted != nil {
-				inner = append(append([]ir.Var(nil), loops...), s.Counted.Ind)
-			}
 			w.depth++
 			w.walkList(s.Pre, rate*trip, loops)
+			inner := loops
+			if s.Counted != nil {
+				// Stacks share m.loops: the next loop at this depth
+				// overwrites the entry once the walk below is done.
+				inner = append(loops, s.Counted.Ind)
+				if cap(inner) > cap(m.loops) {
+					m.loops = inner[:0]
+				}
+			}
 			w.walkList(s.Body, rate*trip, inner)
 			w.depth--
 		case *ir.Barrier:

@@ -4,12 +4,14 @@ import (
 	"flag"
 	"os"
 	"path/filepath"
+	"slices"
 	"strings"
 	"testing"
 
 	"phloem/internal/arch"
 	"phloem/internal/core"
 	"phloem/internal/costmodel"
+	"phloem/internal/pipeline"
 	"phloem/internal/taco"
 	"phloem/internal/workloads"
 )
@@ -76,6 +78,45 @@ func TestReportDeterminism(t *testing.T) {
 		for i := 0; i < 3; i++ {
 			if got := staticReport(t, src); got != first {
 				t.Fatalf("%s: report changed between runs:\n%s\nvs\n%s", name, first, got)
+			}
+		}
+	}
+}
+
+// TestScratchPredictMatchesAnalyze: one Scratch, reused across every golden
+// kernel's static and serial pipelines in turn and then in reverse, and on
+// machines of one and two cores, predicts exactly what Analyze reports.
+func TestScratchPredictMatchesAnalyze(t *testing.T) {
+	var pipes []*pipeline.Pipeline
+	for _, src := range goldenSources(t) {
+		res, err := core.CompileSource(src, core.Options{Mode: core.Static})
+		if err != nil {
+			t.Fatalf("compile: %v", err)
+		}
+		p, err := workloads.CompileSerial(src)
+		if err != nil {
+			t.Fatalf("serial: %v", err)
+		}
+		pipes = append(pipes, res.Pipeline, pipeline.NewSerial(p))
+	}
+	reversed := slices.Clone(pipes)
+	slices.Reverse(reversed)
+	var s costmodel.Scratch
+	for _, cores := range []int{1, 2} {
+		cfg := arch.DefaultConfig(cores)
+		for _, order := range [][]*pipeline.Pipeline{pipes, reversed} {
+			for _, pl := range order {
+				rep, err := costmodel.Analyze(pl, cfg)
+				if err != nil {
+					t.Fatalf("analyze %s: %v", pl.Description, err)
+				}
+				got, err := s.Predict(pl, cfg)
+				if err != nil {
+					t.Fatalf("predict %s: %v", pl.Description, err)
+				}
+				if got != rep.Predicted {
+					t.Errorf("%s %s on %d cores: Predict = %d, Analyze reports %d", pl.Prog.Name, pl.Description, cores, got, rep.Predicted)
+				}
 			}
 		}
 	}

@@ -8,19 +8,27 @@ package isa
 //
 // The result is indexed by pc; Halt has no successors. Callers must have
 // validated the program first (targets in range).
-func (p *Program) CFG() [][]int {
-	// Handler targets per queue: SetHandler is a dynamic registration, so any
-	// Deq on a handled queue conservatively gets an edge to every handler the
-	// program can register for that queue.
-	handlers := map[int][]int{}
+func (p *Program) CFG() [][]int { return p.CFGInto(nil) }
+
+// CFGInto is CFG computed into the storage of succs, an earlier CFG result
+// the caller no longer needs: a checker that takes the CFG of one program
+// after another allocates only where a program is longer or has more
+// successors than the ones before.
+func (p *Program) CFGInto(succs [][]int) [][]int {
+	if cap(succs) < len(p.Instrs) {
+		succs = append(succs[:cap(succs)], make([][]int, len(p.Instrs)-cap(succs))...)
+	}
+	succs = succs[:len(p.Instrs)]
+	// The program's SetHandler instructions, in order.
+	var buf [8]Instr
+	handlers := buf[:0]
 	for _, in := range p.Instrs {
 		if in.Op == OpSetHandler {
-			handlers[in.Q] = appendUnique(handlers[in.Q], in.Target)
+			handlers = append(handlers, in)
 		}
 	}
-	succs := make([][]int, len(p.Instrs))
 	for pc, in := range p.Instrs {
-		var s []int
+		s := succs[pc][:0]
 		switch in.Op {
 		case OpHalt:
 			// no successors
@@ -35,8 +43,13 @@ func (p *Program) CFG() [][]int {
 			if pc+1 < len(p.Instrs) {
 				s = append(s, pc+1)
 			}
-			for _, h := range handlers[in.Q] {
-				s = appendUnique(s, h)
+			// SetHandler is a dynamic registration, so a Deq on a handled
+			// queue conservatively gets an edge to every handler the
+			// program can register for that queue.
+			for _, h := range handlers {
+				if h.Q == in.Q {
+					s = appendUnique(s, h.Target)
+				}
 			}
 		default:
 			if pc+1 < len(p.Instrs) {

@@ -24,6 +24,24 @@ type BuildConfig struct {
 // stage 0). This is the "decouple + add queues" transformation plus all the
 // optional passes selected in opt.
 func Build(p *ir.Prog, pointsPerPhase [][]*analysis.Candidate, opt Options, bc BuildConfig) (*pipeline.Pipeline, error) {
+	var s Scratch
+	return s.Build(p, pointsPerPhase, opt, bc)
+}
+
+// Scratch is the working memory of Build: the statement, loop and pin
+// tables a phase's plan fills and the liveness tables. A search worker
+// keeps one and builds every candidate in it, so those tables are made
+// once per worker instead of once per phase. The zero value is ready; a
+// Scratch serves one Build at a time, and nothing Build returns points
+// into it.
+type Scratch struct {
+	stmtStage, pinnedStmts map[ir.Stmt]int
+	loopOwner, loopDepth   map[*ir.Loop]int
+	live                   liveScratch
+}
+
+// Build is the package's Build, computed in s.
+func (s *Scratch) Build(p *ir.Prog, pointsPerPhase [][]*analysis.Candidate, opt Options, bc BuildConfig) (*pipeline.Pipeline, error) {
 	// Pass dependencies: control-value handlers, RAs, and inter-stage DCE
 	// all build on control values.
 	if opt.Handlers || opt.RAs || opt.InterstageDCE {
@@ -83,7 +101,7 @@ func Build(p *ir.Prog, pointsPerPhase [][]*analysis.Candidate, opt Options, bc B
 			body = append(body, ph.Nest)
 			stageBodies[0] = append(stageBodies[0], body...)
 		} else {
-			bodies, err := buildPhase(p, ph, points, opt, pipe, &raBudget)
+			bodies, err := buildPhase(p, ph, points, opt, pipe, &raBudget, s)
 			if err != nil {
 				return nil, fmt.Errorf("passes: phase %d: %w", pi, err)
 			}
@@ -140,7 +158,7 @@ func Build(p *ir.Prog, pointsPerPhase [][]*analysis.Candidate, opt Options, bc B
 
 // buildPhase plans and generates one phase's stages.
 func buildPhase(p *ir.Prog, ph *analysis.Phase, points []*analysis.Candidate,
-	opt Options, pipe *pipeline.Pipeline, raBudget *int) ([][]ir.Stmt, error) {
+	opt Options, pipe *pipeline.Pipeline, raBudget *int, s *Scratch) ([][]ir.Stmt, error) {
 
 	pl := &plan{
 		p:        p,
@@ -149,8 +167,9 @@ func buildPhase(p *ir.Prog, ph *analysis.Phase, points []*analysis.Candidate,
 		n:        len(points) + 1,
 		opt:      opt,
 		phaseIdx: ph.Index,
+		live:     &s.live,
 	}
-	if err := pl.assignStages(); err != nil {
+	if err := pl.assignStages(s); err != nil {
 		return nil, err
 	}
 	if err := pl.checkRaceRule(); err != nil {

@@ -1,7 +1,9 @@
 package passes
 
 import (
+	"cmp"
 	"fmt"
+	"slices"
 	"sort"
 
 	"phloem/internal/analysis"
@@ -13,34 +15,64 @@ type defInfo struct {
 	stage int
 	depth int
 	loop  *ir.Loop // enclosing loop (nil at depth 0)
-	order int      // traversal order
 }
 
-// computeLiveness fills defStage/defDepth/useStage, bundles, feedback, and
+// varDef is a definition site of v, as the walk meets it.
+type varDef struct {
+	v ir.Var
+	defInfo
+}
+
+// liveScratch is what computeLiveness keeps per variable, in slices indexed
+// by ir.Var (variables are dense). It lives in the build's Scratch, so every
+// liveness run of a build, and of the builds after it, reuses it.
+type liveScratch struct {
+	// defStage and defDepth are the plan's: see plan.live.
+	defStage, defDepth []int
+
+	// defs holds the definitions the walk met, then sorted by variable,
+	// each variable's in traversal order.
+	defs []varDef
+	// used[v*n+s] is set when stage s of n uses v.
+	used []bool
+	// useDepthMin is v's shallowest use depth, -1 while v has no use.
+	useDepthMin []int
+}
+
+// cleared returns s zeroed at length n, reusing its array when it is large
+// enough.
+func cleared[E any](s []E, n int) []E {
+	if cap(s) < n {
+		return make([]E, n)
+	}
+	s = s[:n]
+	clear(s)
+	return s
+}
+
+// computeLiveness fills defStage/defDepth, bundles, feedback, and
 // once-values.
 func (pl *plan) computeLiveness(preDefs map[ir.Var]bool) error {
 	pl.feedback = nil // recomputed from scratch (liveness may run twice)
-	defs := map[ir.Var][]defInfo{}
-	pl.useStage = map[ir.Var]map[int]bool{}
-	useDepthMin := map[ir.Var]int{}
-	useOrder := map[ir.Var]int{}
+	nv, n := len(pl.p.Vars), pl.n
+	l := pl.live
+	// Every definition is a statement assignStages placed.
+	l.defs = slices.Grow(l.defs[:0], len(pl.stmtStage))
+	l.used = cleared(l.used, nv*n)
+	l.useDepthMin = cleared(l.useDepthMin, nv)
+	for v := range l.useDepthMin {
+		l.useDepthMin[v] = -1
+	}
 
-	order := 0
 	var chain []*ir.Loop
 
 	use := func(o ir.Operand, stage int) {
 		if o.IsConst {
 			return
 		}
-		if pl.useStage[o.Var] == nil {
-			pl.useStage[o.Var] = map[int]bool{}
-		}
-		pl.useStage[o.Var][stage] = true
-		if d, ok := useDepthMin[o.Var]; !ok || len(chain) < d {
-			useDepthMin[o.Var] = len(chain)
-		}
-		if _, ok := useOrder[o.Var]; !ok {
-			useOrder[o.Var] = order
+		l.used[int(o.Var)*n+stage] = true
+		if d := l.useDepthMin[o.Var]; d < 0 || len(chain) < d {
+			l.useDepthMin[o.Var] = len(chain)
 		}
 	}
 	def := func(v ir.Var, stage int) {
@@ -48,7 +80,7 @@ func (pl *plan) computeLiveness(preDefs map[ir.Var]bool) error {
 		if len(chain) > 0 {
 			lp = chain[len(chain)-1]
 		}
-		defs[v] = append(defs[v], defInfo{stage: stage, depth: len(chain), loop: lp, order: order})
+		l.defs = append(l.defs, varDef{v, defInfo{stage: stage, depth: len(chain), loop: lp}})
 	}
 	useRval := func(r ir.Rval, stage int) {
 		switch r := r.(type) {
@@ -65,7 +97,6 @@ func (pl *plan) computeLiveness(preDefs map[ir.Var]bool) error {
 	var walk func(list []ir.Stmt) error
 	walk = func(list []ir.Stmt) error {
 		for _, s := range list {
-			order++
 			st := pl.stageOfStmt(s)
 			switch s := s.(type) {
 			case *ir.Assign:
@@ -87,7 +118,6 @@ func (pl *plan) computeLiveness(preDefs map[ir.Var]bool) error {
 				var preWalk func(list []ir.Stmt) error
 				preWalk = func(list []ir.Stmt) error {
 					for _, ps := range list {
-						order++
 						switch ps := ps.(type) {
 						case *ir.Assign:
 							useRval(ps.Src, owner)
@@ -130,62 +160,49 @@ func (pl *plan) computeLiveness(preDefs map[ir.Var]bool) error {
 	if err := walk([]ir.Stmt{pl.nest}); err != nil {
 		return err
 	}
+	slices.SortStableFunc(l.defs, func(a, b varDef) int { return cmp.Compare(a.v, b.v) })
 
-	pl.defStage = map[ir.Var]int{}
-	pl.defDepth = map[ir.Var]int{}
+	l.defStage = cleared(l.defStage, nv)
+	l.defDepth = cleared(l.defDepth, nv)
 	pl.bundles = make([][][]ir.Var, pl.n)
 	pl.onceVals = make([][]ir.Var, pl.n)
 	for k := 1; k < pl.n; k++ {
 		pl.bundles[k] = make([][]ir.Var, len(pl.pointChain[k])+1)
 	}
 
-	// Classify each variable.
-	vars := make([]ir.Var, 0, len(pl.useStage))
-	for v := range pl.useStage {
-		vars = append(vars, v)
-	}
-	for v := range defs {
-		if pl.useStage[v] == nil {
-			vars = append(vars, v)
+	// Classify each variable, in id order; ds are its definitions.
+	next := 0
+	for v := ir.Var(0); int(v) < nv; v++ {
+		l.defStage[v] = -1
+		uses := l.used[int(v)*n : int(v+1)*n]
+		minUse := slices.Index(uses, true)
+		first := next
+		for next < len(l.defs) && l.defs[next].v == v {
+			next++
 		}
-	}
-	sort.Slice(vars, func(i, j int) bool { return vars[i] < vars[j] })
-
-	for _, v := range vars {
-		ds := defs[v]
+		ds := l.defs[first:next]
 		if len(ds) == 0 {
 			// Defined only in the preamble or a parameter: preamble-pure
 			// vars and params are available everywhere; stage-0 preamble
 			// vars become once-values.
 			if preDefs[v] {
 				for k := 1; k < pl.n; k++ {
-					if usedAtOrAfter(pl.useStage[v], k) {
+					if usedAtOrAfter(uses, k) {
 						pl.onceVals[k] = append(pl.onceVals[k], v)
 					}
 				}
 			}
 			continue
 		}
-		minDefStage, maxDefStage := pl.n, -1
+		maxDefStage := -1
 		for _, d := range ds {
-			if d.stage < minDefStage {
-				minDefStage = d.stage
-			}
-			if d.stage > maxDefStage {
-				maxDefStage = d.stage
-			}
+			maxDefStage = max(maxDefStage, d.stage)
 		}
-		pl.defStage[v] = maxDefStage
-		pl.defDepth[v] = ds[len(ds)-1].depth
+		l.defStage[v] = maxDefStage
+		l.defDepth[v] = ds[len(ds)-1].depth
 
 		// Feedback: used in an earlier stage than some def.
-		minUse := pl.n
-		for s := range pl.useStage[v] {
-			if s < minUse {
-				minUse = s
-			}
-		}
-		if len(pl.useStage[v]) > 0 && minUse < maxDefStage {
+		if minUse >= 0 && minUse < maxDefStage {
 			// Find the deepest def (by stage) and carry at its loop.
 			last := ds[len(ds)-1]
 			for _, d := range ds {
@@ -200,15 +217,15 @@ func (pl *plan) computeLiveness(preDefs map[ir.Var]bool) error {
 			// final value once per frame of the shallowest use depth (e.g.,
 			// once per sweep for CC's changed counter, even though the
 			// counter increments per vertex).
-			depth := useDepthMin[v]
+			depth := l.useDepthMin[v]
 			if depth < 1 {
 				depth = 1
 			}
 			if depth > last.depth {
 				depth = last.depth
 			}
-			for s := range pl.useStage[v] {
-				if s < maxDefStage {
+			for s := minUse; s < maxDefStage; s++ {
+				if uses[s] {
 					pl.feedback = append(pl.feedback, feedbackVal{
 						v: v, from: maxDefStage, to: s,
 						depth: depth, loop: last.loop,
@@ -225,7 +242,7 @@ func (pl *plan) computeLiveness(preDefs map[ir.Var]bool) error {
 		// Forward crossing: for each boundary k with a def below k and a
 		// use at or after k.
 		for k := 1; k < pl.n; k++ {
-			var lastBelow *defInfo
+			var lastBelow *varDef
 			for i := range ds {
 				if ds[i].stage < k {
 					lastBelow = &ds[i]
@@ -234,7 +251,7 @@ func (pl *plan) computeLiveness(preDefs map[ir.Var]bool) error {
 			if lastBelow == nil {
 				continue
 			}
-			if !usedAtOrAfter(pl.useStage[v], k) {
+			if !usedAtOrAfter(uses, k) {
 				continue
 			}
 			// Exclude pure consumer-local rebinds: if the first action at
@@ -266,11 +283,8 @@ func (pl *plan) computeLiveness(preDefs map[ir.Var]bool) error {
 	return nil
 }
 
-func usedAtOrAfter(uses map[int]bool, k int) bool {
-	for s := range uses {
-		if s >= k {
-			return true
-		}
-	}
-	return false
+// usedAtOrAfter reports whether any stage k or later uses the variable
+// whose per-stage use flags are uses.
+func usedAtOrAfter(uses []bool, k int) bool {
+	return slices.Contains(uses[k:], true)
 }

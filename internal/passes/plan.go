@@ -89,9 +89,10 @@ type plan struct {
 	// one, carried on dedicated queues.
 	feedback []feedbackVal
 
-	defStage map[ir.Var]int
-	defDepth map[ir.Var]int
-	useStage map[ir.Var]map[int]bool
+	// live holds the liveness tables, among them defStage and defDepth:
+	// per variable of the nest, the last stage that defines it (-1: none)
+	// and the loop depth of its last definition.
+	live *liveScratch
 
 	affine map[ir.Var]analysis.AffineDef
 
@@ -127,11 +128,13 @@ func (pl *plan) stageOfStmt(s ir.Stmt) int {
 // assignStages walks the nest in traversal order, bumping the stage counter
 // at each decoupling point. Loop-control statements (counted-loop
 // increments) are pinned to the loop's owner.
-func (pl *plan) assignStages() error {
-	pl.stmtStage = map[ir.Stmt]int{}
-	pl.loopOwner = map[*ir.Loop]int{}
-	pl.loopDepth = map[*ir.Loop]int{}
-	pl.pinnedStmts = map[ir.Stmt]int{}
+func (pl *plan) assignStages(s *Scratch) error {
+	stmts, loops := countNest([]ir.Stmt{pl.nest})
+	s.stmtStage = emptyMap(s.stmtStage, stmts)
+	s.loopOwner = emptyMap(s.loopOwner, loops)
+	s.loopDepth = emptyMap(s.loopDepth, loops)
+	s.pinnedStmts = emptyMap(s.pinnedStmts, 0)
+	pl.stmtStage, pl.loopOwner, pl.loopDepth, pl.pinnedStmts = s.stmtStage, s.loopOwner, s.loopDepth, s.pinnedStmts
 	pl.pointChain = make([][]*ir.Loop, pl.n)
 
 	pointIdx := map[ir.Stmt]int{}
@@ -193,6 +196,35 @@ func (pl *plan) assignStages() error {
 		return fmt.Errorf("passes: %d points produced %d stages, expected %d", len(pl.points), cur+1, pl.n)
 	}
 	return nil
+}
+
+// emptyMap returns m emptied, or a new map with room for hint entries when
+// m is nil.
+func emptyMap[K comparable, V any](m map[K]V, hint int) map[K]V {
+	if m == nil {
+		return make(map[K]V, hint)
+	}
+	clear(m)
+	return m
+}
+
+// countNest counts the statements of list and its nested lists, and the
+// loops among them, so that the maps assignStages fills are made once.
+func countNest(list []ir.Stmt) (stmts, loops int) {
+	for _, s := range list {
+		stmts++
+		switch s := s.(type) {
+		case *ir.If:
+			ts, tl := countNest(s.Then)
+			es, el := countNest(s.Else)
+			stmts, loops = stmts+ts+es, loops+tl+el
+		case *ir.Loop:
+			ps, pl := countNest(s.Pre)
+			bs, bl := countNest(s.Body)
+			stmts, loops = stmts+ps+bs, loops+1+pl+bl
+		}
+	}
+	return stmts, loops
 }
 
 // assignSubtree assigns every statement in a fully-owned subtree to stage.

@@ -556,7 +556,10 @@ func (pl *plan) isParamOrPre(o ir.Operand) bool {
 
 // levelOf returns the bundle level v crosses at for boundary b.
 func (pl *plan) levelOf(v ir.Var, b *boundary) int {
-	lvl := pl.defDepth[v]
+	lvl := 0
+	if int(v) < len(pl.live.defDepth) {
+		lvl = pl.live.defDepth[v]
+	}
 	if lvl > b.m {
 		lvl = b.m
 	}
@@ -568,14 +571,18 @@ func (pl *plan) levelOf(v ir.Var, b *boundary) int {
 
 // constDefs finds variables whose single definition is a constant move.
 func (pl *plan) constDefs() map[ir.Var]int64 {
-	counts := map[ir.Var]int{}
+	// counts[v] is v's number of definitions, up to 2; variables are dense.
+	counts := make([]uint8, len(pl.p.Vars))
 	vals := map[ir.Var]int64{}
 	var walk func(list []ir.Stmt)
 	walk = func(list []ir.Stmt) {
 		for _, s := range list {
 			switch s := s.(type) {
 			case *ir.Assign:
-				counts[s.Dst]++
+				if n := int(s.Dst) + 1; n > len(counts) {
+					counts = append(counts, make([]uint8, n-len(counts))...)
+				}
+				counts[s.Dst] = min(counts[s.Dst]+1, 2)
 				if un, ok := s.Src.(*ir.RvalUn); ok && un.Op == ir.OpMov && un.A.IsConst {
 					vals[s.Dst] = un.A.Imm
 				}
@@ -589,15 +596,12 @@ func (pl *plan) constDefs() map[ir.Var]int64 {
 		}
 	}
 	walk([]ir.Stmt{pl.nest})
-	out := map[ir.Var]int64{}
-	for v, n := range counts {
-		if n == 1 {
-			if imm, ok := vals[v]; ok {
-				out[v] = imm
-			}
+	for v := range vals {
+		if counts[v] != 1 {
+			delete(vals, v)
 		}
 	}
-	return out
+	return vals
 }
 
 func removeVar(list []ir.Var, v ir.Var) []ir.Var {
@@ -687,8 +691,11 @@ func (pl *plan) hoistAffineTemps() bool {
 				}
 				st := pl.stageOfStmt(s)
 				base := bin.A.Var
-				defSt, ok2 := pl.defStage[base]
-				if !ok2 || defSt >= st {
+				defSt := -1
+				if int(base) < len(pl.live.defStage) {
+					defSt = pl.live.defStage[base]
+				}
+				if defSt < 0 || defSt >= st {
 					continue
 				}
 				// Only hoist item-rate temporaries: the defining statement

@@ -16,12 +16,12 @@ import (
 // Instantiate + Run of a lowered pipeline allocates the arrays its program
 // writes and at most 16 KiB more. The machine, its traces, the engines'
 // rings, register files, decoded programs and replay threads, and the cache
-// hierarchy all come back from earlier runs. BFS on PowerLaw(800,6) and
-// SpMM on Banded(48,12,24), each as the static pipeline and as the serial
+// hierarchy all come back from earlier runs. BFS on PowerLaw(200,6) and
+// SpMM on Banded(24,8,12), each as the static pipeline and as the serial
 // baseline.
 func TestWarmRunAllocatesWritten(t *testing.T) {
-	g := graph.PowerLaw("g", 800, 6, 1)
-	a := matrix.Banded("a", 48, 12, 24, 1)
+	g := graph.PowerLaw("g", 200, 6, 1)
+	a := matrix.Banded("a", 24, 8, 12, 1)
 	bt := a.Transpose("bt")
 	cases := []struct {
 		name    string

@@ -73,7 +73,9 @@ type runShape struct {
 // their hash and replay to the same Stats, and every concurrent run's Stats
 // equal those of the same run done alone. The runs mix shapes: pipeline and
 // serial, windows of 16 and 128 entries, traces in different capacity
-// classes.
+// classes. Then two workers run candidates one after another on the warm
+// lists, as a Parallelism-2 search does, and every trace they write equals
+// the fresh one.
 func TestRunTraceOwnership(t *testing.T) {
 	a, bv := introData(t, 3000)
 	owner, _ := introPipeline(a, bv)
@@ -111,6 +113,53 @@ func TestRunTraceOwnership(t *testing.T) {
 				case !reflect.DeepEqual(st, alone[i]):
 					errs <- fmt.Errorf("worker %d run %d (%+v): Stats differ from the run done alone:\n%+v\n%+v",
 						w, r, shapes[i], st, alone[i])
+				}
+			}
+		}()
+	}
+	wg.Wait()
+	close(errs)
+	for err := range errs {
+		t.Error(err)
+	}
+
+	// A warm Parallelism-2 search: two workers, each simulating one
+	// candidate after another on the lists the runs above left, the way the
+	// autotuner's workers call Run. Every trace a worker's functional phase
+	// writes into recycled buffers must equal the fresh trace of the same
+	// machine, and its replay the run done alone.
+	fresh := make([]uint64, len(shapes))
+	for i, sh := range shapes {
+		fts, err := shapedMachine(t, sh.n, sh.serial, sh.win).RunFunctional()
+		if err != nil {
+			t.Fatal(err)
+		}
+		fresh[i] = traceHash(fts)
+	}
+	const searchWorkers, candidates = 2, 12
+	errs = make(chan error, searchWorkers*candidates)
+	for w := 0; w < searchWorkers; w++ {
+		wg.Add(1)
+		go func() {
+			defer wg.Done()
+			for c := 0; c < candidates; c++ {
+				i := (3*w + c) % len(shapes)
+				m := shapedMachine(t, shapes[i].n, shapes[i].serial, shapes[i].win)
+				rts, err := m.runFunctional(funcQuantum, true)
+				if err != nil {
+					errs <- err
+					continue
+				}
+				if got := traceHash(rts); got != fresh[i] {
+					errs <- fmt.Errorf("search worker %d candidate %d (%+v): recycled traces hash %016x, fresh %016x", w, c, shapes[i], got, fresh[i])
+				}
+				st, err := m.RunTiming(rts)
+				rts.recycle()
+				switch {
+				case err != nil:
+					errs <- err
+				case !reflect.DeepEqual(st, alone[i]):
+					errs <- fmt.Errorf("search worker %d candidate %d (%+v): Stats differ from the run done alone", w, c, shapes[i])
 				}
 			}
 		}()

@@ -69,14 +69,15 @@ type TraceSet struct {
 // The functional phase's traces are recycled through capacity-class free
 // lists: class k holds buffers of exactly 512<<k elements. Machine.Run
 // hands its traces back after the replay. A trace starts in a buffer of
-// 512 entries and, once it outgrows that, moves to the largest buffer
-// listed, so a steady stream of runs (the autotuner's candidates) writes
-// into buffers earlier runs left, without regrowing each trace through the
-// classes or allocating 16 bytes per dynamic instruction again. A TraceSet
-// that RunFunctional returns belongs to its caller, and its buffers neither
-// come from the lists nor go back to them: a process that only collects traces (a functional oracle before
-// native runs) would otherwise keep about twice its largest traces for
-// good.
+// 512 entries and, each time it fills its buffer, moves to the smallest
+// listed buffer at least twice as large (best fit), so a short trace never
+// takes the large buffer a concurrent long trace needs, and a steady stream
+// of runs (the autotuner's candidates) writes into buffers earlier runs
+// left without allocating 16 bytes per dynamic instruction again. A
+// TraceSet that RunFunctional returns belongs to its caller, and its
+// buffers neither come from the lists nor go back to them: a process that
+// only collects traces (a functional oracle before native runs) would
+// otherwise keep about twice its largest traces for good.
 var (
 	stageTraces bufPool[TEntry]
 	raTraces    bufPool[RAEvent]
@@ -85,9 +86,10 @@ var (
 // poolClasses bounds the classes: 512<<39 elements is past any trace cap.
 const poolClasses = 40
 
-// freeCap caps every free list. A buffer is only made when its list is
-// empty, so a list keeps at most the peak number of its buffers in use at
-// once, and never more than freeCap of them.
+// freeCap caps every free list. A buffer of class k is only made when no
+// buffer of class k or above is listed, so the buffers of class k and above
+// never outnumber the most of them in use at once, and a list never holds
+// more than freeCap.
 const freeCap = 8
 
 // freeList is a mutex-guarded stack of recycled items. Unlike a sync.Pool
@@ -147,17 +149,11 @@ func bufClass(c int) int {
 }
 
 // alloc returns an empty buffer of capacity at least n, a class capacity:
-// the largest buffer listed if that holds n, or else a new one of capacity
-// n. A trace's first buffer (n is 512) is always a 512-entry one, so that a
-// short trace never takes the large buffer a long one of the same run will
-// need. A nil pool always allocates.
+// the smallest buffer listed that holds n, or else a new one of capacity n.
+// A nil pool always allocates.
 func (p *bufPool[E]) alloc(n int) []E {
 	if p != nil {
-		top := poolClasses - 1
-		if n == 512 {
-			top = 0
-		}
-		for k := top; k >= 0 && 512<<k >= n; k-- {
+		for k := bufClass(n); k < poolClasses; k++ {
 			if b, ok := p[k].get(); ok {
 				return b[:0]
 			}
@@ -178,7 +174,7 @@ func (p *bufPool[E]) put(s []E) {
 // at least twice its capacity (512 entries at first) and hands its old
 // buffer back to its free list at once. Traces reach millions of entries,
 // and doubling copies fewer bytes over a run than append's ~1.25x growth for
-// large slices does; a warm run's trace seldom moves at all.
+// large slices does.
 func addTrace[E any](p *bufPool[E], s []E, e E) []E {
 	if len(s) == cap(s) {
 		s = p.grow(s)

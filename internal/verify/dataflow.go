@@ -37,12 +37,7 @@ func (m *model) checkDataflow() {
 func (m *model) checkStageDataflow(i int, name string, prog *isa.Program) {
 	vars := m.pl.Prog.Vars
 	reach := isa.Reachable(m.succs[i])
-	defs := make([]int, prog.NumRegs)
-	for _, in := range prog.Instrs {
-		if d := in.Writes(); d != isa.NoReg {
-			defs[d]++
-		}
-	}
+	defs := m.regDefCounts(prog)
 
 	regName := func(r isa.Reg) string {
 		if int(r) < len(vars) {
@@ -66,7 +61,11 @@ func (m *model) checkStageDataflow(i int, name string, prog *isa.Program) {
 		}
 	}
 
-	reportedD1 := map[isa.Reg]bool{}
+	if m.d1 == nil {
+		m.d1 = map[isa.Reg]bool{}
+	}
+	reportedD1 := m.d1
+	clear(reportedD1)
 	haltReachable := false
 	for pc, in := range prog.Instrs {
 		if !reach[pc] {

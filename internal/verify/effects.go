@@ -30,56 +30,89 @@ package verify
 // is exactly the historical restrict guarantee for hand-built pipelines.
 
 import (
+	"slices"
+
 	"phloem/internal/isa"
 )
 
-// effAccess records where one entity touches one array slot.
-type effAccess struct {
-	pc     int          // first pc in the flattened program (-1 for RAs)
-	epochs map[int]bool // textual barrier epochs the access can run in
-}
+// epochSet is a set of textual barrier epochs, sorted.
+type epochSet []int
 
-func (a *effAccess) add(pc, epoch int) *effAccess {
-	if a == nil {
-		a = &effAccess{pc: pc, epochs: map[int]bool{}}
+// add inserts e and reports whether it was missing.
+func (s *epochSet) add(e int) bool {
+	i, found := slices.BinarySearch(*s, e)
+	if !found {
+		*s = slices.Insert(*s, i, e)
 	}
-	a.epochs[epoch] = true
-	return a
+	return !found
 }
 
-func sharesEpoch(a, b *effAccess) bool {
-	for e := range a.epochs {
-		if b.epochs[e] {
+// sharesEpoch reports whether a and b have an epoch in common.
+func sharesEpoch(a, b epochSet) bool {
+	for i, j := 0, 0; i < len(a) && j < len(b); {
+		switch {
+		case a[i] == b[j]:
 			return true
+		case a[i] < b[j]:
+			i++
+		default:
+			j++
 		}
 	}
 	return false
 }
 
-// effEntity is the MOD/REF summary for one stage or RA.
-type effEntity struct {
-	mods map[int]*effAccess   // slot -> writes
-	refs map[int]*effAccess   // slot -> reads
-	enqs map[int]map[int]bool // queue -> epochs of enqueues (for RA chaining)
+// effAccess records where one entity touches one array slot; an access with
+// no epoch is no access.
+type effAccess struct {
+	pc     int      // first pc in the flattened program (-1 for RAs)
+	epochs epochSet // textual barrier epochs the access can run in
 }
 
-func newEffEntity() *effEntity {
-	return &effEntity{
-		mods: map[int]*effAccess{},
-		refs: map[int]*effAccess{},
-		enqs: map[int]map[int]bool{},
+func (a *effAccess) add(pc, epoch int) {
+	if len(a.epochs) == 0 {
+		a.pc = pc
 	}
+	a.epochs.add(epoch)
+}
+
+// effEntity is the MOD/REF summary for one stage or RA.
+type effEntity struct {
+	mods []effAccess // per slot: writes
+	refs []effAccess // per slot: reads
+	enqs []epochSet  // per queue: epochs of enqueues (for RA chaining)
+}
+
+// reset empties e for nSlots slots and nq queues, keeping its storage.
+func (e *effEntity) reset(nSlots, nq int) {
+	e.mods, e.refs = resized(e.mods, nSlots), resized(e.refs, nSlots)
+	for s := range e.mods {
+		e.mods[s].epochs, e.refs[s].epochs = e.mods[s].epochs[:0], e.refs[s].epochs[:0]
+	}
+	e.enqs = resized(e.enqs, nq)
+	for q := range e.enqs {
+		e.enqs[q] = e.enqs[q][:0]
+	}
+}
+
+// effScratch holds checkEffects' tables between pipelines.
+type effScratch struct {
+	ents     []effEntity
+	raEpochs []epochSet
+	swap     slotUF
+	swapped  []bool
+	seen     map[[4]int]bool // {writer, partner, write slot, partner slot}
 }
 
 // slotUF is a union-find over slot ids for ISA-level swap classes.
 type slotUF struct{ rep []int }
 
-func newSlotUF(n int) *slotUF {
-	u := &slotUF{rep: make([]int, n)}
+// reset makes u n singleton classes.
+func (u *slotUF) reset(n int) {
+	u.rep = resized(u.rep, n)
 	for i := range u.rep {
 		u.rep[i] = i
 	}
-	return u
 }
 
 func (u *slotUF) find(i int) int {
@@ -95,14 +128,21 @@ func (u *slotUF) same(a, b int) bool { return u.find(a) == u.find(b) }
 
 func (m *model) checkEffects() {
 	ns := m.numStages()
-	nSlots := len(m.pl.Prog.Slots)
-	ents := make([]*effEntity, ns+len(m.pl.RAs))
-	swap := newSlotUF(nSlots)
-	swapped := make([]bool, nSlots)
+	nSlots, nq := len(m.pl.Prog.Slots), len(m.pl.Queues)
+	es := &m.effects
+	es.ents = resized(es.ents, ns+len(m.pl.RAs))
+	ents := es.ents
+	for i := range ents {
+		ents[i].reset(nSlots, nq)
+	}
+	swap := &es.swap
+	swap.reset(nSlots)
+	es.swapped = resized(es.swapped, nSlots)
+	swapped := es.swapped
+	clear(swapped)
 
 	for i := range m.pl.Stages {
-		e := newEffEntity()
-		ents[i] = e
+		e := &ents[i]
 		prog := m.progs[i]
 		if prog == nil {
 			continue // D0 already explains the gap
@@ -113,19 +153,14 @@ func (m *model) checkEffects() {
 			case isa.OpBarrier:
 				epoch++
 			case isa.OpLoad:
-				e.refs[in.Slot] = e.refs[in.Slot].add(pc, epoch)
+				e.refs[in.Slot].add(pc, epoch)
 			case isa.OpStore:
-				e.mods[in.Slot] = e.mods[in.Slot].add(pc, epoch)
+				e.mods[in.Slot].add(pc, epoch)
 			case isa.OpSwapSlots:
 				swap.union(in.Slot, in.Slot2)
 				swapped[in.Slot], swapped[in.Slot2] = true, true
 			case isa.OpEnq, isa.OpEnqCtrl, isa.OpEnqCtrlV:
-				eq := e.enqs[in.Q]
-				if eq == nil {
-					eq = map[int]bool{}
-					e.enqs[in.Q] = eq
-				}
-				eq[epoch] = true
+				e.enqs[in.Q].add(epoch)
 			}
 		}
 	}
@@ -133,9 +168,10 @@ func (m *model) checkEffects() {
 	// An RA reads its slot whenever work arrives on its input queue: its
 	// read epochs are the epochs of enqueues into InQ, chained through
 	// upstream RAs to a fixpoint.
-	raEpochs := make([]map[int]bool, len(m.pl.RAs))
+	es.raEpochs = resized(es.raEpochs, len(m.pl.RAs))
+	raEpochs := es.raEpochs
 	for r := range raEpochs {
-		raEpochs[r] = map[int]bool{}
+		raEpochs[r] = raEpochs[r][:0]
 	}
 	for changed := true; changed; {
 		changed = false
@@ -144,15 +180,14 @@ func (m *model) checkEffects() {
 				continue
 			}
 			for _, p := range m.producers[ra.InQ] {
-				var src map[int]bool
+				var src epochSet
 				if p < ns {
 					src = ents[p].enqs[ra.InQ]
 				} else {
 					src = raEpochs[p-ns]
 				}
-				for ep := range src {
-					if !raEpochs[r][ep] {
-						raEpochs[r][ep] = true
+				for _, ep := range src {
+					if raEpochs[r].add(ep) {
 						changed = true
 					}
 				}
@@ -160,10 +195,9 @@ func (m *model) checkEffects() {
 		}
 	}
 	for r, ra := range m.pl.RAs {
-		e := newEffEntity()
-		ents[ns+r] = e
 		if ra.Slot >= 0 && ra.Slot < nSlots && len(raEpochs[r]) > 0 {
-			e.refs[ra.Slot] = &effAccess{pc: -1, epochs: raEpochs[r]}
+			a := &ents[ns+r].refs[ra.Slot]
+			a.pc, a.epochs = -1, append(a.epochs[:0], raEpochs[r]...)
 		}
 	}
 
@@ -182,8 +216,8 @@ func (m *model) checkEffects() {
 	slotName := func(s int) string { return m.pl.Prog.Slots[s].Name }
 	for s := 0; s < nSlots; s++ {
 		for x := range ents {
-			wa := ents[x].mods[s]
-			if wa == nil || exempt(x) {
+			wa := &ents[x].mods[s]
+			if len(wa.epochs) == 0 || exempt(x) {
 				continue
 			}
 			if swapped[s] {
@@ -193,13 +227,12 @@ func (m *model) checkEffects() {
 				if y == x || exempt(y) {
 					continue
 				}
-				if wb := ents[y].mods[s]; wb != nil && x < y && sharesEpoch(wa, wb) {
+				if x < y && sharesEpoch(wa.epochs, ents[y].mods[s].epochs) {
 					m.diag("E1", SevError, entName(x), -1, wa.pc,
 						"array %q is also written by %s in the same barrier epoch (unsynchronized write/write)",
 						slotName(s), entName(y))
 				}
-				rb := ents[y].refs[s]
-				if rb == nil || !sharesEpoch(wa, rb) {
+				if !sharesEpoch(wa.epochs, ents[y].refs[s].epochs) {
 					continue
 				}
 				if y < ns {
@@ -219,15 +252,19 @@ func (m *model) checkEffects() {
 	if ai == nil {
 		return
 	}
-	seen := map[[4]int]bool{} // {writer, partner, write slot, partner slot}
+	if es.seen == nil {
+		es.seen = map[[4]int]bool{}
+	}
+	seen := es.seen
+	clear(seen)
 	for s := 0; s < nSlots; s++ {
 		for t := 0; t < nSlots; t++ {
 			if t == s || swap.same(s, t) || !ai.Conflicts(slotName(s), slotName(t)) {
 				continue
 			}
 			for x := range ents {
-				wa := ents[x].mods[s]
-				if wa == nil || exempt(x) {
+				wa := &ents[x].mods[s]
+				if len(wa.epochs) == 0 || exempt(x) {
 					continue
 				}
 				for y := range ents {
@@ -235,7 +272,7 @@ func (m *model) checkEffects() {
 						continue
 					}
 					hit := func(b *effAccess, what string) {
-						if b == nil || !sharesEpoch(wa, b) {
+						if !sharesEpoch(wa.epochs, b.epochs) {
 							return
 						}
 						// A write/write pair surfaces from both slot orders;
@@ -252,8 +289,8 @@ func (m *model) checkEffects() {
 							"write to %q may alias %s's %s of %q (frontend verdict: %s) in the same barrier epoch",
 							slotName(s), entName(y), what, slotName(t), ai.Verdict(slotName(s), slotName(t)))
 					}
-					hit(ents[y].mods[t], "write")
-					hit(ents[y].refs[t], "read")
+					hit(&ents[y].mods[t], "write")
+					hit(&ents[y].refs[t], "read")
 				}
 			}
 		}

@@ -19,7 +19,9 @@ import (
 
 	"phloem/internal/arch"
 	"phloem/internal/ir"
+	"phloem/internal/pipeline"
 	"phloem/internal/verify"
+	"phloem/internal/workloads"
 )
 
 var update = flag.Bool("update", false, "rewrite golden files")
@@ -239,18 +241,49 @@ func TestGoldenDiagnostics(t *testing.T) {
 // TestCheckErrorsMatchesCheck pins CheckErrors, which skips the cost model's
 // warning-only rules, to the errors of the full report: one fixture per
 // rule, plus undersized queues that draw W1 and W2 (the latter beside a Q4
-// error).
+// error), also through one reused Scratch.
 func TestCheckErrorsMatchesCheck(t *testing.T) {
 	w1 := cleanPipe()
 	w1.pipe.Queues[0].Depth = 1
 	w2 := cleanPipe()
 	w2.pipe.Queues[0].Depth = 1
 	w2.pipe.Queues[0].DepthByPass = true
-	for _, f := range append(goldenFixtures(), w1, w2) {
+	fixtures := append(goldenFixtures(), w1, w2)
+	for _, f := range fixtures {
 		rep := verify.Check(f.pipe)
 		got := verify.CheckErrors(f.pipe)
 		if want := rep.Errors(); !reflect.DeepEqual(got, want) {
 			t.Errorf("%s: CheckErrors = %v, want %v", f.p.Name, got, want)
+		}
+	}
+	// A Scratch checks every pipeline right after every other one, the
+	// fixtures and each family's pass-ablation pipelines: what an earlier
+	// pipeline left in it must not reach a later one's errors.
+	dispatch := newFx("dispatch")
+	dq := dispatch.pipe.AddQueue("data")
+	dout := dispatch.slot("out", ir.KInt)
+	dispatch.stage("dispatch.produce", append([]ir.Stmt{&ir.EnqCtrl{Q: dq, Code: fixtureCode}}, dispatch.countedEnqs(dq)...)...)
+	dispatch.stage("dispatch.consume", dispatch.dispatchConsumer(dq, dout, fixtureCode)...)
+	var pipes []*pipeline.Pipeline
+	for _, f := range append(fixtures, dispatch) {
+		pipes = append(pipes, f.pipe)
+	}
+	for _, bm := range workloads.Benchmarks(workloads.ScaleTest) {
+		for _, pc := range passConfigs {
+			pipes = append(pipes, compileVariant(t, bm.SerialSource, pc.po, pc.ablate))
+		}
+	}
+	want := make([][]verify.Diag, len(pipes))
+	for i, pl := range pipes {
+		want[i] = verify.Check(pl).Errors()
+	}
+	var s verify.Scratch
+	for _, before := range pipes {
+		for i, pl := range pipes {
+			s.CheckErrors(before)
+			if got := s.CheckErrors(pl); !reflect.DeepEqual(got, want[i]) {
+				t.Errorf("%s after %s in one Scratch: CheckErrors = %v, want %v", pl.Prog.Name, before.Prog.Name, got, want[i])
+			}
 		}
 	}
 	for _, c := range []struct {

@@ -35,7 +35,7 @@ func (m *model) checkProtocol() {
 			continue
 		}
 		qo := m.ops[i]
-		fromQ := regQueueSources(prog)
+		m.regQueueSources(prog)
 		consts := m.consts[i]
 
 		handledCount := 0
@@ -56,7 +56,7 @@ func (m *model) checkProtocol() {
 			handled := len(qo.handler[q]) > 0
 			checked := false
 			for _, in := range prog.Instrs {
-				if in.Op == isa.OpIsCtrl && hasQueue(fromQ[in.A], q) {
+				if in.Op == isa.OpIsCtrl && m.fromQueue(in.A, q) {
 					checked = true
 					break
 				}
@@ -75,11 +75,15 @@ func (m *model) checkProtocol() {
 			}
 
 			// Collect the registers that hold this queue's control codes.
-			codeRegs := map[isa.Reg]bool{}
+			if m.codeRegs == nil {
+				m.codeRegs = map[isa.Reg]bool{}
+			}
+			codeRegs := m.codeRegs
+			clear(codeRegs)
 			for _, in := range prog.Instrs {
 				switch in.Op {
 				case isa.OpCtrlCode:
-					if hasQueue(fromQ[in.A], q) {
+					if m.fromQueue(in.A, q) {
 						codeRegs[in.Dst] = true
 					}
 				case isa.OpHandlerVal:
@@ -108,7 +112,11 @@ func (m *model) checkProtocol() {
 			// The dispatch set is complete only if every use of a code
 			// register is an equality test against a known constant.
 			complete := true
-			dispatch := map[int64]bool{}
+			if m.dispatch == nil {
+				m.dispatch = map[int64]bool{}
+			}
+			dispatch := m.dispatch
+			clear(dispatch)
 			for _, in := range prog.Instrs {
 				a, b := in.Reads()
 				aCode, bCode := a != isa.NoReg && codeRegs[a], b != isa.NoReg && codeRegs[b]
@@ -188,9 +196,14 @@ func (s *codeSet) describe() string {
 // sentCodes computes, per queue, the control codes that can appear at its
 // consumer end, propagated to fixpoint through RA chains.
 func (m *model) sentCodes() []codeSet {
-	cs := make([]codeSet, len(m.pl.Queues))
+	cs := resized(m.sent, len(m.pl.Queues))
+	m.sent = cs
 	for i := range cs {
-		cs[i].codes = map[int64]struct{}{}
+		cs[i].unknown = false
+		if cs[i].codes == nil {
+			cs[i].codes = map[int64]struct{}{}
+		}
+		clear(cs[i].codes)
 	}
 	for i := range m.pl.Stages {
 		prog := m.progs[i]
@@ -235,10 +248,12 @@ func (m *model) sentCodes() []codeSet {
 	return cs
 }
 
-// regQueueSources maps each register to the queues whose deq/peek results it
-// can hold (flow-insensitive over the whole stage program).
-func regQueueSources(prog *isa.Program) map[isa.Reg][]int {
-	src := map[isa.Reg][]int{}
+// regQueueSources fills m.fromQ: for each register of the stage program,
+// the queues whose deq/peek results it can hold (flow-insensitive over the
+// whole program).
+func (m *model) regQueueSources(prog *isa.Program) {
+	src := emptied(m.fromQ, prog.NumRegs)
+	m.fromQ = src
 	for _, in := range prog.Instrs {
 		switch in.Op {
 		case isa.OpDeq, isa.OpPeek:
@@ -261,32 +276,37 @@ func regQueueSources(prog *isa.Program) map[isa.Reg][]int {
 			}
 		}
 	}
-	return src
 }
 
-// constRegs maps registers with exactly one definition, an OpConst, to their
-// value.
-func constRegs(prog *isa.Program) map[isa.Reg]int64 {
-	defs := map[isa.Reg]int{}
-	vals := map[isa.Reg]int64{}
+// fromQueue reports whether register r can hold a value dequeued or peeked
+// from queue q (regQueueSources).
+func (m *model) fromQueue(r isa.Reg, q int) bool {
+	return r >= 0 && int(r) < len(m.fromQ) && hasQueue(m.fromQ[r], q)
+}
+
+// regDefCounts fills m.regDefs with the number of definitions of every
+// register of prog, and returns it.
+func (m *model) regDefCounts(prog *isa.Program) []int {
+	m.regDefs = resized(m.regDefs, prog.NumRegs)
+	clear(m.regDefs)
 	for _, in := range prog.Instrs {
-		d := in.Writes()
-		if d == isa.NoReg {
-			continue
+		if d := in.Writes(); d != isa.NoReg {
+			m.regDefs[d]++
 		}
-		defs[d]++
-		if in.Op == isa.OpConst {
+	}
+	return m.regDefs
+}
+
+// constRegs sets vals to the registers of prog that have exactly one
+// definition, an OpConst, mapped to their value.
+func (m *model) constRegs(prog *isa.Program, vals map[isa.Reg]int64) {
+	clear(vals)
+	defs := m.regDefCounts(prog)
+	for _, in := range prog.Instrs {
+		if d := in.Writes(); in.Op == isa.OpConst && d != isa.NoReg && defs[d] == 1 {
 			vals[d] = in.Imm
-		} else {
-			delete(vals, d)
 		}
 	}
-	for r := range vals {
-		if defs[r] != 1 {
-			delete(vals, r)
-		}
-	}
-	return vals
 }
 
 func hasQueue(list []int, q int) bool {

@@ -32,8 +32,9 @@
 package verify
 
 import (
+	"cmp"
 	"fmt"
-	"sort"
+	"slices"
 	"strings"
 
 	"phloem/internal/isa"
@@ -135,44 +136,63 @@ func (r *Report) String() string {
 // effects, capacity) — so two runs over the same pipeline render
 // byte-identical output.
 func Check(pl *pipeline.Pipeline) *Report {
-	return check(pl, true)
+	var m model
+	m.check(pl, true)
+	return m.rep
 }
 
 // CheckErrors returns Check(pl).Errors() without running the static cost
 // model, whose rules (W1, W2) can only warn.
 func CheckErrors(pl *pipeline.Pipeline) []Diag {
-	return check(pl, false).Errors()
+	var s Scratch
+	return s.CheckErrors(pl)
 }
 
-func check(pl *pipeline.Pipeline, costWarnings bool) *Report {
-	m := buildModel(pl)
+// Scratch is the verifier's working memory: the model of a pipeline (its
+// stage programs' queue census, control-flow graphs and constant
+// registers) and the rule checkers' tables. A search worker keeps one and
+// checks every candidate it builds in it, so a warm check allocates little
+// beyond its diagnostics. The zero value is ready; a Scratch serves one
+// check at a time.
+type Scratch struct{ m model }
+
+// CheckErrors is the package's CheckErrors, computed in s.
+func (s *Scratch) CheckErrors(pl *pipeline.Pipeline) []Diag {
+	s.m.check(pl, false)
+	errs := s.m.rep.Errors()
+	s.m.drop()
+	return errs
+}
+
+// check runs every analysis over pl into m.rep, sorted canonically.
+func (m *model) check(pl *pipeline.Pipeline, costWarnings bool) {
+	m.build(pl)
 	m.checkTopology()
 	m.checkProtocol()
 	m.checkDataflow()
 	m.checkLiveness()
 	m.checkEffects()
 	m.checkCapacity(costWarnings)
-	sort.SliceStable(m.rep.Diags, func(i, j int) bool {
-		a, b := m.rep.Diags[i], m.rep.Diags[j]
+	slices.SortStableFunc(m.rep.Diags, func(a, b Diag) int {
 		if a.Stage != b.Stage {
-			return a.Stage < b.Stage
+			return strings.Compare(a.Stage, b.Stage)
 		}
 		if a.PC != b.PC {
-			return a.PC < b.PC
+			return cmp.Compare(a.PC, b.PC)
 		}
 		if a.Queue != b.Queue {
-			return a.Queue < b.Queue
+			return cmp.Compare(a.Queue, b.Queue)
 		}
 		if a.Rule != b.Rule {
-			return a.Rule < b.Rule
+			return strings.Compare(a.Rule, b.Rule)
 		}
-		return a.Msg < b.Msg
+		return strings.Compare(a.Msg, b.Msg)
 	})
-	return m.rep
 }
 
 // model indexes the pipeline for the rule checkers. Entities number the
-// software stages first, then the RAs.
+// software stages first, then the RAs. Every table is kept for the next
+// pipeline a Scratch checks.
 type model struct {
 	pl  *pipeline.Pipeline
 	rep *Report
@@ -183,13 +203,23 @@ type model struct {
 	// ops, succs and consts are what several analyses read of each stage
 	// program, computed once by addStage: its queue operations, its
 	// control-flow successors (isa.Program.CFG) and its constant
-	// registers. Each is empty where progs is nil.
+	// registers. Each is empty where progs is nil, but for consts, which
+	// only stages with a program read.
 	ops    []queueOps
 	succs  [][][]int
 	consts []map[isa.Reg]int64
 
 	producers [][]int // queue id -> entity ids that enqueue into it
 	consumers [][]int // queue id -> entity ids that dequeue/peek/handle it
+
+	// Tables the rule checkers fill per stage or per pipeline.
+	regDefs  []int            // per register: its definitions (constRegs, D1)
+	fromQ    [][]int          // per register: queues its value can come from
+	sent     []codeSet        // per queue: control codes it can carry
+	codeRegs map[isa.Reg]bool // a stage's registers holding a queue's codes
+	dispatch map[int64]bool   // a consumer's dispatched codes
+	d1       map[isa.Reg]bool // registers already reported by D1
+	effects  effScratch       // checkEffects' per-entity summaries
 }
 
 func (m *model) numStages() int { return len(m.pl.Stages) }
@@ -210,8 +240,9 @@ func (m *model) diag(rule string, sev Severity, stage string, q, pc int, format 
 	m.rep.Diags = append(m.rep.Diags, d)
 }
 
-func buildModel(pl *pipeline.Pipeline) *model {
-	m := newModel(pl)
+// build makes m the model of pl, every stage program added.
+func (m *model) build(pl *pipeline.Pipeline) {
+	m.reset(pl)
 	for i, st := range pl.Stages {
 		prog, err := pipeline.FlattenStage(pl, st)
 		if err != nil {
@@ -233,28 +264,74 @@ func buildModel(pl *pipeline.Pipeline) *model {
 			m.producers[ra.OutQ] = addEntity(m.producers[ra.OutQ], ent)
 		}
 	}
-	return m
 }
 
 // newModel returns the model of pl with no stage program added yet.
 func newModel(pl *pipeline.Pipeline) *model {
-	return &model{
-		pl:        pl,
-		rep:       &Report{Pipeline: pl.Prog.Name},
-		progs:     make([]*isa.Program, len(pl.Stages)),
-		ops:       make([]queueOps, len(pl.Stages)),
-		succs:     make([][][]int, len(pl.Stages)),
-		consts:    make([]map[isa.Reg]int64, len(pl.Stages)),
-		producers: make([][]int, len(pl.Queues)),
-		consumers: make([][]int, len(pl.Queues)),
+	m := &model{}
+	m.reset(pl)
+	return m
+}
+
+// reset makes m the model of pl with no stage program added yet, keeping
+// the storage of the tables an earlier pipeline left.
+func (m *model) reset(pl *pipeline.Pipeline) {
+	m.pl = pl
+	if m.rep == nil {
+		m.rep = &Report{}
 	}
+	m.rep.Pipeline, m.rep.Diags = pl.Prog.Name, m.rep.Diags[:0]
+	ns, nq := len(pl.Stages), len(pl.Queues)
+	m.progs = resized(m.progs, ns)
+	m.ops = resized(m.ops, ns)
+	m.succs = resized(m.succs, ns)
+	m.consts = resized(m.consts, ns)
+	for i := range m.progs {
+		m.progs[i], m.succs[i] = nil, m.succs[i][:0]
+		m.ops[i].enq, m.ops[i].deq, m.ops[i].peek, m.ops[i].handler = nil, nil, nil, nil
+	}
+	m.producers = emptied(m.producers, nq)
+	m.consumers = emptied(m.consumers, nq)
+}
+
+// drop clears what m points into, so that a Scratch does not keep the last
+// pipeline it checked reachable.
+func (m *model) drop() {
+	m.pl = nil
+	clear(m.progs)
+	clear(m.rep.Diags)
+	m.rep.Diags = m.rep.Diags[:0]
+}
+
+// resized returns s at length n, keeping its elements (and what they hold)
+// for reuse; elements past the old length are zero.
+func resized[E any](s []E, n int) []E {
+	if cap(s) < n {
+		s = append(s[:cap(s)], make([]E, n-cap(s))...)
+	}
+	return s[:n]
+}
+
+// emptied returns lists at length n, every list emptied but keeping its
+// array.
+func emptied(lists [][]int, n int) [][]int {
+	lists = resized(lists, n)
+	for i := range lists {
+		lists[i] = lists[i][:0]
+	}
+	return lists
 }
 
 // addStage records stage i's validated program and what the analyses read
 // of it. Stages are added in index order, before any RA.
 func (m *model) addStage(i int, prog *isa.Program) {
-	qo := collectQueueOps(prog, len(m.pl.Queues))
-	m.progs[i], m.ops[i], m.succs[i], m.consts[i] = prog, qo, prog.CFG(), constRegs(prog)
+	qo := &m.ops[i]
+	qo.collect(prog, len(m.pl.Queues))
+	if m.consts[i] == nil {
+		m.consts[i] = map[isa.Reg]int64{}
+	}
+	m.progs[i], m.succs[i] = prog, prog.CFGInto(m.succs[i])
+	m.constRegs(prog, m.consts[i])
 	for q := range m.pl.Queues {
 		if len(qo.enq[q]) > 0 {
 			m.producers[q] = append(m.producers[q], i)
@@ -281,18 +358,18 @@ type queueOps struct {
 	deq     [][]int // Deq
 	peek    [][]int // Peek
 	handler [][]int // SetHandler
+	all     [][]int // backs the four
 }
 
-// collectQueueOps takes the census of a validated program, whose queue ids
-// are all below numQueues.
-func collectQueueOps(prog *isa.Program, numQueues int) queueOps {
-	all := make([][]int, 4*numQueues)
-	qo := queueOps{
-		enq:     all[:numQueues:numQueues],
-		deq:     all[numQueues : 2*numQueues : 2*numQueues],
-		peek:    all[2*numQueues : 3*numQueues : 3*numQueues],
-		handler: all[3*numQueues:],
-	}
+// collect takes the census of a validated program, whose queue ids are all
+// below numQueues, reusing qo's lists.
+func (qo *queueOps) collect(prog *isa.Program, numQueues int) {
+	qo.all = emptied(qo.all, 4*numQueues)
+	all := qo.all
+	qo.enq = all[:numQueues:numQueues]
+	qo.deq = all[numQueues : 2*numQueues : 2*numQueues]
+	qo.peek = all[2*numQueues : 3*numQueues : 3*numQueues]
+	qo.handler = all[3*numQueues:]
 	for pc, in := range prog.Instrs {
 		switch in.Op {
 		case isa.OpEnq, isa.OpEnqCtrl, isa.OpEnqCtrlV:
@@ -305,5 +382,4 @@ func collectQueueOps(prog *isa.Program, numQueues int) queueOps {
 			qo.handler[in.Q] = append(qo.handler[in.Q], pc)
 		}
 	}
-	return qo
 }
