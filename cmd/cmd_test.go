@@ -546,10 +546,6 @@ func TestPhloemsimNativeBackend(t *testing.T) {
 		!strings.Contains(out, "requires -backend sim") {
 		t.Errorf("-cycle-budget under native should exit 1, got %d:\n%s", code, out)
 	}
-	// -commopt is a compile-side pass; it must still work natively.
-	if code, out := exitCode(native("-commopt")...); code != 0 {
-		t.Errorf("native -commopt run: exit %d, want 0:\n%s", code, out)
-	}
 	if code, _ := exitCode("-bench", "BFS", "-input", "road-ny", "-backend", "gpu"); code != 1 {
 		t.Errorf("unknown backend: exit %d, want 1", code)
 	}
@@ -619,8 +615,8 @@ func TestPhloembenchBenchdiffNative(t *testing.T) {
 	}
 
 	// Mixed report kinds are a usage-level error (1).
-	if code, _ := exitCode("-benchdiff", committed, "../BENCH_commopt.json"); code != 1 {
-		t.Errorf("native-vs-commopt diff should exit 1, got %d", code)
+	if code, _ := exitCode("-benchdiff", committed, "../BENCH_search.json"); code != 1 {
+		t.Errorf("native-vs-search diff should exit 1, got %d", code)
 	}
 }
 
@@ -804,11 +800,11 @@ func TestTacocStats(t *testing.T) {
 }
 
 // TestPhloembenchBenchdiff drives the regression gate's file mode against
-// the committed commopt report: self-diff passes, an injected cycles
+// the committed search report: self-diff passes, an injected cycles
 // regression beyond threshold exits 3, and widening the threshold
 // clears it.
 func TestPhloembenchBenchdiff(t *testing.T) {
-	committed := "../BENCH_commopt.json"
+	committed := "../BENCH_search.json"
 	data, err := os.ReadFile(committed)
 	if err != nil {
 		t.Fatal(err)
@@ -817,8 +813,8 @@ func TestPhloembenchBenchdiff(t *testing.T) {
 	if err := json.Unmarshal(data, &rep); err != nil {
 		t.Fatal(err)
 	}
-	leg := rep["benchmarks"].([]any)[0].(map[string]any)["legs"].([]any)[0].(map[string]any)
-	leg["cycles"] = float64(int64(leg["cycles"].(float64) * 1.5))
+	row := rep["benchmarks"].([]any)[0].(map[string]any)
+	row["best_train_cycles"] = float64(int64(row["best_train_cycles"].(float64) * 1.5))
 	tampered, err := json.Marshal(rep)
 	if err != nil {
 		t.Fatal(err)
@@ -853,7 +849,7 @@ func TestPhloembenchBenchdiff(t *testing.T) {
 		t.Errorf("+50%% within -cycles-tol 60 should exit 0, got %d:\n%s", code, out)
 	}
 	// Mixed report kinds are a usage-level error (1), not a regression.
-	if code, _ := exitCode("-benchdiff", committed, "../BENCH_search.json"); code != 1 {
+	if code, _ := exitCode("-benchdiff", committed, "../BENCH_native.json"); code != 1 {
 		t.Errorf("mixed-kind diff should exit 1, got %d", code)
 	}
 	if code, _ := exitCode("-benchdiff", committed); code != 2 {

@@ -1,8 +1,8 @@
 // Command phloembench regenerates the paper's tables and figures on the
 // simulated Pipette machine with the synthetic input suite.
 //
-// -exp compare is the benchmark regression gate: it re-runs the search,
-// commopt and native reports at the committed BENCH_*.json files' scale/topk
+// -exp compare is the benchmark regression gate: it re-runs the search
+// and native reports at the committed BENCH_*.json files' scale/topk
 // and diffs the fresh counts and simulator cycles against them (the reports
 // carry no wall time). Any metric beyond threshold exits 3. -benchdiff diffs
 // two already-written report files the same way without running anything.
@@ -26,15 +26,13 @@ import (
 
 func main() {
 	exp := flag.String("exp", "all",
-		"experiment: table3|table4|table5|fig6|fig9|fig10|fig11|fig12|fig13|fig14|ablations|telemetry|search|interrupt|commopt|native|compare|all")
+		"experiment: table3|table4|table5|fig6|fig9|fig10|fig11|fig12|fig13|fig14|ablations|telemetry|search|interrupt|native|compare|all")
 	scale := flag.String("scale", "test", "input scale: test|full")
 	verbose := flag.Bool("v", false, "print per-input rows")
 	parallel := flag.Int("j", 0,
 		"autotune/search worker parallelism (0 = GOMAXPROCS, 1 = serial; results are identical for every value)")
 	searchOut := flag.String("search-out", "BENCH_search.json",
 		"output path for the -exp search report (for -exp compare: the committed report to diff against; \"\" skips it)")
-	commOptOut := flag.String("commopt-out", "BENCH_commopt.json",
-		"output path for the -exp commopt report (for -exp compare: the committed report to diff against; \"\" skips it)")
 	nativeOut := flag.String("native-out", "BENCH_native.json",
 		"output path for the -exp native report (for -exp compare: the committed report to diff against; \"\" skips it)")
 	topK := flag.Int("topk", 0,
@@ -115,18 +113,13 @@ func main() {
 				return err
 			}
 			fmt.Fprintf(os.Stderr, "wrote %s\n", *searchOut)
-		case "commopt":
-			if err := bench.CommOptJSON(cfg, *commOptOut); err != nil {
-				return err
-			}
-			fmt.Fprintf(os.Stderr, "wrote %s\n", *commOptOut)
 		case "native":
 			if err := bench.NativeJSON(cfg, *nativeOut); err != nil {
 				return err
 			}
 			fmt.Fprintf(os.Stderr, "wrote %s\n", *nativeOut)
 		case "compare":
-			findings, err := bench.Compare(cfg, []string{*searchOut, *commOptOut, *nativeOut}, diffOpt)
+			findings, err := bench.Compare(cfg, []string{*searchOut, *nativeOut}, diffOpt)
 			if err != nil {
 				return err
 			}

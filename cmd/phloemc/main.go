@@ -17,12 +17,6 @@
 // recommended capacity. This is the same model the autotuner's -topk
 // pruning ranks candidates with.
 //
-// With -commopt it compiles the kernel, applies the static
-// queue-communication optimization pass (internal/commopt), and prints its
-// plan: per-queue class, burst, commitment floor, before/after capacity,
-// and predicted occupancy. The printed pipeline below the plan reflects the
-// applied assignments.
-//
 // Exit codes: 0 clean (warnings allowed), 1 compile or verifier errors,
 // 2 usage errors, 4 search cancelled by -timeout (the partial best-so-far
 // result is still printed).
@@ -69,7 +63,6 @@ import (
 
 	"phloem/internal/arch"
 	"phloem/internal/bench"
-	"phloem/internal/commopt"
 	"phloem/internal/core"
 	"phloem/internal/costmodel"
 	"phloem/internal/effects"
@@ -197,8 +190,6 @@ func main() {
 		"with -lint: inject a control-protocol violation first (demonstration)")
 	costDump := flag.Bool("cost", false,
 		"print the static cost model's report (bottleneck, per-entity estimates, queue capacity plan)")
-	commOpt := flag.Bool("commopt", false,
-		"apply the static queue-communication optimization pass and print its capacity plan")
 	autotuneBench := flag.String("autotune", "",
 		"run the profile-guided search for a built-in benchmark (e.g. BFS) instead of compiling a kernel file")
 	parallel := flag.Int("j", 0,
@@ -345,16 +336,6 @@ func main() {
 		}
 		fmt.Print(rep.String())
 		return
-	}
-	if *commOpt {
-		plan, err := commopt.Apply(res.Pipeline, arch.DefaultConfig(1))
-		if err != nil {
-			fmt.Fprintln(os.Stderr, "phloemc:", err)
-			os.Exit(1)
-		}
-		fmt.Print(plan.String())
-		fmt.Println(plan.Summary())
-		fmt.Println()
 	}
 	fmt.Print(res.Pipeline.Describe())
 	if *dump {

@@ -11,22 +11,13 @@
 //	phloemsim -bench BFS -profile               # source-line stall profile
 //	phloemsim -bench BFS -chrome-trace out.json # chrome://tracing timeline
 //	phloemsim -bench BFS -telemetry s.csv -interval 1000
-//	phloemsim -bench Radii -commopt             # apply commopt; occupancy table
 //	phloemsim -bench BFS -backend native        # run on real Go concurrency
-//
-// With -commopt the compiled pipeline additionally runs through the static
-// queue-communication optimization pass (internal/commopt) before
-// simulation. The pass's capacity plan is printed, and after the
-// run a per-queue table compares the statically predicted maximum
-// occupancy against the occupancy the simulator actually observed.
 //
 // With -backend native both legs execute on the native backend
 // (internal/native): one goroutine per simulated core, its stages and RAs
 // as resumable tasks, one bounded ring per queue. There is no cycle model,
 // so the summary reports wall time, and the simulator-only flags
 // (-telemetry, -profile, -chrome-trace, -cycle-budget) are rejected.
-// -commopt still applies (its capacities size the native queues), but the
-// occupancy table needs the simulator's probe and is skipped.
 //
 // Exit codes: 0 success, 1 compile failure/deadlock/any other error,
 // 2 cycle or trace budget exceeded, 3 functional trap, 4 wall-clock
@@ -46,7 +37,6 @@ import (
 	"time"
 
 	"phloem/internal/arch"
-	"phloem/internal/commopt"
 	"phloem/internal/core"
 	"phloem/internal/ir"
 	"phloem/internal/native"
@@ -105,8 +95,6 @@ func run() int {
 	profileTop := flag.Int("profile-top", 10, "hot lines to show with -profile")
 	chromeOut := flag.String("chrome-trace", "", "write the pipelined run as Chrome trace_event JSON to this file (\"-\" = stdout)")
 	interval := flag.Uint64("interval", 0, "telemetry sampling period in cycles (0: one end-of-run sample)")
-	commOpt := flag.Bool("commopt", false,
-		"apply the static queue-communication optimization pass and print its plan plus a predicted-vs-observed occupancy table")
 	backendName := flag.String("backend", "sim",
 		"execution backend: sim (cycle-accurate simulator) or native (real Go concurrency; wall time + functional results, no cycle model)")
 	flag.Parse()
@@ -217,17 +205,9 @@ func run() int {
 	if err != nil {
 		return fail(err)
 	}
-	var plan2 *commopt.Plan
-	if *commOpt {
-		plan2, err = commopt.Apply(res.Pipeline, arch.DefaultConfig(1))
-		if err != nil {
-			return fail(err)
-		}
-		fmt.Printf("--- %s\n%s", plan2.Summary(), plan2.String())
-	}
 	fmt.Printf("--- phloem pipeline\n%s", res.Pipeline.Describe())
 	var col *obs.SimCollector
-	if backend == "sim" && (*seriesOut != "" || *profile || *chromeOut != "" || *commOpt) {
+	if backend == "sim" && (*seriesOut != "" || *profile || *chromeOut != "") {
 		col = obs.NewSimCollector()
 		// Stamp the run's identity into the trace header so a sim-level
 		// trace can be matched to the bench and input that produced it.
@@ -243,9 +223,6 @@ func run() int {
 			return fail(err)
 		}
 	}
-	if plan2 != nil && col != nil {
-		printOccupancy(plan2, col.Series())
-	}
 	if backend == "native" {
 		// No cycle model natively: report wall time, and say what it is
 		// not — this is serial-interpreter vs pipeline-interpreter wall
@@ -256,30 +233,6 @@ func run() int {
 	}
 	fmt.Printf("\nspeedup on %s: %.2fx\n", in.Name, float64(serialCycles)/float64(pipeCycles))
 	return 0
-}
-
-// printOccupancy compares the commopt plan's statically predicted maximum
-// queue occupancy against the occupancy the simulator observed. Predicted
-// is an upper bound (the assigned or default capacity under backpressure),
-// so observed must never exceed it.
-func printOccupancy(plan *commopt.Plan, s *obs.Series) {
-	obs := make([]int, len(plan.Queues))
-	for _, row := range s.Rows {
-		for q, qs := range row.Queues {
-			if q < len(obs) && qs.Max > obs[q] {
-				obs[q] = qs.Max
-			}
-		}
-	}
-	fmt.Println("--- occupancy: statically predicted max vs observed max")
-	fmt.Printf("  %-3s %-14s %6s %6s %9s %9s\n", "q", "name", "before", "after", "predicted", "observed")
-	for _, q := range plan.Queues {
-		o := 0
-		if q.ID < len(obs) {
-			o = obs[q.ID]
-		}
-		fmt.Printf("  q%-2d %-14s %6d %6d %9d %9d\n", q.ID, q.Name, q.Before, q.After, q.MaxOcc, o)
-	}
 }
 
 // export writes the telemetry artifacts requested on the command line.

@@ -29,7 +29,7 @@ func main() {
 	timeout := flag.Duration("timeout", 0,
 		"with -pipeline: wall-clock compile budget (exit code 4 on expiry; 0 = unbounded)")
 	stats := flag.Bool("stats", false,
-		"with -pipeline: print the compile's phase wall-time metrics (build/commopt/verify)")
+		"with -pipeline: print the compile's phase wall-time metrics (build/verify)")
 	flag.Parse()
 	if flag.NArg() != 1 {
 		fmt.Fprintln(os.Stderr, "usage: tacoc [-pipeline] [-timeout D] [-stats] spmv|sddmm|mtmul|residual")

@@ -167,17 +167,12 @@ func (r RASpec) String() string {
 type QueueSpec struct {
 	Name  string
 	Depth int // 0 means the machine default
-	// DepthByPass marks Depth as assigned by a compiler pass rather than a
-	// user override. The verifier reports pass-assigned undersizing under a
-	// different rule (W2) than user-set depths (W1).
-	DepthByPass bool
 }
 
 // Capacity resolves the queue's bounded capacity for an executor: the
-// author- or pass-assigned Depth when positive, otherwise the machine
-// default. Both the timing simulator and the native backend size their
-// buffers through this, so a commopt-assigned DepthByPass capacity is
-// honored identically by every backend.
+// author Depth when positive, otherwise the machine default. Both the
+// timing simulator and the native backend size their buffers through this,
+// so a Depth override is honored identically by every backend.
 func (q QueueSpec) Capacity(defaultDepth int) int {
 	if q.Depth > 0 {
 		return q.Depth

@@ -10,7 +10,7 @@ func TestQueueSpecCapacity(t *testing.T) {
 	}{
 		{QueueSpec{Name: "default"}, 24, 24},
 		{QueueSpec{Name: "author", Depth: 8}, 24, 8},
-		{QueueSpec{Name: "pass", Depth: 3, DepthByPass: true}, 24, 3},
+		{QueueSpec{Name: "shallow", Depth: 3}, 24, 3},
 	}
 	for _, c := range cases {
 		if got := c.spec.Capacity(c.def); got != c.want {

@@ -22,9 +22,8 @@ import (
 
 // Report kinds, recorded in every report header.
 const (
-	KindSearch  = "search"
-	KindCommOpt = "commopt"
-	KindNative  = "native"
+	KindSearch = "search"
+	KindNative = "native"
 )
 
 // Header is the metadata block every BENCH_*.json report carries: which
@@ -278,12 +277,10 @@ func LoadReport(path string) (Report, error) {
 	switch h.Kind {
 	case KindSearch:
 		rep = &SearchReport{}
-	case KindCommOpt:
-		rep = &CommOptReport{}
 	case KindNative:
 		rep = &NativeReport{}
 	default:
-		return nil, fmt.Errorf("%s: report kind %q is not %s, %s or %s", path, h.Kind, KindSearch, KindCommOpt, KindNative)
+		return nil, fmt.Errorf("%s: report kind %q is not %s or %s", path, h.Kind, KindSearch, KindNative)
 	}
 	if err := json.Unmarshal(data, rep); err != nil {
 		return nil, fmt.Errorf("%s: %w", path, err)

@@ -25,21 +25,6 @@ func searchFixture() *SearchReport {
 	}
 }
 
-// commoptFixture builds a one-benchmark commopt report.
-func commoptFixture() *CommOptReport {
-	return &CommOptReport{
-		Header:     Header{Kind: KindCommOpt, Scale: "test"},
-		QueueDepth: 24, ImprovedFamilies: 1,
-		Benchmarks: []CommOptRow{
-			{Name: "BFS", Input: "road-usa", Queues: 6, Improved: true,
-				Legs: []CommOptLeg{
-					{Name: "default", Cycles: 100000, FullStalls: 500},
-					{Name: "caps", Cycles: 95000, FullStalls: 10, Assigned: 3},
-				}},
-		},
-	}
-}
-
 // nativeFixture builds a small native report: one seed-scale row plus a
 // two-size sweep where the simulator DNFs at the larger size.
 func nativeFixture() *NativeReport {
@@ -172,24 +157,6 @@ func TestDiffSearchStructuralAndFlags(t *testing.T) {
 	}
 }
 
-func TestDiffCommOpt(t *testing.T) {
-	if r := Regressions(Diff(commoptFixture(), commoptFixture(), DefaultDiffOptions())); len(r) != 0 {
-		t.Errorf("identical commopt reports regressed: %+v", r)
-	}
-	worse := commoptFixture()
-	worse.Benchmarks[0].Legs[1].Cycles = 120000  // +26% on the "caps" leg
-	worse.Benchmarks[0].Legs[1].FullStalls = 400 // was 10: +3900%
-	r := Regressions(Diff(commoptFixture(), worse, DefaultDiffOptions()))
-	if len(r) != 2 {
-		t.Fatalf("want 2 regressions (caps.cycles, caps.queue_full_stalls), got %+v", r)
-	}
-	for _, x := range r {
-		if !strings.HasPrefix(x.Metric, "caps.") {
-			t.Errorf("regression on unexpected metric %q", x.Metric)
-		}
-	}
-}
-
 // TestDiffRows: a row the new report lacks, or one only it has, is one
 // structural regression per row, and the findings keep report order.
 func TestDiffRows(t *testing.T) {
@@ -221,9 +188,8 @@ func TestLoadReportKind(t *testing.T) {
 		return p
 	}
 	sp := write("search.json", searchFixture())
-	cp := write("commopt.json", commoptFixture())
 	np := write("native.json", nativeFixture())
-	for p, want := range map[string]Report{sp: searchFixture(), cp: commoptFixture(), np: nativeFixture()} {
+	for p, want := range map[string]Report{sp: searchFixture(), np: nativeFixture()} {
 		r, err := LoadReport(p)
 		if err != nil {
 			t.Errorf("%s: %v", p, err)
@@ -238,7 +204,7 @@ func TestLoadReportKind(t *testing.T) {
 	}
 	untyped := searchFixture()
 	untyped.Kind = ""
-	bogus := commoptFixture()
+	bogus := nativeFixture()
 	bogus.Kind = "bogus"
 	for _, p := range []string{write("untyped.json", untyped), write("bogus.json", bogus)} {
 		if _, err := LoadReport(p); err == nil || !strings.Contains(err.Error(), "report kind") {
@@ -248,7 +214,7 @@ func TestLoadReportKind(t *testing.T) {
 
 	// DiffReportFiles: same kind diffs, mixed kinds error.
 	var buf bytes.Buffer
-	for _, p := range []string{sp, cp, np} {
+	for _, p := range []string{sp, np} {
 		buf.Reset()
 		if _, err := DiffReportFiles(&buf, p, p, DefaultDiffOptions()); err != nil {
 			t.Errorf("%s self-diff: %v", p, err)
@@ -257,8 +223,8 @@ func TestLoadReportKind(t *testing.T) {
 			t.Errorf("%s self-diff should render clean:\n%s", p, buf.String())
 		}
 	}
-	if _, err := DiffReportFiles(&buf, sp, cp, DefaultDiffOptions()); err == nil {
-		t.Error("mixed-kind diff should error")
+	if _, err := DiffReportFiles(&buf, sp, np, DefaultDiffOptions()); err == nil {
+		t.Error("search-vs-native diff should error")
 	}
 	if _, err := DiffReportFiles(&buf, np, sp, DefaultDiffOptions()); err == nil {
 		t.Error("native-vs-search diff should error")
@@ -268,7 +234,7 @@ func TestLoadReportKind(t *testing.T) {
 // TestReportHeader: every report schema flattens the shared Header into
 // its JSON header, and no report carries host metadata.
 func TestReportHeader(t *testing.T) {
-	for _, v := range []Report{searchFixture(), commoptFixture(), nativeFixture()} {
+	for _, v := range []Report{searchFixture(), nativeFixture()} {
 		data, err := json.Marshal(v)
 		if err != nil {
 			t.Fatal(err)

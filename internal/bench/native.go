@@ -1,15 +1,14 @@
 package bench
 
 // The native-backend benchmark behind `phloembench -exp native`: every suite
-// benchmark is compiled once (commopt on, so native queues carry the
-// pass-inferred capacities) and its largest test input runs through the full
-// timing simulator and the native backend; then a BFS scale sweep grows grid
-// graphs past the point the timing simulator can finish within a fixed cycle
-// budget while the native backend keeps producing verified functional
-// results. Both legs of every row are verified and must execute identical
-// instruction counts — the report is an end-to-end run of the differential
-// contract. Sim-vs-native wall time is measured by benchmark/ (the sim-* and
-// native-* cells), not here.
+// benchmark is compiled once with default options and its largest test
+// input runs through the full timing simulator and the native backend; then
+// a BFS scale sweep grows grid graphs past the point the timing simulator
+// can finish within a fixed cycle budget while the native backend keeps
+// producing verified functional results. Both legs of every row are
+// verified and must execute identical instruction counts — the report is an
+// end-to-end run of the differential contract. Sim-vs-native wall time is
+// measured by benchmark/ (the sim-* and native-* cells), not here.
 
 import (
 	"errors"
@@ -163,9 +162,6 @@ func NativePerf(cfg Config, families ...string) (*NativeReport, error) {
 	for _, f := range families {
 		keep[f] = true
 	}
-	opt := core.DefaultOptions()
-	opt.CommOpt = true
-
 	cfg.printf("\nNative backend vs the timing simulator (largest test input per family)\n")
 	cfg.printf("%-8s %-14s %7s %7s %12s %14s\n", "bench", "input", "stages", "queues", "cycles", "instructions")
 	for _, b := range workloads.Benchmarks(cfg.Scale) {
@@ -176,7 +172,7 @@ func NativePerf(cfg Config, families ...string) (*NativeReport, error) {
 		if err != nil {
 			return nil, fmt.Errorf("%s: %w", b.Name, err)
 		}
-		res, err := core.Compile(prog, opt)
+		res, err := core.Compile(prog, core.DefaultOptions())
 		if err != nil {
 			return nil, fmt.Errorf("%s: %w", b.Name, err)
 		}
@@ -221,9 +217,7 @@ func nativeSweep(cfg Config, rep *NativeReport) error {
 	if err != nil {
 		return err
 	}
-	opt := core.DefaultOptions()
-	opt.CommOpt = true
-	res, err := core.Compile(prog, opt)
+	res, err := core.Compile(prog, core.DefaultOptions())
 	if err != nil {
 		return err
 	}

@@ -12,7 +12,6 @@ import (
 
 	"phloem/internal/analysis"
 	"phloem/internal/arch"
-	"phloem/internal/commopt"
 	"phloem/internal/effects"
 	"phloem/internal/ir"
 	"phloem/internal/lower"
@@ -76,11 +75,11 @@ type Options struct {
 	// candidate; Exhaustive overrides TopK (the escape hatch really does
 	// measure everything).
 	TopK int
-	// CommOpt enables the static queue-communication optimization pass
-	// (internal/commopt) on every built pipeline, including each autotune
-	// candidate: inferred per-queue capacities are applied (never touching
-	// explicit author depths, never exceeding Machine.QueueDepth).
-	// Off by default; compiled output is bit-identical when off.
+	// CommOpt is dead: it has no effect and is not part of the journal
+	// key. The queue-capacity pass it enabled was measured to gain nothing
+	// on either backend and deleted (DESIGN.md §14); every queue runs at
+	// its author Depth or at Machine.QueueDepth. It stays only because
+	// benchmark/ still sets it (ROADMAP item 2 deletes it).
 	CommOpt bool
 	// SkipVerify disables the static pipeline verifier that otherwise
 	// rejects structurally broken pipelines before they reach a simulator
@@ -95,7 +94,7 @@ type Options struct {
 	PostBuild func(*pipeline.Pipeline)
 	// Observer, when set, receives typed search-lifecycle events — one per
 	// candidate state transition (enumerated, deduped, pruned, build,
-	// commopt, verify, train, replay, accept, skip, cancel) plus the
+	// verify, train, replay, accept, skip, cancel) plus the
 	// search-level spans — with monotonic wall-time offsets and per-worker
 	// attribution (see observer.go). Mirrors the sim.Probe contract: with a
 	// nil Observer no timestamps are taken and every search output (winner,
@@ -365,36 +364,24 @@ func buildStatic(p *ir.Prog, phases []*analysis.Phase, cands [][]*analysis.Candi
 		return nil, err
 	}
 	opt.obsw.span(opt.obsEvent(EvBuild), t0)
-	if _, _, err := finishPipeline(pipe, opt, &verify.Scratch{}); err != nil {
+	if err := finishPipeline(pipe, opt, &verify.Scratch{}); err != nil {
 		return nil, err
 	}
 	opt.obsw.instant(SearchEvent{Kind: EvSearchEnd, Seq: -1, Phase: -1, Mode: "static"})
 	return &Result{Pipeline: pipe, Prog: p, ReplicateRequested: p.Replicate}, nil
 }
 
-// finishPipeline lowers the pipeline's stages, runs the communication
-// optimization pass (when enabled), applies the PostBuild hook and lowers
-// again after it, and, unless SkipVerify is set, rejects pipelines the
-// static verifier finds broken, checking in vs. When commopt priced the
-// final pipeline on its way (no PostBuild edit came after it), priced is
-// set and predicted holds the cost model's estimate.
-func finishPipeline(pipe *pipeline.Pipeline, opt Options, vs *verify.Scratch) (predicted uint64, priced bool, err error) {
+// finishPipeline lowers the pipeline's stages, applies the PostBuild hook
+// and lowers again after it, and, unless SkipVerify is set, rejects
+// pipelines the static verifier finds broken, checking in vs.
+func finishPipeline(pipe *pipeline.Pipeline, opt Options, vs *verify.Scratch) error {
 	pipeline.Lower(pipe)
-	if opt.CommOpt {
-		t0 := opt.obsw.now()
-		plan, err := commopt.Apply(pipe, opt.Machine)
-		if err != nil {
-			return 0, false, fmt.Errorf("core: commopt %q: %w", pipe.Prog.Name, err)
-		}
-		predicted, priced = plan.Predicted, opt.PostBuild == nil
-		opt.obsw.span(opt.obsEvent(EvCommOpt), t0)
-	}
 	if opt.PostBuild != nil {
 		opt.PostBuild(pipe)
 		pipeline.Lower(pipe)
 	}
 	if opt.SkipVerify {
-		return predicted, priced, nil
+		return nil
 	}
 	t0 := opt.obsw.now()
 	errs := vs.CheckErrors(pipe)
@@ -404,9 +391,9 @@ func finishPipeline(pipe *pipeline.Pipeline, opt Options, vs *verify.Scratch) (p
 		for _, d := range errs {
 			msg += "\n  " + d.String()
 		}
-		return 0, false, fmt.Errorf("core: pipeline %q %w:%s", pipe.Prog.Name, ErrVerify, msg)
+		return fmt.Errorf("core: pipeline %q %w:%s", pipe.Prog.Name, ErrVerify, msg)
 	}
-	return predicted, priced, nil
+	return nil
 }
 
 // autotune enumerates candidate point subsets per phase (from the
@@ -488,8 +475,7 @@ func emitEnumerated(opt Options, tasks []*candTask) {
 // build builds, verifies and prices the task's candidate pipeline under
 // panic recovery, on a private clone of p, with a search worker's scratch.
 // It records the cost model's estimate on the task (predOK stays false when
-// the model cannot price the pipeline): the one pricing of a candidate,
-// taken from commopt when that already made it.
+// the model cannot price the pipeline): the one pricing of a candidate.
 func (t *candTask) build(p *ir.Prog, opt Options, sc *scratch) (pipe *pipeline.Pipeline, skip *CandidateSkip) {
 	defer func() {
 		if r := recover(); r != nil {
@@ -501,15 +487,11 @@ func (t *candTask) build(p *ir.Prog, opt Options, sc *scratch) (pipe *pipeline.P
 	if err != nil {
 		return nil, &CandidateSkip{Phase: t.phase, Subset: t.subset, Reason: SkipBuild, Err: err}
 	}
-	pred, priced, err := finishPipeline(pipe, opt, &sc.verify)
-	if err != nil {
+	if err := finishPipeline(pipe, opt, &sc.verify); err != nil {
 		return nil, &CandidateSkip{Phase: t.phase, Subset: t.subset, Reason: SkipVerifier, Err: err}
 	}
-	if !priced {
-		pred, err = sc.cost.Predict(pipe, opt.Machine)
-		priced = err == nil
-	}
-	t.predCycles, t.predOK = pred, priced
+	pred, err := sc.cost.Predict(pipe, opt.Machine)
+	t.predCycles, t.predOK = pred, err == nil
 	return pipe, nil
 }
 

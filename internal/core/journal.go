@@ -114,9 +114,9 @@ func journalKey(p *ir.Prog, opt Options, mode string) string {
 	io.WriteString(h, p.Print())
 	fmt.Fprintf(h, "\x00arch=%+v", opt.Machine)
 	fmt.Fprintf(h, "\x00passes=%+v", opt.Passes)
-	fmt.Fprintf(h, "\x00opt=%d,%d,%d,%d,%v,%v,%v,%v,%d",
+	fmt.Fprintf(h, "\x00opt=%d,%d,%d,%d,%v,%v,%v,%d",
 		opt.MaxThreads, opt.MaxCandidates, opt.BudgetFactor, opt.TopK,
-		opt.Exhaustive, opt.EnableAblation, opt.SkipVerify, opt.CommOpt, len(opt.Training))
+		opt.Exhaustive, opt.EnableAblation, opt.SkipVerify, len(opt.Training))
 	return fmt.Sprintf("%016x", h.Sum64())
 }
 

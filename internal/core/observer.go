@@ -12,14 +12,14 @@ package core
 // Event taxonomy (one candidate's lifecycle, in causal order):
 //
 //	EvEnumerated -> [EvDeduped | EvPruned]                (never measured)
-//	             -> EvBuild -> EvCommOpt? -> EvVerify     (worker spans)
+//	             -> EvBuild -> EvVerify                   (worker spans)
 //	             -> [EvReplay | EvTrain]                  (measure or journal)
 //	             -> [EvAccept | EvSkip | EvCancel]        (merger verdict)
 //
 // plus the search-level events EvSearchStart, EvSerial, EvRank, and
-// EvSearchEnd. Span events (EvSerial, EvRank, EvBuild, EvCommOpt, EvVerify,
-// EvTrain) carry Start < End monotonic offsets from EvSearchStart; verdict
-// events are instants (Start == End == emission time).
+// EvSearchEnd. Span events (EvSerial, EvRank, EvBuild, EvVerify, EvTrain)
+// carry Start < End monotonic offsets from EvSearchStart; verdict events
+// are instants (Start == End == emission time).
 //
 // Ordering contract: verdict events (EvDeduped, EvPruned, EvAccept, EvSkip,
 // EvCancel) are emitted by the merger strictly in enumeration order at every
@@ -52,8 +52,9 @@ const (
 	// EvBuild spans one candidate's pass-pipeline build (Worker attributes
 	// it; rank-phase builds run on worker 0).
 	EvBuild
-	// EvCommOpt spans the candidate's queue-communication optimization pass
-	// (only when Options.CommOpt is enabled).
+	// EvCommOpt is dead: it is never emitted. It spanned the deleted
+	// queue-capacity pass and stays only because benchmark/ still names it
+	// (ROADMAP item 2 deletes it).
 	EvCommOpt
 	// EvVerify spans the candidate's static verification.
 	EvVerify
@@ -97,8 +98,6 @@ func (k EventKind) String() string {
 		return "rank"
 	case EvBuild:
 		return "build"
-	case EvCommOpt:
-		return "commopt"
 	case EvVerify:
 		return "verify"
 	case EvTrain:

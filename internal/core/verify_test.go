@@ -62,16 +62,13 @@ func TestCompileRejectsInjectedProtocolViolation(t *testing.T) {
 
 // TestVerifySeesInPlaceEdit: a PostBuild hook that overwrites a statement
 // of a stage's Body in place is verified like one that replaces the Body,
-// also when commopt has already read the stages' programs.
+// although the stages were lowered before the hook ran.
 func TestVerifySeesInPlaceEdit(t *testing.T) {
-	for _, on := range []bool{false, true} {
-		opt := core.DefaultOptions()
-		opt.CommOpt = on
-		opt.PostBuild = overwriteRogueCode
-		_, err := core.CompileSource(workloads.BFSSource, opt)
-		if !errors.Is(err, core.ErrVerify) {
-			t.Errorf("commopt=%v: an in-place rogue enq_ctrl compiled with error %v, want %v", on, err, core.ErrVerify)
-		}
+	opt := core.DefaultOptions()
+	opt.PostBuild = overwriteRogueCode
+	_, err := core.CompileSource(workloads.BFSSource, opt)
+	if !errors.Is(err, core.ErrVerify) {
+		t.Errorf("an in-place rogue enq_ctrl compiled with error %v, want %v", err, core.ErrVerify)
 	}
 }
 

@@ -37,7 +37,6 @@ func TestOptimizeFixedPoint(t *testing.T) {
 		}
 	}
 	opt := core.DefaultOptions()
-	opt.CommOpt = true
 	for name, src := range srcs {
 		p, err := workloads.CompileSerial(src)
 		if err != nil {

@@ -18,16 +18,13 @@ import (
 	"phloem/internal/workloads"
 )
 
-// benchInstance compiles family name at test scale (commopt on, so native
-// channels carry pass-inferred capacities) and returns a constructor for
-// instances of its largest test input; with serial set they run the
-// family's one-stage serial baseline instead. Every run needs a new
+// benchInstance compiles family name at test scale and returns a
+// constructor for instances of its largest test input; with serial set they
+// run the family's one-stage serial baseline instead. Every run needs a new
 // instance: BFS updates its distances and swaps its fringes in place, so a
 // second run on one instance would start from the first one's output.
 func benchInstance(tb testing.TB, name string, serial bool) (fresh func() *pipeline.Instance, in *workloads.Input) {
 	tb.Helper()
-	opt := core.DefaultOptions()
-	opt.CommOpt = true
 	for _, b := range workloads.Benchmarks(workloads.ScaleTest) {
 		if b.Name != name {
 			continue
@@ -38,7 +35,7 @@ func benchInstance(tb testing.TB, name string, serial bool) (fresh func() *pipel
 		}
 		pl := pipeline.NewSerial(prog)
 		if !serial {
-			res, err := core.Compile(prog, opt)
+			res, err := core.Compile(prog, core.DefaultOptions())
 			if err != nil {
 				tb.Fatal(err)
 			}
@@ -87,14 +84,14 @@ func BenchmarkNativeBFS(b *testing.B)  { benchNative(b, "BFS", false) }
 func BenchmarkNativeSerialSpMM(b *testing.B) { benchNative(b, "SpMM", true) }
 
 // TestNativeAllocRegression pins the per-run allocation ceilings. Measured:
-// 61 allocs/op for the commopt SpMM pipeline and 66 for the commopt BFS
-// one (register files, decoded programs — one per stage — rings, task
-// frames, Validate's and QueueUse's maps — all O(stages+queues+RAs)); a
-// single-core run starts no goroutine. BFS is the RA path: its stages feed
-// three RAs and swap fringes. Each ceiling is the measurement plus about
-// 25 %; what it must catch is a per-message or per-element allocation,
-// which would blow through it by orders of magnitude on these inputs
-// (thousands of tokens per run).
+// 30 allocs/op for the SpMM pipeline and 40 for the BFS one (register
+// files, decoded programs — one per stage — rings, task frames, Validate's
+// and QueueUse's maps — all O(stages+queues+RAs)); a single-core run starts
+// no goroutine. BFS is the RA path: its stages feed three RAs and swap
+// fringes. The ceilings are about 25 % over the 61 and 66 allocs/op
+// measured when they were set; what they must catch is a per-message or
+// per-element allocation, which would blow through them by orders of
+// magnitude on these inputs (thousands of tokens per run).
 func TestNativeAllocRegression(t *testing.T) {
 	if raceEnabled {
 		t.Skip("race instrumentation changes allocation counts")

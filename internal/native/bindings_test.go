@@ -42,7 +42,7 @@ func TestRunsKeepBindings(t *testing.T) {
 	}
 	var cases []runCase
 	for _, b := range workloads.Benchmarks(workloads.ScaleTest) {
-		cases = append(cases, runCase{b.Name, compileFamily(t, b, core.DefaultOptions()), arch.DefaultConfig(1), small[b.Name]})
+		cases = append(cases, runCase{b.Name, compileFamily(t, b), arch.DefaultConfig(1), small[b.Name]})
 	}
 
 	res, err := core.CompileSource(workloads.PRDApplySource, core.DefaultOptions())
@@ -75,7 +75,7 @@ func TestRunsKeepBindings(t *testing.T) {
 		t.Fatal(err)
 	}
 	const R = 2
-	repl, err := pipeline.Replicate(compileFamily(t, bfs, core.DefaultOptions()), R, []string{"nodes", "edges"}, nil)
+	repl, err := pipeline.Replicate(compileFamily(t, bfs), R, []string{"nodes", "edges"}, nil)
 	if err != nil {
 		t.Fatal(err)
 	}

@@ -129,13 +129,14 @@ func compareSpaces(t *testing.T, name string, a, b *mem.Space) {
 	}
 }
 
-func compileFamily(t *testing.T, b *workloads.Benchmark, opt core.Options) *pipeline.Pipeline {
+// compileFamily compiles b's static pipeline with default options.
+func compileFamily(t *testing.T, b *workloads.Benchmark) *pipeline.Pipeline {
 	t.Helper()
 	prog, err := workloads.CompileSerial(b.SerialSource)
 	if err != nil {
 		t.Fatal(err)
 	}
-	res, err := core.Compile(prog, opt)
+	res, err := core.Compile(prog, core.DefaultOptions())
 	if err != nil {
 		t.Fatalf("%s: %v", b.Name, err)
 	}
@@ -143,25 +144,15 @@ func compileFamily(t *testing.T, b *workloads.Benchmark, opt core.Options) *pipe
 }
 
 // TestDiffBenchmarkFamilies runs every benchmark family's compiled
-// pipeline on every test input through both backends, with commopt off
-// (author/default queue depths) and on (pass-inferred capacities feeding
-// native queue sizing).
+// pipeline on every test input through both backends.
 func TestDiffBenchmarkFamilies(t *testing.T) {
-	for _, commOpt := range []bool{false, true} {
-		opt := core.DefaultOptions()
-		opt.CommOpt = commOpt
-		variant := "static"
-		if commOpt {
-			variant = "commopt"
-		}
-		for _, b := range workloads.Benchmarks(workloads.ScaleTest) {
-			pl := compileFamily(t, b, opt)
-			for _, in := range b.Test {
-				name := b.Name + "/" + variant + "/" + in.Name
-				inst := runDiff(t, name, pl, in.Bind())
-				if err := in.Verify(inst); err != nil {
-					t.Errorf("%s: native result fails workload verify: %v", name, err)
-				}
+	for _, b := range workloads.Benchmarks(workloads.ScaleTest) {
+		pl := compileFamily(t, b)
+		for _, in := range b.Test {
+			name := b.Name + "/static/" + in.Name
+			inst := runDiff(t, name, pl, in.Bind())
+			if err := in.Verify(inst); err != nil {
+				t.Errorf("%s: native result fails workload verify: %v", name, err)
 			}
 		}
 	}

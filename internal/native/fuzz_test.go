@@ -213,64 +213,60 @@ void div(int* restrict a, int* restrict b, int n) {
 		if depth > 0 {
 			cfg.QueueDepth = 1 + int(depth)%cfg.QueueDepth
 		}
-		for _, commOpt := range []bool{false, true} {
-			opt := core.DefaultOptions()
-			opt.CommOpt = commOpt
-			res, err := core.CompileSource(src, opt)
-			if err != nil {
-				// Rejections are the frontend's concern (FuzzParse).
-				return
-			}
-			pl := res.Pipeline
-			bind := synthBindings(pl)
+		res, err := core.CompileSource(src, core.DefaultOptions())
+		if err != nil {
+			// Rejections are the frontend's concern (FuzzParse).
+			return
+		}
+		pl := res.Pipeline
+		bind := synthBindings(pl)
 
-			simInst, err := pipeline.Instantiate(pl, cfg, bind)
-			if err != nil {
-				t.Fatalf("instantiate(sim): %v\nsource:\n%s", err, src)
-			}
-			simInst.Machine.MaxTraceEntries = 1 << 20
-			ts, simErr := simInst.Machine.RunFunctional()
+		simInst, err := pipeline.Instantiate(pl, cfg, bind)
+		if err != nil {
+			t.Fatalf("instantiate(sim): %v\nsource:\n%s", err, src)
+		}
+		simInst.Machine.MaxTraceEntries = 1 << 20
+		ts, simErr := simInst.Machine.RunFunctional()
 
-			natInst, err := pipeline.Instantiate(pl, cfg, bind)
-			if err != nil {
-				t.Fatalf("instantiate(native): %v\nsource:\n%s", err, src)
-			}
-			natInst.Machine.MaxTraceEntries = 1 << 20
-			st, natErr := native.Run(natInst.Machine, native.Options{})
+		natInst, err := pipeline.Instantiate(pl, cfg, bind)
+		if err != nil {
+			t.Fatalf("instantiate(native): %v\nsource:\n%s", err, src)
+		}
+		natInst.Machine.MaxTraceEntries = 1 << 20
+		st, natErr := native.Run(natInst.Machine, native.Options{})
 
-			verdict := verdictOf(simErr)
-			if verdict == "" {
-				t.Fatalf("unexpected functional error class: %v\nsource:\n%s", simErr, src)
+		verdict := verdictOf(simErr)
+		if verdict == "" {
+			t.Fatalf("unexpected functional error class: %v\nsource:\n%s", simErr, src)
+		}
+		if nv := verdictOf(natErr); nv != verdict {
+			t.Fatalf("verdicts differ at depth %d: functional %s, native %s\nfunctional: %v\nnative: %v\nsource:\n%s",
+				depth, verdict, nv, simErr, natErr, src)
+		}
+		switch verdict {
+		case "match":
+			if st.Instructions != ts.Instructions {
+				t.Fatalf("instruction counts diverge: native %d, functional %d\nsource:\n%s",
+					st.Instructions, ts.Instructions, src)
 			}
-			if nv := verdictOf(natErr); nv != verdict {
-				t.Fatalf("verdicts differ at depth %d (commOpt %v): functional %s, native %s\nfunctional: %v\nnative: %v\nsource:\n%s",
-					depth, commOpt, verdict, nv, simErr, natErr, src)
+			compareSpaces(t, "fuzz", simInst.Machine.Space, natInst.Machine.Space)
+			if t.Failed() {
+				t.Fatalf("memory diverged\nsource:\n%s", src)
 			}
-			switch verdict {
-			case "match":
-				if st.Instructions != ts.Instructions {
-					t.Fatalf("instruction counts diverge: native %d, functional %d\nsource:\n%s",
-						st.Instructions, ts.Instructions, src)
-				}
-				compareSpaces(t, "fuzz", simInst.Machine.Space, natInst.Machine.Space)
-				if t.Failed() {
-					t.Fatalf("memory diverged\nsource:\n%s", src)
-				}
-			case "trap":
-				if len(pl.Stages) == 1 && len(pl.RAs) == 0 && simErr.Error() != natErr.Error() {
-					t.Fatalf("single-stage trap messages differ:\n  functional: %v\n  native:     %v\nsource:\n%s",
-						simErr, natErr, src)
-				}
-			case "deadlock":
-				if !sameSnapshot(simErr, natErr) {
-					t.Fatalf("deadlock snapshots differ at depth %d (commOpt %v):\n  functional: %v\n  native:     %v\nsource:\n%s",
-						depth, commOpt, simErr, natErr, src)
-				}
+		case "trap":
+			if len(pl.Stages) == 1 && len(pl.RAs) == 0 && simErr.Error() != natErr.Error() {
+				t.Fatalf("single-stage trap messages differ:\n  functional: %v\n  native:     %v\nsource:\n%s",
+					simErr, natErr, src)
 			}
-			if w, ok := want[seed{src, depth}]; ok && verdict != w {
-				t.Fatalf("seed at depth %d (commOpt %v) reached %q, want %q\nfunctional: %v\nnative: %v\nsource:\n%s",
-					depth, commOpt, verdict, w, simErr, natErr, src)
+		case "deadlock":
+			if !sameSnapshot(simErr, natErr) {
+				t.Fatalf("deadlock snapshots differ at depth %d:\n  functional: %v\n  native:     %v\nsource:\n%s",
+					depth, simErr, natErr, src)
 			}
+		}
+		if w, ok := want[seed{src, depth}]; ok && verdict != w {
+			t.Fatalf("seed at depth %d reached %q, want %q\nfunctional: %v\nnative: %v\nsource:\n%s",
+				depth, verdict, w, simErr, natErr, src)
 		}
 	})
 }

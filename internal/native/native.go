@@ -14,11 +14,10 @@
 // Opcode, RA, barrier, trap and queue semantics are the functional
 // simulator's because they are the same code: both bound every ring at its
 // capacity, so a pipeline that overfills a queue nobody drains deadlocks
-// in either (and in the timing phase); the commopt Q4 capacity argument is
-// what makes compiler-sized pipelines safe (DESIGN.md §16). Failures are the
-// simulator's sentinel errors (sim.ErrDeadlock, sim.ErrTrap,
-// sim.ErrTraceLimit, sim.ErrCancelled). Machine.Ctx is the one way to stop
-// a run early: cancel it, or give it a deadline.
+// in either (and in the timing phase). Failures are the simulator's
+// sentinel errors (sim.ErrDeadlock, sim.ErrTrap, sim.ErrTraceLimit,
+// sim.ErrCancelled). Machine.Ctx is the one way to stop a run early: cancel
+// it, or give it a deadline.
 package native
 
 import (

@@ -10,13 +10,10 @@ import (
 	"time"
 
 	"phloem/internal/arch"
-	"phloem/internal/core"
 	"phloem/internal/isa"
 	"phloem/internal/mem"
 	"phloem/internal/native"
-	"phloem/internal/pipeline"
 	"phloem/internal/sim"
-	"phloem/internal/workloads"
 )
 
 // Machine-level tests for the drain/termination protocol, the guardrails,
@@ -541,47 +538,5 @@ func TestFusedSpinPollsStopFlag(t *testing.T) {
 		if !errors.Is(err, sim.ErrCancelled) {
 			t.Errorf("%s: got %v, want ErrCancelled", name, err)
 		}
-	}
-}
-
-// TestCommOptPipelinesNeverDeadlockNatively pins the satellite claim: the
-// commopt pass's Q4 capacity-cycle safety argument holds for bounded Go
-// channels exactly as for the timing model's bounded queues, so every
-// commopt-optimized family pipeline must run to completion natively with
-// its inferred capacities, and at least one family must actually carry
-// pass-assigned depths (so the test cannot silently assert nothing).
-func TestCommOptPipelinesNeverDeadlockNatively(t *testing.T) {
-	opt := core.DefaultOptions()
-	opt.CommOpt = true
-	assigned := 0
-	for _, b := range workloads.Benchmarks(workloads.ScaleTest) {
-		prog, err := workloads.CompileSerial(b.SerialSource)
-		if err != nil {
-			t.Fatal(err)
-		}
-		res, err := core.Compile(prog, opt)
-		if err != nil {
-			t.Fatalf("%s: %v", b.Name, err)
-		}
-		for _, q := range res.Pipeline.Queues {
-			if q.DepthByPass {
-				assigned++
-			}
-		}
-		in := b.Test[len(b.Test)-1]
-		inst, err := pipeline.Instantiate(res.Pipeline, arch.DefaultConfig(1), in.Bind())
-		if err != nil {
-			t.Fatal(err)
-		}
-		if _, err := native.Run(inst.Machine, native.Options{}); err != nil {
-			t.Errorf("%s: commopt pipeline deadlocked or failed natively: %v", b.Name, err)
-			continue
-		}
-		if err := in.Verify(inst); err != nil {
-			t.Errorf("%s: %v", b.Name, err)
-		}
-	}
-	if assigned == 0 {
-		t.Error("commopt assigned no capacities on any family; the deadlock-freedom claim was not exercised")
 	}
 }

@@ -52,8 +52,8 @@ const searchPid = 1
 // WriteChromeTrace writes the recorded search as Chrome trace_event JSON,
 // loadable in chrome://tracing or Perfetto: one thread track per search
 // worker (worker 0 is the merger/serial goroutine), one enclosing span per
-// candidate visit nested with its phase sub-spans (build/commopt/verify/
-// train), the serial-baseline and rank-phase spans, and the merger's verdict
+// candidate visit nested with its phase sub-spans (build/verify/train),
+// the serial-baseline and rank-phase spans, and the merger's verdict
 // instants in enumeration order. Ts/Dur are wall-clock microseconds from
 // the search's EvSearchStart anchor; Dur is always set on spans, so
 // sub-microsecond spans keep an explicit dur of 0 and per-phase dur sums
@@ -131,8 +131,7 @@ func (c *SearchCollector) WriteChromeTrace(w io.Writer) error {
 	for i := range events {
 		e := &events[i]
 		switch e.Kind {
-		case core.EvSerial, core.EvRank, core.EvBuild, core.EvCommOpt,
-			core.EvVerify, core.EvTrain:
+		case core.EvSerial, core.EvRank, core.EvBuild, core.EvVerify, core.EvTrain:
 			if !phaseSpan(e) {
 				// A journal-replayed serial baseline is an instant, not a span.
 				ev(chromeEvent{Name: "serial (replayed)", Ph: "i", S: "t",

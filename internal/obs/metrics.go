@@ -97,13 +97,13 @@ type Metrics struct {
 	TrainCycles uint64  `json:"train_cycles"`
 	CyclesPerMs float64 `json:"cycles_per_ms"`
 	// Phases aggregates span events in a fixed order: serial, rank, build,
-	// commopt, verify, train (kinds with no spans are omitted).
+	// verify, train (kinds with no spans are omitted).
 	Phases []PhaseMetrics `json:"phases"`
 }
 
 // phaseOrder fixes the Phases rendering order.
 var phaseOrder = []core.EventKind{
-	core.EvSerial, core.EvRank, core.EvBuild, core.EvCommOpt, core.EvVerify, core.EvTrain,
+	core.EvSerial, core.EvRank, core.EvBuild, core.EvVerify, core.EvTrain,
 }
 
 // Aggregate folds an event stream into Metrics. The stream may come from a
@@ -190,8 +190,7 @@ func spanMicros(e *core.SearchEvent) int64 {
 // is an instant, not a measurement.
 func phaseSpan(e *core.SearchEvent) bool {
 	switch e.Kind {
-	case core.EvSerial, core.EvRank, core.EvBuild, core.EvCommOpt,
-		core.EvVerify, core.EvTrain:
+	case core.EvSerial, core.EvRank, core.EvBuild, core.EvVerify, core.EvTrain:
 		return !(e.Kind == core.EvSerial && e.Replayed)
 	}
 	return false

@@ -270,7 +270,7 @@ func TestSearchEventsAndPoints(t *testing.T) {
 }
 
 // TestStaticCompileEvents: the static flow emits the minimal stream —
-// search-start, a build span, commopt/verify spans, search-end.
+// search-start, a build span, a verify span, search-end.
 func TestStaticCompileEvents(t *testing.T) {
 	col := obs.NewSearchCollector()
 	opt := core.DefaultOptions()

@@ -1,7 +1,6 @@
 package pipeline_test
 
 import (
-	"fmt"
 	"reflect"
 	"sync"
 	"testing"
@@ -16,22 +15,18 @@ import (
 	"phloem/internal/workloads"
 )
 
-// builtPipelines returns every pipeline of the five families (static with
-// commopt off and on, serial, manual, data-parallel, replicated) and Taco
-// SpMV's static pipeline with commopt off and on, each named.
+// builtPipelines returns every pipeline of the five families (static,
+// serial, manual, data-parallel, replicated) and Taco SpMV's static
+// pipeline, each named.
 func builtPipelines(t *testing.T) map[string]*pipeline.Pipeline {
 	t.Helper()
 	pls := map[string]*pipeline.Pipeline{}
 	static := func(name, src string) {
-		for _, on := range []bool{false, true} {
-			opt := core.DefaultOptions()
-			opt.CommOpt = on
-			res, err := core.CompileSource(src, opt)
-			if err != nil {
-				t.Fatalf("%s: %v", name, err)
-			}
-			pls[fmt.Sprintf("%s/static/commopt=%v", name, on)] = res.Pipeline
+		res, err := core.CompileSource(src, core.DefaultOptions())
+		if err != nil {
+			t.Fatalf("%s: %v", name, err)
 		}
+		pls[name+"/static"] = res.Pipeline
 	}
 	for _, b := range workloads.Benchmarks(workloads.ScaleTest) {
 		static(b.Name, b.SerialSource)
@@ -48,7 +43,7 @@ func builtPipelines(t *testing.T) map[string]*pipeline.Pipeline {
 		if pls[b.Name+"/dp"], err = workloads.BuildDataParallel(b.DPSource, 4, 2); err != nil {
 			t.Fatal(err)
 		}
-		if pls[b.Name+"/x2"], err = pipeline.Replicate(pls[b.Name+"/static/commopt=true"], 2, nil, nil); err != nil {
+		if pls[b.Name+"/x2"], err = pipeline.Replicate(pls[b.Name+"/static"], 2, nil, nil); err != nil {
 			t.Fatal(err)
 		}
 	}
@@ -87,17 +82,17 @@ func checkFresh(t *testing.T, name string, pl *pipeline.Pipeline) {
 }
 
 // TestLoweredMatchesFresh: every builder lowers the pipelines it returns,
-// and what every reader (Instantiate, verify, costmodel, commopt,
-// Replicate) gets equals lowering each stage afresh. An edit to the stages
-// takes effect at the next Lower: a new Body slice, a renamed, dropped or
-// added stage, and a statement of a Body overwritten in place.
+// and what every reader (Instantiate, verify, costmodel, Replicate) gets
+// equals lowering each stage afresh. An edit to the stages takes effect at
+// the next Lower: a new Body slice, a renamed, dropped or added stage, and a
+// statement of a Body overwritten in place.
 func TestLoweredMatchesFresh(t *testing.T) {
 	pls := builtPipelines(t)
 	for name, pl := range pls {
 		checkFresh(t, name, pl)
 	}
 
-	pl := pls["BFS/static/commopt=false"]
+	pl := pls["BFS/static"]
 	st := pl.Stages[0]
 	st.Body = append([]ir.Stmt(nil), st.Body...)
 	pipeline.Lower(pl)

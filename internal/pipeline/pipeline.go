@@ -35,10 +35,9 @@ type Queue struct {
 	Name string
 	// Depth overrides the machine default when > 0.
 	Depth int
-	// DepthByPass marks Depth as assigned by a compiler pass (commopt)
-	// rather than set explicitly by the pipeline author. Passes must never
-	// override a user-set depth, and the verifier distinguishes the two
-	// when reporting undersized queues (W1 user-set vs W2 pass-assigned).
+	// DepthByPass is dead: nothing sets it, since the queue-capacity pass
+	// that did was deleted (DESIGN.md §14). It stays only because
+	// benchmark/ still reads it (ROADMAP item 2 deletes it).
 	DepthByPass bool
 }
 
@@ -229,7 +228,7 @@ func Instantiate(pl *Pipeline, cfg arch.Config, b Bindings) (*Instance, error) {
 		inst.Arrays[slot.Name] = a
 	}
 	for _, q := range pl.Queues {
-		m.Queues = append(m.Queues, arch.QueueSpec{Name: q.Name, Depth: q.Depth, DepthByPass: q.DepthByPass})
+		m.Queues = append(m.Queues, arch.QueueSpec{Name: q.Name, Depth: q.Depth})
 	}
 	for _, ra := range pl.RAs {
 		m.AddRA(ra)

@@ -85,7 +85,7 @@ func Replicate(pl *Pipeline, replicas int, shared []string,
 	for r := 0; r < replicas; r++ {
 		qBase := len(out.Queues)
 		for _, q := range pl.Queues {
-			out.Queues = append(out.Queues, Queue{Name: fmt.Sprintf("r%d.%s", r, q.Name), Depth: q.Depth, DepthByPass: q.DepthByPass})
+			out.Queues = append(out.Queues, Queue{Name: fmt.Sprintf("r%d.%s", r, q.Name), Depth: q.Depth})
 		}
 		for _, ra := range pl.RAs {
 			c := ra

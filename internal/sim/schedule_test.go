@@ -168,13 +168,11 @@ func TestTraceCapacityIndependent(t *testing.T) {
 }
 
 // TestSingleCoreQueuesDirect: on one core nothing is shared and no swap is
-// counted, so every queue of a compiled pipeline, commopt capacities
-// included, takes the native engine's ring fast path.
+// counted, so every queue of a compiled pipeline takes the native engine's
+// ring fast path.
 func TestSingleCoreQueuesDirect(t *testing.T) {
-	opt := core.DefaultOptions()
-	opt.CommOpt = true
 	for _, b := range workloads.Benchmarks(workloads.ScaleTest) {
-		res, err := core.CompileSource(b.SerialSource, opt)
+		res, err := core.CompileSource(b.SerialSource, core.DefaultOptions())
 		if err != nil {
 			t.Fatalf("%s: %v", b.Name, err)
 		}

@@ -142,7 +142,7 @@ func Check(pl *pipeline.Pipeline) *Report {
 }
 
 // CheckErrors returns Check(pl).Errors() without running the static cost
-// model, whose rules (W1, W2) can only warn.
+// model, whose rule (W1) can only warn.
 func CheckErrors(pl *pipeline.Pipeline) []Diag {
 	var s Scratch
 	return s.CheckErrors(pl)
@@ -164,15 +164,23 @@ func (s *Scratch) CheckErrors(pl *pipeline.Pipeline) []Diag {
 	return errs
 }
 
-// check runs every analysis over pl into m.rep, sorted canonically.
+// check builds the model of pl and analyzes it into m.rep.
 func (m *model) check(pl *pipeline.Pipeline, costWarnings bool) {
 	m.build(pl)
+	m.analyze(costWarnings)
+}
+
+// analyze runs every analysis over the model built so far into m.rep,
+// sorted canonically.
+func (m *model) analyze(costWarnings bool) {
 	m.checkTopology()
 	m.checkProtocol()
 	m.checkDataflow()
 	m.checkLiveness()
 	m.checkEffects()
-	m.checkCapacity(costWarnings)
+	if costWarnings {
+		m.checkCapacity()
+	}
 	slices.SortStableFunc(m.rep.Diags, func(a, b Diag) int {
 		if a.Stage != b.Stage {
 			return strings.Compare(a.Stage, b.Stage)
